@@ -178,7 +178,7 @@ class TestSimulate:
 class TestCompare:
     def test_identical_state_both_weightings_consistent(self, capsys):
         code, out, _ = run(capsys, "compare", "--model", IDENTICAL, "--order", "2",
-                           "--seed", "3", "--reps", "4", "--warmup", "20",
+                           "--seed", "3", "--reps", "32", "--warmup", "20",
                            "--horizon", "520")
         assert code == 0
         assert "consistent weighting(s): embedded, occupancy" in out
