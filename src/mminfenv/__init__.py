@@ -3,7 +3,7 @@
 The package computes factorial and raw moments of the stationary number
 of customers exactly, via matrix recursions in the moment order, checks
 them against built-in structural identities and two-state closed forms,
-and estimates them independently with a discrete-event simulation.
+and estimates them independently by simulating the queue.
 """
 
 from .distributions import (

@@ -3,19 +3,18 @@
 Every family exposes its Laplace transform at nonnegative real arguments
 together with its mean; these two quantities are all the analytic
 machinery ever needs.  For simulation each parametric family can also
-draw a full sojourn and an equilibrium (integrated-tail) residual
-sojourn, the latter being what a stationary observer sees of the
-in-progress sojourn.
+draw full sojourns, one or a vector of them per call, and an equilibrium
+(integrated-tail) residual sojourn, the latter being what a stationary
+observer sees of the in-progress sojourn.  The residual is drawn exactly
+as U times a length-biased sojourn, U uniform on [0, 1).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc
 
-from .errors import ModelError, NumericError
+from .errors import ModelError
 
 __all__ = [
     "SojournDistribution",
@@ -44,8 +43,8 @@ class SojournDistribution:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one full sojourn."""
+    def sample(self, rng: np.random.Generator, size: int = None):
+        """Draw one full sojourn, or an array of ``size`` independent ones."""
         raise NotImplementedError
 
     def sample_residual(self, rng: np.random.Generator) -> float:
@@ -85,8 +84,8 @@ class Exponential(SojournDistribution):
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def sample(self, rng) -> float:
-        return rng.exponential(1.0 / self.rate)
+    def sample(self, rng, size=None):
+        return rng.exponential(1.0 / self.rate, size)
 
     def sample_residual(self, rng) -> float:
         return rng.exponential(1.0 / self.rate)
@@ -112,19 +111,12 @@ class Gamma(SojournDistribution):
     def mean(self) -> float:
         return self.shape / self.rate
 
-    def sample(self, rng) -> float:
-        return rng.gamma(self.shape, 1.0 / self.rate)
-
-    def _equilibrium_cdf(self, t: float) -> float:
-        # integral of the survival function up to t, divided by the mean:
-        # (r t / shape) * S(t) + F_{shape+1}(t)
-        if t <= 0.0:
-            return 0.0
-        x = self.rate * t
-        return (x / self.shape) * gammaincc(self.shape, x) + gammainc(self.shape + 1.0, x)
+    def sample(self, rng, size=None):
+        return rng.gamma(self.shape, 1.0 / self.rate, size)
 
     def sample_residual(self, rng) -> float:
-        return _invert_cdf(self._equilibrium_cdf, rng.random(), self.mean())
+        # the length-biased law of Gamma(k, r) is Gamma(k + 1, r)
+        return rng.random() * rng.gamma(self.shape + 1.0, 1.0 / self.rate)
 
 
 @dataclass(frozen=True)
@@ -144,8 +136,8 @@ class Deterministic(SojournDistribution):
     def mean(self) -> float:
         return self.value
 
-    def sample(self, rng) -> float:
-        return self.value
+    def sample(self, rng, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
     def sample_residual(self, rng) -> float:
         # integrated tail of a point mass is uniform on [0, value]
@@ -180,27 +172,21 @@ class HyperExponential(SojournDistribution):
     def mean(self) -> float:
         return sum(p / r for p, r in zip(self.probs, self.rates))
 
-    def sample(self, rng) -> float:
-        u = rng.random()
-        acc = 0.0
-        branch = len(self.probs) - 1
-        for i, p in enumerate(self.probs):
-            acc += p
-            if u < acc:
-                branch = i
-                break
-        return rng.exponential(1.0 / self.rates[branch])
+    def _branch_sample(self, rng, weights, size):
+        # pick branches by the normalised cumulative weights (the last
+        # positive one is exactly 1), then scale unit exponentials
+        cdf = np.cumsum(weights)
+        branch = np.searchsorted(cdf / cdf[-1], rng.random(size), side="right")
+        draws = rng.exponential(1.0, size) / np.asarray(self.rates)[branch]
+        return float(draws) if size is None else draws
 
-    def _equilibrium_cdf(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        m = self.mean()
-        return sum(
-            (p / r) / m * (1.0 - math.exp(-r * t)) for p, r in zip(self.probs, self.rates)
-        )
+    def sample(self, rng, size=None):
+        return self._branch_sample(rng, self.probs, size)
 
     def sample_residual(self, rng) -> float:
-        return _invert_cdf(self._equilibrium_cdf, rng.random(), self.mean())
+        # length biasing reweights branch i by its mean: p_i / r_i, and the
+        # residual of an exponential branch is that exponential again
+        return self._branch_sample(rng, [p / r for p, r in zip(self.probs, self.rates)], None)
 
 
 @dataclass(frozen=True)
@@ -249,22 +235,9 @@ class TabulatedLaplace(SojournDistribution):
     def mean(self) -> float:
         return self.mean_value
 
-    def sample(self, rng) -> float:
+    def sample(self, rng, size=None):
         raise ModelError("a tabulated sojourn law cannot be sampled; simulation needs a parametric family")
 
     def sample_residual(self, rng) -> float:
         raise ModelError("a tabulated sojourn law cannot be sampled; simulation needs a parametric family")
 
-
-def _invert_cdf(cdf, u: float, scale: float) -> float:
-    """Solve cdf(t) = u for t >= 0 by bracketing and Brent's method."""
-    if u <= 0.0:
-        return 0.0
-    hi = max(scale, 1e-12)
-    for _ in range(200):
-        if cdf(hi) >= u:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError(f"could not bracket equilibrium quantile at u={u} (searched up to {hi})")
-    return brentq(lambda t: cdf(t) - u, 0.0, hi, xtol=1e-12, rtol=1e-10)

@@ -1,4 +1,4 @@
-"""Discrete-event simulation of the modulated infinite-server queue.
+"""Simulation of the modulated infinite-server queue.
 
 This is the brute-force oracle for the analytic moments.  The queue is
 simulated through its cumulative-work coordinate: W(t) is the integral
@@ -6,8 +6,12 @@ of the momentary server speed, so it is piecewise linear and never
 decreases.  A customer arriving at time u with an exponential service
 requirement sigma leaves exactly when W reaches W(u) + sigma, so the
 customers in system at a sample time t are those whose departure
-threshold still exceeds W(t).  A min-heap keyed by threshold makes the
-count cheap, and pops happen in threshold order because W is monotone.
+threshold still exceeds W(t).  Since every threshold exceeds the work
+level at its arrival, the count at t is the number of arrivals up to t
+minus the number of thresholds up to W(t): with arrivals and thresholds
+each sorted once, two binary searches per sample time and no per-customer
+Python code.  The environment path is drawn in vector calls too; only the
+jump chain's routing steps one segment at a time.
 
 The environment path starts in steady state: the initial state follows
 the time-stationary occupancy law and the first sojourn is drawn from
@@ -22,8 +26,8 @@ order, so results are byte-identical no matter how replications are
 scheduled.
 """
 
-import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,7 +128,9 @@ class SimulationEstimate:
     ``estimates[n]`` approximates E[N(N-1)...(N-n+1)] for n = 0..n_est
     (order 0 is identically 1).  Standard errors are computed across
     replications only, never pooled within one, which sidesteps the
-    autocorrelation of consecutive samples.
+    autocorrelation of consecutive samples.  ``half_means[r]`` holds
+    replication r's mean count over the first and the second half of its
+    sampling grid, for ``stationarity_check``.
     """
 
     orders: np.ndarray
@@ -135,6 +141,7 @@ class SimulationEstimate:
     master_seed: int
     occupancy: np.ndarray
     config: SimulationConfig = field(repr=False, default=None)
+    half_means: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -171,6 +178,17 @@ def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
     )
 
 
+def _normalised_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, divided by their totals.
+
+    Trailing entries after the last positive probability equal the total,
+    so they become exactly 1 and a uniform draw in [0, 1) searched with
+    side "right" never lands on a zero-probability index.
+    """
+    cdf = np.cumsum(probabilities, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
 def simulate_environment(
     model: EnvironmentModel,
     horizon: float,
@@ -180,33 +198,45 @@ def simulate_environment(
     """Generate a stationary environment trajectory covering [0, horizon].
 
     The initial state is drawn from the occupancy law and its sojourn
-    from the equilibrium residual law; every later segment draws the
-    next state from the routing row and a full sojourn from the state's
-    law.
+    from the equilibrium residual law.  Later segments come in chunks
+    sized from the remaining time over the mean segment length: one
+    uniform per segment routes the jump chain, then every sojourn of a
+    state in the chunk is drawn in one call, states in index order.  The
+    path ends with the first segment whose end reaches the horizon.
     """
     require_valid(model)
     if statics is None:
         statics = chain_statics(model)
-    routing_cdf = np.cumsum(model.routing, axis=1)
-    occupancy_cdf = np.cumsum(statics.occupancy)
+    routing_cdf = _normalised_cdf(model.routing).tolist()
+    state = int(np.searchsorted(_normalised_cdf(statics.occupancy), rng.random(), side="right"))
+    first = model.sojourns[state].sample_residual(rng)
+    mean_segment = mean_cycle_length(model, statics) / model.num_states
 
-    states = []
-    durations = []
-    state = int(np.searchsorted(occupancy_cdf, rng.random(), side="right"))
-    state = min(state, model.num_states - 1)
-    duration = model.sojourns[state].sample_residual(rng)
-    elapsed = 0.0
-    while True:
-        states.append(state)
-        durations.append(duration)
-        elapsed += duration
-        if elapsed >= horizon:
-            break
-        state = int(np.searchsorted(routing_cdf[state], rng.random(), side="right"))
-        state = min(state, model.num_states - 1)
-        duration = model.sojourns[state].sample(rng)
+    states = [np.array([state])]
+    durations = [np.array([first])]
+    elapsed = first
+    while elapsed < horizon:
+        size = int(1.1 * (horizon - elapsed) / mean_segment) + 16
+        chunk = []
+        for u in rng.random(size).tolist():
+            state = bisect_right(routing_cdf[state], u)
+            chunk.append(state)
+        chunk = np.array(chunk)
+        chunk_durations = np.empty(size)
+        for k, sojourn in enumerate(model.sojourns):
+            visits = chunk == k
+            count = int(np.count_nonzero(visits))
+            if count:
+                chunk_durations[visits] = sojourn.sample(rng, count)
+        # the same running sum np.cumsum gives over the whole path
+        ends = np.cumsum(np.concatenate(([elapsed], chunk_durations)))[1:]
+        stop = int(np.searchsorted(ends, horizon, side="left"))
+        keep = min(stop + 1, size)
+        states.append(chunk[:keep])
+        durations.append(chunk_durations[:keep])
+        elapsed = ends[keep - 1]
     return EnvironmentPath(
-        states=np.array(states, dtype=np.int64), durations=np.array(durations)
+        states=np.concatenate(states).astype(np.int64), durations=np.concatenate(durations)
     )
 
 
@@ -218,58 +248,46 @@ def simulate_queue(
 ) -> np.ndarray:
     """Customer counts at the grid times, for one environment trajectory.
 
-    Arrivals are generated per segment as an exact Poisson count with
-    uniformly placed times; each gets a departure threshold
-    W(arrival) + Exp(mu).  At each grid time the heap is popped while the
-    smallest threshold is below the current work level, and the heap size
-    is the count.
+    Each segment gets an exact Poisson number of arrivals, placed
+    uniformly in it; each customer leaves when the work level reaches
+    its threshold W(arrival) + Exp(mu).  All counts come from one
+    ``poisson`` call over the segments, then one ``random`` and one
+    ``exponential`` call over the customers.  Because a threshold
+    exceeds the work level at arrival, a customer with threshold at most
+    W(t) has arrived by t, so the count at t is the number of arrivals
+    at or before t minus the number of thresholds at or below W(t), two
+    binary searches in sorted arrays.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size and grid[-1] > path.total_duration:
+    durations = path.durations
+    ends = np.cumsum(durations)
+    if grid.size and grid[-1] > ends[-1]:
         raise ValueError(
-            f"sampling grid ends at {grid[-1]} beyond the path duration {path.total_duration}"
+            f"sampling grid ends at {grid[-1]} beyond the path duration {ends[-1]}"
         )
-    counts = np.zeros(grid.size, dtype=np.int64)
-    heap = []
-    mean_service = 1.0 / model.mu
-    grid_pos = 0
-    segment_start = 0.0
-    work_start = 0.0
+    starts = np.concatenate(([0.0], ends[:-1]))
+    speeds = model.speeds[path.states]
+    work_ends = np.cumsum(speeds * durations)
+    work_starts = np.concatenate(([0.0], work_ends[:-1]))
 
-    for state, duration in zip(path.states, path.durations):
-        rate = model.arrival_rates[state]
-        speed = model.speeds[state]
-        segment_end = segment_start + duration
+    per_segment = rng.poisson(model.arrival_rates[path.states] * durations)
+    segment = np.repeat(np.arange(durations.size), per_segment)
+    offsets = durations[segment] * rng.random(segment.size)
+    arrivals = starts[segment] + offsets
+    thresholds = (
+        work_starts[segment]
+        + speeds[segment] * offsets
+        + rng.exponential(1.0 / model.mu, segment.size)
+    )
+    arrivals.sort()
+    thresholds.sort()
 
-        arrivals = None
-        thresholds = None
-        if rate > 0.0:
-            count = rng.poisson(rate * duration)
-            if count:
-                arrivals = np.sort(rng.uniform(segment_start, segment_end, count))
-                offsets = speed * (arrivals - segment_start)
-                thresholds = work_start + offsets + rng.exponential(mean_service, count)
-        n_arrivals = 0 if arrivals is None else arrivals.size
-
-        grid_end = int(np.searchsorted(grid, segment_end, side="left"))
-        arrival_pos = 0
-        while grid_pos < grid_end:
-            sample_time = grid[grid_pos]
-            while arrival_pos < n_arrivals and arrivals[arrival_pos] <= sample_time:
-                heapq.heappush(heap, thresholds[arrival_pos])
-                arrival_pos += 1
-            work_now = work_start + speed * (sample_time - segment_start)
-            while heap and heap[0] <= work_now:
-                heapq.heappop(heap)
-            counts[grid_pos] = len(heap)
-            grid_pos += 1
-        while arrival_pos < n_arrivals:
-            heapq.heappush(heap, thresholds[arrival_pos])
-            arrival_pos += 1
-
-        work_start += speed * duration
-        segment_start = segment_end
-    return counts
+    # grid time t lies in segment ``at``: start < t <= end (t = 0 in the first)
+    at = np.searchsorted(ends, grid, side="left")
+    work = work_starts[at] + speeds[at] * (grid - starts[at])
+    arrived = np.searchsorted(arrivals, grid, side="right")
+    departed = np.searchsorted(thresholds, work, side="right")
+    return (arrived - departed).astype(np.int64)
 
 
 def _falling_factorial_means(counts: np.ndarray, n_est: int) -> np.ndarray:
@@ -290,13 +308,16 @@ def _replication_estimate(
     grid: np.ndarray,
     replication: int,
 ):
-    """One replication: (falling-factorial means, post-warmup occupancy)."""
+    """One replication: (falling-factorial means, post-warmup occupancy,
+    mean counts over the first and second half of the grid)."""
     rng = replication_rng(config.master_seed, replication)
     path = simulate_environment(model, config.horizon, rng, statics)
     counts = simulate_queue(model, path, grid, rng)
     moments = _falling_factorial_means(counts, config.n_est)
     occupancy = path.occupancy(model.num_states, start=config.warmup, stop=config.horizon)
-    return moments, occupancy
+    half = grid.size // 2
+    halves = np.array([counts[:half].mean(), counts[half:].mean()])
+    return moments, occupancy, halves
 
 
 def _sampling_grid(config: SimulationConfig, interval: float) -> np.ndarray:
@@ -325,10 +346,11 @@ def estimate_factorial_moments(
 
     per_rep = np.empty((config.replications, config.n_est + 1))
     occupancies = np.empty((config.replications, model.num_states))
+    half_means = np.empty((config.replications, 2))
     for replication in range(config.replications):
-        moments, occupancy = _replication_estimate(model, config, statics, grid, replication)
-        per_rep[replication] = moments
-        occupancies[replication] = occupancy
+        per_rep[replication], occupancies[replication], half_means[replication] = (
+            _replication_estimate(model, config, statics, grid, replication)
+        )
 
     estimates = per_rep.mean(axis=0)
     spread = per_rep.std(axis=0, ddof=1)
@@ -344,36 +366,21 @@ def estimate_factorial_moments(
         master_seed=int(config.master_seed),
         occupancy=occupancies.mean(axis=0),
         config=config,
+        half_means=half_means,
     )
 
 
-def stationarity_check(model: EnvironmentModel, config: SimulationConfig) -> dict:
-    """Split the post-warmup window in halves and compare first moments.
+def stationarity_check(estimate: SimulationEstimate) -> dict:
+    """Compare the mean counts of the two halves of the post-warmup window.
 
-    Returns the two mean estimates, their combined standard error, and
-    whether they agree within 4 combined standard errors; disagreement
-    signals insufficient warmup.
+    Reduces the per-replication half-window means the estimate already
+    holds.  Returns the two mean estimates, their combined standard
+    error, and whether they agree within 4 combined standard errors;
+    disagreement signals insufficient warmup.
     """
-    require_valid(model)
-    statics = chain_statics(model)
-    interval = config.resolved_interval(model, statics)
-    grid = _sampling_grid(config, interval)
-    half = grid.size // 2
-    if half < 1:
-        raise EstimationError("window too short to split into halves")
-
-    first = np.empty(config.replications)
-    second = np.empty(config.replications)
-    for replication in range(config.replications):
-        rng = replication_rng(config.master_seed, replication)
-        path = simulate_environment(model, config.horizon, rng, statics)
-        counts = simulate_queue(model, path, grid, rng)
-        first[replication] = counts[:half].mean()
-        second[replication] = counts[half:].mean()
-
-    se_first = first.std(ddof=1) / math.sqrt(config.replications)
-    se_second = second.std(ddof=1) / math.sqrt(config.replications)
-    combined = math.hypot(se_first, se_second)
+    first, second = estimate.half_means.T
+    root = math.sqrt(estimate.replications)
+    combined = math.hypot(first.std(ddof=1) / root, second.std(ddof=1) / root)
     gap = abs(first.mean() - second.mean())
     return {
         "first_half": float(first.mean()),

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import mminfenv
 from mminfenv.cli import main
 
 from conftest import MODELS_DIR
@@ -206,3 +211,14 @@ class TestOrderCap:
         code, _, err = run(capsys, "moments", "--model", IDENTICAL, "--order", "-2")
         assert code == 2
         assert "nonnegative" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the test suite; the package must not pay for it at startup
+    source_root = str(Path(mminfenv.__file__).resolve().parents[1])
+    code = "import sys, mminfenv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert result.stdout.strip() == "[]"

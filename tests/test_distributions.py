@@ -115,6 +115,22 @@ def test_sampling_matches_mean():
         assert abs(draws.mean() - dist.mean()) < max(4.0 * se, 1e-12)
 
 
+def test_vector_sampling_matches_mean():
+    rng = np.random.default_rng(404)
+    for dist in ALL_FAMILIES:
+        draws = dist.sample(rng, 4000)
+        assert draws.shape == (4000,)
+        se = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.mean() - dist.mean()) < max(4.0 * se, 1e-12), type(dist).__name__
+
+
+def test_hyperexponential_skips_zero_probability_branch():
+    dist = HyperExponential(probs=(0.5, 0.5, 0.0), rates=(1.0, 2.0, 1e-9))
+    draws = dist.sample(np.random.default_rng(5), 20000)
+    # a draw from the rate-1e-9 branch would be of order 1e9
+    assert draws.max() < 100.0
+
+
 def test_residual_sampling_matches_equilibrium_mean():
     # E[T_e] = E[T^2] / (2 E[T]), with E[T^2] in closed form per family
     second_moments = {

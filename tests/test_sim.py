@@ -10,6 +10,7 @@ from mminfenv import (
     EstimationError,
     Exponential,
     Gamma,
+    HyperExponential,
     SimulationConfig,
     chain_statics,
     default_warmup,
@@ -115,6 +116,15 @@ class TestEnvironmentPaths:
         path = simulate_environment(model, 123.0, np.random.default_rng(1))
         assert path.total_duration >= 123.0
 
+    def test_path_stops_at_first_segment_reaching_horizon(self, k3_mixed_model):
+        statics = chain_statics(k3_mixed_model)
+        for horizon in (0.5, 37.0, 900.0):
+            for rep in range(4):
+                path = simulate_environment(k3_mixed_model, horizon, replication_rng(13, rep), statics)
+                ends = np.cumsum(path.durations)
+                assert ends[-1] >= horizon
+                assert np.all(ends[:-1] < horizon)
+
     def test_tabulated_sojourn_cannot_be_simulated(self):
         from mminfenv import ModelError, TabulatedLaplace
 
@@ -216,51 +226,83 @@ class TestQueue:
         with pytest.raises(ValueError):
             simulate_queue(model, path, np.array([5.0, 11.0]), np.random.default_rng(0))
 
-    def test_against_bruteforce_counting(self, k3_mixed_model):
-        # independent oracle: same draws, counts computed by direct
-        # comparison of every customer against every sample time
-        model = k3_mixed_model
+    @staticmethod
+    def _bruteforce_counts(model, path, grid, rng):
+        # independent oracle: the draws of simulate_queue in the same
+        # layout (one Poisson count per segment, then one uniform and one
+        # service requirement per customer), with every customer compared
+        # against every sample time
+        per_segment = rng.poisson(model.arrival_rates[path.states] * path.durations)
+        uniforms = rng.random(int(per_segment.sum()))
+        sigmas = rng.exponential(1.0 / model.mu, uniforms.size)
+
+        arrivals_all = []
+        thresholds_all = []
+        segment_start = 0.0
+        work_start = 0.0
+        work_at = np.zeros(grid.size)
+        position = 0
+        for state, duration, count in zip(path.states, path.durations, per_segment):
+            speed = model.speeds[state]
+            segment_end = segment_start + duration
+            offsets = duration * uniforms[position : position + count]
+            arrivals_all.append(segment_start + offsets)
+            thresholds_all.append(work_start + speed * offsets + sigmas[position : position + count])
+            position += count
+            # a boundary time takes the later segment's level, equal by continuity
+            inside = (grid >= segment_start) & (grid <= segment_end)
+            work_at[inside] = work_start + speed * (grid[inside] - segment_start)
+            work_start += speed * duration
+            segment_start = segment_end
+        arrivals = np.concatenate(arrivals_all)
+        thresholds = np.concatenate(thresholds_all)
+        return np.array(
+            [
+                int(np.sum((arrivals <= t) & (thresholds > w)))
+                for t, w in zip(grid, work_at)
+            ]
+        )
+
+    def _assert_matches_bruteforce(self, model, seed):
         statics = chain_statics(model)
         grid = np.arange(2.0, 150.0, 1.7)
         for rep in range(3):
             path = simulate_environment(model, 150.0, replication_rng(31, rep), statics)
-
-            # two generators in identical states: one drives the heap
+            # two generators in identical states: one drives the
             # implementation, the other the naive recount of its draws
-            heap_rng = replication_rng(57, rep)
-            path_rng = replication_rng(57, rep)
-
-            counts = simulate_queue(model, path, grid, heap_rng)
-
-            arrivals_all = []
-            thresholds_all = []
-            segment_start = 0.0
-            work_start = 0.0
-            work_at = np.zeros(grid.size)
-            for state, duration in zip(path.states, path.durations):
-                rate = model.arrival_rates[state]
-                speed = model.speeds[state]
-                segment_end = segment_start + duration
-                if rate > 0.0:
-                    count = path_rng.poisson(rate * duration)
-                    if count:
-                        u = np.sort(path_rng.uniform(segment_start, segment_end, count))
-                        sigma = path_rng.exponential(1.0 / model.mu, count)
-                        arrivals_all.append(u)
-                        thresholds_all.append(work_start + speed * (u - segment_start) + sigma)
-                inside = (grid >= segment_start) & (grid < segment_end)
-                work_at[inside] = work_start + speed * (grid[inside] - segment_start)
-                work_start += speed * duration
-                segment_start = segment_end
-            arrivals = np.concatenate(arrivals_all)
-            thresholds = np.concatenate(thresholds_all)
-            brute = np.array(
-                [
-                    int(np.sum((arrivals <= t) & (thresholds > w)))
-                    for t, w in zip(grid, work_at)
-                ]
-            )
+            counts = simulate_queue(model, path, grid, replication_rng(seed, rep))
+            brute = self._bruteforce_counts(model, path, grid, replication_rng(seed, rep))
+            assert brute.sum() > 0
             assert np.array_equal(counts, brute)
+
+    def test_against_bruteforce_counting(self, k3_mixed_model):
+        self._assert_matches_bruteforce(k3_mixed_model, 57)
+
+    def test_against_bruteforce_counting_with_idle_state(self):
+        # state 1 neither admits nor serves customers, so W stays flat and
+        # no segment of it draws an arrival
+        model = EnvironmentModel(
+            arrival_rates=[2.0, 0.0, 1.0],
+            speeds=[1.0, 0.0, 0.5],
+            sojourns=(
+                Exponential(1.0),
+                HyperExponential(probs=(0.3, 0.7), rates=(0.25, 3.0)),
+                Gamma(2.0, 1.5),
+            ),
+            mu=0.8,
+            routing=[[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.7, 0.3, 0.0]],
+        )
+        self._assert_matches_bruteforce(model, 61)
+
+    def test_grid_time_at_path_end_is_counted(self):
+        # a sample at the very end of the path used to read 0
+        model = identical_state_model()
+        path = EnvironmentPath(states=np.array([0, 1]), durations=np.array([50.0, 50.0]))
+        grid = np.array([60.0, 99.999, 100.0])
+        counts = simulate_queue(model, path, grid, np.random.default_rng(4))
+        brute = self._bruteforce_counts(model, path, grid, np.random.default_rng(4))
+        assert brute[-1] > 0
+        assert np.array_equal(counts, brute)
 
 
 class TestEstimates:
@@ -303,6 +345,7 @@ class TestEstimates:
 
     def test_stationarity_check_passes_when_warmed(self):
         model = identical_state_model()
-        result = stationarity_check(model, small_config(replications=8, horizon=1220.0))
+        estimate = estimate_factorial_moments(model, small_config(replications=8, horizon=1220.0))
+        result = stationarity_check(estimate)
         assert result["consistent"]
         assert result["gap"] < 4.0 * result["combined_se"]
