@@ -517,3 +517,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

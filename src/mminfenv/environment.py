@@ -106,15 +106,17 @@ class ChainStatics:
 
 
 def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
+    """Nodes reachable from ``start``, by a breadth-first frontier sweep.
+
+    Each node enters the frontier once, so the sweep is O(K^2) array work
+    in at most K steps.
+    """
     seen = np.zeros(adjacency.shape[0], dtype=bool)
-    stack = [start]
     seen[start] = True
-    while stack:
-        node = stack.pop()
-        for nxt in np.flatnonzero(adjacency[node]):
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append(int(nxt))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return seen
 
 

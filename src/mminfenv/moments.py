@@ -109,15 +109,21 @@ def _transform_diagonal(model: EnvironmentModel, order: int) -> np.ndarray:
 def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int):
     """Matrix diag(1 / tau_k(n mu_k)) - Q of the order-n linear system.
 
-    Returns the matrix together with its 1-norm condition estimate.  The
-    matrix is provably invertible for n >= 1 whenever some speed is
-    positive; the condition estimate makes that observable at runtime.
+    Returns the matrix together with its exact 1-norm condition number,
+    from one transposed solve.  Q is irreducible, nonnegative and
+    row-stochastic, and 1 / tau_k >= 1 with strict inequality in every
+    state of positive speed, so for n >= 1 the matrix is a nonsingular
+    M-matrix whenever some speed is positive; the condition number makes
+    that invertibility observable at runtime.
     """
     if order < 1:
         raise ValueError(f"recursion matrix is defined for order >= 1, got {order}")
     matrix = np.diag(_transform_diagonal(model, order)) - statics.reversed_routing
     try:
-        condition = float(np.linalg.cond(matrix, 1))
+        # B_n^-1 > 0 (M-matrix), so its column sums B_n^-T 1 are its column
+        # abs sums and their maximum is ||B_n^-1||_1 exactly, not an estimate
+        inverse_norm = np.max(np.abs(np.linalg.solve(matrix.T, np.ones(len(matrix)))))
+        condition = float(np.linalg.norm(matrix, 1) * inverse_norm)
     except np.linalg.LinAlgError:
         condition = float("inf")
     return matrix, condition
@@ -143,10 +149,11 @@ def _require_nonnegative(vec: np.ndarray, context: str) -> None:
 class PalmMoments:
     """Palm moment vectors m0^(n), n = 0..n_max, with solve diagnostics.
 
-    ``condition[n]`` is the 1-norm condition estimate of the order-n
-    system matrix and ``solve_residual[n]`` the relative back-substitution
-    residual of its solve (index 0 is a placeholder; order 0 needs no
-    solve).
+    ``condition[n]`` is the exact 1-norm condition number of the order-n
+    system matrix, from one transposed solve (the matrix is a nonsingular
+    M-matrix, so its inverse is positive; see ``recursion_matrix``), and
+    ``solve_residual[n]`` the relative back-substitution residual of its
+    solve (index 0 is a placeholder; order 0 needs no solve).
     """
 
     vectors: tuple
@@ -170,7 +177,7 @@ def palm_moment_vectors(
         B_n m0^(n) = sum_{j<n} (-1)^(n-1-j) C(n,j) R^(n-j) B_n m0^(j)
 
     with R the diagonal matrix of offered loads.  Solve residuals above
-    1e-8 raise NumericError carrying the condition estimate.
+    1e-8 raise NumericError carrying the condition number.
     """
     require_valid(model)
     n_max = _check_order(n_max)
@@ -201,7 +208,7 @@ def palm_moment_vectors(
         if residual > SOLVE_RESIDUAL_LIMIT:
             raise NumericError(
                 f"order-{n} solve is ill-conditioned: relative residual {residual:.3e} "
-                f"exceeds {SOLVE_RESIDUAL_LIMIT:g} (condition estimate {cond:.3e})"
+                f"exceeds {SOLVE_RESIDUAL_LIMIT:g} (condition {cond:.3e})"
             )
         _require_nonnegative(solution, f"palm moment vector at order {n}")
         vectors.append(solution)
@@ -383,18 +390,17 @@ def markovian_identity_residuals(
     if not _all_exponential(model):
         return None
     vectors = stationary.vectors if isinstance(stationary, PalmMoments) else stationary
-    pi = statics.pi
     exit_rates = np.array([1.0 / d.mean() for d in model.sojourns])
     reversed_generator_t = (model.routing - np.eye(model.num_states)) * exit_rates[np.newaxis, :]
-    service = model.service_rates
-    lam = model.arrival_rates
+    rows = np.array(vectors) * statics.pi
+    orders = np.arange(len(rows))[:, np.newaxis]
+    # row @ (n M - G) = n row * service - row @ G, with all rows @ G in one product
+    left = (orders * rows * model.service_rates - rows @ reversed_generator_t)[1:]
+    right = orders[1:] * rows[:-1] * model.arrival_rates
 
-    residuals = np.zeros(len(vectors))
-    for n in range(1, len(vectors)):
-        left = (vectors[n] * pi) @ (n * np.diag(service) - reversed_generator_t)
-        right = n * (vectors[n - 1] * pi) * lam
-        scale = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
-        residuals[n] = float(np.max(np.abs(left - right))) / scale
+    scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
+    residuals = np.zeros(len(rows))
+    residuals[1:] = np.abs(left - right).max(axis=1) / np.maximum(scale, 1e-300)
     return residuals
 
 
@@ -414,28 +420,26 @@ def forward_relation_residuals(
     the stationarity of pi).
     """
     vectors = palm.vectors if isinstance(palm, PalmMoments) else tuple(palm)
-    pi = statics.pi
     rho = offered_loads(model)
     rho_top = max(float(np.max(rho)), 1e-300)
+    rows = np.array(vectors) * statics.pi
+    # row @ (diag(d) - P) = row * d - row @ P, with all rows @ P in one product
+    rows_routed = rows @ model.routing
+    row_norms = np.abs(rows).max(axis=1)
+    rho_powers = rho ** np.arange(len(rows))[:, np.newaxis]
+    routing_col_sums = model.routing.sum(axis=0)
 
-    residuals = np.zeros(len(vectors))
-    for n in range(len(vectors)):
-        forward_matrix = np.diag(_transform_diagonal(model, n)) - model.routing
+    residuals = np.zeros(len(rows))
+    for n in range(len(rows)):
+        diag = _transform_diagonal(model, n)
+        coeffs = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
+        terms = (rows[: n + 1] * diag - rows_routed[: n + 1]) * rho_powers[n::-1]
+        total = coeffs @ terms
         # scale by the input magnitudes, not the realized (cancelling) terms:
-        # a bound on |row @ matrix| is |row|_inf times the matrix 1-norm
-        matrix_bound = float(np.max(np.sum(np.abs(forward_matrix), axis=0)))
-        total = np.zeros(model.num_states)
-        scale = 1e-300
-        for j in range(n + 1):
-            sign = -1.0 if j % 2 else 1.0
-            row = vectors[j] * pi
-            total += sign * math.comb(n, j) * (row @ forward_matrix) * rho ** (n - j)
-            scale = max(
-                scale,
-                math.comb(n, j)
-                * float(np.max(np.abs(row)))
-                * matrix_bound
-                * rho_top ** (n - j),
-            )
+        # a bound on |row @ matrix| is |row|_inf times the matrix 1-norm,
+        # which is max(d + column sums of P) exactly since P >= 0 has zero diagonal
+        matrix_bound = float(np.max(diag + routing_col_sums))
+        top_terms = np.abs(coeffs) * row_norms[: n + 1] * rho_top ** np.arange(n, -1, -1)
+        scale = max(float(np.max(top_terms)) * matrix_bound, 1e-300)
         residuals[n] = float(np.max(np.abs(total))) / scale
     return residuals

@@ -213,12 +213,35 @@ class TestOrderCap:
         assert "nonnegative" in err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy serves only the test suite; the package must not pay for it at startup
+def run_python(*args, check=True):
+    """Run a fresh interpreter on the package source tree."""
     source_root = str(Path(mminfenv.__file__).resolve().parents[1])
-    code = "import sys, mminfenv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=check,
         env={**os.environ, "PYTHONPATH": source_root},
     )
-    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the test suite; the package must not pay for it at startup
+    code = "import sys, mminfenv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_python("-c", code).stdout.strip() == "[]"
+
+
+def test_module_invocation_runs_the_verb(tmp_path):
+    out_path = tmp_path / "report.json"
+    result = run_python("-m", "mminfenv.cli", "moments", "--model", K2_EXP,
+                        "--order", "3", "--out", str(out_path))
+    assert "moments of the customer count (orders 0..3)" in result.stdout
+    assert len([line for line in result.stdout.splitlines() if line[:1].isdigit()]) == 4
+    payload = json.loads(out_path.read_text())
+    assert payload["command"] == "moments"
+    assert len(payload["table"]["factorial"]["occupancy"]) == 4
+
+    document = yaml.safe_load(open(IDENTICAL))
+    document["routing"][0][0] = 0.5
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(document))
+    result = run_python("-m", "mminfenv.cli", "moments", "--model", str(bad), check=False)
+    assert result.returncode == 2
+    assert "input error" in result.stderr

@@ -27,6 +27,17 @@ def two_state_model(**overrides):
     return EnvironmentModel(**fields)
 
 
+def model_with_routing(routing):
+    k_count = len(routing)
+    return EnvironmentModel(
+        arrival_rates=np.ones(k_count),
+        speeds=np.ones(k_count),
+        sojourns=tuple(Exponential(1.0) for _ in range(k_count)),
+        mu=1.0,
+        routing=routing,
+    )
+
+
 class TestValidate:
     def test_valid_model_has_empty_report(self):
         assert validate_model(two_state_model()) == []
@@ -67,6 +78,37 @@ class TestValidate:
             ],
         )
         assert any("irreducible" in line for line in validate_model(model))
+
+    def test_irreducibility_matches_transitive_closure(self):
+        rng = np.random.default_rng(17)
+        verdicts = []
+        for _ in range(200):
+            k_count = int(rng.integers(2, 31))
+            edges = rng.random((k_count, k_count)) < rng.uniform(0.02, 0.3)
+            # every state needs an exit so that the routing stays row-stochastic
+            exits = (np.arange(k_count) + rng.integers(1, k_count, k_count)) % k_count
+            edges[np.arange(k_count), exits] = True
+            np.fill_diagonal(edges, False)
+            closure = np.eye(k_count, dtype=bool) | edges
+            for _ in range(int(np.ceil(np.log2(k_count)))):
+                closure = (closure.astype(np.int64) @ closure.astype(np.int64)) > 0
+            routing = edges / edges.sum(axis=1, keepdims=True)
+            flagged = "routing matrix is not irreducible" in validate_model(model_with_routing(routing))
+            assert flagged == (not closure.all())
+            verdicts.append(flagged)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_irreducibility_at_k500(self):
+        k_count = 500
+        cycle = np.roll(np.eye(k_count), 1, axis=1)
+        assert validate_model(model_with_routing(cycle)) == []
+        # two 250-cycles, the first leaking into the second and never back
+        half = k_count // 2
+        blocks = np.zeros((k_count, k_count))
+        blocks[:half, :half] = np.roll(np.eye(half), 1, axis=1)
+        blocks[half:, half:] = np.roll(np.eye(half), 1, axis=1)
+        blocks[half - 1, [0, half]] = 0.5
+        assert validate_model(model_with_routing(blocks)) == ["routing matrix is not irreducible"]
 
     def test_single_state_flagged(self):
         model = EnvironmentModel(

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from mminfenv import (
     chain_statics,
     compute_moment_table,
     forward_relation_residuals,
+    load_model,
     markovian_identity_residuals,
     offered_loads,
     palm_moment_vectors,
@@ -20,7 +23,26 @@ from mminfenv import (
 )
 from mminfenv.moments import _require_nonnegative
 
-from conftest import identical_state_model, random_exponential_model, random_mixed_model
+from conftest import (
+    MODELS_DIR,
+    identical_state_model,
+    random_exponential_model,
+    random_mixed_model,
+)
+
+
+def seeded(build, k_count):
+    return build(k_count, np.random.default_rng(k_count))
+
+
+CONDITION_MODELS = [
+    pytest.param(partial(load_model, path), id=path.stem)
+    for path in sorted(MODELS_DIR.glob("*.yaml"))
+] + [
+    pytest.param(partial(seeded, build, k_count), id=f"{build.__name__}-k{k_count}")
+    for build in (random_exponential_model, random_mixed_model)
+    for k_count in (5, 20, 60)
+]
 
 
 class TestOfferedLoads:
@@ -95,6 +117,18 @@ class TestRecursionMatrix:
             matrix, _ = recursion_matrix(model, statics, order)
             expected = np.diag(1.0 + order * model.service_rates / rates) - statics.reversed_routing
             assert matrix == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("build", CONDITION_MODELS)
+    def test_condition_is_exact(self, build):
+        # the transposed-solve value must match the explicit-inverse 1-norm
+        # condition number, and the Palm solve must record that same value
+        model = build()
+        statics = chain_statics(model)
+        palm = palm_moment_vectors(model, statics, 20)
+        for order in range(1, 21):
+            matrix, condition = recursion_matrix(model, statics, order)
+            assert condition == pytest.approx(np.linalg.cond(matrix, 1), rel=1e-12)
+            assert palm.condition[order] == condition
 
     def test_transform_underflow_names_state_and_order(self):
         model = EnvironmentModel(
