@@ -26,16 +26,10 @@ from .distributions import Exponential, Gamma
 from .environment import chain_statics, mean_cycle_length, validate_model
 from .errors import EstimationError, ModelError, NumericError
 from .modelfile import load_model, model_to_dict
-from .moments import (
-    compute_moment_table,
-    forward_relation_residuals,
-    markovian_identity_residuals,
-    palm_moment_vectors,
-    stationary_moment_vectors,
-)
+from .moments import WEIGHTINGS, compute_moment_table
 from .sim import SimulationConfig, default_warmup, estimate_factorial_moments
 
-__all__ = ["main", "entry_point", "RunReport", "CheckVerdict"]
+__all__ = ["main", "entry_point", "RunReport", "CheckVerdict", "structural_checks"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,6 +66,62 @@ class CheckVerdict:
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
+
+
+def structural_checks(model, table, tolerances=DEFAULT_TOLERANCES) -> list:
+    """Every structural check that applies to the model, read off its moment table.
+
+    ``table`` must carry its identity residuals (``compute_moment_table``
+    with its default ``with_checks=True``).  The two-state closed forms
+    are checked up to order 8 when the model is in their scope.
+    """
+    verdicts = []
+    solve_gap = float(np.nanmax(table.solve_residual)) if table.n_max >= 1 else 0.0
+    if table.n_max >= 1 and not np.all(np.isfinite(table.bn_condition[1:])):
+        solve_gap = float("inf")
+    verdicts.append(CheckVerdict("solve-backsubstitution", solve_gap, tolerances["tol_solve"]))
+
+    forward = table.identity_residuals["forward_relation"]
+    verdicts.append(CheckVerdict("forward-relation", float(np.max(forward)), tolerances["tol_identity"]))
+
+    markovian = table.identity_residuals["markovian_identity"]
+    if markovian is not None:
+        verdicts.append(
+            CheckVerdict("markovian-identity", float(np.max(markovian)), tolerances["tol_identity"])
+        )
+        palm_gap = max(_relative_gap(m, m0) for m, m0 in zip(table.stationary, table.palm))
+        verdicts.append(
+            CheckVerdict("exponential-palm-match", palm_gap, tolerances["tol_palm_match"])
+        )
+
+    try:
+        two_state, swapped = closedform.from_environment(model)
+    except ModelError:
+        return verdicts
+    depth = min(table.n_max, 8)
+    shifted = closedform.shifted_palm_moments(two_state, depth)
+    references = closedform.palm_from_shifted(two_state, shifted)
+    computed = np.array(table.palm[: depth + 1]).T
+    states = (1, 0) if swapped else (0, 1)
+    gap = max(_relative_gap(computed[k], ref) for k, ref in zip(states, references))
+    verdicts.append(CheckVerdict("two-state-closed-form", gap, tolerances["tol_closedform"]))
+
+    if isinstance(two_state.sojourn_1, Exponential):
+        kummer = closedform.kummer_reference(
+            a=two_state.sojourn_1.rate / two_state.service_rate_1,
+            b=two_state.exit_rate_2 / two_state.service_rate_2,
+            rho_star=two_state.rho_star,
+            n_max=depth,
+        )
+        verdicts.append(
+            CheckVerdict("kummer-sequence", _relative_gap(shifted[0], kummer), tolerances["tol_kummer"])
+        )
+    if isinstance(two_state.sojourn_1, Gamma):
+        gamma_form = closedform.gamma_sojourn_reference(two_state, depth)
+        verdicts.append(
+            CheckVerdict("gamma-product-formula", _relative_gap(shifted[0], gamma_form), tolerances["tol_gamma"])
+        )
+    return verdicts
 
 
 @dataclass
@@ -204,11 +254,12 @@ def cmd_moments(args) -> tuple:
     return report, EXIT_OK
 
 
-def _resolved_config(args, model, statics) -> SimulationConfig:
+def _run_simulation(args, model, statics) -> tuple:
+    """Resolve the simulation flags, run the estimate, and echo the resolved config."""
     warmup = args.warmup if args.warmup is not None else default_warmup(model)
     cycle = mean_cycle_length(model, statics)
     horizon = args.horizon if args.horizon is not None else warmup + 200.0 * cycle
-    return SimulationConfig(
+    config = SimulationConfig(
         warmup=warmup,
         horizon=horizon,
         replications=args.reps,
@@ -216,26 +267,27 @@ def _resolved_config(args, model, statics) -> SimulationConfig:
         sampling_interval=args.interval,
         n_est=args.order,
     )
+    estimate = estimate_factorial_moments(model, config)
+    echo = {
+        "order": args.order,
+        "seed": args.seed,
+        "replications": args.reps,
+        "warmup": config.warmup,
+        "horizon": config.horizon,
+        "sampling_interval": config.resolved_interval(model, statics),
+    }
+    return config, estimate, echo
 
 
 def cmd_simulate(args) -> tuple:
     model, model_echo = _load_and_check(args.model)
     if args.order > 6:
         raise ModelError(f"simulation estimates orders up to 6, got --order {args.order}")
-    statics = chain_statics(model)
-    config = _resolved_config(args, model, statics)
-    estimate = estimate_factorial_moments(model, config)
+    config, estimate, echo = _run_simulation(args, model, chain_statics(model))
     report = RunReport(
         command="simulate",
         model=model_echo,
-        config={
-            "order": args.order,
-            "seed": args.seed,
-            "replications": args.reps,
-            "warmup": config.warmup,
-            "horizon": config.horizon,
-            "sampling_interval": config.resolved_interval(model, statics),
-        },
+        config=echo,
         simulation=estimate.to_dict(),
     )
     report.lines.append(
@@ -254,70 +306,11 @@ def cmd_simulate(args) -> tuple:
     return report, EXIT_OK
 
 
-def _closedform_verdicts(model, palm, order, tolerances) -> list:
-    """Two-state closed-form checks, when the model is in scope."""
-    verdicts = []
-    try:
-        two_state, swapped = closedform.from_environment(model)
-    except ModelError:
-        return verdicts
-    depth = min(order, 8)
-    reference_1, reference_2 = closedform.palm_moments(two_state, depth)
-    first, second = (1, 0) if swapped else (0, 1)
-    computed_1 = np.array([palm.vectors[n][first] for n in range(depth + 1)])
-    computed_2 = np.array([palm.vectors[n][second] for n in range(depth + 1)])
-    gap = max(_relative_gap(computed_1, reference_1), _relative_gap(computed_2, reference_2))
-    verdicts.append(CheckVerdict("two-state-closed-form", gap, tolerances["tol_closedform"]))
-
-    if isinstance(two_state.sojourn_1, Exponential):
-        shifted_1, _ = closedform.shifted_palm_moments(two_state, depth)
-        kummer = closedform.kummer_reference(
-            a=two_state.sojourn_1.rate / two_state.service_rate_1,
-            b=two_state.exit_rate_2 / two_state.service_rate_2,
-            rho_star=two_state.rho_star,
-            n_max=depth,
-        )
-        verdicts.append(
-            CheckVerdict("kummer-sequence", _relative_gap(shifted_1, kummer), tolerances["tol_kummer"])
-        )
-    if isinstance(two_state.sojourn_1, Gamma):
-        shifted_1, _ = closedform.shifted_palm_moments(two_state, depth)
-        gamma_form = closedform.gamma_sojourn_reference(two_state, depth)
-        verdicts.append(
-            CheckVerdict("gamma-product-formula", _relative_gap(shifted_1, gamma_form), tolerances["tol_gamma"])
-        )
-    return verdicts
-
-
 def cmd_validate(args) -> tuple:
     model, model_echo = _load_and_check(args.model)
     tolerances = _tolerances_from_args(args)
-    statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, n_max=args.order)
-    stationary = stationary_moment_vectors(model, statics, palm)
-
-    verdicts = []
-    solve_gap = float(np.nanmax(palm.solve_residual)) if args.order >= 1 else 0.0
-    if args.order >= 1 and not np.all(np.isfinite(palm.condition[1:])):
-        solve_gap = float("inf")
-    verdicts.append(CheckVerdict("solve-backsubstitution", solve_gap, tolerances["tol_solve"]))
-
-    forward = forward_relation_residuals(model, statics, palm)
-    verdicts.append(CheckVerdict("forward-relation", float(np.max(forward)), tolerances["tol_identity"]))
-
-    markovian = markovian_identity_residuals(model, statics, stationary)
-    if markovian is not None:
-        verdicts.append(
-            CheckVerdict("markovian-identity", float(np.max(markovian)), tolerances["tol_identity"])
-        )
-        palm_gap = max(
-            _relative_gap(stationary[n], palm.vectors[n]) for n in range(len(stationary))
-        )
-        verdicts.append(
-            CheckVerdict("exponential-palm-match", palm_gap, tolerances["tol_palm_match"])
-        )
-
-    verdicts.extend(_closedform_verdicts(model, palm, args.order, tolerances))
+    table = compute_moment_table(model, n_max=args.order)
+    verdicts = structural_checks(model, table, tolerances)
 
     report = RunReport(
         command="validate",
@@ -345,11 +338,10 @@ def cmd_compare(args) -> tuple:
     tolerances = _tolerances_from_args(args)
     statics = chain_statics(model)
     table = compute_moment_table(model, n_max=args.order, statics=statics, with_checks=False)
-    config = _resolved_config(args, model, statics)
-    estimate = estimate_factorial_moments(model, config)
+    config, estimate, echo = _run_simulation(args, model, statics)
 
     z_scores = {}
-    for weighting in ("embedded", "occupancy"):
+    for weighting in WEIGHTINGS:
         analytic = table.aggregated[weighting][1 : args.order + 1]
         simulated = estimate.estimates[1 : args.order + 1]
         errors = estimate.standard_errors[1 : args.order + 1]
@@ -360,22 +352,14 @@ def cmd_compare(args) -> tuple:
 
     verdicts = [
         CheckVerdict(f"weighting-{w}-consistent", float(np.max(z_scores[w])), tolerances["z_max"])
-        for w in ("embedded", "occupancy")
+        for w in WEIGHTINGS
     ]
-    consistent = [w for w in ("embedded", "occupancy") if np.max(z_scores[w]) <= tolerances["z_max"]]
+    consistent = [w for w, v in zip(WEIGHTINGS, verdicts) if v.passed]
 
     report = RunReport(
         command="compare",
         model=model_echo,
-        config={
-            "order": args.order,
-            "seed": args.seed,
-            "replications": args.reps,
-            "warmup": config.warmup,
-            "horizon": config.horizon,
-            "sampling_interval": config.resolved_interval(model, statics),
-            "z_max": tolerances["z_max"],
-        },
+        config={**echo, "z_max": tolerances["z_max"]},
         table=_table_dict(table),
         simulation=estimate.to_dict(),
         verdicts=verdicts,
@@ -492,9 +476,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = COMMANDS[args.command](args)
-    except ModelError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
@@ -502,7 +483,7 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except ValueError as exc:
-        # e.g. an order beyond the supported cap
+        # ModelError, or e.g. an order beyond the supported cap
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -26,15 +26,12 @@ __all__ = [
     "TwoStateModel",
     "shifted_palm_moments",
     "palm_moments",
+    "palm_from_shifted",
     "kummer_reference",
     "gamma_sojourn_reference",
     "to_environment",
     "from_environment",
 ]
-
-# below this order plain products are exact enough; above it rising
-# factorials are accumulated in log space to dodge overflow
-_LOG_SPACE_THRESHOLD = 12
 
 _DENOMINATOR_FLOOR = 1e-14
 
@@ -122,8 +119,8 @@ def shifted_palm_moments(model: TwoStateModel, n_max: int):
                                       * tau_1((j-1) mu_1)^-1
 
     with prefactor mu_2 rho_star / exit_rate_2; state 2 is the state-1
-    value times tau_1(n mu_1)^-1.  The product is accumulated in log
-    space above order 12.
+    value times tau_1(n mu_1)^-1.  Every partial product is an output, so
+    one that leaves double precision raises NumericError.
     """
     n_max = _check_order(n_max)
     prefactor = model.service_rate_2 * model.rho_star / model.exit_rate_2
@@ -136,40 +133,31 @@ def shifted_palm_moments(model: TwoStateModel, n_max: int):
 
     numerators, denominators = _product_terms(model, n_max)
     inv_tau_1 = lambda s: 1.0 / model.sojourn_1.laplace(s)
-
-    if n_max <= _LOG_SPACE_THRESHOLD or prefactor == 0.0:
-        running = 1.0
-        for n in range(1, n_max + 1):
-            running *= prefactor * numerators[n - 1] / denominators[n - 1]
-            state_1[n] = running
-            state_2[n] = running * inv_tau_1(n * model.service_rate_1)
-    else:
-        log_running = 0.0
-        sign = 1.0 if prefactor > 0.0 else -1.0
-        log_prefactor = math.log(abs(prefactor))
-        for n in range(1, n_max + 1):
-            log_running += log_prefactor + math.log(numerators[n - 1]) - math.log(
-                denominators[n - 1]
-            )
-            value = (sign ** n) * math.exp(log_running)
-            state_1[n] = value
-            state_2[n] = value * inv_tau_1(n * model.service_rate_1)
+    running = 1.0
+    for n in range(1, n_max + 1):
+        running *= prefactor * numerators[n - 1] / denominators[n - 1]
+        state_1[n] = running
+        state_2[n] = running * inv_tau_1(n * model.service_rate_1)
     if not np.all(np.isfinite(state_1)) or not np.all(np.isfinite(state_2)):
         raise NumericError("two-state shifted moments overflowed double precision")
     return state_1, state_2
 
 
 def palm_moments(model: TwoStateModel, n_max: int):
-    """Plain Palm moments for both states via the binomial load shift.
+    """Plain Palm moments for both states via the binomial load shift."""
+    return palm_from_shifted(model, shifted_palm_moments(model, n_max))
+
+
+def palm_from_shifted(model: TwoStateModel, shifted):
+    """Undo the load shift of ``shifted_palm_moments`` output, for both states.
 
     m0_k^(n) = sum_j C(n,j) rho_1^(n-j) mtilde_k^(j).
     """
-    n_max = _check_order(n_max)
-    shifted_1, shifted_2 = shifted_palm_moments(model, n_max)
+    shifted_1, shifted_2 = shifted
     rho_1 = model.rho_1
-    out_1 = np.empty(n_max + 1)
-    out_2 = np.empty(n_max + 1)
-    for n in range(n_max + 1):
+    out_1 = np.empty(len(shifted_1))
+    out_2 = np.empty(len(shifted_2))
+    for n in range(len(shifted_1)):
         acc_1 = 0.0
         acc_2 = 0.0
         for j in range(n + 1):

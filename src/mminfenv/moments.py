@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import Exponential
 from .environment import ChainStatics, EnvironmentModel, chain_statics, require_valid
 from .errors import ModelError, NumericError
 from .stirling import StirlingTables
@@ -247,7 +248,7 @@ def stationary_moment_vectors(
     families coincide bit for bit.
     """
     rho = offered_loads(model)
-    m0 = palm.vectors if isinstance(palm, PalmMoments) else tuple(palm)
+    m0 = palm.vectors
     vectors = [np.ones(model.num_states)]
     for n in range(1, len(m0)):
         ratio = _residual_ratio_diagonal(model, n)
@@ -361,13 +362,11 @@ def compute_moment_table(
 
 
 def _all_exponential(model: EnvironmentModel) -> bool:
-    from .distributions import Exponential
-
     return all(isinstance(d, Exponential) for d in model.sojourns)
 
 
 def markovian_identity_residuals(
-    model: EnvironmentModel, statics: ChainStatics, stationary
+    model: EnvironmentModel, statics: ChainStatics, stationary: tuple
 ) -> np.ndarray:
     """Residuals of the Markov-environment generator identity, or None.
 
@@ -389,10 +388,9 @@ def markovian_identity_residuals(
     """
     if not _all_exponential(model):
         return None
-    vectors = stationary.vectors if isinstance(stationary, PalmMoments) else stationary
     exit_rates = np.array([1.0 / d.mean() for d in model.sojourns])
     reversed_generator_t = (model.routing - np.eye(model.num_states)) * exit_rates[np.newaxis, :]
-    rows = np.array(vectors) * statics.pi
+    rows = np.array(stationary) * statics.pi
     orders = np.arange(len(rows))[:, np.newaxis]
     # row @ (n M - G) = n row * service - row @ G, with all rows @ G in one product
     left = (orders * rows * model.service_rates - rows @ reversed_generator_t)[1:]
@@ -405,7 +403,7 @@ def markovian_identity_residuals(
 
 
 def forward_relation_residuals(
-    model: EnvironmentModel, statics: ChainStatics, palm
+    model: EnvironmentModel, statics: ChainStatics, palm: PalmMoments
 ) -> np.ndarray:
     """Residuals of the forward-routing form of the Palm recursion.
 
@@ -419,10 +417,9 @@ def forward_relation_residuals(
     scaled max-norm residual per order (order 0 included: it reduces to
     the stationarity of pi).
     """
-    vectors = palm.vectors if isinstance(palm, PalmMoments) else tuple(palm)
     rho = offered_loads(model)
     rho_top = max(float(np.max(rho)), 1e-300)
-    rows = np.array(vectors) * statics.pi
+    rows = np.array(palm.vectors) * statics.pi
     # row @ (diag(d) - P) = row * d - row @ P, with all rows @ P in one product
     rows_routed = rows @ model.routing
     row_norms = np.abs(rows).max(axis=1)

@@ -28,7 +28,7 @@ scheduled.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,16 +152,7 @@ class SimulationEstimate:
             "replications": self.replications,
             "master_seed": self.master_seed,
             "occupancy": self.occupancy.tolist(),
-            "config": {
-                "warmup": self.config.warmup,
-                "horizon": self.config.horizon,
-                "sampling_interval": self.config.sampling_interval,
-                "replications": self.config.replications,
-                "master_seed": self.config.master_seed,
-                "n_est": self.config.n_est,
-            }
-            if self.config is not None
-            else None,
+            "config": asdict(self.config) if self.config is not None else None,
         }
 
 

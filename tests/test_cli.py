@@ -9,9 +9,13 @@ import pytest
 import yaml
 
 import mminfenv
-from mminfenv.cli import main
+from mminfenv import closedform, compute_moment_table, load_model
+from mminfenv.cli import main, structural_checks
 
 from conftest import MODELS_DIR
+
+ROOT = MODELS_DIR.parent
+SHIPPED = sorted(str(path) for path in MODELS_DIR.glob("*.yaml"))
 
 IDENTICAL = str(MODELS_DIR / "identical.yaml")
 K3_MIXED = str(MODELS_DIR / "k3_mixed.yaml")
@@ -132,6 +136,25 @@ class TestValidate:
             assert isinstance(verdict["residual"], float)
             assert isinstance(verdict["tolerance"], float)
 
+    @pytest.mark.parametrize("model", SHIPPED, ids=lambda path: Path(path).name)
+    def test_library_checks_match_the_report(self, capsys, tmp_path, model):
+        out_path = tmp_path / "validate.json"
+        run(capsys, "validate", "--model", model, "--order", "6", "--out", str(out_path))
+        reported = json.loads(out_path.read_text())["verdicts"]
+        environment = load_model(model)
+        table = compute_moment_table(environment, n_max=6)
+        assert [v.to_dict() for v in structural_checks(environment, table)] == reported
+
+    def test_closed_form_evaluated_once(self, capsys, monkeypatch):
+        calls = []
+        original = closedform.shifted_palm_moments
+        monkeypatch.setattr(
+            closedform, "shifted_palm_moments", lambda *args: calls.append(args) or original(*args)
+        )
+        for model in (K2_EXP, K2_GAMMA):
+            run(capsys, "validate", "--model", model, "--order", "20")
+        assert len(calls) == 2
+
     def test_tolerance_flags_can_force_failure(self, capsys):
         code, out, _ = run(capsys, "validate", "--model", K2_GAMMA,
                            "--tol-closedform", "1e-30")
@@ -213,13 +236,19 @@ class TestOrderCap:
         assert "nonnegative" in err
 
 
-def run_python(*args, check=True):
+def run_python(*args, check=True, cwd=None):
     """Run a fresh interpreter on the package source tree."""
     source_root = str(Path(mminfenv.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, check=check,
-        env={**os.environ, "PYTHONPATH": source_root},
+        env={**os.environ, "PYTHONPATH": source_root}, cwd=cwd,
     )
+
+
+@pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/*.py")), ids=lambda path: path.name)
+def test_demo_runs(demo):
+    result = run_python(str(demo), check=False, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_import_loads_no_scipy():

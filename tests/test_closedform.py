@@ -8,6 +8,7 @@ from mminfenv import (
     Exponential,
     Gamma,
     ModelError,
+    NumericError,
     TwoStateModel,
     kummer_reference,
     palm_moment_vectors,
@@ -102,13 +103,36 @@ class TestShiftedMoments:
                 assert abs(total) <= 1e-12 * max(scale, 1e-30), (family, n)
 
     def test_log_space_path_matches_direct_products(self):
+        # orders <= 12 must not depend on how far past them the product runs
         rng = np.random.default_rng(10)
         for family in ("gamma", "exponential"):
             model = random_two_state_model(rng, family)
-            direct_1, direct_2 = shifted_palm_moments(model, 12)   # direct products
-            logged_1, logged_2 = shifted_palm_moments(model, 15)   # log-space route
+            direct_1, direct_2 = shifted_palm_moments(model, 12)   # stops at order 12
+            logged_1, logged_2 = shifted_palm_moments(model, 15)   # runs on to order 15
             assert logged_1[:13] == pytest.approx(direct_1, rel=1e-12)
             assert logged_2[:13] == pytest.approx(direct_2, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["exponential", "gamma"])
+    def test_orders_up_to_cap_match_independent_references(self, family):
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            model = random_two_state_model(rng, family)
+            shifted_1, _ = shifted_palm_moments(model, 20)
+            if family == "exponential":
+                reference = kummer_reference(
+                    a=model.sojourn_1.rate / model.service_rate_1,
+                    b=model.exit_rate_2 / model.service_rate_2,
+                    rho_star=model.rho_star,
+                    n_max=20,
+                )
+            else:
+                reference = gamma_sojourn_reference(model, 20)
+            assert shifted_1[13:] == pytest.approx(reference[13:], rel=1e-12)
+
+    def test_overflow_raises_numeric_error(self):
+        model = TwoStateModel(0.0, 1e20, 1.0, 1.0, Exponential(1.0), Exponential(1.0))
+        with pytest.raises(NumericError, match="overflowed"):
+            shifted_palm_moments(model, 20)
 
     def test_negative_rho_star_signs_alternate(self):
         model = example_two_state(arrival_rate_1=2.0, arrival_rate_2=0.0)
