@@ -152,20 +152,27 @@ def palm_from_shifted(model: TwoStateModel, shifted):
     """Undo the load shift of ``shifted_palm_moments`` output, for both states.
 
     m0_k^(n) = sum_j C(n,j) rho_1^(n-j) mtilde_k^(j).
+
+    A moment that leaves double precision raises NumericError.
     """
     shifted_1, shifted_2 = shifted
     rho_1 = model.rho_1
     out_1 = np.empty(len(shifted_1))
     out_2 = np.empty(len(shifted_2))
-    for n in range(len(shifted_1)):
-        acc_1 = 0.0
-        acc_2 = 0.0
-        for j in range(n + 1):
-            weight = math.comb(n, j) * rho_1 ** (n - j)
-            acc_1 += weight * shifted_1[j]
-            acc_2 += weight * shifted_2[j]
-        out_1[n] = acc_1
-        out_2[n] = acc_2
+    try:
+        for n in range(len(shifted_1)):
+            acc_1 = 0.0
+            acc_2 = 0.0
+            for j in range(n + 1):
+                weight = math.comb(n, j) * rho_1 ** (n - j)
+                acc_1 += weight * shifted_1[j]
+                acc_2 += weight * shifted_2[j]
+            out_1[n] = acc_1
+            out_2[n] = acc_2
+    except OverflowError as exc:
+        raise NumericError("two-state Palm moments overflowed double precision") from exc
+    if not np.all(np.isfinite(out_1)) or not np.all(np.isfinite(out_2)):
+        raise NumericError("two-state Palm moments overflowed double precision")
     return out_1, out_2
 
 

@@ -1,10 +1,9 @@
-"""Matrix recursions for the moments of the stationary customer count.
+"""Weight recursions for the moments of the stationary customer count.
 
 The stationary number of customers N is mixed Poisson: conditionally on
-the environment history, N is Poisson with a random parameter given by
+the environment history, N is Poisson with a random parameter Lambda,
 the exponentially-discounted arrival mass of the past.  Its factorial
-moments therefore equal the raw moments of that random parameter, and
-those raw moments satisfy closed linear recursions in the order.
+moments therefore equal the raw moments of Lambda.
 
 Two families of vectors are computed, each of length K (one coordinate
 per environment state):
@@ -15,21 +14,33 @@ per environment state):
   a stationary instant, where the look-back starts with a residual
   (equilibrium) sojourn.
 
-Order n of the Palm family solves a linear system whose matrix is
-``B_n = diag(1 / tau_k(n mu_k)) - Q`` with Q the reversed routing
-matrix; the stationary family then follows by an explicit update.  The
-scalar moments of N are contractions of the stationary vectors with a
-state-weighting vector; both the embedded-chain weights and the
-time-stationary occupancy weights are carried everywhere so they can be
-compared (simulation adjudicates; see the README).
+One look-back step through a sojourn T in state k is
+``Lambda = rho_k (1 - X) + X Lambda'`` with ``X = exp(-mu_k T)`` and
+Lambda' the mass at the previous transition, whose state follows the
+reversed routing matrix Q.  Expanding the n-th power binomially gives
+
+    m0^(n)_k = sum_{j<=n} w_k[n, j] rho_k^(n-j) (Q m0^(j))_k,
+    w_k[n, j] = C(n, j) E[(1 - X)^(n-j) X^j] = E[P(Bin(n, X) = j)],
+
+so every coefficient is a probability and every row of weights sums to
+one.  The j = n term carries tau_k = w_k[n, n] = E[exp(-n mu_k T)], so
+order n is one dense solve of ``(I - diag(tau) Q) m0^(n) = rhs`` with a
+nonnegative right-hand side; the stationary vectors are the same sums
+with the residual weights ``w*`` and need no solve.  No term cancels, so
+the moments are accurate to roundoff at every order.  The scalar moments
+of N are contractions of the stationary vectors with a state-weighting
+vector; both the embedded-chain weights and the time-stationary
+occupancy weights are carried everywhere so they can be compared
+(simulation adjudicates; see the README).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Exponential
+from .distributions import Deterministic, Exponential, Gamma, HyperExponential
 from .environment import ChainStatics, EnvironmentModel, chain_statics, require_valid
 from .errors import ModelError, NumericError
 from .stirling import StirlingTables
@@ -49,12 +60,13 @@ __all__ = [
     "forward_relation_residuals",
 ]
 
-# orders beyond ~20 need extended precision (binomials and load powers
-# overflow the double mantissa); keep a hard cap
+# the weight form holds far past order 20, but no check bounds the forward
+# error of the higher orders yet; keep a hard cap until one does
 MAX_ORDER = 20
 
 SOLVE_RESIDUAL_LIMIT = 1e-8
 _NEGATIVITY_FLOOR = 1e-10
+_TINY = np.finfo(float).tiny
 
 WEIGHTINGS = ("embedded", "occupancy")
 
@@ -107,24 +119,325 @@ def _transform_diagonal(model: EnvironmentModel, order: int) -> np.ndarray:
     return diag
 
 
-def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int):
-    """Matrix diag(1 / tau_k(n mu_k)) - Q of the order-n linear system.
+@functools.lru_cache(maxsize=64)
+def _gauss_beta(a: float, b: float, size: int):
+    """Nodes and probabilities of the ``size``-point Gauss rule of the Beta(a, b) law.
 
-    Returns the matrix together with its exact 1-norm condition number,
-    from one transposed solve.  Q is irreducible, nonnegative and
-    row-stochastic, and 1 / tau_k >= 1 with strict inequality in every
-    state of positive speed, so for n >= 1 the matrix is a nonsingular
-    M-matrix whenever some speed is positive; the condition number makes
-    that invertibility observable at runtime.
+    Golub-Welsch on the Jacobi matrix of the Jacobi polynomials with
+    weight (1 - x)^(b-1) (1 + x)^(a-1) on [-1, 1], mapped to [0, 1].
+    """
+    alpha, beta = b - 1.0, a - 1.0
+    k = np.arange(1.0, size)
+    total = 2.0 * k + alpha + beta
+    diag = np.empty(size)
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    diag[1:] = (beta**2 - alpha**2) / (total * (total + 2.0))
+    off = np.empty(size - 1)
+    # k = 1 with the factor 1 + alpha + beta (which may vanish) cancelled
+    off[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + alpha + beta) ** 2 * (3.0 + alpha + beta))
+    k, total = k[1:], total[1:]
+    off[1:] = (
+        4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+        / (total**2 * (total + 1.0) * (total - 1.0))
+    )
+    jacobi = np.diag(diag) + np.diag(np.sqrt(off), 1) + np.diag(np.sqrt(off), -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    nodes, probs = (nodes + 1.0) / 2.0, vectors[0] ** 2
+    nodes.flags.writeable = False
+    probs.flags.writeable = False
+    return nodes, probs
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(size: int):
+    """Nodes and probabilities of the ``size``-point Gauss-Legendre rule on [0, 1].
+
+    Newton's method on P_size(cos theta) in theta from the classical
+    initial guesses; the nodes are sin^2(theta / 2), so the small ones
+    keep their relative precision.  It needs no LAPACK eigensolver, whose
+    first call alone would add about a megabyte to the process.
+    """
+    theta = np.pi * (np.arange(size) + 0.75) / (size + 0.5)
+    for _ in range(8):
+        x = np.cos(theta)
+        previous, current = np.ones(size), x
+        for j in range(2, size + 1):
+            previous, current = current, ((2 * j - 1) * x * current - (j - 1) * previous) / j
+        slope = size * (x * current - previous) / np.sin(theta)
+        theta = theta - current / slope
+    nodes, probs = np.sin(theta / 2.0) ** 2, 1.0 / slope**2
+    nodes.flags.writeable = False
+    probs.flags.writeable = False
+    return nodes, probs
+
+
+# Gauss rule sizes: at order 20 the Beta rule of a non-integer gamma shape
+# holds its weights within 6e-14 of 40-digit quadrature for service to
+# sojourn rate ratios up to 20 (6e-13 at 100); the Legendre rule
+# integrates (1 - e^-t)^n over [0, 2 H_n] to a few ulps.
+_BETA_NODES = 64
+_LEGENDRE_NODES = 40
+
+
+def _exponential_rows(rates: np.ndarray, service: np.ndarray, n_max: int):
+    """Yield rows n = 0..n_max of the weights of exponential sojourns.
+
+    X = exp(-a T) is Beta(r / a, 1) for rate r and service rate a, so
+    w[n, n] = r / (r + n a), the sojourn transform at n a, and
+    w[n, j] = w[n-1, j] n a / (r + n a) for j < n: products of positive
+    factors only.
+    """
+    row = np.ones((len(rates), 1))
+    yield row
+    for n in range(1, n_max + 1):
+        denominator = rates + n * service
+        previous, row = row, np.empty((len(rates), n + 1))
+        np.multiply(previous, (n * service / denominator)[:, np.newaxis], out=row[:, :n])
+        row[:, n] = rates / denominator
+        yield row
+
+
+def _stopped_rows(sojourns, service, n_max, residual):
+    """Zero speed: X = 1, so all the mass sits on j = n (W = I)."""
+    for n in range(n_max + 1):
+        row = np.zeros((len(sojourns), n + 1))
+        row[:, n] = 1.0
+        yield row
+
+
+def _mixture_rows(sojourns, service, n_max, residual):
+    """Exponential and hyperexponential sojourns: mixtures of exponential rows.
+
+    Each exponential branch is its own residual, and the residual of a
+    hyperexponential reweights branch i by its mean p_i / r_i, as its
+    sampler does.
+    """
+    rates, probs, counts = [], [], []
+    for dist in sojourns:
+        if isinstance(dist, Exponential):
+            branch_rates, branch_probs = [dist.rate], [1.0]
+        else:
+            branch_rates, branch_probs = list(dist.rates), list(dist.probs)
+        if residual:
+            means = [p / r for p, r in zip(branch_probs, branch_rates)]
+            branch_probs = [m / sum(means) for m in means]
+        rates += branch_rates
+        probs += branch_probs
+        counts.append(len(branch_rates))
+    probs = np.array(probs)[:, np.newaxis]
+    starts = np.cumsum(counts) - counts
+    for rows in _exponential_rows(np.array(rates), np.repeat(service, counts), n_max):
+        yield rows if len(rates) == len(sojourns) else np.add.reduceat(probs * rows, starts, axis=0)
+
+
+def _gamma_scale_rule(a: float, b: float):
+    """Gauss rule for B ~ Beta(a, b), in the variable B^(1/3); B = 1 when b = 0.
+
+    The exponential rows are rational in B with poles at B = -1 / (i c),
+    c = mu_k / rate, just left of the end point 0; in B^(1/3) they sit
+    much farther from the interval, and the rule converges far faster.
+    """
+    if b == 0.0:
+        return np.ones(1), np.ones(1)
+    nodes, probs = _gauss_beta(3.0 * a, b, _BETA_NODES)
+    # B = v^3: density v^(3a - 1) (1 - v)^(b - 1) (1 + v + v^2)^(b - 1)
+    probs = probs * (1.0 + nodes + nodes**2) ** (b - 1.0)
+    return nodes**3, probs / probs.sum()
+
+
+def _gamma_rows(sojourns, service, n_max, residual):
+    """Gamma sojourns, as Erlang sojourns with a Beta-distributed time scale.
+
+    With q = ceil(s), Gamma(s, r) is B G for independent B ~ Beta(s, q - s)
+    and G ~ Gamma(q, r).  Given B = u the sojourn is Erlang(q, r / u): X is
+    a product of q independent exponential factors, so its weight matrix
+    is the q-th power of the exponential one.  The residual is
+    U Gamma(s + 1, r) = B' (U Gamma(q + 1, r)) with B' ~ Beta(s + 1, q - s),
+    and U Gamma(q + 1, r) is the residual of Erlang(q, r): the equal
+    mixture of Gamma(i, r), i = 1..q.  Integer shapes take B = 1 and are
+    exact; other shapes average over a Gauss rule for B.
+    """
+    matrices = np.empty((len(sojourns), n_max + 1, n_max + 1))
+    for k, (dist, a) in enumerate(zip(sojourns, service)):
+        q = math.ceil(dist.shape)
+        nodes, probs = _gamma_scale_rule(dist.shape + residual, q - dist.shape)
+        factor = np.zeros((len(nodes), n_max + 1, n_max + 1))
+        for n, row in enumerate(_exponential_rows(dist.rate / nodes, np.full(len(nodes), a), n_max)):
+            factor[:, n, : n + 1] = row
+            # row n of the q-th power (or of the mean of the first q powers)
+            # from rows 0..n alone, so that no weight depends on n_max
+            power = total = row
+            for _ in range(q - 1):
+                power = (power[:, np.newaxis, :] @ factor[:, : n + 1, : n + 1])[:, 0]
+                total = total + power
+            matrices[k, n, : n + 1] = probs @ (total / q if residual else power)
+    for n in range(n_max + 1):
+        yield matrices[:, n, : n + 1]
+
+
+def _integrated_powers(c: np.ndarray, n_max: int) -> np.ndarray:
+    """I_n(c) = int_0^c (1 - e^-t)^n dt for n = 0..n_max, one row per entry of c.
+
+    Past c = 2 H_n it is c - sum_{i<=n} (1 - e^-c)^i / i, a difference
+    that keeps more than half of c; below, a Gauss-Legendre rule on
+    [0, c] (the integrand is entire and varies on a scale of one).
+    """
+    n = np.arange(n_max + 1)
+    harmonic = np.cumsum(np.concatenate(([0.0], 1.0 / n[1:])))
+    y = -np.expm1(-c)[:, np.newaxis]
+    partial = np.cumsum(np.hstack((np.zeros((len(c), 1)), y ** n[1:] / n[1:])), axis=1)
+    closed = c[:, np.newaxis] - partial
+    nodes, probs = _gauss_legendre(_LEGENDRE_NODES)
+    base = -np.expm1(-np.multiply.outer(c, nodes))
+    quadrature = c[:, np.newaxis] * (base[:, np.newaxis, :] ** n[:, np.newaxis] * probs).sum(axis=2)
+    return np.where(c[:, np.newaxis] >= 2.0 * harmonic, closed, quadrature)
+
+
+def _deterministic_rows(sojourns, service, n_max, residual):
+    """Deterministic sojourns: binomial rows at x = exp(-c), c = mu_k d.
+
+    The rows follow Pascal's rule, w[n, j] = (1 - x) w[n-1, j] + x w[n-1, j-1],
+    with positive terms only.  The residual is uniform on [0, d]; for
+    j >= 1 its weights are P(Bin(n, x) < j) / (c j), partial sums of the
+    Palm row, and w*[n, 0] = I_n(c) / c.
+    """
+    c = service * np.array([dist.value for dist in sojourns])
+    x, y = np.exp(-c)[:, np.newaxis], -np.expm1(-c)[:, np.newaxis]
+    if residual:
+        first = _integrated_powers(c, n_max) / c[:, np.newaxis]
+    row = np.ones((len(c), 1))
+    for n in range(n_max + 1):
+        if n:
+            previous, row = row, np.empty((len(c), n + 1))
+            row[:, :-1] = previous * y
+            row[:, -1] = 0.0
+            row[:, 1:] += previous * x
+        if not residual:
+            yield row
+            continue
+        out = np.empty_like(row)
+        out[:, 0] = first[:, n]
+        out[:, 1:] = np.cumsum(row[:, :-1], axis=1) / (c[:, np.newaxis] * np.arange(1, n + 1))
+        yield out
+
+
+def _difference_rows(sojourns, service, n_max, residual):
+    """Any other law: exact finite differences of its transform values.
+
+    w[n, j] = C(n, j) ((-Delta)^(n-j) tau)(j) with tau(p) the transform
+    (or the residual transform (1 - tau) / (s mean)) at s = p mu_k,
+    differenced in rational arithmetic so no digit is lost.  A negative
+    weight means the values are not completely monotone, i.e. not the
+    transform of any law (a tabulated transform too coarse for the order
+    asked, say): ModelError.
+    """
+    # imported here: fractions loads the decimal module, about 0.4 MB that
+    # no shipped sojourn family needs
+    from fractions import Fraction
+
+    matrices = np.zeros((len(sojourns), n_max + 1, n_max + 1))
+    for k, (dist, a) in enumerate(zip(sojourns, service)):
+        values = [Fraction(dist.laplace(p * a)) for p in range(n_max + 1)]
+        if residual:
+            scale = Fraction(a) * Fraction(dist.mean())
+            values = [Fraction(1)] + [(1 - v) / (p * scale) for p, v in enumerate(values) if p]
+        for gap in range(n_max + 1):
+            for j, diff in enumerate(values):
+                if diff < 0:
+                    raise ModelError(
+                        f"{type(dist).__name__} transform values at multiples of {a!r} are not "
+                        f"completely monotone (weight w[{j + gap}, {j}] < 0): no law has them"
+                    )
+                matrices[k, j + gap, j] = float(math.comb(j + gap, j) * diff)
+            values = [values[j] - values[j + 1] for j in range(len(values) - 1)]
+    for n in range(n_max + 1):
+        yield matrices[:, n, : n + 1]
+
+
+def _weight_rows(sojourns, service, n_max: int, residual: bool = False):
+    """Yield the weight rows of the given states for n = 0..n_max.
+
+    Row n is a (K, n + 1) array with w_k[n, j] = E[P(Bin(n, X) = j)],
+    X = exp(-service[k] T) and T the sojourn of state k, or its
+    equilibrium residual when ``residual``.  Every weight is nonnegative
+    and every row sums to one.
+    """
+    service = np.asarray(service, dtype=float)
+    families = {}
+    for k, (dist, a) in enumerate(zip(sojourns, service)):
+        if a == 0.0:
+            family = _stopped_rows
+        elif isinstance(dist, (Exponential, HyperExponential)):
+            family = _mixture_rows
+        elif isinstance(dist, Gamma):
+            family = _gamma_rows
+        elif isinstance(dist, Deterministic):
+            family = _deterministic_rows
+        else:
+            family = _difference_rows
+        families.setdefault(family, []).append(k)
+    sources = [
+        (states, family([sojourns[k] for k in states], service[states], n_max, residual))
+        for family, states in families.items()
+    ]
+    if len(sources) == 1:
+        yield from sources[0][1]
+        return
+    for n in range(n_max + 1):
+        rows = np.empty((len(sojourns), n + 1))
+        for states, source in sources:
+            rows[states] = next(source)
+        yield rows
+
+
+def _order_matrix(routing: np.ndarray, tau: np.ndarray, service: np.ndarray, order: int) -> np.ndarray:
+    """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n].
+
+    Fails closed when the transform of a moving state underflows.
+    """
+    underflow = (service > 0.0) & ~(tau >= _TINY)
+    if underflow.any():
+        k = int(np.flatnonzero(underflow)[0])
+        raise NumericError(
+            f"sojourn transform underflowed in state {k} at order {order} "
+            f"(tau = {float(tau[k])!r}); the recursion cannot continue in double precision"
+        )
+    matrix = tau[:, np.newaxis] * routing
+    np.negative(matrix, out=matrix)
+    matrix.flat[:: len(tau) + 1] += 1.0
+    return matrix
+
+
+def _solve(matrix: np.ndarray, tau: np.ndarray, rhs: np.ndarray):
+    """Solve ``matrix x = rhs``; return x and the exact inf-norm condition number.
+
+    matrix = I - diag(tau) Q with Q irreducible, nonnegative,
+    row-stochastic and zero on its diagonal, 0 <= tau <= 1, and tau < 1
+    in every state of positive speed: an irreducibly diagonally dominant
+    M-matrix, so its inverse is nonnegative.  Hence ||matrix^-1||_inf is
+    the largest entry of matrix^-1 1, solved in the same factorisation as
+    a second right-hand side, and ||matrix||_inf = max(1 + tau).
+    """
+    both = np.linalg.solve(matrix, np.column_stack((rhs, np.ones(len(rhs)))))
+    return np.ascontiguousarray(both[:, 0]), float(np.max(1.0 + tau) * np.max(both[:, 1]))
+
+
+def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int):
+    """Matrix I - diag(tau_n) Q of the order-n Palm solve, with its condition number.
+
+    tau_n = w[n, n] = E[exp(-n mu_k T_k)] are the diagonal weights the
+    Palm solve uses, and the condition number is the exact inf-norm one
+    from the same two-column solve (see ``_solve``), so both agree bit
+    for bit with ``palm_moment_vectors``.
     """
     if order < 1:
         raise ValueError(f"recursion matrix is defined for order >= 1, got {order}")
-    matrix = np.diag(_transform_diagonal(model, order)) - statics.reversed_routing
+    service = model.service_rates
+    *_, row = _weight_rows(model.sojourns, service, order)
+    tau = row[:, order]
+    matrix = _order_matrix(statics.reversed_routing, tau, service, order)
     try:
-        # B_n^-1 > 0 (M-matrix), so its column sums B_n^-T 1 are its column
-        # abs sums and their maximum is ||B_n^-1||_1 exactly, not an estimate
-        inverse_norm = np.max(np.abs(np.linalg.solve(matrix.T, np.ones(len(matrix)))))
-        condition = float(np.linalg.norm(matrix, 1) * inverse_norm)
+        condition = _solve(matrix, tau, np.zeros(len(tau)))[1]
     except np.linalg.LinAlgError:
         condition = float("inf")
     return matrix, condition
@@ -150,14 +463,16 @@ def _require_nonnegative(vec: np.ndarray, context: str) -> None:
 class PalmMoments:
     """Palm moment vectors m0^(n), n = 0..n_max, with solve diagnostics.
 
-    ``condition[n]`` is the exact 1-norm condition number of the order-n
-    system matrix, from one transposed solve (the matrix is a nonsingular
-    M-matrix, so its inverse is positive; see ``recursion_matrix``), and
-    ``solve_residual[n]`` the relative back-substitution residual of its
-    solve (index 0 is a placeholder; order 0 needs no solve).
+    ``routed[n]`` is Q m0^(n), the reversed-routing product every later
+    order (and the stationary update) sums over.  ``condition[n]`` is the
+    exact inf-norm condition number of the order-n matrix I - diag(tau) Q,
+    from the same factorisation as the solve (see ``recursion_matrix``),
+    and ``solve_residual[n]`` the relative back-substitution residual of
+    the solve (index 0 is a placeholder; order 0 needs no solve).
     """
 
     vectors: tuple
+    routed: tuple
     condition: np.ndarray
     solve_residual: np.ndarray
 
@@ -171,39 +486,39 @@ def palm_moment_vectors(
 ) -> PalmMoments:
     """Moment vectors of the discounted arrival mass seen from a transition instant.
 
-    Order 0 is the all-ones vector.  Each subsequent order n is obtained
-    from one dense linear solve against the order-n recursion matrix
-    B_n, never from an explicit inverse:
+    Order 0 is the all-ones vector.  Each subsequent order n is one dense
+    linear solve with two right-hand sides, never an explicit inverse:
 
-        B_n m0^(n) = sum_{j<n} (-1)^(n-1-j) C(n,j) R^(n-j) B_n m0^(j)
+        (I - diag(w[n, n]) Q) m0^(n) = sum_{j<n} w[n, j] R^(n-j) Q m0^(j)
 
-    with R the diagonal matrix of offered loads.  Solve residuals above
-    1e-8 raise NumericError carrying the condition number.
+    with R the diagonal matrix of offered loads; the second right-hand
+    side, the ones vector, gives the exact condition number.  Solve
+    residuals above 1e-8 raise NumericError carrying it.
     """
     require_valid(model)
     n_max = _check_order(n_max)
     if statics is None:
         statics = chain_statics(model)
-    k_count = model.num_states
-    rho = offered_loads(model)
+    routing = statics.reversed_routing
+    service = model.service_rates
+    load_powers = offered_loads(model)[:, np.newaxis] ** np.arange(n_max + 1)
 
-    vectors = [np.ones(k_count)]
+    vectors = [np.ones(model.num_states)]
+    routed = np.empty((model.num_states, n_max + 1))
+    routed[:, 0] = routing @ vectors[0]
     condition = np.full(n_max + 1, np.nan)
     solve_residual = np.full(n_max + 1, np.nan)
 
-    for n in range(1, n_max + 1):
-        matrix, cond = recursion_matrix(model, statics, n)
-        rhs = np.zeros(k_count)
-        for j in range(n):
-            sign = -1.0 if (n - 1 - j) % 2 else 1.0
-            coeff = sign * math.comb(n, j)
-            rhs += coeff * rho ** (n - j) * (matrix @ vectors[j])
+    rows = _weight_rows(model.sojourns, service, n_max)
+    next(rows)
+    for n, row in enumerate(rows, start=1):
+        tau = row[:, n]
+        matrix = _order_matrix(routing, tau, service, n)
+        rhs = (row[:, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
         try:
-            solution = np.linalg.solve(matrix, rhs)
+            solution, cond = _solve(matrix, tau, rhs)
         except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"order-{n} system is singular (condition {cond:.3e}): {exc}"
-            ) from exc
+            raise NumericError(f"order-{n} system is singular: {exc}") from exc
         scale = max(float(np.max(np.abs(rhs))), 1e-300)
         residual = float(np.max(np.abs(matrix @ solution - rhs))) / scale
         if residual > SOLVE_RESIDUAL_LIMIT:
@@ -213,22 +528,16 @@ def palm_moment_vectors(
             )
         _require_nonnegative(solution, f"palm moment vector at order {n}")
         vectors.append(solution)
+        routed[:, n] = routing @ solution
         condition[n] = cond
         solve_residual[n] = residual
 
     return PalmMoments(
-        vectors=tuple(vectors), condition=condition, solve_residual=solve_residual
+        vectors=tuple(vectors),
+        routed=tuple(routed.T.copy()),
+        condition=condition,
+        solve_residual=solve_residual,
     )
-
-
-def _residual_ratio_diagonal(model: EnvironmentModel, order: int) -> np.ndarray:
-    """diag entries tau*_k(n mu_k) / tau_k(n mu_k) of the stationary update."""
-    service = model.service_rates
-    out = np.empty(model.num_states)
-    for k, dist in enumerate(model.sojourns):
-        s = order * service[k]
-        out[k] = dist.residual_laplace(s) / dist.laplace(s)
-    return out
 
 
 def stationary_moment_vectors(
@@ -237,28 +546,31 @@ def stationary_moment_vectors(
     """Moment vectors seen from a stationary instant, one per order.
 
     The stationary look-back differs from the Palm one only through the
-    in-progress sojourn, which is a residual rather than a full one.
-    With E_n the diagonal ratio of residual to plain transforms at n
-    times the service rates:
+    in-progress sojourn, which is a residual rather than a full one, so
+    the same sums with the residual weights give it with no solve:
 
-        m^(n) = E_n m0^(n)
-                + sum_{j<n} (-1)^(n-1-j) C(n,j) R^(n-j) (m^(j) - E_n m0^(j))
+        m^(n) = sum_{j<=n} w*[n, j] R^(n-j) Q m0^(j)
 
-    For all-exponential sojourns E_n is exactly the identity and the two
-    families coincide bit for bit.
+    reusing the products Q m0^(j) of the Palm solve.  A memoryless state
+    (exponential, or zero speed) has w* = w, and its entry is copied from
+    the Palm vector, so all-exponential models give the two families bit
+    for bit equal.
     """
-    rho = offered_loads(model)
-    m0 = palm.vectors
-    vectors = [np.ones(model.num_states)]
-    for n in range(1, len(m0)):
-        ratio = _residual_ratio_diagonal(model, n)
-        acc = ratio * m0[n]
-        for j in range(n):
-            sign = -1.0 if (n - 1 - j) % 2 else 1.0
-            coeff = sign * math.comb(n, j)
-            acc = acc + coeff * rho ** (n - j) * (vectors[j] - ratio * m0[j])
-        _require_nonnegative(acc, f"stationary moment vector at order {n}")
-        vectors.append(acc)
+    service = model.service_rates
+    vectors = [vec.copy() for vec in palm.vectors]
+    states = [
+        k for k, dist in enumerate(model.sojourns)
+        if service[k] > 0.0 and not isinstance(dist, Exponential)
+    ]
+    if not states:
+        return tuple(vectors)
+    load_powers = offered_loads(model)[states, np.newaxis] ** np.arange(palm.n_max + 1)
+    routed = np.array(palm.routed).T[states]
+    rows = _weight_rows([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
+    next(rows)
+    for n, row in enumerate(rows, start=1):
+        vectors[n][states] = (row * load_powers[:, n::-1] * routed[:, : n + 1]).sum(axis=1)
+        _require_nonnegative(vectors[n], f"stationary moment vector at order {n}")
     return tuple(vectors)
 
 

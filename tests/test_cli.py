@@ -41,6 +41,13 @@ class TestMoments:
             assert float(cells[1]) == pytest.approx(2.0 ** n, rel=1e-9)
             assert float(cells[2]) == pytest.approx(2.0 ** n, rel=1e-9)
 
+    def test_identical_state_table_to_the_order_cap(self, capsys):
+        # the count is exactly Poisson(2): the printed f_N is 2^n at every order
+        code, out, _ = run(capsys, "moments", "--model", IDENTICAL, "--order", "20")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines() if line and line[0].isdigit()]
+        assert [(row[1], row[2]) for row in rows] == [(str(2 ** n), str(2 ** n)) for n in range(21)]
+
     def test_order_zero_single_row(self, capsys):
         code, out, _ = run(capsys, "moments", "--model", IDENTICAL, "--order", "0",
                            "--weighting", "occupancy")

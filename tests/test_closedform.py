@@ -149,6 +149,12 @@ class TestPalmMoments:
         assert plain_1 == pytest.approx(shifted_1)
         assert plain_2 == pytest.approx(shifted_2)
 
+    def test_overflow_raises_numeric_error(self):
+        # equal loads: the shifted moments vanish, but rho_1^20 = 1e400
+        model = TwoStateModel(1e20, 1e20, 1.0, 1.0, Exponential(1.0), Exponential(1.0))
+        with pytest.raises(NumericError, match="overflowed"):
+            palm_moments(model, 20)
+
     def test_order_zero_is_one(self):
         plain_1, plain_2 = palm_moments(example_two_state(arrival_rate_1=2.0), 0)
         assert plain_1[0] == 1.0 and plain_2[0] == 1.0

@@ -1,5 +1,7 @@
+import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from mminfenv import (
     EnvironmentModel,
     Exponential,
     Gamma,
+    HyperExponential,
     ModelError,
     NumericError,
     StirlingTables,
+    TabulatedLaplace,
     chain_statics,
+    closedform,
     compute_moment_table,
     forward_relation_residuals,
     load_model,
@@ -21,7 +26,7 @@ from mminfenv import (
     recursion_matrix,
     stationary_moment_vectors,
 )
-from mminfenv.moments import _require_nonnegative
+from mminfenv.moments import _require_nonnegative, _weight_rows
 
 from conftest import (
     MODELS_DIR,
@@ -104,30 +109,33 @@ class TestRecursionMatrix:
         )
         statics = chain_statics(model)
         matrix, condition = recursion_matrix(model, statics, 1)
-        assert matrix == pytest.approx(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        assert np.isfinite(condition)
+        # tau = 1 / (1 + 1) in both states: I - diag(tau) Q
+        assert matrix == pytest.approx(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        assert condition == pytest.approx(3.0)
 
     def test_exponential_diagonal_closed_form(self):
-        # 1/tau(s) for Exponential(rate) is 1 + s/rate
+        # tau(s) for Exponential(rate) is rate / (rate + s)
         rng = np.random.default_rng(3)
         model = random_exponential_model(3, rng)
         statics = chain_statics(model)
         rates = np.array([d.rate for d in model.sojourns])
         for order in (1, 2, 5):
             matrix, _ = recursion_matrix(model, statics, order)
-            expected = np.diag(1.0 + order * model.service_rates / rates) - statics.reversed_routing
+            tau = rates / (rates + order * model.service_rates)
+            expected = np.eye(3) - tau[:, np.newaxis] * statics.reversed_routing
             assert matrix == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("build", CONDITION_MODELS)
     def test_condition_is_exact(self, build):
-        # the transposed-solve value must match the explicit-inverse 1-norm
-        # condition number, and the Palm solve must record that same value
+        # the value from the ones column of the solve must match the
+        # explicit-inverse inf-norm condition number, and the Palm solve
+        # must record that same value
         model = build()
         statics = chain_statics(model)
         palm = palm_moment_vectors(model, statics, 20)
         for order in range(1, 21):
             matrix, condition = recursion_matrix(model, statics, order)
-            assert condition == pytest.approx(np.linalg.cond(matrix, 1), rel=1e-12)
+            assert condition == pytest.approx(np.linalg.cond(matrix, np.inf), rel=1e-12)
             assert palm.condition[order] == condition
 
     def test_transform_underflow_names_state_and_order(self):
@@ -138,9 +146,8 @@ class TestRecursionMatrix:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        statics = chain_statics(model)
         with pytest.raises(NumericError, match=r"state 0.*order 3"):
-            recursion_matrix(model, statics, 3)
+            compute_moment_table(model, n_max=3)
 
 
 class TestPalmVectors:
@@ -148,9 +155,19 @@ class TestPalmVectors:
         # constant arrival rates and speeds make the discounted mass
         # deterministic, so every Palm vector is the load power times ones
         model = identical_state_model(rho=2.0)
-        palm = palm_moment_vectors(model, n_max=8)
+        palm = palm_moment_vectors(model, n_max=20)
         for n, vector in enumerate(palm.vectors):
-            assert vector == pytest.approx(np.full(3, 2.0 ** n), rel=1e-10)
+            assert vector == pytest.approx(np.full(3, 2.0 ** n), rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["k2_exponential", "k2_gamma_exp"])
+    def test_two_state_closed_form_at_order_20(self, name):
+        model = load_model(MODELS_DIR / f"{name}.yaml")
+        two_state, swapped = closedform.from_environment(model)
+        references = closedform.palm_moments(two_state, 20)
+        palm = palm_moment_vectors(model, n_max=20)
+        computed = np.array(palm.vectors).T
+        for k, reference in zip((1, 0) if swapped else (0, 1), references):
+            assert computed[k] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_order_zero_only(self):
         model = identical_state_model()
@@ -249,6 +266,30 @@ class TestMomentTable:
         for weighting in ("embedded", "occupancy"):
             back = tables.factorial_from_raw(table.raw[weighting])
             assert back == pytest.approx(table.aggregated[weighting], rel=1e-10)
+
+    def test_large_mixed_model_reaches_order_20(self):
+        # the alternating recursion turned its order-16 stationary vector negative
+        table = compute_moment_table(random_mixed_model(200, np.random.default_rng(0)), n_max=20)
+        assert np.all(np.isfinite(table.aggregated["occupancy"]))
+
+    @pytest.mark.parametrize("k_count", [50, 200])
+    def test_identical_rates_on_large_mixed_models(self, k_count):
+        # lambda = 1.7, beta = 0.6 in every state: f^(n) = rho^n exactly,
+        # whatever the sojourns and routing (the alternating form failed at order 19)
+        base = random_mixed_model(k_count, np.random.default_rng(100))
+        model = EnvironmentModel(
+            arrival_rates=np.full(k_count, 1.7),
+            speeds=np.full(k_count, 0.6),
+            sojourns=base.sojourns,
+            mu=base.mu,
+            routing=base.routing,
+        )
+        table = compute_moment_table(model, n_max=20)
+        powers = (1.7 / (0.6 * base.mu)) ** np.arange(21)
+        for weighting in ("embedded", "occupancy"):
+            assert table.aggregated[weighting] == pytest.approx(powers, rel=1e-13)
+        for vec, power in zip(table.palm + table.stationary, np.tile(powers, 2)):
+            assert vec == pytest.approx(np.full(k_count, power), rel=1e-13)
 
     def test_weighting_selects_default_view(self, k3_mixed_model):
         table = compute_moment_table(k3_mixed_model, n_max=3, weighting="embedded")
@@ -359,6 +400,115 @@ class TestIdentityChecks:
         statics = chain_statics(model)
         palm = palm_moment_vectors(model, statics, n_max=4)
         assert np.max(forward_relation_residuals(model, statics, palm)) < 1e-13
+
+
+WEIGHT_RATE = 0.8
+WEIGHT_FAMILIES = {
+    "exponential": Exponential(1.3),
+    "hyperexponential": HyperExponential(probs=(0.4, 0.0, 0.6), rates=(0.5, 1.0, 2.0)),
+    "erlang": Gamma(shape=3.0, rate=1.5),
+    "gamma-0.7": Gamma(shape=0.7, rate=1.2),
+    "gamma-2.6": Gamma(shape=2.6, rate=0.4),
+    "deterministic": Deterministic(1.5),
+    "deterministic-long": Deterministic(40.0),
+    "deterministic-short": Deterministic(0.05),
+    # a gamma transform tabulated exactly at the multiples of the service rate
+    "tabulated": TabulatedLaplace(
+        points=WEIGHT_RATE * np.arange(21),
+        values=(1.0 + WEIGHT_RATE * np.arange(21) / 0.9) ** -1.7,
+        mean_value=1.7 / 0.9,
+    ),
+}
+
+
+class TestWeights:
+    """Rows of w[n, j] = E[P(Bin(n, X) = j)], X = exp(-mu_k T), per family."""
+
+    @staticmethod
+    def rows(dist, rate, residual):
+        return list(_weight_rows([dist], [rate], 20, residual=residual))
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_FAMILIES))
+    @pytest.mark.parametrize("residual", [False, True], ids=["palm", "residual"])
+    def test_rows_are_probabilities(self, name, residual):
+        for n, row in enumerate(self.rows(WEIGHT_FAMILIES[name], WEIGHT_RATE, residual)):
+            assert row.shape == (1, n + 1)
+            assert np.all(row >= 0.0)
+            assert abs(row.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_FAMILIES))
+    def test_factorial_moments_are_transforms(self, name):
+        # E[(Bin(n, X))_k] = (n)_k E[X^k]: sum_j C(j, k) w[n, j] = C(n, k) tau(k mu),
+        # with the residual transform for the residual rows; k = n is the diagonal
+        dist = WEIGHT_FAMILIES[name]
+        for residual, transform in ((False, dist.laplace), (True, dist.residual_laplace)):
+            for n, row in enumerate(self.rows(dist, WEIGHT_RATE, residual)):
+                for k in range(1, min(n, 3) + 1):
+                    binomials = np.array([math.comb(j, k) for j in range(n + 1)], dtype=float)
+                    expected = math.comb(n, k) * transform(k * WEIGHT_RATE)
+                    assert binomials @ row[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+                assert row[0, n] == pytest.approx(transform(n * WEIGHT_RATE), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["deterministic-short", "deterministic", "gamma-0.7", "gamma-2.6"])
+    def test_smallest_weights_match_extended_precision(self, name):
+        # w[n, 0] = E[(1 - X)^n] is tiny when mu_k T is short; it must keep
+        # its relative accuracy (no complement 1 - sum_{j>=1} w[n, j])
+        dist = WEIGHT_FAMILIES[name]
+        palm_rows = self.rows(dist, WEIGHT_RATE, False)
+        residual_rows = self.rows(dist, WEIGHT_RATE, True)
+        with mpmath.workdps(30):
+            rate = mpmath.mpf(WEIGHT_RATE)
+            if isinstance(dist, Deterministic):
+                # X = e^-c; the uniform residual gives int_0^c (1 - e^-t)^n dt / c,
+                # which is sum_{i>n} y^i / i over c with y = 1 - e^-c
+                c = rate * mpmath.mpf(dist.value)
+                y = -mpmath.expm1(-c)
+                palm = lambda n: y**n
+                residual = lambda n: mpmath.nsum(lambda i: y**i / i, [n + 1, mpmath.inf]) / c
+            else:
+                shape, scale = mpmath.mpf(dist.shape), 1 / mpmath.mpf(dist.rate)
+                density = lambda t: t ** (shape - 1) * mpmath.exp(-t / scale) / (mpmath.gamma(shape) * scale**shape)
+                tail = lambda t: mpmath.gammainc(shape, t / scale, mpmath.inf, regularized=True) / (shape * scale)
+                points = [0, 1, 10, mpmath.inf]
+                palm = lambda n: mpmath.quad(lambda t: density(t) * (-mpmath.expm1(-rate * t)) ** n, points)
+                residual = lambda n: mpmath.quad(lambda t: tail(t) * (-mpmath.expm1(-rate * t)) ** n, points)
+            for n in (1, 20):
+                assert palm_rows[n][0, 0] == pytest.approx(float(palm(n)), rel=1e-12, abs=0.0)
+                assert residual_rows[n][0, 0] == pytest.approx(float(residual(n)), rel=1e-12, abs=0.0)
+
+    def test_exponential_residual_rows_equal_palm_rows(self):
+        dist = WEIGHT_FAMILIES["exponential"]
+        for palm, residual in zip(self.rows(dist, WEIGHT_RATE, False), self.rows(dist, WEIGHT_RATE, True)):
+            assert np.array_equal(palm, residual)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHT_FAMILIES))
+    def test_zero_speed_rows_are_identity(self, name):
+        for residual in (False, True):
+            for n, row in enumerate(self.rows(WEIGHT_FAMILIES[name], 0.0, residual)):
+                assert np.array_equal(row[0], np.eye(n + 1)[n])
+
+    def test_rows_do_not_depend_on_the_order_cap(self):
+        sojourns = list(WEIGHT_FAMILIES.values())
+        rates = np.full(len(sojourns), WEIGHT_RATE)
+        for residual in (False, True):
+            short = list(_weight_rows(sojourns, rates, 6, residual=residual))
+            full = list(_weight_rows(sojourns, rates, 20, residual=residual))
+            assert all(np.array_equal(a, b) for a, b in zip(short, full))
+
+    def test_tabulated_transform_not_completely_monotone_rejected(self):
+        # third differences of 1, 0.5, 0.4, 0.1 turn negative: no law has this transform
+        table = TabulatedLaplace(
+            points=np.arange(4.0), values=np.array([1.0, 0.5, 0.4, 0.1]), mean_value=1.0
+        )
+        model = EnvironmentModel(
+            arrival_rates=[1.0, 1.0],
+            speeds=[1.0, 1.0],
+            sojourns=(table, Exponential(1.0)),
+            mu=1.0,
+            routing=[[0.0, 1.0], [1.0, 0.0]],
+        )
+        with pytest.raises(ModelError, match="completely monotone"):
+            compute_moment_table(model, n_max=3)
 
 
 def test_tabulated_transform_extension_point():
