@@ -34,7 +34,6 @@ occupancy weights are carried everywhere so they can be compared
 (simulation adjudicates; see the README).
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -119,12 +118,12 @@ def _transform_diagonal(model: EnvironmentModel, order: int) -> np.ndarray:
     return diag
 
 
-@functools.lru_cache(maxsize=64)
 def _gauss_beta(a: float, b: float, size: int):
     """Nodes and probabilities of the ``size``-point Gauss rule of the Beta(a, b) law.
 
     Golub-Welsch on the Jacobi matrix of the Jacobi polynomials with
-    weight (1 - x)^(b-1) (1 + x)^(a-1) on [-1, 1], mapped to [0, 1].
+    weight (1 - x)^(b-1) (1 + x)^(a-1) on [-1, 1], mapped to [0, 1];
+    Beta(1, 1) gives the Gauss-Legendre rule.
     """
     alpha, beta = b - 1.0, a - 1.0
     k = np.arange(1.0, size)
@@ -142,40 +141,14 @@ def _gauss_beta(a: float, b: float, size: int):
     )
     jacobi = np.diag(diag) + np.diag(np.sqrt(off), 1) + np.diag(np.sqrt(off), -1)
     nodes, vectors = np.linalg.eigh(jacobi)
-    nodes, probs = (nodes + 1.0) / 2.0, vectors[0] ** 2
-    nodes.flags.writeable = False
-    probs.flags.writeable = False
-    return nodes, probs
+    return (nodes + 1.0) / 2.0, vectors[0] ** 2
 
 
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(size: int):
-    """Nodes and probabilities of the ``size``-point Gauss-Legendre rule on [0, 1].
-
-    Newton's method on P_size(cos theta) in theta from the classical
-    initial guesses; the nodes are sin^2(theta / 2), so the small ones
-    keep their relative precision.  It needs no LAPACK eigensolver, whose
-    first call alone would add about a megabyte to the process.
-    """
-    theta = np.pi * (np.arange(size) + 0.75) / (size + 0.5)
-    for _ in range(8):
-        x = np.cos(theta)
-        previous, current = np.ones(size), x
-        for j in range(2, size + 1):
-            previous, current = current, ((2 * j - 1) * x * current - (j - 1) * previous) / j
-        slope = size * (x * current - previous) / np.sin(theta)
-        theta = theta - current / slope
-    nodes, probs = np.sin(theta / 2.0) ** 2, 1.0 / slope**2
-    nodes.flags.writeable = False
-    probs.flags.writeable = False
-    return nodes, probs
-
-
-# Gauss rule sizes: at order 20 the Beta rule of a non-integer gamma shape
-# holds its weights within 6e-14 of 40-digit quadrature for service to
-# sojourn rate ratios up to 20 (6e-13 at 100); the Legendre rule
-# integrates (1 - e^-t)^n over [0, 2 H_n] to a few ulps.
-_BETA_NODES = 64
+# Gauss rule sizes: at order 20, 16 nodes per panel of the graded gamma
+# rule hold the weights within 2e-15 of extended-precision quadrature for
+# service to sojourn rate ratios from 0.02 to 1e8 (12 nodes: 5e-12); the
+# Legendre rule integrates (1 - e^-t)^n over [0, 2 H_n] to a few ulps.
+_PANEL_NODES = 16
 _LEGENDRE_NODES = 40
 
 
@@ -230,19 +203,38 @@ def _mixture_rows(sojourns, service, n_max, residual):
         yield rows if len(rates) == len(sojourns) else np.add.reduceat(probs * rows, starts, axis=0)
 
 
-def _gamma_scale_rule(a: float, b: float):
-    """Gauss rule for B ~ Beta(a, b), in the variable B^(1/3); B = 1 when b = 0.
+def _gamma_scale_rule(a: float, b: float, c: float):
+    """Graded Gauss rule for B ~ Beta(a, b); B = 1 when b = 0.
 
     The exponential rows are rational in B with poles at B = -1 / (i c),
-    c = mu_k / rate, just left of the end point 0; in B^(1/3) they sit
-    much farther from the interval, and the rule converges far faster.
+    i = 1..n, c = mu_k / rate, which crowd towards the end point 0 as c
+    grows.  So [0, 1] is cut at 4^-p < ... < 1/16 < 1/4 with
+    4^-p <= 1 / (2 MAX_ORDER c): no pole and no end point singularity of
+    the Beta density comes closer to a panel than a third of its width,
+    and a fixed rule per panel converges at any c.  The first panel
+    carries the B^(a-1) factor of the density in its Gauss weight, the
+    last one the (1 - B)^(b-1) factor; the others are Gauss-Legendre.
     """
     if b == 0.0:
         return np.ones(1), np.ones(1)
-    nodes, probs = _gauss_beta(3.0 * a, b, _BETA_NODES)
-    # B = v^3: density v^(3a - 1) (1 - v)^(b - 1) (1 + v + v^2)^(b - 1)
-    probs = probs * (1.0 + nodes + nodes**2) ** (b - 1.0)
-    return nodes**3, probs / probs.sum()
+    panels = max(0, math.ceil(math.log(2 * MAX_ORDER * c, 4)))
+    if not panels:
+        return _gauss_beta(a, b, _PANEL_NODES)
+    # probabilities of the unnormalised density B^(a-1) (1 - B)^(b-1)
+    low = 4.0**-panels
+    z, p = _gauss_beta(a, 1.0, _PANEL_NODES)
+    nodes, probs = [low * z], [p * low**a / a * (1.0 - low * z) ** (b - 1.0)]
+    z, p = _gauss_beta(1.0, 1.0, _PANEL_NODES)
+    lo = 4.0 ** -np.arange(panels, 1, -1.0)[:, np.newaxis]
+    x = lo * (1.0 + 3.0 * z)
+    nodes.append(x.ravel())
+    probs.append((3.0 * lo * p * x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)).ravel())
+    z, p = _gauss_beta(1.0, b, _PANEL_NODES)
+    x = 0.25 + 0.75 * z
+    nodes.append(x)
+    probs.append(p * 0.75**b / b * x ** (a - 1.0))
+    probs = np.concatenate(probs)
+    return np.concatenate(nodes), probs / probs.sum()
 
 
 def _gamma_rows(sojourns, service, n_max, residual):
@@ -255,12 +247,12 @@ def _gamma_rows(sojourns, service, n_max, residual):
     U Gamma(s + 1, r) = B' (U Gamma(q + 1, r)) with B' ~ Beta(s + 1, q - s),
     and U Gamma(q + 1, r) is the residual of Erlang(q, r): the equal
     mixture of Gamma(i, r), i = 1..q.  Integer shapes take B = 1 and are
-    exact; other shapes average over a Gauss rule for B.
+    exact; other shapes average over a graded Gauss rule for B.
     """
     matrices = np.empty((len(sojourns), n_max + 1, n_max + 1))
     for k, (dist, a) in enumerate(zip(sojourns, service)):
         q = math.ceil(dist.shape)
-        nodes, probs = _gamma_scale_rule(dist.shape + residual, q - dist.shape)
+        nodes, probs = _gamma_scale_rule(dist.shape + residual, q - dist.shape, a / dist.rate)
         factor = np.zeros((len(nodes), n_max + 1, n_max + 1))
         for n, row in enumerate(_exponential_rows(dist.rate / nodes, np.full(len(nodes), a), n_max)):
             factor[:, n, : n + 1] = row
@@ -287,7 +279,7 @@ def _integrated_powers(c: np.ndarray, n_max: int) -> np.ndarray:
     y = -np.expm1(-c)[:, np.newaxis]
     partial = np.cumsum(np.hstack((np.zeros((len(c), 1)), y ** n[1:] / n[1:])), axis=1)
     closed = c[:, np.newaxis] - partial
-    nodes, probs = _gauss_legendre(_LEGENDRE_NODES)
+    nodes, probs = _gauss_beta(1.0, 1.0, _LEGENDRE_NODES)
     base = -np.expm1(-np.multiply.outer(c, nodes))
     quadrature = c[:, np.newaxis] * (base[:, np.newaxis, :] ** n[:, np.newaxis] * probs).sum(axis=2)
     return np.where(c[:, np.newaxis] >= 2.0 * harmonic, closed, quadrature)
@@ -463,16 +455,14 @@ def _require_nonnegative(vec: np.ndarray, context: str) -> None:
 class PalmMoments:
     """Palm moment vectors m0^(n), n = 0..n_max, with solve diagnostics.
 
-    ``routed[n]`` is Q m0^(n), the reversed-routing product every later
-    order (and the stationary update) sums over.  ``condition[n]`` is the
-    exact inf-norm condition number of the order-n matrix I - diag(tau) Q,
-    from the same factorisation as the solve (see ``recursion_matrix``),
-    and ``solve_residual[n]`` the relative back-substitution residual of
-    the solve (index 0 is a placeholder; order 0 needs no solve).
+    ``condition[n]`` is the exact inf-norm condition number of the
+    order-n matrix I - diag(tau) Q, from the same factorisation as the
+    solve (see ``recursion_matrix``), and ``solve_residual[n]`` the
+    relative back-substitution residual of the solve (index 0 is a
+    placeholder; order 0 needs no solve).
     """
 
     vectors: tuple
-    routed: tuple
     condition: np.ndarray
     solve_residual: np.ndarray
 
@@ -534,7 +524,6 @@ def palm_moment_vectors(
 
     return PalmMoments(
         vectors=tuple(vectors),
-        routed=tuple(routed.T.copy()),
         condition=condition,
         solve_residual=solve_residual,
     )
@@ -551,7 +540,7 @@ def stationary_moment_vectors(
 
         m^(n) = sum_{j<=n} w*[n, j] R^(n-j) Q m0^(j)
 
-    reusing the products Q m0^(j) of the Palm solve.  A memoryless state
+    over the products Q m0^(j) of the Palm vectors.  A memoryless state
     (exponential, or zero speed) has w* = w, and its entry is copied from
     the Palm vector, so all-exponential models give the two families bit
     for bit equal.
@@ -565,7 +554,7 @@ def stationary_moment_vectors(
     if not states:
         return tuple(vectors)
     load_powers = offered_loads(model)[states, np.newaxis] ** np.arange(palm.n_max + 1)
-    routed = np.array(palm.routed).T[states]
+    routed = statics.reversed_routing[states] @ np.array(palm.vectors).T
     rows = _weight_rows([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
     next(rows)
     for n, row in enumerate(rows, start=1):

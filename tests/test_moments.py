@@ -409,6 +409,8 @@ WEIGHT_FAMILIES = {
     "erlang": Gamma(shape=3.0, rate=1.5),
     "gamma-0.7": Gamma(shape=0.7, rate=1.2),
     "gamma-2.6": Gamma(shape=2.6, rate=0.4),
+    # sojourns 8000 times longer than a service time
+    "gamma-slow": Gamma(shape=2.5, rate=1e-4),
     "deterministic": Deterministic(1.5),
     "deterministic-long": Deterministic(40.0),
     "deterministic-short": Deterministic(0.05),
@@ -475,6 +477,26 @@ class TestWeights:
             for n in (1, 20):
                 assert palm_rows[n][0, 0] == pytest.approx(float(palm(n)), rel=1e-12, abs=0.0)
                 assert residual_rows[n][0, 0] == pytest.approx(float(residual(n)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("shape, ratio", [(0.7, 1e3), (2.6, 1e4)])
+    def test_slow_gamma_rows_match_extended_precision(self, shape, ratio):
+        # c = mu_k / rate large: the rows, rational in the gamma time scale,
+        # have poles crowding towards its end point 0; every weight of the
+        # order-20 row must still hold its relative accuracy.  Reference: the
+        # alternating binomial sum of transform values at 60 digits, where
+        # its cancellation costs nothing
+        dist = Gamma(shape=shape, rate=WEIGHT_RATE / ratio)
+        n = 20
+        with mpmath.workdps(60):
+            s, c = mpmath.mpf(shape), mpmath.mpf(WEIGHT_RATE) / mpmath.mpf(dist.rate)
+            palm = lambda p: (1 + p * c) ** -s
+            residual = lambda p: (1 - palm(p)) / (p * c * s) if p else mpmath.mpf(1)
+            for is_residual, transform in ((False, palm), (True, residual)):
+                row = self.rows(dist, WEIGHT_RATE, is_residual)[n][0]
+                for j in range(n + 1):
+                    terms = [(-1) ** i * mpmath.binomial(n - j, i) * transform(j + i) for i in range(n - j + 1)]
+                    expected = mpmath.binomial(n, j) * mpmath.fsum(terms)
+                    assert row[j] == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
     def test_exponential_residual_rows_equal_palm_rows(self):
         dist = WEIGHT_FAMILIES["exponential"]
