@@ -176,30 +176,56 @@ def require_valid(model: EnvironmentModel) -> None:
         raise ModelError("invalid model: " + "; ".join(report))
 
 
+def _stationary_law(routing: np.ndarray):
+    """Embedded stationary law from the reduced balance system.
+
+    State d, the one with the largest column sum of P, is dropped, and
+    with pi_d = 1 the other balance equations read
+    (I - P_{-d,-d})^T x = P[d, -d].  For irreducible P this matrix is a
+    nonsingular M-matrix, so its inverse is nonnegative and its exact
+    inf-norm condition number is max(1 + column sums of P_{-d,-d}) times
+    the largest entry of its inverse applied to the ones vector, a second
+    right-hand side of the same solve (taken in absolute value, so that a
+    garbage solve of a near-singular system cannot pass as well
+    conditioned).  Returns pi (x with 1 put back at d, normalised), d and
+    that condition number; pi is None and the number inf when the solve
+    fails.
+    """
+    k_count = len(routing)
+    dropped = int(np.argmax(routing.sum(axis=0)))
+    keep = np.flatnonzero(np.arange(k_count) != dropped)
+    # P_{-d,-d}, turned into I - P_{-d,-d} in place and solved transposed
+    system = routing[np.ix_(keep, keep)]
+    norm = float(np.max(1.0 + system.sum(axis=0)))
+    np.negative(system, out=system)
+    system.flat[::k_count] += 1.0
+    try:
+        both = np.linalg.solve(system.T, np.column_stack((routing[dropped, keep], np.ones(k_count - 1))))
+    except np.linalg.LinAlgError:
+        return None, dropped, float("inf")
+    pi = np.ones(k_count)
+    pi[keep] = both[:, 0]
+    return pi / pi.sum(), dropped, norm * float(np.max(np.abs(both[:, 1])))
+
+
 def chain_statics(model: EnvironmentModel) -> ChainStatics:
     """Solve for the embedded stationary vector and derive reversed routing and occupancy.
 
-    The balance system pi (P - I) = 0 is solved densely with the last
-    balance equation replaced by the normalization row.  A condition
-    estimate above 1e12 raises NumericError.
+    pi comes from the reduced balance system: the state with the largest
+    column sum of P is dropped and pinned to 1, and the remaining
+    equations are one dense solve (see ``_stationary_law``).  Its matrix
+    is an M-matrix, so the same solve gives the exact inf-norm condition
+    number of the reduced M-matrix; above 1e12 it raises NumericError, as
+    does a balance residual pi P - pi above 1e-10.
     """
     require_valid(model)
     routing = model.routing
-    k_count = model.num_states
 
-    system = routing.T - np.eye(k_count)
-    system[-1, :] = 1.0
-    rhs = np.zeros(k_count)
-    rhs[-1] = 1.0
-    try:
-        condition = np.linalg.cond(system, 1)
-    except np.linalg.LinAlgError:
-        condition = np.inf
+    pi, _, condition = _stationary_law(routing)
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise NumericError(
             f"embedded balance system is near-singular (condition {condition:.3e} > 1e12)"
         )
-    pi = np.linalg.solve(system, rhs)
 
     balance = np.max(np.abs(pi @ routing - pi))
     if balance > 100 * STRUCTURAL_TOL:

@@ -31,6 +31,10 @@ __all__ = ["SCHEMA_VERSION", "load_model", "parse_model", "model_to_dict"]
 
 SCHEMA_VERSION = 1
 
+# libyaml's C parser when PyYAML was built with it (about ten times faster
+# on the shipped files); both build the same document tree
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _FAMILY_KEYS = {
     "exponential": {"rate"},
     "gamma": {"shape", "rate"},
@@ -106,7 +110,7 @@ def load_model(path) -> EnvironmentModel:
     """Parse the model file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = yaml.safe_load(handle)
+            document = yaml.load(handle, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

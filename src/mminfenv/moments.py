@@ -103,21 +103,6 @@ def offered_loads(model: EnvironmentModel) -> np.ndarray:
     return rho
 
 
-def _transform_diagonal(model: EnvironmentModel, order: int) -> np.ndarray:
-    """diag entries 1 / tau_k(n mu_k), with underflow detection."""
-    service = model.service_rates
-    diag = np.empty(model.num_states)
-    for k, dist in enumerate(model.sojourns):
-        value = dist.laplace(order * service[k])
-        if value <= 0.0 or not math.isfinite(1.0 / value):
-            raise NumericError(
-                f"sojourn transform underflowed in state {k} at order {order} "
-                f"(tau = {value!r}); the recursion cannot continue in double precision"
-            )
-        diag[k] = 1.0 / value
-    return diag
-
-
 def _gauss_beta(a: float, b: float, size: int):
     """Nodes and probabilities of the ``size``-point Gauss rule of the Beta(a, b) law.
 
@@ -382,8 +367,10 @@ def _weight_rows(sojourns, service, n_max: int, residual: bool = False):
         yield rows
 
 
-def _order_matrix(routing: np.ndarray, tau: np.ndarray, service: np.ndarray, order: int) -> np.ndarray:
-    """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n].
+def _order_matrix(
+    routing: np.ndarray, tau: np.ndarray, service: np.ndarray, order: int, out: np.ndarray = None
+) -> np.ndarray:
+    """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n], built in ``out`` if given.
 
     Fails closed when the transform of a moving state underflows.
     """
@@ -394,8 +381,7 @@ def _order_matrix(routing: np.ndarray, tau: np.ndarray, service: np.ndarray, ord
             f"sojourn transform underflowed in state {k} at order {order} "
             f"(tau = {float(tau[k])!r}); the recursion cannot continue in double precision"
         )
-    matrix = tau[:, np.newaxis] * routing
-    np.negative(matrix, out=matrix)
+    matrix = np.multiply(routing, -tau[:, np.newaxis], out=out)
     matrix.flat[:: len(tau) + 1] += 1.0
     return matrix
 
@@ -499,11 +485,12 @@ def palm_moment_vectors(
     condition = np.full(n_max + 1, np.nan)
     solve_residual = np.full(n_max + 1, np.nan)
 
+    buffer = np.empty_like(routing)
     rows = _weight_rows(model.sojourns, service, n_max)
     next(rows)
     for n, row in enumerate(rows, start=1):
         tau = row[:, n]
-        matrix = _order_matrix(routing, tau, service, n)
+        matrix = _order_matrix(routing, tau, service, n, out=buffer)
         rhs = (row[:, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
         try:
             solution, cond = _solve(matrix, tau, rhs)
@@ -710,33 +697,38 @@ def forward_relation_residuals(
 
     The Palm recursion is stated against the reversed routing matrix Q;
     transposing it yields an equivalent row-vector relation against the
-    forward matrix P,
+    forward matrix P, multiplied here on the right by diag(tau) so that
+    no 1/tau appears:
 
-        sum_j (-1)^j C(n,j) m0^(j)' Pi (diag(1/tau_k(n mu_k)) - P) R^(n-j) = 0,
+        sum_j (-1)^j C(n,j) (m0^(j)' Pi - (m0^(j)' Pi P) diag(tau)) R^(n-j) = 0,
 
-    which exercises an independent code path and is returned here as a
-    scaled max-norm residual per order (order 0 included: it reduces to
-    the stationarity of pi).
+    with tau_k = tau_k(n mu_k) read from each law's ``laplace``, an
+    independent source for the weights the solve used.  It exercises an
+    independent code path and is returned here as a scaled max-norm
+    residual per order (order 0 included: it reduces to the stationarity
+    of pi).
     """
     rho = offered_loads(model)
     rho_top = max(float(np.max(rho)), 1e-300)
     rows = np.array(palm.vectors) * statics.pi
-    # row @ (diag(d) - P) = row * d - row @ P, with all rows @ P in one product
+    service = model.service_rates.tolist()
+    transforms = [[d.laplace(n * a) for d, a in zip(model.sojourns, service)] for n in range(len(rows))]
+    # row @ (I - P diag(tau)) = row - (row @ P) * tau, with all rows @ P in one product
     rows_routed = rows @ model.routing
     row_norms = np.abs(rows).max(axis=1)
     rho_powers = rho ** np.arange(len(rows))[:, np.newaxis]
     routing_col_sums = model.routing.sum(axis=0)
 
     residuals = np.zeros(len(rows))
-    for n in range(len(rows)):
-        diag = _transform_diagonal(model, n)
+    for n, tau in enumerate(np.array(transforms)):
         coeffs = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
-        terms = (rows[: n + 1] * diag - rows_routed[: n + 1]) * rho_powers[n::-1]
+        terms = (rows[: n + 1] - rows_routed[: n + 1] * tau) * rho_powers[n::-1]
         total = coeffs @ terms
         # scale by the input magnitudes, not the realized (cancelling) terms:
         # a bound on |row @ matrix| is |row|_inf times the matrix 1-norm,
-        # which is max(d + column sums of P) exactly since P >= 0 has zero diagonal
-        matrix_bound = float(np.max(diag + routing_col_sums))
+        # which is max(1 + tau * column sums of P) exactly since P >= 0 has
+        # zero diagonal and tau >= 0
+        matrix_bound = float(np.max(1.0 + tau * routing_col_sums))
         top_terms = np.abs(coeffs) * row_norms[: n + 1] * rho_top ** np.arange(n, -1, -1)
         scale = max(float(np.max(top_terms)) * matrix_bound, 1e-300)
         residuals[n] = float(np.max(np.abs(total))) / scale

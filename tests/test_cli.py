@@ -118,6 +118,25 @@ class TestValidate:
         assert code == 0, out
         assert "overall: PASS" in out
 
+    def test_long_deterministic_sojourn_passes_at_order_20(self, capsys, tmp_path):
+        # the forward relation at order 20 needs tau = exp(-700), not 1/tau
+        document = {
+            "schema_version": 1,
+            "mu": 1.0,
+            "states": [
+                {"lambda": 1.0, "beta": 1.0,
+                 "sojourn": {"family": "deterministic", "value": 35.0}},
+                {"lambda": 1.0, "beta": 1.0,
+                 "sojourn": {"family": "exponential", "rate": 1.0}},
+            ],
+            "routing": [[0.0, 1.0], [1.0, 0.0]],
+        }
+        path = tmp_path / "long.yaml"
+        path.write_text(yaml.safe_dump(document))
+        code, out, _ = run(capsys, "validate", "--model", str(path), "--order", "20")
+        assert code == 0, out
+        assert "overall: PASS" in out
+
     def test_applicable_checks_listed(self, capsys):
         code, out, _ = run(capsys, "validate", "--model", K3_EXP)
         assert code == 0

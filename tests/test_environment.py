@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,15 @@ from mminfenv import (
     ModelError,
     NumericError,
     chain_statics,
+    load_model,
     mean_cycle_length,
     validate_model,
 )
+from mminfenv.environment import _stationary_law
 
-from conftest import random_exponential_model, random_mixed_model, random_routing
+from conftest import MODELS_DIR, random_exponential_model, random_mixed_model, random_routing
+
+SHIPPED = sorted(MODELS_DIR.glob("*.yaml"))
 
 
 def two_state_model(**overrides):
@@ -207,6 +214,33 @@ class TestChainStatics:
         with pytest.raises(NumericError):
             chain_statics(model)
 
+    def test_weakly_linked_blocks_raise(self):
+        # two 2-state blocks joined by 1e-13 links: the reduced balance
+        # system keeps one block, which is left only about once in 1e13 jumps
+        eps = 1e-13
+        routing = [
+            [0.0, 1.0 - eps, eps, 0.0],
+            [1.0 - eps, 0.0, 0.0, eps],
+            [eps, 0.0, 0.0, 1.0 - eps],
+            [0.0, eps, 1.0 - eps, 0.0],
+        ]
+        model = model_with_routing(routing)
+        assert validate_model(model) == []
+        assert _stationary_law(model.routing)[2] > 1e12
+        with pytest.raises(NumericError, match="near-singular"):
+            chain_statics(model)
+
+    def test_rarely_entered_state_is_well_conditioned(self):
+        # a tiny stationary mass is no near-singularity: dropping the most
+        # entered state leaves the identity
+        eps = 1e-13
+        model = model_with_routing([[0.0, 1.0 - eps, eps], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        pi, dropped, condition = _stationary_law(model.routing)
+        assert dropped == 0
+        assert condition == 1.0
+        statics = chain_statics(model)
+        assert statics.pi == pytest.approx([0.5, (1.0 - eps) / 2, eps / 2], rel=1e-15)
+
     def test_arrays_are_read_only(self):
         model = two_state_model()
         with pytest.raises(ValueError):
@@ -214,6 +248,56 @@ class TestChainStatics:
         statics = chain_statics(model)
         with pytest.raises(ValueError):
             statics.pi[0] = 1.0
+
+
+class TestStationaryLaw:
+    def test_dropped_state_has_largest_column_sum(self):
+        rng = np.random.default_rng(21)
+        for k_count in (3, 7, 20):
+            routing = random_routing(k_count, rng)
+            assert _stationary_law(routing)[1] == np.argmax(routing.sum(axis=0))
+
+    def test_condition_is_exact(self):
+        # against the explicit-inverse inf-norm condition number of the
+        # reduced matrix, on the shipped models and random draws
+        routings = [load_model(path).routing for path in SHIPPED]
+        for k_count in (5, 20, 60):
+            rng = np.random.default_rng(k_count)
+            routings += [random_mixed_model(k_count, rng).routing for _ in range(3)]
+        for routing in routings:
+            _, dropped, condition = _stationary_law(routing)
+            keep = np.flatnonzero(np.arange(len(routing)) != dropped)
+            reduced = np.eye(len(keep)) - routing[np.ix_(keep, keep)].T
+            assert condition == pytest.approx(np.linalg.cond(reduced, np.inf), rel=1e-12)
+
+    def test_pi_matches_extended_precision_at_k500(self):
+        # the all-exponential K = 500 benchmark routing; the reference is
+        # power iteration on the lazy chain (I + P) / 2 in long double
+        routing = random_routing(500, np.random.default_rng([0, 500]))
+        lazy = (np.eye(500, dtype=np.longdouble) + routing.astype(np.longdouble)) / 2
+        reference = np.full(500, 1 / np.longdouble(500))
+        for _ in range(200):
+            reference = reference @ lazy
+            reference /= reference.sum()
+        assert np.max(np.abs(reference @ lazy - reference) / reference) < 1e-17
+        pi = _stationary_law(routing)[0]
+        assert np.max(np.abs(pi - reference) / reference) < 1e-14
+
+
+def test_no_explicit_inverse_in_the_package():
+    # each linear system gets one factorisation: no condition number or
+    # inverse is formed explicitly anywhere in the package
+    package = Path(__file__).resolve().parent.parent / "src" / "mminfenv"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    pattern = re.compile(r"linalg\.(cond|inv)\s*\(")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sources
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 def test_mean_cycle_length_cyclic_deterministic():

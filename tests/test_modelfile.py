@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from mminfenv import (
     Deterministic,
@@ -12,8 +13,12 @@ from mminfenv import (
     parse_model,
     validate_model,
 )
+from mminfenv import modelfile
+from mminfenv.cli import main
 
 from conftest import MODELS_DIR
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 def minimal_document():
@@ -43,6 +48,19 @@ class TestShippedModels:
         model = load_model(MODELS_DIR / name)
         assert model.num_states == k_count
         assert validate_model(model) == []
+
+    @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.yaml")), ids=lambda path: path.stem)
+    def test_loaders_agree(self, path, monkeypatch):
+        models = []
+        for loader in LOADERS:
+            monkeypatch.setattr(modelfile, "_YAML_LOADER", loader)
+            models.append(load_model(path))
+        for model in models[1:]:
+            assert np.array_equal(model.arrival_rates, models[0].arrival_rates)
+            assert np.array_equal(model.speeds, models[0].speeds)
+            assert np.array_equal(model.routing, models[0].routing)
+            assert model.mu == models[0].mu
+            assert model.sojourns == models[0].sojourns
 
     def test_k3_mixed_families(self):
         model = load_model(MODELS_DIR / "k3_mixed.yaml")
@@ -112,6 +130,16 @@ class TestSchema:
             load_model(path)
         with pytest.raises(ModelError):
             load_model(tmp_path / "missing.yaml")
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_malformed_yaml_exits_2(self, loader, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(modelfile, "_YAML_LOADER", loader)
+        path = tmp_path / "broken.yaml"
+        path.write_text("mu: [1.0\nstates: {\n")
+        with pytest.raises(ModelError, match="not valid YAML"):
+            load_model(path)
+        assert main(["moments", "--model", str(path)]) == 2
+        assert "not valid YAML" in capsys.readouterr().err
 
     def test_non_mapping_document_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"

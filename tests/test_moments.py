@@ -401,6 +401,23 @@ class TestIdentityChecks:
         palm = palm_moment_vectors(model, statics, n_max=4)
         assert np.max(forward_relation_residuals(model, statics, palm)) < 1e-13
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_forward_relation_long_deterministic_sojourn(self):
+        # tau = exp(-700) at order 20: a relation that divided by tau
+        # overflowed to NaN on these correct moments
+        model = EnvironmentModel(
+            arrival_rates=[1.0, 1.0],
+            speeds=[1.0, 1.0],
+            sojourns=(Deterministic(35.0), Exponential(1.0)),
+            mu=1.0,
+            routing=[[0.0, 1.0], [1.0, 0.0]],
+        )
+        statics = chain_statics(model)
+        palm = palm_moment_vectors(model, statics, n_max=20)
+        residuals = forward_relation_residuals(model, statics, palm)
+        assert np.all(np.isfinite(residuals))
+        assert np.max(residuals) <= 1e-12
+
 
 WEIGHT_RATE = 0.8
 WEIGHT_FAMILIES = {
