@@ -91,22 +91,35 @@ class TwoStateModel:
 
 
 def _product_terms(model: TwoStateModel, n_max: int):
-    """Factors of the shifted-moment product: numerators, denominators per order."""
-    inv_tau_1 = lambda s: 1.0 / model.sojourn_1.laplace(s)
+    """Factors of the shifted-moment product: numerators, denominators per order.
+
+    Also returns inv_tau_1[n] = 1 / tau_1(n mu_1), n = 0..n_max; a state-1
+    transform that underflows to 0 has no reciprocal and raises
+    NumericError naming the order.
+    """
+    inv_tau_1 = []
+    for n in range(n_max + 1):
+        tau = model.sojourn_1.laplace(n * model.service_rate_1)
+        if tau == 0.0:
+            raise NumericError(
+                f"state-1 sojourn transform underflowed to 0 at order {n}; "
+                "the two-state product form needs its reciprocal"
+            )
+        inv_tau_1.append(1.0 / tau)
     inv_tau_2 = lambda s: 1.0 / model.sojourn_2.laplace(s)
-    mu_1, mu_2 = model.service_rate_1, model.service_rate_2
+    mu_2 = model.service_rate_2
     numerators = []
     denominators = []
     for j in range(1, n_max + 1):
-        numerators.append(j * inv_tau_1((j - 1) * mu_1))
-        den = inv_tau_1(j * mu_1) * inv_tau_2(j * mu_2) - 1.0
+        numerators.append(j * inv_tau_1[j - 1])
+        den = inv_tau_1[j] * inv_tau_2(j * mu_2) - 1.0
         if den <= _DENOMINATOR_FLOOR:
             raise ModelError(
                 f"degenerate two-state model: product denominator {den!r} at order {j} "
                 "is not positive (requires strictly positive service rates)"
             )
         denominators.append(den)
-    return numerators, denominators
+    return numerators, denominators, inv_tau_1
 
 
 def shifted_palm_moments(model: TwoStateModel, n_max: int):
@@ -120,7 +133,8 @@ def shifted_palm_moments(model: TwoStateModel, n_max: int):
 
     with prefactor mu_2 rho_star / exit_rate_2; state 2 is the state-1
     value times tau_1(n mu_1)^-1.  Every partial product is an output, so
-    one that leaves double precision raises NumericError.
+    one that leaves double precision raises NumericError, as does a
+    state-1 transform that underflows to 0.
     """
     n_max = _check_order(n_max)
     prefactor = model.service_rate_2 * model.rho_star / model.exit_rate_2
@@ -131,13 +145,12 @@ def shifted_palm_moments(model: TwoStateModel, n_max: int):
     if n_max == 0:
         return state_1, state_2
 
-    numerators, denominators = _product_terms(model, n_max)
-    inv_tau_1 = lambda s: 1.0 / model.sojourn_1.laplace(s)
+    numerators, denominators, inv_tau_1 = _product_terms(model, n_max)
     running = 1.0
     for n in range(1, n_max + 1):
         running *= prefactor * numerators[n - 1] / denominators[n - 1]
         state_1[n] = running
-        state_2[n] = running * inv_tau_1(n * model.service_rate_1)
+        state_2[n] = running * inv_tau_1[n]
     if not np.all(np.isfinite(state_1)) or not np.all(np.isfinite(state_2)):
         raise NumericError("two-state shifted moments overflowed double precision")
     return state_1, state_2

@@ -27,15 +27,24 @@ one.  The j = n term carries tau_k = w_k[n, n] = E[exp(-n mu_k T)], so
 order n is one dense solve of ``(I - diag(tau) Q) m0^(n) = rhs`` with a
 nonnegative right-hand side; the stationary vectors are the same sums
 with the residual weights ``w*`` and need no solve.  No term cancels, so
-the moments are accurate to roundoff at every order.  The scalar moments
-of N are contractions of the stationary vectors with a state-weighting
-vector; both the embedded-chain weights and the time-stationary
-occupancy weights are carried everywhere so they can be compared
-(simulation adjudicates; see the README).
+the moments are accurate to roundoff at every order, and tau_k may
+underflow to 0 (row k of the matrix is then e_k).
+
+The weights of all orders form one lower-triangular table per call,
+``table[k, n, j] = w_k[n, j]``.  Exponential, hyperexponential and gamma
+sojourns are all mixtures of Erlang laws and share one builder;
+deterministic sojourns follow Pascal's rule; any other law is
+differenced exactly; zero speed (X = 1) gives the identity.
+
+The scalar moments of N are contractions of the stationary vectors with
+a state-weighting vector; both the embedded-chain weights and the
+time-stationary occupancy weights are carried everywhere so they can be
+compared (simulation adjudicates; see the README).
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -65,7 +74,6 @@ MAX_ORDER = 20
 
 SOLVE_RESIDUAL_LIMIT = 1e-8
 _NEGATIVITY_FLOOR = 1e-10
-_TINY = np.finfo(float).tiny
 
 WEIGHTINGS = ("embedded", "occupancy")
 
@@ -135,57 +143,25 @@ def _gauss_beta(a: float, b: float, size: int):
 # Legendre rule integrates (1 - e^-t)^n over [0, 2 H_n] to a few ulps.
 _PANEL_NODES = 16
 _LEGENDRE_NODES = 40
+# Erlang branches whose tables are built at once, about 3.6 MB at order 20
+_BRANCH_CHUNK = 1024
 
 
-def _exponential_rows(rates: np.ndarray, service: np.ndarray, n_max: int):
-    """Yield rows n = 0..n_max of the weights of exponential sojourns.
+def _exponential_weights(rates: np.ndarray, service: np.ndarray, n_max: int) -> np.ndarray:
+    """Weight tables of exponential sojourns, one (n_max + 1)-square table per rate.
 
     X = exp(-a T) is Beta(r / a, 1) for rate r and service rate a, so
     w[n, n] = r / (r + n a), the sojourn transform at n a, and
     w[n, j] = w[n-1, j] n a / (r + n a) for j < n: products of positive
     factors only.
     """
-    row = np.ones((len(rates), 1))
-    yield row
+    table = np.zeros((len(rates), n_max + 1, n_max + 1))
+    table[:, 0, 0] = 1.0
     for n in range(1, n_max + 1):
         denominator = rates + n * service
-        previous, row = row, np.empty((len(rates), n + 1))
-        np.multiply(previous, (n * service / denominator)[:, np.newaxis], out=row[:, :n])
-        row[:, n] = rates / denominator
-        yield row
-
-
-def _stopped_rows(sojourns, service, n_max, residual):
-    """Zero speed: X = 1, so all the mass sits on j = n (W = I)."""
-    for n in range(n_max + 1):
-        row = np.zeros((len(sojourns), n + 1))
-        row[:, n] = 1.0
-        yield row
-
-
-def _mixture_rows(sojourns, service, n_max, residual):
-    """Exponential and hyperexponential sojourns: mixtures of exponential rows.
-
-    Each exponential branch is its own residual, and the residual of a
-    hyperexponential reweights branch i by its mean p_i / r_i, as its
-    sampler does.
-    """
-    rates, probs, counts = [], [], []
-    for dist in sojourns:
-        if isinstance(dist, Exponential):
-            branch_rates, branch_probs = [dist.rate], [1.0]
-        else:
-            branch_rates, branch_probs = list(dist.rates), list(dist.probs)
-        if residual:
-            means = [p / r for p, r in zip(branch_probs, branch_rates)]
-            branch_probs = [m / sum(means) for m in means]
-        rates += branch_rates
-        probs += branch_probs
-        counts.append(len(branch_rates))
-    probs = np.array(probs)[:, np.newaxis]
-    starts = np.cumsum(counts) - counts
-    for rows in _exponential_rows(np.array(rates), np.repeat(service, counts), n_max):
-        yield rows if len(rates) == len(sojourns) else np.add.reduceat(probs * rows, starts, axis=0)
+        np.multiply(table[:, n - 1, :n], (n * service / denominator)[:, np.newaxis], out=table[:, n, :n])
+        table[:, n, n] = rates / denominator
+    return table
 
 
 def _gamma_scale_rule(a: float, b: float, c: float):
@@ -222,34 +198,75 @@ def _gamma_scale_rule(a: float, b: float, c: float):
     return np.concatenate(nodes), probs / probs.sum()
 
 
-def _gamma_rows(sojourns, service, n_max, residual):
-    """Gamma sojourns, as Erlang sojourns with a Beta-distributed time scale.
+def _erlang_mixture_weights(sojourns, service, n_max, residual):
+    """Exponential, hyperexponential and gamma sojourns, as mixtures of Erlang laws.
 
-    With q = ceil(s), Gamma(s, r) is B G for independent B ~ Beta(s, q - s)
-    and G ~ Gamma(q, r).  Given B = u the sojourn is Erlang(q, r / u): X is
-    a product of q independent exponential factors, so its weight matrix
-    is the q-th power of the exponential one.  The residual is
-    U Gamma(s + 1, r) = B' (U Gamma(q + 1, r)) with B' ~ Beta(s + 1, q - s),
-    and U Gamma(q + 1, r) is the residual of Erlang(q, r): the equal
-    mixture of Gamma(i, r), i = 1..q.  Integer shapes take B = 1 and are
-    exact; other shapes average over a graded Gauss rule for B.
+    Each state lists branches (rate, probability, q), a sojourn that is
+    Erlang(q, rate) with that probability:
+
+    * Exponential(r) is the single branch (r, 1, 1), its own residual.
+    * HyperExponential has branches (r_i, p_i, 1); its residual reweights
+      branch i by its mean p_i / r_i, as its sampler does.
+    * Gamma(s, r), with q = ceil(s), is B G for independent
+      B ~ Beta(s, q - s) and G ~ Gamma(q, r), so given B = u it is
+      Erlang(q, r / u): branches (r / u, P(u), q) over the graded rule for
+      B.  The residual is U Gamma(s + 1, r) = B' (U Gamma(q + 1, r)) with
+      B' ~ Beta(s + 1, q - s), and U Gamma(q + 1, r) is the residual of
+      Erlang(q, r): the equal mixture of Gamma(i, r), i = 1..q.  Integer
+      shapes take B = 1 and are exact.
+
+    X of Erlang(q) is a product of q independent exponential factors, so
+    its weight table is the q-th power of the exponential one (the
+    residual: the mean of the first q powers).
     """
-    matrices = np.empty((len(sojourns), n_max + 1, n_max + 1))
-    for k, (dist, a) in enumerate(zip(sojourns, service)):
-        q = math.ceil(dist.shape)
-        nodes, probs = _gamma_scale_rule(dist.shape + residual, q - dist.shape, a / dist.rate)
-        factor = np.zeros((len(nodes), n_max + 1, n_max + 1))
-        for n, row in enumerate(_exponential_rows(dist.rate / nodes, np.full(len(nodes), a), n_max)):
-            factor[:, n, : n + 1] = row
+    branches = []
+    for dist, a in zip(sojourns, service.tolist()):
+        if isinstance(dist, Exponential):
+            branches.append(([dist.rate], [1.0], 1))
+        elif isinstance(dist, HyperExponential):
+            probs = list(dist.probs)
+            if residual:
+                means = [p / r for p, r in zip(probs, dist.rates)]
+                probs = [m / sum(means) for m in means]
+            branches.append((list(dist.rates), probs, 1))
+        else:
+            q = math.ceil(dist.shape)
+            nodes, weights = _gamma_scale_rule(dist.shape + residual, q - dist.shape, a / dist.rate)
+            branches.append(((dist.rate / nodes).tolist(), weights.tolist(), q))
+    # a gamma state may have hundreds of branches: build the branch tables a
+    # bounded number at a time, whole states per chunk
+    sizes = np.cumsum([len(rates) for rates, _, _ in branches])
+    cuts = np.flatnonzero(np.diff(sizes // _BRANCH_CHUNK)) + 1
+    if not cuts.size:
+        return _mix_erlang_branches(branches, service, n_max, residual)
+    bounds = zip([0, *cuts], [*cuts, len(branches)])
+    return np.concatenate([
+        _mix_erlang_branches(branches[lo:hi], service[lo:hi], n_max, residual) for lo, hi in bounds
+    ])
+
+
+def _mix_erlang_branches(branches, service, n_max, residual):
+    """One weight table per state from its Erlang branches (rates, probabilities, q)."""
+    rates, probs, powers = zip(*branches)
+    counts = [len(branch_rates) for branch_rates in rates]
+    flat_rates = np.fromiter(chain.from_iterable(rates), float)
+    table = _exponential_weights(flat_rates, np.repeat(service, counts), n_max)
+    powers = np.repeat(powers, counts)
+    for q in set(powers.tolist()) - {1}:
+        chosen = np.flatnonzero(powers == q)
+        factor = table[chosen]
+        for n in range(n_max + 1):
             # row n of the q-th power (or of the mean of the first q powers)
             # from rows 0..n alone, so that no weight depends on n_max
-            power = total = row
+            power = total = factor[:, n, : n + 1]
             for _ in range(q - 1):
                 power = (power[:, np.newaxis, :] @ factor[:, : n + 1, : n + 1])[:, 0]
                 total = total + power
-            matrices[k, n, : n + 1] = probs @ (total / q if residual else power)
-    for n in range(n_max + 1):
-        yield matrices[:, n, : n + 1]
+            table[chosen, n, : n + 1] = total / q if residual else power
+    if len(table) == len(branches):
+        return table
+    table *= np.fromiter(chain.from_iterable(probs), float)[:, np.newaxis, np.newaxis]
+    return np.add.reduceat(table, np.cumsum(counts) - counts, axis=0)
 
 
 def _integrated_powers(c: np.ndarray, n_max: int) -> np.ndarray:
@@ -270,7 +287,7 @@ def _integrated_powers(c: np.ndarray, n_max: int) -> np.ndarray:
     return np.where(c[:, np.newaxis] >= 2.0 * harmonic, closed, quadrature)
 
 
-def _deterministic_rows(sojourns, service, n_max, residual):
+def _deterministic_weights(sojourns, service, n_max, residual):
     """Deterministic sojourns: binomial rows at x = exp(-c), c = mu_k d.
 
     The rows follow Pascal's rule, w[n, j] = (1 - x) w[n-1, j] + x w[n-1, j-1],
@@ -280,25 +297,22 @@ def _deterministic_rows(sojourns, service, n_max, residual):
     """
     c = service * np.array([dist.value for dist in sojourns])
     x, y = np.exp(-c)[:, np.newaxis], -np.expm1(-c)[:, np.newaxis]
-    if residual:
-        first = _integrated_powers(c, n_max) / c[:, np.newaxis]
-    row = np.ones((len(c), 1))
-    for n in range(n_max + 1):
-        if n:
-            previous, row = row, np.empty((len(c), n + 1))
-            row[:, :-1] = previous * y
-            row[:, -1] = 0.0
-            row[:, 1:] += previous * x
-        if not residual:
-            yield row
-            continue
-        out = np.empty_like(row)
-        out[:, 0] = first[:, n]
-        out[:, 1:] = np.cumsum(row[:, :-1], axis=1) / (c[:, np.newaxis] * np.arange(1, n + 1))
-        yield out
+    table = np.zeros((len(c), n_max + 1, n_max + 1))
+    table[:, 0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        previous = table[:, n - 1, :n]
+        table[:, n, :n] = previous * y
+        table[:, n, 1 : n + 1] += previous * x
+    if not residual:
+        return table
+    out = np.empty_like(table)
+    out[:, :, 0] = _integrated_powers(c, n_max) / c[:, np.newaxis]
+    scale = c[:, np.newaxis, np.newaxis] * np.arange(1, n_max + 1)
+    out[:, :, 1:] = np.cumsum(table[:, :, :-1], axis=2) / scale
+    return np.tril(out)
 
 
-def _difference_rows(sojourns, service, n_max, residual):
+def _difference_weights(sojourns, service, n_max, residual):
     """Any other law: exact finite differences of its transform values.
 
     w[n, j] = C(n, j) ((-Delta)^(n-j) tau)(j) with tau(p) the transform
@@ -312,7 +326,7 @@ def _difference_rows(sojourns, service, n_max, residual):
     # no shipped sojourn family needs
     from fractions import Fraction
 
-    matrices = np.zeros((len(sojourns), n_max + 1, n_max + 1))
+    table = np.zeros((len(sojourns), n_max + 1, n_max + 1))
     for k, (dist, a) in enumerate(zip(sojourns, service)):
         values = [Fraction(dist.laplace(p * a)) for p in range(n_max + 1)]
         if residual:
@@ -325,62 +339,49 @@ def _difference_rows(sojourns, service, n_max, residual):
                         f"{type(dist).__name__} transform values at multiples of {a!r} are not "
                         f"completely monotone (weight w[{j + gap}, {j}] < 0): no law has them"
                     )
-                matrices[k, j + gap, j] = float(math.comb(j + gap, j) * diff)
+                table[k, j + gap, j] = float(math.comb(j + gap, j) * diff)
             values = [values[j] - values[j + 1] for j in range(len(values) - 1)]
-    for n in range(n_max + 1):
-        yield matrices[:, n, : n + 1]
+    return table
 
 
-def _weight_rows(sojourns, service, n_max: int, residual: bool = False):
-    """Yield the weight rows of the given states for n = 0..n_max.
+def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarray:
+    """The (K, n_max + 1, n_max + 1) lower-triangular table of weights.
 
-    Row n is a (K, n + 1) array with w_k[n, j] = E[P(Bin(n, X) = j)],
-    X = exp(-service[k] T) and T the sojourn of state k, or its
-    equilibrium residual when ``residual``.  Every weight is nonnegative
-    and every row sums to one.
+    ``table[k, n, j]`` is w_k[n, j] = E[P(Bin(n, X) = j)], X = exp(-service[k] T)
+    and T the sojourn of state k, or its equilibrium residual when
+    ``residual``.  Every weight is nonnegative and every row sums to one.
+    Zero speed gives X = 1, all the mass on j = n: the identity.
     """
     service = np.asarray(service, dtype=float)
-    families = {}
-    for k, (dist, a) in enumerate(zip(sojourns, service)):
+    builders = {}
+    for k, (dist, a) in enumerate(zip(sojourns, service.tolist())):
         if a == 0.0:
-            family = _stopped_rows
-        elif isinstance(dist, (Exponential, HyperExponential)):
-            family = _mixture_rows
-        elif isinstance(dist, Gamma):
-            family = _gamma_rows
+            builder = None
+        elif isinstance(dist, (Exponential, HyperExponential, Gamma)):
+            builder = _erlang_mixture_weights
         elif isinstance(dist, Deterministic):
-            family = _deterministic_rows
+            builder = _deterministic_weights
         else:
-            family = _difference_rows
-        families.setdefault(family, []).append(k)
-    sources = [
-        (states, family([sojourns[k] for k in states], service[states], n_max, residual))
-        for family, states in families.items()
-    ]
-    if len(sources) == 1:
-        yield from sources[0][1]
-        return
-    for n in range(n_max + 1):
-        rows = np.empty((len(sojourns), n + 1))
-        for states, source in sources:
-            rows[states] = next(source)
-        yield rows
+            builder = _difference_weights
+        builders.setdefault(builder, []).append(k)
+    if len(builders) == 1 and None not in builders:
+        (builder,) = builders
+        return builder(sojourns, service, n_max, residual)
+    table = np.empty((len(sojourns), n_max + 1, n_max + 1))
+    for builder, states in builders.items():
+        if builder is None:
+            table[states] = np.eye(n_max + 1)
+        else:
+            table[states] = builder([sojourns[k] for k in states], service[states], n_max, residual)
+    return table
 
 
-def _order_matrix(
-    routing: np.ndarray, tau: np.ndarray, service: np.ndarray, order: int, out: np.ndarray = None
-) -> np.ndarray:
+def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n], built in ``out`` if given.
 
-    Fails closed when the transform of a moving state underflows.
+    tau_k may underflow to 0 (a long sojourn at a high order): row k is
+    then e_k, and the system stays a nonsingular M-matrix.
     """
-    underflow = (service > 0.0) & ~(tau >= _TINY)
-    if underflow.any():
-        k = int(np.flatnonzero(underflow)[0])
-        raise NumericError(
-            f"sojourn transform underflowed in state {k} at order {order} "
-            f"(tau = {float(tau[k])!r}); the recursion cannot continue in double precision"
-        )
     matrix = np.multiply(routing, -tau[:, np.newaxis], out=out)
     matrix.flat[:: len(tau) + 1] += 1.0
     return matrix
@@ -404,16 +405,15 @@ def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int)
     """Matrix I - diag(tau_n) Q of the order-n Palm solve, with its condition number.
 
     tau_n = w[n, n] = E[exp(-n mu_k T_k)] are the diagonal weights the
-    Palm solve uses, and the condition number is the exact inf-norm one
-    from the same two-column solve (see ``_solve``), so both agree bit
-    for bit with ``palm_moment_vectors``.
+    Palm solve uses, read off the same weight table (0 where they
+    underflow, which makes row k the unit row e_k), and the condition
+    number is the exact inf-norm one from the same two-column solve (see
+    ``_solve``), so both agree bit for bit with ``palm_moment_vectors``.
     """
     if order < 1:
         raise ValueError(f"recursion matrix is defined for order >= 1, got {order}")
-    service = model.service_rates
-    *_, row = _weight_rows(model.sojourns, service, order)
-    tau = row[:, order]
-    matrix = _order_matrix(statics.reversed_routing, tau, service, order)
+    tau = _weights(model.sojourns, model.service_rates, order)[:, order, order]
+    matrix = _order_matrix(statics.reversed_routing, tau)
     try:
         condition = _solve(matrix, tau, np.zeros(len(tau)))[1]
     except np.linalg.LinAlgError:
@@ -476,7 +476,6 @@ def palm_moment_vectors(
     if statics is None:
         statics = chain_statics(model)
     routing = statics.reversed_routing
-    service = model.service_rates
     load_powers = offered_loads(model)[:, np.newaxis] ** np.arange(n_max + 1)
 
     vectors = [np.ones(model.num_states)]
@@ -486,12 +485,11 @@ def palm_moment_vectors(
     solve_residual = np.full(n_max + 1, np.nan)
 
     buffer = np.empty_like(routing)
-    rows = _weight_rows(model.sojourns, service, n_max)
-    next(rows)
-    for n, row in enumerate(rows, start=1):
-        tau = row[:, n]
-        matrix = _order_matrix(routing, tau, service, n, out=buffer)
-        rhs = (row[:, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
+    weights = _weights(model.sojourns, model.service_rates, n_max)
+    for n in range(1, n_max + 1):
+        tau = weights[:, n, n]
+        matrix = _order_matrix(routing, tau, out=buffer)
+        rhs = (weights[:, n, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
         try:
             solution, cond = _solve(matrix, tau, rhs)
         except np.linalg.LinAlgError as exc:
@@ -542,10 +540,9 @@ def stationary_moment_vectors(
         return tuple(vectors)
     load_powers = offered_loads(model)[states, np.newaxis] ** np.arange(palm.n_max + 1)
     routed = statics.reversed_routing[states] @ np.array(palm.vectors).T
-    rows = _weight_rows([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
-    next(rows)
-    for n, row in enumerate(rows, start=1):
-        vectors[n][states] = (row * load_powers[:, n::-1] * routed[:, : n + 1]).sum(axis=1)
+    weights = _weights([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
+    for n in range(1, palm.n_max + 1):
+        vectors[n][states] = (weights[:, n, : n + 1] * load_powers[:, n::-1] * routed[:, : n + 1]).sum(axis=1)
         _require_nonnegative(vectors[n], f"stationary moment vector at order {n}")
     return tuple(vectors)
 
@@ -585,7 +582,6 @@ def assemble_moment_table(
     statics: ChainStatics,
     palm: PalmMoments,
     stationary: tuple,
-    tables: StirlingTables = None,
     weighting: str = "occupancy",
     with_checks: bool = True,
 ) -> MomentTable:
@@ -599,8 +595,7 @@ def assemble_moment_table(
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     n_max = palm.n_max
-    if tables is None:
-        tables = StirlingTables(n_max)
+    tables = StirlingTables(n_max)
     weights = {"embedded": statics.pi, "occupancy": statics.occupancy}
     aggregated = {}
     raw = {}

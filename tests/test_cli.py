@@ -92,7 +92,9 @@ class TestMoments:
         assert "unknown field" in err
 
     def test_numeric_failure_exits_3(self, capsys, tmp_path):
-        # deterministic sojourn so long that the transform underflows
+        # deterministic sojourn so long that the transform underflows: the
+        # weight form still gives the moments, but the two-state closed form
+        # of validate needs 1 / tau_1(2 mu) = e^1000
         document = {
             "schema_version": 1,
             "mu": 1.0,
@@ -106,9 +108,11 @@ class TestMoments:
         }
         bad = tmp_path / "underflow.yaml"
         bad.write_text(yaml.safe_dump(document))
-        code, _, err = run(capsys, "moments", "--model", str(bad), "--order", "8")
+        code, _, _ = run(capsys, "moments", "--model", str(bad), "--order", "8")
+        assert code == 0
+        code, _, err = run(capsys, "validate", "--model", str(bad), "--order", "8")
         assert code == 3
-        assert "underflow" in err
+        assert "underflowed to 0 at order 2" in err
 
 
 class TestValidate:

@@ -155,6 +155,12 @@ class TestPalmMoments:
         with pytest.raises(NumericError, match="overflowed"):
             palm_moments(model, 20)
 
+    def test_underflowed_transform_raises_numeric_error(self):
+        # tau_1(3) = exp(-900) is 0 in double precision and has no reciprocal
+        model = TwoStateModel(1.0, 1.0, 1.0, 1.0, Deterministic(300.0), Exponential(1.0))
+        with pytest.raises(NumericError, match="order 3"):
+            palm_moments(model, 3)
+
     def test_order_zero_is_one(self):
         plain_1, plain_2 = palm_moments(example_two_state(arrival_rate_1=2.0), 0)
         assert plain_1[0] == 1.0 and plain_2[0] == 1.0

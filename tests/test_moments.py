@@ -26,7 +26,8 @@ from mminfenv import (
     recursion_matrix,
     stationary_moment_vectors,
 )
-from mminfenv.moments import _require_nonnegative, _weight_rows
+from mminfenv import moments
+from mminfenv.moments import _require_nonnegative, _weights
 
 from conftest import (
     MODELS_DIR,
@@ -137,17 +138,6 @@ class TestRecursionMatrix:
             matrix, condition = recursion_matrix(model, statics, order)
             assert condition == pytest.approx(np.linalg.cond(matrix, np.inf), rel=1e-12)
             assert palm.condition[order] == condition
-
-    def test_transform_underflow_names_state_and_order(self):
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0],
-            speeds=[1.0, 1.0],
-            sojourns=(Deterministic(300.0), Exponential(1.0)),
-            mu=1.0,
-            routing=[[0.0, 1.0], [1.0, 0.0]],
-        )
-        with pytest.raises(NumericError, match=r"state 0.*order 3"):
-            compute_moment_table(model, n_max=3)
 
 
 class TestPalmVectors:
@@ -445,7 +435,8 @@ class TestWeights:
 
     @staticmethod
     def rows(dist, rate, residual):
-        return list(_weight_rows([dist], [rate], 20, residual=residual))
+        table = _weights([dist], [rate], 20, residual=residual)
+        return [table[:, n, : n + 1] for n in range(21)]
 
     @pytest.mark.parametrize("name", sorted(WEIGHT_FAMILIES))
     @pytest.mark.parametrize("residual", [False, True], ids=["palm", "residual"])
@@ -530,9 +521,19 @@ class TestWeights:
         sojourns = list(WEIGHT_FAMILIES.values())
         rates = np.full(len(sojourns), WEIGHT_RATE)
         for residual in (False, True):
-            short = list(_weight_rows(sojourns, rates, 6, residual=residual))
-            full = list(_weight_rows(sojourns, rates, 20, residual=residual))
-            assert all(np.array_equal(a, b) for a, b in zip(short, full))
+            short = _weights(sojourns, rates, 6, residual=residual)
+            full = _weights(sojourns, rates, 20, residual=residual)
+            assert np.array_equal(short, full[:, :7, :7])
+
+    def test_branch_chunks_change_no_weight(self, monkeypatch):
+        # one state per chunk must give the tables of one chunk for all
+        sojourns = [dist for name, dist in sorted(WEIGHT_FAMILIES.items()) if name != "tabulated"] * 3
+        rates = WEIGHT_RATE * np.linspace(0.5, 2.0, len(sojourns))
+        for residual in (False, True):
+            whole = _weights(sojourns, rates, 20, residual=residual)
+            with monkeypatch.context() as patch:
+                patch.setattr(moments, "_BRANCH_CHUNK", 1)
+                assert np.array_equal(_weights(sojourns, rates, 20, residual=residual), whole)
 
     def test_tabulated_transform_not_completely_monotone_rejected(self):
         # third differences of 1, 0.5, 0.4, 0.1 turn negative: no law has this transform

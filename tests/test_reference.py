@@ -8,18 +8,23 @@ binomial form of the recursion,
     m^(n) = E_n m0^(n) + sum_{j<n} (-1)^(n-1-j) C(n,j) R^(n-j) (m^(j) - E_n m0^(j)),
 
 with E_n the diagonal ratio of residual to plain transforms.  Its
-cancellation costs up to ten digits at order 20, which 50-digit
-arithmetic absorbs; the model's decimals are read exactly (the shortest
-repr of each parsed float, which is the decimal written in the file).
-The double-precision table, computed by the weight form, must match to
-a relative 1e-12 at every order and under both weightings.
+cancellation costs up to ten digits at order 20 on moderate models,
+which 50-digit arithmetic absorbs (a transform that underflows double
+precision needs as many digits as 1 / tau has); the model's decimals are
+read exactly (the shortest repr of each parsed float, which is the
+decimal written in the file), and hyperexponential branch probabilities
+are normalised in extended precision, so that tau(0) = 1 exactly.  The
+double-precision table, computed by the weight form, must match to a
+relative 1e-12 at every order and under both weightings.
 """
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from mminfenv import (
     Deterministic,
+    EnvironmentModel,
     Exponential,
     Gamma,
     HyperExponential,
@@ -27,7 +32,7 @@ from mminfenv import (
     load_model,
 )
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, random_mixed_model
 
 DIGITS = 50
 ORDER = 20
@@ -35,6 +40,11 @@ ORDER = 20
 
 def exact(value):
     return mp.mpf(repr(float(value)))
+
+
+def branch_probs(dist):
+    probs = [exact(p) for p in dist.probs]
+    return [p / mp.fsum(probs) for p in probs]
 
 
 def transform(dist, s):
@@ -45,7 +55,7 @@ def transform(dist, s):
     if isinstance(dist, Deterministic):
         return mp.exp(-s * exact(dist.value))
     if isinstance(dist, HyperExponential):
-        return mp.fsum(exact(p) * exact(r) / (exact(r) + s) for p, r in zip(dist.probs, dist.rates))
+        return mp.fsum(p * exact(r) / (exact(r) + s) for p, r in zip(branch_probs(dist), dist.rates))
     raise TypeError(f"no reference transform for {dist!r}")
 
 
@@ -56,15 +66,17 @@ def mean(dist):
         return exact(dist.shape) / exact(dist.rate)
     if isinstance(dist, Deterministic):
         return exact(dist.value)
-    return mp.fsum(exact(p) / exact(r) for p, r in zip(dist.probs, dist.rates))
+    return mp.fsum(p / exact(r) for p, r in zip(branch_probs(dist), dist.rates))
 
 
 def residual_transform(dist, s):
+    if s == 0:
+        return mp.mpf(1)
     return (1 - transform(dist, s)) / (s * mean(dist))
 
 
 def reference_factorial_moments(model):
-    """f_N^(n), n = 0..ORDER, under both weightings, in DIGITS-digit arithmetic."""
+    """f_N^(n), n = 0..ORDER, under both weightings, at the working precision."""
     k_count = model.num_states
     routing = mp.matrix([[exact(x) for x in row] for row in model.routing])
     service = [exact(b) * exact(model.mu) for b in model.speeds]
@@ -108,11 +120,9 @@ def reference_factorial_moments(model):
     }
 
 
-@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.yaml")), ids=lambda path: path.stem)
-def test_shipped_models_match_extended_precision(path):
-    model = load_model(path)
+def assert_matches_reference(model, digits=DIGITS):
     table = compute_moment_table(model, n_max=ORDER)
-    with mp.workdps(DIGITS):
+    with mp.workdps(digits):
         reference = reference_factorial_moments(model)
     for weighting, values in reference.items():
         for n in range(ORDER + 1):
@@ -120,3 +130,46 @@ def test_shipped_models_match_extended_precision(path):
                 weighting,
                 n,
             )
+    return table
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.yaml")), ids=lambda path: path.stem)
+def test_shipped_models_match_extended_precision(path):
+    assert_matches_reference(load_model(path))
+
+
+@pytest.mark.parametrize("k_count", [3, 4, 5, 6, 8, 10])
+def test_random_mixed_models_match_extended_precision(k_count):
+    # every family, non-integer gamma shapes included, at generic rates
+    assert_matches_reference(random_mixed_model(k_count, np.random.default_rng(k_count)))
+
+
+def test_zero_speed_state_matches_extended_precision():
+    # the middle state has neither speed nor arrivals: its weights are the identity
+    model = EnvironmentModel(
+        arrival_rates=[2.0, 0.0, 1.0],
+        speeds=[1.0, 0.0, 0.5],
+        sojourns=(
+            Gamma(shape=2.5, rate=1.2),
+            Deterministic(0.5),
+            HyperExponential(probs=(0.3, 0.7), rates=(0.4, 2.5)),
+        ),
+        mu=1.1,
+        routing=[[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]],
+    )
+    assert_matches_reference(model)
+
+
+def test_underflowed_transform_matches_extended_precision():
+    # tau = exp(-300 n) leaves double precision from order 3 on, so the
+    # order matrix has rows e_k there; the alternating reference divides by
+    # tau and needs ~2600 digits to absorb its cancellation at order 20
+    model = EnvironmentModel(
+        arrival_rates=[3.0, 0.2],
+        speeds=[1.0, 1.0],
+        sojourns=(Deterministic(300.0), Exponential(1.0)),
+        mu=1.0,
+        routing=[[0.0, 1.0], [1.0, 0.0]],
+    )
+    table = assert_matches_reference(model, digits=3000)
+    assert np.max(table.identity_residuals["forward_relation"]) <= 1e-12
