@@ -15,11 +15,14 @@ A model file is a single YAML document:
       - [0.0, 1.0]
       - [1.0, 0.0]
 
-Unknown keys are rejected anywhere in the tree (fail closed), and
-``schema_version`` must be 1.  Sojourn families and their parameter
-keys: exponential {rate}, gamma {shape, rate}, deterministic {value},
-hyperexponential {probs, rates}.
+Unknown keys are rejected anywhere in the tree (fail closed), every
+numeric field must be an integer or a float (a bool, a string or null
+is a ModelError naming the field), and ``schema_version`` must be 1.
+Sojourn families and their parameter keys: exponential {rate}, gamma
+{shape, rate}, deterministic {value}, hyperexponential {probs, rates}.
 """
+
+import numbers
 
 import yaml
 
@@ -54,6 +57,22 @@ def _require_keys(mapping: dict, allowed: set, context: str) -> None:
         raise ModelError(f"{context} is missing field(s) {sorted(missing)}")
 
 
+def _number(value, context: str) -> float:
+    """A numeric field as a float: any real number but a bool, else ModelError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{context} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ModelError(f"{context} = {value!r} is out of range: {exc}") from exc
+
+
+def _numbers(values, context: str) -> list:
+    if not isinstance(values, (list, tuple)):
+        raise ModelError(f"{context} must be a list of numbers, got {values!r}")
+    return [_number(value, f"{context}[{index}]") for index, value in enumerate(values)]
+
+
 def _parse_sojourn(node: dict, context: str):
     if not isinstance(node, dict) or "family" not in node:
         raise ModelError(f"{context} must be a mapping with a 'family' field")
@@ -63,21 +82,26 @@ def _parse_sojourn(node: dict, context: str):
             f"{context}: unknown family {family!r}; expected one of {sorted(_FAMILY_KEYS)}"
         )
     _require_keys(node, _FAMILY_KEYS[family] | {"family"}, context)
+    if family == "hyperexponential":
+        return HyperExponential(
+            probs=tuple(_numbers(node["probs"], f"{context}.probs")),
+            rates=tuple(_numbers(node["rates"], f"{context}.rates")),
+        )
+    params = {key: _number(node[key], f"{context}.{key}") for key in sorted(_FAMILY_KEYS[family])}
     if family == "exponential":
-        return Exponential(rate=float(node["rate"]))
+        return Exponential(**params)
     if family == "gamma":
-        return Gamma(shape=float(node["shape"]), rate=float(node["rate"]))
-    if family == "deterministic":
-        return Deterministic(value=float(node["value"]))
-    return HyperExponential(probs=tuple(node["probs"]), rates=tuple(node["rates"]))
+        return Gamma(**params)
+    return Deterministic(**params)
 
 
 def parse_model(document: dict) -> EnvironmentModel:
     """Build an EnvironmentModel from a parsed document tree."""
     _require_keys(document, {"schema_version", "mu", "states", "routing"}, "model document")
-    if document["schema_version"] != SCHEMA_VERSION:
+    version = document["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ModelError(
-            f"unsupported schema_version {document['schema_version']!r}; expected {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
         )
     states = document["states"]
     if not isinstance(states, list) or not states:
@@ -88,18 +112,19 @@ def parse_model(document: dict) -> EnvironmentModel:
     for index, state in enumerate(states):
         context = f"states[{index}]"
         _require_keys(state, {"lambda", "beta", "sojourn"}, context)
-        arrival_rates.append(float(state["lambda"]))
-        speeds.append(float(state["beta"]))
+        arrival_rates.append(_number(state["lambda"], f"{context}.lambda"))
+        speeds.append(_number(state["beta"], f"{context}.beta"))
         sojourns.append(_parse_sojourn(state["sojourn"], f"{context}.sojourn"))
     routing = document["routing"]
     if not isinstance(routing, list):
         raise ModelError("'routing' must be a list of rows")
+    routing = [_numbers(row, f"routing[{index}]") for index, row in enumerate(routing)]
     try:
         return EnvironmentModel(
             arrival_rates=arrival_rates,
             speeds=speeds,
             sojourns=tuple(sojourns),
-            mu=float(document["mu"]),
+            mu=_number(document["mu"], "mu"),
             routing=routing,
         )
     except (TypeError, ValueError) as exc:

@@ -44,12 +44,13 @@ compared (simulation adjudicates; see the README).
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .distributions import Deterministic, Exponential, Gamma, HyperExponential
-from .environment import ChainStatics, EnvironmentModel, chain_statics, require_valid
+from .environment import ChainStatics, EnvironmentModel, chain_statics
 from .errors import ModelError, NumericError
 from .stirling import StirlingTables
 
@@ -76,6 +77,9 @@ SOLVE_RESIDUAL_LIMIT = 1e-8
 _NEGATIVITY_FLOOR = 1e-10
 
 WEIGHTINGS = ("embedded", "occupancy")
+
+# the Stirling triangles of each order, built once
+_stirling_tables = lru_cache(maxsize=None)(StirlingTables)
 
 
 def _check_order(n_max: int) -> int:
@@ -147,6 +151,14 @@ _LEGENDRE_NODES = 40
 _BRANCH_CHUNK = 1024
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(size: int):
+    """The ``size``-point Gauss-Legendre rule on [0, 1], built once and read-only."""
+    nodes, probs = _gauss_beta(1.0, 1.0, size)
+    nodes.flags.writeable = probs.flags.writeable = False
+    return nodes, probs
+
+
 def _exponential_weights(rates: np.ndarray, service: np.ndarray, n_max: int) -> np.ndarray:
     """Weight tables of exponential sojourns, one (n_max + 1)-square table per rate.
 
@@ -185,7 +197,7 @@ def _gamma_scale_rule(a: float, b: float, c: float):
     low = 4.0**-panels
     z, p = _gauss_beta(a, 1.0, _PANEL_NODES)
     nodes, probs = [low * z], [p * low**a / a * (1.0 - low * z) ** (b - 1.0)]
-    z, p = _gauss_beta(1.0, 1.0, _PANEL_NODES)
+    z, p = _legendre_rule(_PANEL_NODES)
     lo = 4.0 ** -np.arange(panels, 1, -1.0)[:, np.newaxis]
     x = lo * (1.0 + 3.0 * z)
     nodes.append(x.ravel())
@@ -281,7 +293,7 @@ def _integrated_powers(c: np.ndarray, n_max: int) -> np.ndarray:
     y = -np.expm1(-c)[:, np.newaxis]
     partial = np.cumsum(np.hstack((np.zeros((len(c), 1)), y ** n[1:] / n[1:])), axis=1)
     closed = c[:, np.newaxis] - partial
-    nodes, probs = _gauss_beta(1.0, 1.0, _LEGENDRE_NODES)
+    nodes, probs = _legendre_rule(_LEGENDRE_NODES)
     base = -np.expm1(-np.multiply.outer(c, nodes))
     quadrature = c[:, np.newaxis] * (base[:, np.newaxis, :] ** n[:, np.newaxis] * probs).sum(axis=2)
     return np.where(c[:, np.newaxis] >= 2.0 * harmonic, closed, quadrature)
@@ -387,18 +399,19 @@ def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray = None) 
     return matrix
 
 
-def _solve(matrix: np.ndarray, tau: np.ndarray, rhs: np.ndarray):
-    """Solve ``matrix x = rhs``; return x and the exact inf-norm condition number.
+def _solve(matrix: np.ndarray, norm: float, rhs: np.ndarray):
+    """Solve ``matrix x = rhs[:, 0]``; return x and the exact inf-norm condition number.
 
     matrix = I - diag(tau) Q with Q irreducible, nonnegative,
     row-stochastic and zero on its diagonal, 0 <= tau <= 1, and tau < 1
     in every state of positive speed: an irreducibly diagonally dominant
     M-matrix, so its inverse is nonnegative.  Hence ||matrix^-1||_inf is
-    the largest entry of matrix^-1 1, solved in the same factorisation as
-    a second right-hand side, and ||matrix||_inf = max(1 + tau).
+    the largest entry of matrix^-1 1, solved in the same factorisation
+    from ``rhs[:, 1]``, which must be the ones vector, and
+    ``norm = ||matrix||_inf = max(1 + tau)``.
     """
-    both = np.linalg.solve(matrix, np.column_stack((rhs, np.ones(len(rhs)))))
-    return np.ascontiguousarray(both[:, 0]), float(np.max(1.0 + tau) * np.max(both[:, 1]))
+    both = np.linalg.solve(matrix, rhs)
+    return both[:, 0].copy(), norm * float(both[:, 1].max())
 
 
 def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int):
@@ -409,13 +422,17 @@ def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int)
     underflow, which makes row k the unit row e_k), and the condition
     number is the exact inf-norm one from the same two-column solve (see
     ``_solve``), so both agree bit for bit with ``palm_moment_vectors``.
+    Orders run from 1 to MAX_ORDER.
     """
     if order < 1:
         raise ValueError(f"recursion matrix is defined for order >= 1, got {order}")
+    order = _check_order(order)
     tau = _weights(model.sojourns, model.service_rates, order)[:, order, order]
     matrix = _order_matrix(statics.reversed_routing, tau)
+    rhs = np.ones((len(tau), 2))
+    rhs[:, 0] = 0.0
     try:
-        condition = _solve(matrix, tau, np.zeros(len(tau)))[1]
+        condition = _solve(matrix, float(np.max(1.0 + tau)), rhs)[1]
     except np.linalg.LinAlgError:
         condition = float("inf")
     return matrix, condition
@@ -427,10 +444,10 @@ def _require_nonnegative(vec: np.ndarray, context: str) -> None:
     Entries below the roundoff floor indicate numerical breakdown and
     raise; values are never clamped.
     """
-    if not np.all(np.isfinite(vec)):
+    low, high = float(vec.min()), float(vec.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise NumericError(f"{context}: non-finite moment entries {vec!r}")
-    floor = -_NEGATIVITY_FLOOR * max(1.0, float(np.max(np.abs(vec))))
-    if np.any(vec < floor):
+    if low < -_NEGATIVITY_FLOOR * max(1.0, high, -low):
         raise NumericError(
             f"{context}: moment entries turned negative ({vec!r}); "
             "this indicates numerical breakdown, not a valid result"
@@ -469,33 +486,39 @@ def palm_moment_vectors(
 
     with R the diagonal matrix of offered loads; the second right-hand
     side, the ones vector, gives the exact condition number.  Solve
-    residuals above 1e-8 raise NumericError carrying it.
+    residuals above 1e-8 raise NumericError carrying it.  The model is
+    validated by ``chain_statics``; statics passed in certify it.
     """
-    require_valid(model)
     n_max = _check_order(n_max)
     if statics is None:
         statics = chain_statics(model)
     routing = statics.reversed_routing
+    k_count = model.num_states
     load_powers = offered_loads(model)[:, np.newaxis] ** np.arange(n_max + 1)
+    weights = _weights(model.sojourns, model.service_rates, n_max)
+    # tau of every order, taus[n, k] = w_k[n, n], and ||I - diag(tau) Q||_inf
+    taus = np.diagonal(weights, axis1=1, axis2=2).T
+    norms = np.max(1.0 + taus, axis=1).tolist()
 
-    vectors = [np.ones(model.num_states)]
-    routed = np.empty((model.num_states, n_max + 1))
+    vectors = [np.ones(k_count)]
+    routed = np.empty((k_count, n_max + 1))
     routed[:, 0] = routing @ vectors[0]
     condition = np.full(n_max + 1, np.nan)
     solve_residual = np.full(n_max + 1, np.nan)
 
-    buffer = np.empty_like(routing)
-    weights = _weights(model.sojourns, model.service_rates, n_max)
+    matrix = np.empty_like(routing)
+    # the right-hand side of each order, beside the ones vector
+    both = np.ones((k_count, 2))
     for n in range(1, n_max + 1):
-        tau = weights[:, n, n]
-        matrix = _order_matrix(routing, tau, out=buffer)
+        _order_matrix(routing, taus[n], out=matrix)
         rhs = (weights[:, n, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
+        both[:, 0] = rhs
         try:
-            solution, cond = _solve(matrix, tau, rhs)
+            solution, cond = _solve(matrix, norms[n], both)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"order-{n} system is singular: {exc}") from exc
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        residual = float(np.max(np.abs(matrix @ solution - rhs))) / scale
+        scale = max(float(np.abs(rhs).max()), 1e-300)
+        residual = float(np.abs(matrix @ solution - rhs).max()) / scale
         if residual > SOLVE_RESIDUAL_LIMIT:
             raise NumericError(
                 f"order-{n} solve is ill-conditioned: relative residual {residual:.3e} "
@@ -595,7 +618,7 @@ def assemble_moment_table(
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     n_max = palm.n_max
-    tables = StirlingTables(n_max)
+    tables = _stirling_tables(n_max)
     weights = {"embedded": statics.pi, "occupancy": statics.occupancy}
     aggregated = {}
     raw = {}
@@ -697,34 +720,54 @@ def forward_relation_residuals(
 
         sum_j (-1)^j C(n,j) (m0^(j)' Pi - (m0^(j)' Pi P) diag(tau)) R^(n-j) = 0,
 
-    with tau_k = tau_k(n mu_k) read from each law's ``laplace``, an
-    independent source for the weights the solve used.  It exercises an
-    independent code path and is returned here as a scaled max-norm
-    residual per order (order 0 included: it reduces to the stationarity
-    of pi).
+    with tau_k = tau_k(n mu_k) read from the laws' transforms (one
+    ``laplace_table`` per law family), an independent source for the
+    weights the solve used.  It exercises an independent code path and
+    is returned here as a scaled max-norm residual per order (order 0
+    included: it reduces to the stationarity of pi).
     """
     rho = offered_loads(model)
     rho_top = max(float(np.max(rho)), 1e-300)
     rows = np.array(palm.vectors) * statics.pi
-    service = model.service_rates.tolist()
-    transforms = [[d.laplace(n * a) for d, a in zip(model.sojourns, service)] for n in range(len(rows))]
+    orders = np.arange(len(rows))
+    coeffs = _signed_binomials(len(rows) - 1)
+    transforms = _transform_table(model.sojourns, np.multiply.outer(orders, model.service_rates))
     # row @ (I - P diag(tau)) = row - (row @ P) * tau, with all rows @ P in one product
     rows_routed = rows @ model.routing
-    row_norms = np.abs(rows).max(axis=1)
-    rho_powers = rho ** np.arange(len(rows))[:, np.newaxis]
-    routing_col_sums = model.routing.sum(axis=0)
+    rho_powers = rho ** orders[:, np.newaxis]
 
-    residuals = np.zeros(len(rows))
-    for n, tau in enumerate(np.array(transforms)):
-        coeffs = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
+    # scale by the input magnitudes, not the realized (cancelling) terms:
+    # a bound on |row @ matrix| is |row|_inf times the matrix 1-norm,
+    # which is max(1 + tau * column sums of P) exactly since P >= 0 has
+    # zero diagonal and tau >= 0
+    matrix_bounds = np.max(1.0 + transforms * model.routing.sum(axis=0), axis=1)
+    lags = np.maximum(orders[:, np.newaxis] - orders, 0)
+    top_terms = np.abs(coeffs) * np.abs(rows).max(axis=1) * (rho_top ** orders)[lags]
+    scales = np.maximum(top_terms.max(axis=1) * matrix_bounds, 1e-300)
+
+    residuals = np.empty(len(rows))
+    for n, tau in enumerate(transforms):
         terms = (rows[: n + 1] - rows_routed[: n + 1] * tau) * rho_powers[n::-1]
-        total = coeffs @ terms
-        # scale by the input magnitudes, not the realized (cancelling) terms:
-        # a bound on |row @ matrix| is |row|_inf times the matrix 1-norm,
-        # which is max(1 + tau * column sums of P) exactly since P >= 0 has
-        # zero diagonal and tau >= 0
-        matrix_bound = float(np.max(1.0 + tau * routing_col_sums))
-        top_terms = np.abs(coeffs) * row_norms[: n + 1] * rho_top ** np.arange(n, -1, -1)
-        scale = max(float(np.max(top_terms)) * matrix_bound, 1e-300)
-        residuals[n] = float(np.max(np.abs(total))) / scale
-    return residuals
+        residuals[n] = np.abs(coeffs[n, : n + 1] @ terms).max()
+    return residuals / scales
+
+
+@lru_cache(maxsize=None)
+def _signed_binomials(n_max: int) -> np.ndarray:
+    """(-1)^j C(n, j) at [n, j] for n, j <= n_max, 0 above the diagonal; built once, read-only."""
+    table = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        table[n, : n + 1] = [(-1.0) ** j * math.comb(n, j) for j in range(n + 1)]
+    table.flags.writeable = False
+    return table
+
+
+def _transform_table(sojourns, arguments: np.ndarray) -> np.ndarray:
+    """``sojourns[k].laplace(arguments[i, k])``, evaluated one law family at a time."""
+    families = {}
+    for k, dist in enumerate(sojourns):
+        families.setdefault(type(dist), []).append(k)
+    table = np.empty_like(arguments)
+    for family, states in families.items():
+        table[:, states] = family.laplace_table([sojourns[k] for k in states], arguments[:, states])
+    return table

@@ -62,25 +62,24 @@ class StirlingTables:
 
     def raw_from_factorial(self, factorial_moments) -> np.ndarray:
         """Raw moments from factorial moments: m^(l) = sum_j S2[l][j] f^(j)."""
-        f = np.asarray(factorial_moments, dtype=float)
-        self._check_len(f)
-        return np.array(
-            [
-                sum(self.second_kind[l][j] * f[j] for j in range(l + 1))
-                for l in range(f.size)
-            ]
-        )
+        return self._contract(self.second_kind, factorial_moments)
 
     def factorial_from_raw(self, raw_moments) -> np.ndarray:
         """Factorial moments from raw moments via the signed first-kind triangle."""
-        m = np.asarray(raw_moments, dtype=float)
-        self._check_len(m)
-        return np.array(
-            [
-                sum(self.first_kind[l][j] * m[j] for j in range(l + 1))
-                for l in range(m.size)
-            ]
-        )
+        return self._contract(self.first_kind, raw_moments)
+
+    def _contract(self, triangle, moments) -> np.ndarray:
+        """sum_j triangle[l][j] moments[j] for each l, summed left to right in float64."""
+        values = np.asarray(moments, dtype=float)
+        self._check_len(values)
+        values = values.tolist()
+        out = []
+        for row in triangle[: len(values)]:
+            total = 0.0
+            for coefficient, value in zip(row, values):
+                total += coefficient * value
+            out.append(total)
+        return np.array(out)
 
     def _check_len(self, seq) -> None:
         if seq.size - 1 > self.n_max:

@@ -24,6 +24,24 @@ K2_GAMMA = str(MODELS_DIR / "k2_gamma_exp.yaml")
 K2_EXP = str(MODELS_DIR / "k2_exponential.yaml")
 
 
+# (place in the document, malformed value, field the error must name)
+MALFORMED_NUMBERS = [
+    (("states", 0, "lambda"), None, "states[0].lambda"),
+    (("states", 0, "lambda"), True, "states[0].lambda"),
+    (("states", 0, "beta"), "0.8", "states[0].beta"),
+    (("states", 0, "sojourn", "rate"), [4.0], "states[0].sojourn.rate"),
+    (("states", 0, "sojourn", "rate"), "fast", "states[0].sojourn.rate"),
+    (("states", 1, "sojourn", "shape"), None, "states[1].sojourn.shape"),
+    (("states", 2, "sojourn", "value"), False, "states[2].sojourn.value"),
+    (("states", 3, "sojourn", "probs", 0), "0.4", "states[3].sojourn.probs[0]"),
+    (("states", 3, "sojourn", "rates"), 2.0, "states[3].sojourn.rates"),
+    (("mu",), True, "mu"),
+    (("mu",), [1.0], "mu"),
+    (("routing", 0, 1), True, "routing[0][1]"),
+    (("routing", 1, 0), None, "routing[1][0]"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -90,6 +108,37 @@ class TestMoments:
         code, _, err = run(capsys, "moments", "--model", str(bad))
         assert code == 2
         assert "unknown field" in err
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        MALFORMED_NUMBERS,
+        ids=[f"{field}={value!r}" for _, value, field in MALFORMED_NUMBERS],
+    )
+    def test_malformed_number_exits_2_naming_the_field(self, capsys, tmp_path, path, value, field):
+        document = {
+            "schema_version": 1,
+            "mu": 1,
+            "states": [
+                {"lambda": 1.0, "beta": 1, "sojourn": {"family": "exponential", "rate": 4.0}},
+                {"lambda": 0.5, "beta": 0.5, "sojourn": {"family": "gamma", "shape": 2, "rate": 1.5}},
+                {"lambda": 2, "beta": 0.8, "sojourn": {"family": "deterministic", "value": 1.5}},
+                {"lambda": 0.0, "beta": 0.7,
+                 "sojourn": {"family": "hyperexponential", "probs": [0.4, 0.6], "rates": [0.5, 2]}},
+            ],
+            "routing": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+        }
+        good = tmp_path / "good.yaml"
+        good.write_text(yaml.safe_dump(document))
+        assert run(capsys, "moments", "--model", str(good), "--order", "2")[0] == 0
+        node = document
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(document))
+        code, _, err = run(capsys, "moments", "--model", str(bad), "--order", "2")
+        assert code == 2
+        assert f"{field} must be a" in err
 
     def test_numeric_failure_exits_3(self, capsys, tmp_path):
         # deterministic sojourn so long that the transform underflows: the

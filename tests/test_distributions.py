@@ -214,3 +214,44 @@ class TestTabulatedLaplace:
             dist.sample(rng)
         with pytest.raises(ModelError):
             dist.sample_residual(rng)
+
+
+GRID = np.linspace(0.0, 60.0, 41)
+TABLE_LAWS = {
+    Exponential: [Exponential(rate=2.0), Exponential(rate=0.37), Exponential(rate=1e-3)],
+    Gamma: [Gamma(shape=2.0, rate=3.0), Gamma(shape=0.5, rate=1.0), Gamma(shape=2.6, rate=0.4)],
+    Deterministic: [Deterministic(value=1.0), Deterministic(value=0.3), Deterministic(value=35.0)],
+    HyperExponential: [
+        HyperExponential(probs=(0.3, 0.7), rates=(0.5, 2.0)),
+        HyperExponential(probs=(0.0, 1.0), rates=(4.0, 0.8)),
+        HyperExponential(probs=(1.0,), rates=(1.3,)),
+    ],
+    TabulatedLaplace: [
+        TabulatedLaplace(points=GRID, values=2.0 / (2.0 + GRID), mean_value=0.5),
+        TabulatedLaplace(
+            points=np.array([0.0, 25.0, 60.0]), values=np.array([1.0, 0.4, 0.1]), mean_value=1.0
+        ),
+        TabulatedLaplace(points=np.array([0.0, 60.0]), values=np.array([1.0, 0.2]), mean_value=2.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", list(TABLE_LAWS), ids=lambda family: family.__name__)
+def test_laplace_table_equals_scalar_laplace_bit_for_bit(family):
+    # arguments n a_k as the forward check forms them, with a zero-speed
+    # column (all arguments 0) and a non-integer speed
+    laws = TABLE_LAWS[family]
+    arguments = np.multiply.outer(np.arange(21), np.array([0.0, 0.713, 2.9]))
+    table = family.laplace_table(laws, arguments)
+    assert table.shape == arguments.shape
+    expected = np.array([[law.laplace(s) for law, s in zip(laws, row)] for row in arguments.tolist()])
+    assert np.array_equal(table, expected)
+    assert np.all(table[:, 0] == 1.0)
+
+
+def test_laplace_table_rejects_bad_arguments():
+    for family, laws in TABLE_LAWS.items():
+        for bad in (-0.5, np.nan, np.inf):
+            arguments = np.array([[0.0, 1.0, bad]])
+            with pytest.raises(ValueError):
+                family.laplace_table(laws, arguments)

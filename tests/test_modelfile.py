@@ -105,6 +105,14 @@ class TestSchema:
         with pytest.raises(ModelError, match="schema_version"):
             parse_model(document)
 
+    @pytest.mark.parametrize("version", [True, "1", None])
+    def test_non_integer_schema_version_rejected(self, version):
+        # true == 1 in Python, but a bool is not a version number
+        document = minimal_document()
+        document["schema_version"] = version
+        with pytest.raises(ModelError, match="schema_version"):
+            parse_model(document)
+
     def test_unknown_family_rejected(self):
         document = minimal_document()
         document["states"][0]["sojourn"] = {"family": "weibull", "rate": 1.0}

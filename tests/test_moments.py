@@ -26,8 +26,8 @@ from mminfenv import (
     recursion_matrix,
     stationary_moment_vectors,
 )
-from mminfenv import moments
-from mminfenv.moments import _require_nonnegative, _weights
+from mminfenv import environment, moments
+from mminfenv.moments import MAX_ORDER, _require_nonnegative, _weights
 
 from conftest import (
     MODELS_DIR,
@@ -138,6 +138,12 @@ class TestRecursionMatrix:
             matrix, condition = recursion_matrix(model, statics, order)
             assert condition == pytest.approx(np.linalg.cond(matrix, np.inf), rel=1e-12)
             assert palm.condition[order] == condition
+
+    @pytest.mark.parametrize("order", [0, MAX_ORDER + 1, 60])
+    def test_order_outside_the_supported_range_raises(self, order):
+        model = identical_state_model()
+        with pytest.raises(ValueError, match="order"):
+            recursion_matrix(model, chain_statics(model), order)
 
 
 class TestPalmVectors:
@@ -329,6 +335,75 @@ class TestNonnegativityGuard:
         vec = np.array([1.0, -1e-14])
         _require_nonnegative(vec, "unit test")
         assert vec[1] == -1e-14  # not clamped
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        with pytest.raises(NumericError, match="non-finite"):
+            _require_nonnegative(np.array([1.0, bad, 2.0]), "unit test")
+
+    @staticmethod
+    def former_verdict(vec):
+        # the guard as it was first written, with numpy reductions
+        if not np.all(np.isfinite(vec)):
+            return "non-finite"
+        floor = -1e-10 * max(1.0, float(np.max(np.abs(vec))))
+        return "negative" if np.any(vec < floor) else None
+
+    @pytest.mark.parametrize("scale", [1.0, 0.25, 3e6])
+    def test_floor_edges_match_the_former_guard(self, scale):
+        floor = -1e-10 * max(1.0, scale)
+        cases = [
+            np.array([scale, floor]),
+            np.array([scale, np.nextafter(floor, 0.0)]),
+            np.array([scale, np.nextafter(floor, -1.0)]),
+            np.array([np.nextafter(floor, -1.0), scale]),
+            np.array([-scale, 0.5]),
+        ]
+        for vec in cases:
+            expected = self.former_verdict(vec)
+            if expected is None:
+                _require_nonnegative(vec, "unit test")
+            else:
+                with pytest.raises(NumericError, match=expected):
+                    _require_nonnegative(vec, "unit test")
+        # just above the floor passes, just below raises
+        _require_nonnegative(np.array([scale, np.nextafter(floor, 0.0)]), "unit test")
+        with pytest.raises(NumericError, match="negative"):
+            _require_nonnegative(np.array([scale, np.nextafter(floor, -1.0)]), "unit test")
+
+
+class TestFixedCosts:
+    """Per-call work that must not come back: counted, never timed."""
+
+    def test_moment_table_validates_the_model_once(self, k3_mixed_model, monkeypatch):
+        calls = []
+        original = environment.validate_model
+        monkeypatch.setattr(environment, "validate_model", lambda model: calls.append(1) or original(model))
+        compute_moment_table(k3_mixed_model, n_max=5)
+        assert len(calls) == 1
+
+    def test_forward_check_makes_no_scalar_exponential_transform_call(self, monkeypatch):
+        model = random_exponential_model(50, np.random.default_rng(50))
+        statics = chain_statics(model)
+        palm = palm_moment_vectors(model, statics, n_max=20)
+        calls = []
+        original = Exponential.laplace
+        monkeypatch.setattr(Exponential, "laplace", lambda self, s: calls.append(s) or original(self, s))
+        residuals = forward_relation_residuals(model, statics, palm)
+        assert not calls
+        assert np.max(residuals) < 1e-12
+
+    def test_legendre_rule_is_built_once(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda matrix: calls.append(1) or original(matrix))
+        moments._legendre_rule.cache_clear()
+        first = _weights([Deterministic(1.5)], [0.9], 20, residual=True)
+        second = _weights([Deterministic(1.5)], [0.9], 20, residual=True)
+        assert len(calls) == 1
+        assert np.array_equal(first, second)
+        nodes, probs = moments._legendre_rule(40)
+        assert not nodes.flags.writeable and not probs.flags.writeable
 
 
 class TestIdentityChecks:

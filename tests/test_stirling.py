@@ -65,3 +65,20 @@ def test_order_overflow_rejected():
         tables.raw_from_factorial(np.ones(6))
     with pytest.raises(ValueError):
         StirlingTables(-1)
+
+
+def test_contractions_match_the_numpy_scalar_sums_bit_for_bit():
+    # the former form: generator sums of exact integers times numpy
+    # scalars, left to right; the list form must give the same bits
+    tables = StirlingTables(20)
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 9, 21):
+        for values in (rng.uniform(0.0, 5.0, size) ** np.arange(size), rng.standard_normal(size) * 1e3):
+            for triangle, convert in (
+                (tables.second_kind, tables.raw_from_factorial),
+                (tables.first_kind, tables.factorial_from_raw),
+            ):
+                expected = np.array(
+                    [sum(triangle[l][j] * values[j] for j in range(l + 1)) for l in range(size)]
+                )
+                assert np.array_equal(convert(values), expected)
