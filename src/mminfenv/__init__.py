@@ -19,8 +19,6 @@ from .environment import (
     EnvironmentModel,
     chain_statics,
     mean_cycle_length,
-    require_valid,
-    validate_model,
 )
 from .errors import EstimationError, ModelError, NumericError
 from .closedform import TwoStateModel, kummer_reference
@@ -85,11 +83,9 @@ __all__ = [
     "palm_moment_vectors",
     "parse_model",
     "recursion_matrix",
-    "require_valid",
     "simulate_environment",
     "simulate_queue",
     "stationarity_check",
     "stationary_moment_vectors",
-    "validate_model",
     "__version__",
 ]

@@ -23,11 +23,11 @@ import numpy as np
 
 from . import closedform
 from .distributions import Exponential, Gamma
-from .environment import chain_statics, mean_cycle_length, validate_model
+from .environment import chain_statics, mean_cycle_length
 from .errors import EstimationError, ModelError, NumericError
 from .modelfile import load_model, model_to_dict
 from .moments import WEIGHTINGS, compute_moment_table
-from .sim import SimulationConfig, default_warmup, estimate_factorial_moments
+from .sim import MAX_ESTIMATED_ORDER, SimulationConfig, default_warmup, estimate_factorial_moments
 
 __all__ = ["main", "entry_point", "RunReport", "CheckVerdict", "structural_checks"]
 
@@ -191,12 +191,12 @@ def _relative_gap(a, b) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
-def _load_and_check(path) -> tuple:
-    model = load_model(path)
-    violations = validate_model(model)
-    if violations:
-        raise ModelError(f"model file {path} is invalid: " + "; ".join(violations))
-    return model, model_to_dict(model)
+def _check_simulation_order(args) -> None:
+    if not 1 <= args.order <= MAX_ESTIMATED_ORDER:
+        raise ValueError(
+            f"{args.command} needs --order from 1 to at most {MAX_ESTIMATED_ORDER} "
+            f"(simulation cap), got {args.order}"
+        )
 
 
 def _tolerances_from_args(args) -> dict:
@@ -220,14 +220,14 @@ def _table_dict(table) -> dict:
 
 
 def cmd_moments(args) -> tuple:
-    model, model_echo = _load_and_check(args.model)
+    model = load_model(args.model)
     weighting = args.weighting
     table = compute_moment_table(
         model, n_max=args.order, weighting="occupancy" if weighting == "both" else weighting
     )
     report = RunReport(
         command="moments",
-        model=model_echo,
+        model=model_to_dict(model),
         config={"order": args.order, "weighting": weighting},
         table=_table_dict(table),
     )
@@ -280,13 +280,12 @@ def _run_simulation(args, model, statics) -> tuple:
 
 
 def cmd_simulate(args) -> tuple:
-    model, model_echo = _load_and_check(args.model)
-    if args.order > 6:
-        raise ModelError(f"simulation estimates orders up to 6, got --order {args.order}")
+    _check_simulation_order(args)
+    model = load_model(args.model)
     config, estimate, echo = _run_simulation(args, model, chain_statics(model))
     report = RunReport(
         command="simulate",
-        model=model_echo,
+        model=model_to_dict(model),
         config=echo,
         simulation=estimate.to_dict(),
     )
@@ -307,14 +306,14 @@ def cmd_simulate(args) -> tuple:
 
 
 def cmd_validate(args) -> tuple:
-    model, model_echo = _load_and_check(args.model)
+    model = load_model(args.model)
     tolerances = _tolerances_from_args(args)
     table = compute_moment_table(model, n_max=args.order)
     verdicts = structural_checks(model, table, tolerances)
 
     report = RunReport(
         command="validate",
-        model=model_echo,
+        model=model_to_dict(model),
         config={"order": args.order, "tolerances": tolerances},
         verdicts=verdicts,
     )
@@ -330,11 +329,8 @@ def cmd_validate(args) -> tuple:
 
 
 def cmd_compare(args) -> tuple:
-    model, model_echo = _load_and_check(args.model)
-    if args.order > 6:
-        raise ModelError(
-            f"compare needs --order at most 6 (simulation cap), got {args.order}"
-        )
+    _check_simulation_order(args)
+    model = load_model(args.model)
     tolerances = _tolerances_from_args(args)
     statics = chain_statics(model)
     table = compute_moment_table(model, n_max=args.order, statics=statics, with_checks=False)
@@ -358,7 +354,7 @@ def cmd_compare(args) -> tuple:
 
     report = RunReport(
         command="compare",
-        model=model_echo,
+        model=model_to_dict(model),
         config={**echo, "z_max": tolerances["z_max"]},
         table=_table_dict(table),
         simulation=estimate.to_dict(),

@@ -18,8 +18,6 @@ from .errors import ModelError, NumericError
 __all__ = [
     "EnvironmentModel",
     "ChainStatics",
-    "validate_model",
-    "require_valid",
     "chain_statics",
     "mean_cycle_length",
 ]
@@ -31,6 +29,13 @@ CONDITION_LIMIT = 1e12
 @dataclass(frozen=True)
 class EnvironmentModel:
     """Full specification of the modulated infinite-server queue.
+
+    Construction checks every structural requirement (at least two
+    states, positive mu, finite nonnegative rates, speeds in [0, 1], no
+    divergent load, an irreducible row-stochastic routing matrix with
+    zero diagonal) and raises one ModelError listing every violation.
+    The model is frozen and its arrays are read-only, so a model that
+    exists is valid and nothing downstream checks it again.
 
     Parameters
     ----------
@@ -75,6 +80,9 @@ class EnvironmentModel:
         object.__setattr__(self, "sojourns", sojourns)
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "routing", routing)
+        report = _violations(self)
+        if report:
+            raise ModelError("invalid model: " + "; ".join(report))
 
     @property
     def num_states(self) -> int:
@@ -125,11 +133,11 @@ def _is_irreducible(routing: np.ndarray) -> bool:
     return bool(_reachable(positive, 0).all() and _reachable(positive.T, 0).all())
 
 
-def validate_model(model: EnvironmentModel) -> list:
-    """Check every structural requirement; return the list of violations.
+def _violations(model: EnvironmentModel) -> list:
+    """Every structural requirement the model breaks, as human-readable strings.
 
-    An empty list means the model is valid.  Violations are reported as
-    human-readable strings; nothing is raised.
+    The only structural check in the package; ``EnvironmentModel`` runs
+    it once, at construction.
     """
     report = []
     lam, beta, routing = model.arrival_rates, model.speeds, model.routing
@@ -147,7 +155,8 @@ def validate_model(model: EnvironmentModel) -> list:
         report.append("at least one state must have a positive arrival rate")
     if np.all(beta <= 0.0):
         report.append("at least one state must have a positive speed")
-    bad = np.flatnonzero((lam > 0.0) & (beta == 0.0))
+    # the service rate, not the speed: a tiny speed times a tiny mu may underflow to 0
+    bad = np.flatnonzero((lam > 0.0) & (model.service_rates == 0.0))
     for k in bad:
         report.append(
             f"state {k} has positive arrivals but zero speed (offered load diverges)"
@@ -167,13 +176,6 @@ def validate_model(model: EnvironmentModel) -> list:
     if k_count >= 2 and not _is_irreducible(routing):
         report.append("routing matrix is not irreducible")
     return report
-
-
-def require_valid(model: EnvironmentModel) -> None:
-    """Raise ModelError listing every violated invariant, if any."""
-    report = validate_model(model)
-    if report:
-        raise ModelError("invalid model: " + "; ".join(report))
 
 
 def _stationary_law(routing: np.ndarray):
@@ -218,7 +220,6 @@ def chain_statics(model: EnvironmentModel) -> ChainStatics:
     number of the reduced M-matrix; above 1e12 it raises NumericError, as
     does a balance residual pi P - pi above 1e-10.
     """
-    require_valid(model)
     routing = model.routing
 
     pi, _, condition = _stationary_law(routing)

@@ -96,7 +96,11 @@ def _parse_sojourn(node: dict, context: str):
 
 
 def parse_model(document: dict) -> EnvironmentModel:
-    """Build an EnvironmentModel from a parsed document tree."""
+    """Build an EnvironmentModel from a parsed document tree.
+
+    A structurally invalid model raises the model's own ModelError,
+    which lists every violation.
+    """
     _require_keys(document, {"schema_version", "mu", "states", "routing"}, "model document")
     version = document["schema_version"]
     if isinstance(version, bool) or version != SCHEMA_VERSION:
@@ -127,6 +131,8 @@ def parse_model(document: dict) -> EnvironmentModel:
             mu=_number(document["mu"], "mu"),
             routing=routing,
         )
+    except ModelError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
 

@@ -98,20 +98,12 @@ def offered_loads(model: EnvironmentModel) -> np.ndarray:
     """Per-state offered load rho_k = lambda_k / (beta_k mu).
 
     States with zero arrivals get rho_k = 0 even when their speed is
-    zero; a state with positive arrivals and zero speed has divergent
-    load and is rejected.
+    zero (the model rejects positive arrivals at zero speed).
     """
     lam = model.arrival_rates
-    service = model.service_rates
-    bad = np.flatnonzero((lam > 0.0) & (service == 0.0))
-    if bad.size:
-        raise ModelError(
-            f"state(s) {bad.tolist()} have positive arrivals but zero service speed: "
-            "offered load diverges"
-        )
     rho = np.zeros(model.num_states)
     active = lam > 0.0
-    rho[active] = lam[active] / service[active]
+    rho[active] = lam[active] / model.service_rates[active]
     return rho
 
 

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .environment import ChainStatics, EnvironmentModel, chain_statics, mean_cycle_length, require_valid
+from .environment import ChainStatics, EnvironmentModel, chain_statics, mean_cycle_length
 from .errors import EstimationError
 
 __all__ = [
@@ -195,7 +195,6 @@ def simulate_environment(
     state in the chunk is drawn in one call, states in index order.  The
     path ends with the first segment whose end reaches the horizon.
     """
-    require_valid(model)
     if statics is None:
         statics = chain_statics(model)
     routing_cdf = _normalised_cdf(model.routing).tolist()
@@ -330,7 +329,6 @@ def estimate_factorial_moments(
     falling factorials of the sampled counts per replication, and
     reports the across-replication mean and standard error per order.
     """
-    require_valid(model)
     statics = chain_statics(model)
     interval = config.resolved_interval(model, statics)
     grid = _sampling_grid(config, interval)

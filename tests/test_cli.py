@@ -314,6 +314,14 @@ class TestOrderCap:
         assert code == 2
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("verb", ["simulate", "compare"])
+    @pytest.mark.parametrize("order", ["0", "-1", "7"])
+    def test_simulation_order_out_of_range_exits_2(self, capsys, verb, order):
+        code, out, err = run(capsys, verb, "--model", IDENTICAL, "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {verb} needs --order from 1 to at most 6 (simulation cap), got {order}\n"
+
 
 def run_python(*args, check=True, cwd=None):
     """Run a fresh interpreter on the package source tree."""

@@ -13,8 +13,8 @@ from mminfenv import (
     chain_statics,
     load_model,
     mean_cycle_length,
-    validate_model,
 )
+from mminfenv import environment
 from mminfenv.environment import _stationary_law
 
 from conftest import MODELS_DIR, random_exponential_model, random_mixed_model, random_routing
@@ -47,44 +47,57 @@ def model_with_routing(routing):
 
 class TestValidate:
     def test_valid_model_has_empty_report(self):
-        assert validate_model(two_state_model()) == []
+        model = two_state_model()
+        assert model.num_states == 2
+        assert environment._violations(model) == []
 
     def test_nonzero_diagonal_flagged(self):
-        model = two_state_model(routing=[[0.5, 0.5], [1.0, 0.0]])
-        report = validate_model(model)
-        assert any("diagonal" in line for line in report)
+        with pytest.raises(ModelError, match="diagonal"):
+            two_state_model(routing=[[0.5, 0.5], [1.0, 0.0]])
 
     def test_all_zero_speeds_flagged(self):
-        model = two_state_model(speeds=[0.0, 0.0])
-        report = validate_model(model)
-        assert any("positive speed" in line for line in report)
+        with pytest.raises(ModelError, match="positive speed"):
+            two_state_model(speeds=[0.0, 0.0])
 
     def test_all_zero_arrivals_flagged(self):
-        model = two_state_model(arrival_rates=[0.0, 0.0])
-        assert any("arrival" in line for line in validate_model(model))
+        with pytest.raises(ModelError, match="arrival"):
+            two_state_model(arrival_rates=[0.0, 0.0])
 
     def test_arrivals_with_zero_speed_flagged(self):
-        model = two_state_model(speeds=[0.0, 1.0])
-        assert any("zero speed" in line for line in validate_model(model))
+        with pytest.raises(ModelError, match="zero speed"):
+            two_state_model(speeds=[0.0, 1.0])
+        # a positive speed whose service rate underflows to 0 diverges too
+        with pytest.raises(ModelError, match="state 0 has positive arrivals but zero speed"):
+            two_state_model(speeds=[1e-200, 1.0], mu=1e-200)
 
     def test_bad_row_sum_flagged(self):
-        model = two_state_model(routing=[[0.0, 0.9], [1.0, 0.0]])
-        assert any("sums to" in line for line in validate_model(model))
+        with pytest.raises(ModelError, match="sums to"):
+            two_state_model(routing=[[0.0, 0.9], [1.0, 0.0]])
 
     def test_reducible_routing_flagged(self):
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0, 1.0, 1.0],
-            speeds=[1.0, 1.0, 1.0, 1.0],
-            sojourns=tuple(Exponential(1.0) for _ in range(4)),
-            mu=1.0,
-            routing=[
-                [0.0, 1.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ],
+        with pytest.raises(ModelError, match="irreducible"):
+            EnvironmentModel(
+                arrival_rates=[1.0, 1.0, 1.0, 1.0],
+                speeds=[1.0, 1.0, 1.0, 1.0],
+                sojourns=tuple(Exponential(1.0) for _ in range(4)),
+                mu=1.0,
+                routing=[
+                    [0.0, 1.0, 0.0, 0.0],
+                    [1.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 1.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                ],
+            )
+
+    def test_every_violation_listed_at_construction(self):
+        with pytest.raises(ModelError) as info:
+            two_state_model(mu=-1.0, speeds=[0.0, 1.0], routing=[[0.5, 0.7], [1.0, 0.0]])
+        assert str(info.value) == (
+            "invalid model: base service rate mu must be positive, got -1.0; "
+            "state 0 has positive arrivals but zero speed (offered load diverges); "
+            "routing diagonal entry p[0,0] = 0.5 must be 0; "
+            "routing row 0 sums to np.float64(1.2), must be 1 within 1e-12"
         )
-        assert any("irreducible" in line for line in validate_model(model))
 
     def test_irreducibility_matches_transitive_closure(self):
         rng = np.random.default_rng(17)
@@ -100,7 +113,12 @@ class TestValidate:
             for _ in range(int(np.ceil(np.log2(k_count)))):
                 closure = (closure.astype(np.int64) @ closure.astype(np.int64)) > 0
             routing = edges / edges.sum(axis=1, keepdims=True)
-            flagged = "routing matrix is not irreducible" in validate_model(model_with_routing(routing))
+            try:
+                model_with_routing(routing)
+                flagged = False
+            except ModelError as exc:
+                assert str(exc) == "invalid model: routing matrix is not irreducible"
+                flagged = True
             assert flagged == (not closure.all())
             verdicts.append(flagged)
         assert 0 < sum(verdicts) < len(verdicts)
@@ -108,24 +126,26 @@ class TestValidate:
     def test_irreducibility_at_k500(self):
         k_count = 500
         cycle = np.roll(np.eye(k_count), 1, axis=1)
-        assert validate_model(model_with_routing(cycle)) == []
+        assert model_with_routing(cycle).num_states == k_count
         # two 250-cycles, the first leaking into the second and never back
         half = k_count // 2
         blocks = np.zeros((k_count, k_count))
         blocks[:half, :half] = np.roll(np.eye(half), 1, axis=1)
         blocks[half:, half:] = np.roll(np.eye(half), 1, axis=1)
         blocks[half - 1, [0, half]] = 0.5
-        assert validate_model(model_with_routing(blocks)) == ["routing matrix is not irreducible"]
+        with pytest.raises(ModelError) as info:
+            model_with_routing(blocks)
+        assert str(info.value) == "invalid model: routing matrix is not irreducible"
 
     def test_single_state_flagged(self):
-        model = EnvironmentModel(
-            arrival_rates=[1.0],
-            speeds=[1.0],
-            sojourns=(Exponential(1.0),),
-            mu=1.0,
-            routing=[[0.0]],
-        )
-        assert any("at least 2" in line for line in validate_model(model))
+        with pytest.raises(ModelError, match="at least 2"):
+            EnvironmentModel(
+                arrival_rates=[1.0],
+                speeds=[1.0],
+                sojourns=(Exponential(1.0),),
+                mu=1.0,
+                routing=[[0.0]],
+            )
 
     def test_shape_mismatch_raises_at_construction(self):
         with pytest.raises(ModelError):
@@ -193,8 +213,9 @@ class TestChainStatics:
         assert statics.occupancy == pytest.approx([0.8, 0.2], abs=1e-14)
 
     def test_invalid_model_rejected(self):
-        with pytest.raises(ModelError):
-            chain_statics(two_state_model(routing=[[0.5, 0.5], [1.0, 0.0]]))
+        # an invalid model never reaches chain_statics: construction refuses it
+        with pytest.raises(ModelError, match="invalid model: routing diagonal entry p"):
+            two_state_model(routing=[[0.5, 0.5], [1.0, 0.0]])
 
     def test_near_singular_balance_raises(self):
         eps = 1e-15
@@ -210,7 +231,6 @@ class TestChainStatics:
                 [eps / 2, eps / 2, 1.0 - eps, 0.0],
             ],
         )
-        assert validate_model(model) == []
         with pytest.raises(NumericError):
             chain_statics(model)
 
@@ -225,7 +245,6 @@ class TestChainStatics:
             [0.0, eps, 1.0 - eps, 0.0],
         ]
         model = model_with_routing(routing)
-        assert validate_model(model) == []
         assert _stationary_law(model.routing)[2] > 1e12
         with pytest.raises(NumericError, match="near-singular"):
             chain_statics(model)
@@ -284,20 +303,30 @@ class TestStationaryLaw:
         assert np.max(np.abs(pi - reference) / reference) < 1e-14
 
 
-def test_no_explicit_inverse_in_the_package():
-    # each linear system gets one factorisation: no condition number or
-    # inverse is formed explicitly anywhere in the package
+def package_lines_matching(pattern, skip=()):
+    """``module:line`` of every package source line that matches ``pattern``."""
     package = Path(__file__).resolve().parent.parent / "src" / "mminfenv"
-    sources = sorted(package.glob("*.py"))
+    sources = sorted(path for path in package.glob("*.py") if path.name not in skip)
     assert sources
-    pattern = re.compile(r"linalg\.(cond|inv)\s*\(")
-    offenders = [
+    return [
         f"{path.name}:{number}"
         for path in sources
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if pattern.search(line)
+        if re.search(pattern, line)
     ]
-    assert offenders == []
+
+
+def test_no_explicit_inverse_in_the_package():
+    # each linear system gets one factorisation: no condition number or
+    # inverse is formed explicitly anywhere in the package
+    assert package_lines_matching(r"linalg\.(cond|inv)\s*\(") == []
+
+
+def test_only_the_model_runs_the_structural_checks():
+    # a model checks itself once, at construction; no other module re-validates it
+    pattern = r"\b(_violations|validate_model|require_valid)\b"
+    assert package_lines_matching(pattern, skip={"environment.py"}) == []
+    assert package_lines_matching(pattern) != []
 
 
 def test_mean_cycle_length_cyclic_deterministic():

@@ -11,9 +11,8 @@ from mminfenv import (
     load_model,
     model_to_dict,
     parse_model,
-    validate_model,
 )
-from mminfenv import modelfile
+from mminfenv import environment, modelfile
 from mminfenv.cli import main
 
 from conftest import MODELS_DIR
@@ -44,10 +43,14 @@ class TestShippedModels:
             ("identical.yaml", 3),
         ],
     )
-    def test_loads_and_validates(self, name, k_count):
+    def test_loads_and_validates(self, name, k_count, monkeypatch):
+        # loading builds the model, and building it runs every structural check
+        reports = []
+        original = environment._violations
+        monkeypatch.setattr(environment, "_violations", lambda model: reports.append(original(model)) or reports[-1])
         model = load_model(MODELS_DIR / name)
         assert model.num_states == k_count
-        assert validate_model(model) == []
+        assert reports == [[]]
 
     @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.yaml")), ids=lambda path: path.stem)
     def test_loaders_agree(self, path, monkeypatch):
@@ -111,6 +114,18 @@ class TestSchema:
         document = minimal_document()
         document["schema_version"] = version
         with pytest.raises(ModelError, match="schema_version"):
+            parse_model(document)
+
+    def test_invalid_model_error_passes_through(self):
+        document = minimal_document()
+        document["routing"] = [[0.5, 0.5], [1.0, 0.0]]
+        with pytest.raises(ModelError, match=r"^invalid model: routing diagonal entry p\[0,0\] = 0.5 must be 0$"):
+            parse_model(document)
+
+    def test_ragged_routing_is_a_malformed_document(self):
+        document = minimal_document()
+        document["routing"] = [[0.0, 1.0], [1.0]]
+        with pytest.raises(ModelError, match="malformed model document"):
             parse_model(document)
 
     def test_unknown_family_rejected(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -13,11 +14,13 @@ from mminfenv import (
     HyperExponential,
     ModelError,
     NumericError,
+    SimulationConfig,
     StirlingTables,
     TabulatedLaplace,
     chain_statics,
     closedform,
     compute_moment_table,
+    estimate_factorial_moments,
     forward_relation_residuals,
     load_model,
     markovian_identity_residuals,
@@ -27,6 +30,7 @@ from mminfenv import (
     stationary_moment_vectors,
 )
 from mminfenv import environment, moments
+from mminfenv.cli import main
 from mminfenv.moments import MAX_ORDER, _require_nonnegative, _weights
 
 from conftest import (
@@ -87,15 +91,15 @@ class TestOfferedLoads:
         assert offered_loads(model) == pytest.approx([2.0, 2.0, 2.0])
 
     def test_divergent_load_rejected(self):
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0],
-            speeds=[1.0, 0.0],
-            sojourns=(Exponential(1.0), Exponential(1.0)),
-            mu=1.0,
-            routing=[[0.0, 1.0], [1.0, 0.0]],
-        )
-        with pytest.raises(ModelError):
-            offered_loads(model)
+        # no model with a divergent load can be built, so offered_loads never sees one
+        with pytest.raises(ModelError, match="state 1 has positive arrivals but zero speed"):
+            EnvironmentModel(
+                arrival_rates=[1.0, 1.0],
+                speeds=[1.0, 0.0],
+                sojourns=(Exponential(1.0), Exponential(1.0)),
+                mu=1.0,
+                routing=[[0.0, 1.0], [1.0, 0.0]],
+            )
 
 
 class TestRecursionMatrix:
@@ -182,15 +186,15 @@ class TestPalmVectors:
             palm_moment_vectors(identical_state_model(), n_max=21)
 
     def test_invalid_model_rejected(self):
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0],
-            speeds=[1.0, 1.0],
-            sojourns=(Exponential(1.0), Exponential(1.0)),
-            mu=1.0,
-            routing=[[0.2, 0.8], [1.0, 0.0]],
-        )
-        with pytest.raises(ModelError):
-            palm_moment_vectors(model, n_max=2)
+        # an invalid model never reaches the recursion: construction refuses it
+        with pytest.raises(ModelError, match=r"invalid model: routing diagonal entry p\[0,0\] = 0.2"):
+            EnvironmentModel(
+                arrival_rates=[1.0, 1.0],
+                speeds=[1.0, 1.0],
+                sojourns=(Exponential(1.0), Exponential(1.0)),
+                mu=1.0,
+                routing=[[0.2, 0.8], [1.0, 0.0]],
+            )
 
 
 class TestStationaryVectors:
@@ -375,12 +379,39 @@ class TestNonnegativityGuard:
 class TestFixedCosts:
     """Per-call work that must not come back: counted, never timed."""
 
-    def test_moment_table_validates_the_model_once(self, k3_mixed_model, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--order", "3"],
+            ["validate", "--order", "3"],
+            ["simulate", "--reps", "4", "--warmup", "10", "--horizon", "60"],
+            ["compare", "--reps", "4", "--warmup", "10", "--horizon", "60"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_verb_validates_the_model_once(self, argv, monkeypatch, capsys):
         calls = []
-        original = environment.validate_model
-        monkeypatch.setattr(environment, "validate_model", lambda model: calls.append(1) or original(model))
-        compute_moment_table(k3_mixed_model, n_max=5)
+        original = environment._violations
+        monkeypatch.setattr(environment, "_violations", lambda model: calls.append(1) or original(model))
+        code = main(argv[:1] + ["--model", str(MODELS_DIR / "k3_mixed.yaml")] + argv[1:])
+        capsys.readouterr()
+        assert code in (0, 1)
         assert len(calls) == 1
+
+    def test_built_models_are_not_validated_again(self, k3_mixed_model, monkeypatch):
+        calls = []
+        original = environment._violations
+        monkeypatch.setattr(environment, "_violations", lambda model: calls.append(1) or original(model))
+        compute_moment_table(k3_mixed_model, n_max=5)
+        config = SimulationConfig(warmup=10.0, horizon=60.0, replications=4, master_seed=7)
+        estimate_factorial_moments(k3_mixed_model, config)
+        assert calls == []
+        # a changed copy is a new model, checked like any other
+        dataclasses.replace(k3_mixed_model, mu=2.0)
+        assert len(calls) == 1
+        with pytest.raises(ModelError, match="mu must be positive"):
+            dataclasses.replace(k3_mixed_model, mu=0.0)
+        assert len(calls) == 2
 
     def test_forward_check_makes_no_scalar_exponential_transform_call(self, monkeypatch):
         model = random_exponential_model(50, np.random.default_rng(50))

@@ -143,16 +143,16 @@ class TestEnvironmentPaths:
 
 class TestQueue:
     def test_no_arrivals_no_customers(self):
-        # construction allows an all-zero arrival model; the queue layer
-        # itself never sees a customer
+        # a model needs some arrivals, but a path that stays in the
+        # zero-arrival state brings the queue layer no customer
         model = EnvironmentModel(
-            arrival_rates=[0.0, 0.0],
+            arrival_rates=[0.0, 1.0],
             speeds=[1.0, 0.5],
             sojourns=(Exponential(1.0), Exponential(1.0)),
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        path = EnvironmentPath(states=np.array([0, 1, 0]), durations=np.array([5.0, 5.0, 5.0]))
+        path = EnvironmentPath(states=np.array([0, 0, 0]), durations=np.array([5.0, 5.0, 5.0]))
         counts = simulate_queue(model, path, np.linspace(1.0, 14.0, 20), np.random.default_rng(2))
         assert np.all(counts == 0)
 
