@@ -172,7 +172,7 @@ def _violations(model: EnvironmentModel) -> list:
         report.append(f"routing diagonal entry p[{k},{k}] = {diag[k]} must be 0")
     row_sums = routing.sum(axis=1)
     for k in np.flatnonzero(np.abs(row_sums - 1.0) > STRUCTURAL_TOL):
-        report.append(f"routing row {k} sums to {row_sums[k]!r}, must be 1 within 1e-12")
+        report.append(f"routing row {k} sums to {row_sums[k]}, must be 1 within 1e-12")
     if k_count >= 2 and not _is_irreducible(routing):
         report.append("routing matrix is not irreducible")
     return report

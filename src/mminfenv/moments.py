@@ -24,11 +24,16 @@ reversed routing matrix Q.  Expanding the n-th power binomially gives
 
 so every coefficient is a probability and every row of weights sums to
 one.  The j = n term carries tau_k = w_k[n, n] = E[exp(-n mu_k T)], so
-order n is one dense solve of ``(I - diag(tau) Q) m0^(n) = rhs`` with a
-nonnegative right-hand side; the stationary vectors are the same sums
-with the residual weights ``w*`` and need no solve.  No term cancels, so
-the moments are accurate to roundoff at every order, and tau_k may
-underflow to 0 (row k of the matrix is then e_k).
+order n is one linear system ``(I - diag(tau) Q) m0^(n) = rhs`` with a
+nonnegative right-hand side.  Its inverse is the Neumann series
+sum_i (diag(tau) Q)^i, every term nonnegative: an order whose a-priori
+series length s_n = ceil(log(u (1 - tau_max)) / log(tau_max)) is at most
+K/8 two-column products sums the series to a tail below the unit
+roundoff u, and every other order takes one dense LU (see ``_solve``).
+The stationary vectors are the same sums with the residual weights
+``w*`` and need no solve.  No term cancels, so the moments are accurate
+to roundoff at every order, and tau_k may underflow to 0 (row k of the
+matrix is then e_k).
 
 The weights of all orders form one lower-triangular table per call,
 ``table[k, n, j] = w_k[n, j]``.  Exponential, hyperexponential and gamma
@@ -75,6 +80,14 @@ MAX_ORDER = 20
 
 SOLVE_RESIDUAL_LIMIT = 1e-8
 _NEGATIVITY_FLOOR = 1e-10
+
+# unit roundoff of binary64, the tail the Neumann series is summed to
+_ROUNDOFF = 2.0**-53
+# two-column products per state that the series may take in place of one
+# LU: on a 2-core Xeon VM (OpenBLAS 0.3.31, one thread, best of 7) an LU
+# with its matrix build cost about 25, 60 and 80 bare products at K = 50,
+# 200 and 500, so K/8 stays below the break-even at every K
+_SERIES_BUDGET = 1.0 / 8.0
 
 WEIGHTINGS = ("embedded", "occupancy")
 
@@ -391,19 +404,60 @@ def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray = None) 
     return matrix
 
 
-def _solve(matrix: np.ndarray, norm: float, rhs: np.ndarray):
-    """Solve ``matrix x = rhs[:, 0]``; return x and the exact inf-norm condition number.
+def _series_steps(tau_max: np.ndarray, k_count: int) -> np.ndarray:
+    """Per order, the products the Neumann series may take, or 0 where an LU is cheaper.
 
-    matrix = I - diag(tau) Q with Q irreducible, nonnegative,
-    row-stochastic and zero on its diagonal, 0 <= tau <= 1, and tau < 1
-    in every state of positive speed: an irreducibly diagonally dominant
-    M-matrix, so its inverse is nonnegative.  Hence ||matrix^-1||_inf is
-    the largest entry of matrix^-1 1, solved in the same factorisation
-    from ``rhs[:, 1]``, which must be the ones vector, and
-    ``norm = ||matrix||_inf = max(1 + tau)``.
+    ``tau_max[n]`` is the largest diagonal weight of order n.  The terms
+    (diag(tau) Q)^i 1 are at most tau_max^i, so the series meets its
+    stopping rule (see ``_solve``) within
+    s_n = ceil(log(u (1 - tau_max)) / log(tau_max)) two-column products.
+    Orders with s_n <= K/8, about the cost of one LU (``_SERIES_BUDGET``),
+    get s_n; the others get 0.  tau_max is clamped into [tiny, 1 - u]:
+    where every tau underflowed it takes one product, and a state of zero
+    speed (tau_max = 1, where the series does not converge) gives a
+    length near 1e17, never within budget, with no log(1) to divide by.
     """
-    both = np.linalg.solve(matrix, rhs)
-    return both[:, 0].copy(), norm * float(both[:, 1].max())
+    tau = np.minimum(np.maximum(tau_max, np.finfo(float).tiny), 1.0 - _ROUNDOFF)
+    bound = np.ceil(np.log(_ROUNDOFF * (1.0 - tau)) / np.log(tau))
+    return np.where(bound <= _SERIES_BUDGET * k_count, bound, 0.0).astype(int)
+
+
+def _solve(routing: np.ndarray, tau: np.ndarray, tau_max: float, steps: int, both: np.ndarray,
+           matrix: np.ndarray):
+    """Solve ``(I - diag(tau) Q) x = both[:, 0]``; return x and the exact inf-norm condition number.
+
+    I - diag(tau) Q with Q = ``routing`` irreducible, nonnegative,
+    row-stochastic and zero on its diagonal, 0 <= tau <= 1, and tau < 1
+    in every state of positive speed, is an irreducibly diagonally
+    dominant M-matrix, so its inverse is nonnegative.  Hence its inverse
+    inf-norm is the largest entry of its inverse times 1, solved beside x
+    from ``both[:, 1]``, which must be the ones vector, and its inf-norm
+    is 1 + ``tau_max``, the largest entry of ``tau``.
+
+    With ``steps`` > 0 (from ``_series_steps``) both columns are summed
+    as the Neumann series sum_i (diag(tau) Q)^i both.  Once the ones
+    column's last term t has max(t) tau_max / (1 - tau_max) <= u, the
+    tail of that column, sum_{i>=1} (diag(tau) Q)^i t, is at most u; since
+    |rhs| <= ||rhs||_inf 1 entrywise, the tail of the other column is at
+    most u ||rhs||_inf.  Both are normwise relative bounds, as x >= rhs and
+    the ones column's sum is >= 1.  The rule holds by ``steps`` products
+    at the latest; ``_series_steps`` grants them only where they number
+    at most K/8, below the measured cost of one LU (``_SERIES_BUDGET``).
+    With ``steps`` = 0 the matrix is built in ``matrix`` and solved by
+    one LU with the two right-hand sides.
+    """
+    if steps:
+        total, term = both.copy(), both
+        tail = tau_max / (1.0 - tau_max)
+        for _ in range(steps):
+            if float(term[:, 1].max()) * tail <= _ROUNDOFF:
+                break
+            term = routing @ term
+            term *= tau[:, np.newaxis]
+            total += term
+    else:
+        total = np.linalg.solve(_order_matrix(routing, tau, out=matrix), both)
+    return total[:, 0].copy(), (1.0 + tau_max) * float(total[:, 1].max())
 
 
 def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int):
@@ -411,20 +465,26 @@ def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int)
 
     tau_n = w[n, n] = E[exp(-n mu_k T_k)] are the diagonal weights the
     Palm solve uses, read off the same weight table (0 where they
-    underflow, which makes row k the unit row e_k), and the condition
-    number is the exact inf-norm one from the same two-column solve (see
-    ``_solve``), so both agree bit for bit with ``palm_moment_vectors``.
-    Orders run from 1 to MAX_ORDER.
+    underflow, which makes row k the unit row e_k).  The condition number
+    is the exact inf-norm one from the ones column of ``_solve``, with the
+    solver ``palm_moment_vectors`` picks for that order: the Neumann
+    series, with its tail below the unit roundoff, where its a-priori
+    length is at most K/8 two-column products (below the measured cost
+    of one LU, see ``_SERIES_BUDGET``), one LU otherwise.  Both therefore
+    agree bit for bit.  Orders run from 1 to MAX_ORDER.
     """
     if order < 1:
         raise ValueError(f"recursion matrix is defined for order >= 1, got {order}")
     order = _check_order(order)
     tau = _weights(model.sojourns, model.service_rates, order)[:, order, order]
-    matrix = _order_matrix(statics.reversed_routing, tau)
-    rhs = np.ones((len(tau), 2))
-    rhs[:, 0] = 0.0
+    routing = statics.reversed_routing
+    matrix = _order_matrix(routing, tau)
+    tau_max = np.max(tau, keepdims=True)
+    steps = _series_steps(tau_max, len(tau))[0]
+    both = np.ones((len(tau), 2))
+    both[:, 0] = 0.0
     try:
-        condition = _solve(matrix, float(np.max(1.0 + tau)), rhs)[1]
+        condition = _solve(routing, tau, float(tau_max[0]), steps, both, matrix)[1]
     except np.linalg.LinAlgError:
         condition = float("inf")
     return matrix, condition
@@ -451,10 +511,14 @@ class PalmMoments:
     """Palm moment vectors m0^(n), n = 0..n_max, with solve diagnostics.
 
     ``condition[n]`` is the exact inf-norm condition number of the
-    order-n matrix I - diag(tau) Q, from the same factorisation as the
-    solve (see ``recursion_matrix``), and ``solve_residual[n]`` the
-    relative back-substitution residual of the solve (index 0 is a
-    placeholder; order 0 needs no solve).
+    order-n matrix I - diag(tau) Q, from the ones column of the solve
+    (see ``recursion_matrix``), and ``solve_residual[n]`` the relative
+    backward residual ||x - diag(tau) Q x - rhs||_inf / ||rhs||_inf of
+    its solution x (index 0 is a placeholder; order 0 needs no solve).
+    The solve of an order is its Neumann series, summed to a tail below
+    the unit roundoff, where the a-priori series length is at most K/8
+    two-column products (one LU measured about 25, 60 and 80 such
+    products at K = 50, 200 and 500), and one LU otherwise.
     """
 
     vectors: tuple
@@ -471,15 +535,23 @@ def palm_moment_vectors(
 ) -> PalmMoments:
     """Moment vectors of the discounted arrival mass seen from a transition instant.
 
-    Order 0 is the all-ones vector.  Each subsequent order n is one dense
-    linear solve with two right-hand sides, never an explicit inverse:
+    Order 0 is the all-ones vector.  Each subsequent order n solves,
+    never through an explicit inverse,
 
         (I - diag(w[n, n]) Q) m0^(n) = sum_{j<n} w[n, j] R^(n-j) Q m0^(j)
 
-    with R the diagonal matrix of offered loads; the second right-hand
-    side, the ones vector, gives the exact condition number.  Solve
-    residuals above 1e-8 raise NumericError carrying it.  The model is
-    validated by ``chain_statics``; statics passed in certify it.
+    with R the diagonal matrix of offered loads, beside a second
+    right-hand side, the ones vector, that gives the exact condition
+    number.  The solver of each order is picked before the loop from its
+    largest diagonal weight tau_max: the Neumann series where its
+    a-priori length ceil(log(u (1 - tau_max)) / log(tau_max)) is at most
+    K/8 two-column products (one LU measured about 25 such products at
+    K = 50 and 80 at K = 500), stopped once the ones column bounds the
+    tail of both columns by the unit roundoff u; one LU otherwise (see
+    ``_solve``).  The backward residual of every order is read off the
+    product Q m0^(n) that the next order needs anyway; residuals above
+    1e-8 raise NumericError carrying it.  The model is validated by
+    ``chain_statics``; statics passed in certify it.
     """
     n_max = _check_order(n_max)
     if statics is None:
@@ -488,9 +560,10 @@ def palm_moment_vectors(
     k_count = model.num_states
     load_powers = offered_loads(model)[:, np.newaxis] ** np.arange(n_max + 1)
     weights = _weights(model.sojourns, model.service_rates, n_max)
-    # tau of every order, taus[n, k] = w_k[n, n], and ||I - diag(tau) Q||_inf
+    # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = np.diagonal(weights, axis1=1, axis2=2).T
-    norms = np.max(1.0 + taus, axis=1).tolist()
+    tau_max = taus.max(axis=1)
+    steps = _series_steps(tau_max, k_count).tolist()
 
     vectors = [np.ones(k_count)]
     routed = np.empty((k_count, n_max + 1))
@@ -498,19 +571,20 @@ def palm_moment_vectors(
     condition = np.full(n_max + 1, np.nan)
     solve_residual = np.full(n_max + 1, np.nan)
 
+    # the matrix of the LU orders, built in place
     matrix = np.empty_like(routing)
     # the right-hand side of each order, beside the ones vector
     both = np.ones((k_count, 2))
     for n in range(1, n_max + 1):
-        _order_matrix(routing, taus[n], out=matrix)
         rhs = (weights[:, n, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
         both[:, 0] = rhs
         try:
-            solution, cond = _solve(matrix, norms[n], both)
+            solution, cond = _solve(routing, taus[n], tau_max[n], steps[n], both, matrix)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"order-{n} system is singular: {exc}") from exc
+        routed[:, n] = routing @ solution
         scale = max(float(np.abs(rhs).max()), 1e-300)
-        residual = float(np.abs(matrix @ solution - rhs).max()) / scale
+        residual = float(np.abs(solution - taus[n] * routed[:, n] - rhs).max()) / scale
         if residual > SOLVE_RESIDUAL_LIMIT:
             raise NumericError(
                 f"order-{n} solve is ill-conditioned: relative residual {residual:.3e} "
@@ -518,7 +592,6 @@ def palm_moment_vectors(
             )
         _require_nonnegative(solution, f"palm moment vector at order {n}")
         vectors.append(solution)
-        routed[:, n] = routing @ solution
         condition[n] = cond
         solve_residual[n] = residual
 

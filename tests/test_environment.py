@@ -96,7 +96,7 @@ class TestValidate:
             "invalid model: base service rate mu must be positive, got -1.0; "
             "state 0 has positive arrivals but zero speed (offered load diverges); "
             "routing diagonal entry p[0,0] = 0.5 must be 0; "
-            "routing row 0 sums to np.float64(1.2), must be 1 within 1e-12"
+            "routing row 0 sums to 1.2, must be 1 within 1e-12"
         )
 
     def test_irreducibility_matches_transitive_closure(self):

@@ -38,11 +38,54 @@ from conftest import (
     identical_state_model,
     random_exponential_model,
     random_mixed_model,
+    random_routing,
 )
 
 
 def seeded(build, k_count):
     return build(k_count, np.random.default_rng(k_count))
+
+
+def fast_service_model(k_count, rng):
+    """All-exponential, every service rate at least 200 times every exit rate.
+
+    tau_1 <= 2 / (2 + 400) gives an a-priori series length of 7 at order 1
+    and less above it: at K = 64 (budget 8) every order takes the series.
+    """
+    return EnvironmentModel(
+        arrival_rates=rng.uniform(0.2, 3.0, k_count),
+        speeds=rng.uniform(0.5, 1.0, k_count),
+        sojourns=tuple(Exponential(rate=float(r)) for r in rng.uniform(0.5, 2.0, k_count)),
+        mu=800.0,
+        routing=random_routing(k_count, rng),
+    )
+
+
+def fast_service_mixed_model(k_count, rng):
+    """Fast service beside every sojourn family, a quarter of the states without arrivals.
+
+    State 0 is Deterministic with mu_k d = 50, so its tau underflows to 0
+    from order 15 on.  Every order of K = 64 still takes the series.
+    """
+    sojourns = [Deterministic(50.0 / 400.0)]
+    for family in rng.integers(0, 4, k_count - 1):
+        if family == 0:
+            sojourns.append(Exponential(rate=float(rng.uniform(0.5, 2.0))))
+        elif family == 1:
+            sojourns.append(Gamma(shape=float(rng.uniform(1.0, 3.0)), rate=float(rng.uniform(0.5, 2.0))))
+        elif family == 2:
+            sojourns.append(Deterministic(value=float(rng.uniform(0.3, 2.0))))
+        else:
+            sojourns.append(HyperExponential(probs=(0.3, 0.7), rates=tuple(rng.uniform(0.5, 2.0, 2))))
+    arrivals = rng.uniform(0.2, 3.0, k_count)
+    arrivals[rng.permutation(k_count)[: k_count // 4]] = 0.0
+    return EnvironmentModel(
+        arrival_rates=arrivals,
+        speeds=np.concatenate(([1.0], rng.uniform(0.5, 1.0, k_count - 1))),
+        sojourns=tuple(sojourns),
+        mu=400.0,
+        routing=random_routing(k_count, rng),
+    )
 
 
 CONDITION_MODELS = [
@@ -52,7 +95,24 @@ CONDITION_MODELS = [
     pytest.param(partial(seeded, build, k_count), id=f"{build.__name__}-k{k_count}")
     for build in (random_exponential_model, random_mixed_model)
     for k_count in (5, 20, 60)
+] + [
+    # every order of this model takes the Neumann series, none the LU
+    pytest.param(partial(seeded, fast_service_model, 64), id="fast_service_model-k64"),
 ]
+
+# the shipped models and mixed draws up to K = 60: no order of theirs is within the series budget
+LU_MODELS = CONDITION_MODELS[:5] + [
+    pytest.param(partial(seeded, random_mixed_model, k_count), id=f"random_mixed_model-k{k_count}")
+    for k_count in (5, 20, 50, 60)
+]
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or original(*args))
+    return calls
 
 
 class TestOfferedLoads:
@@ -143,6 +203,16 @@ class TestRecursionMatrix:
             assert condition == pytest.approx(np.linalg.cond(matrix, np.inf), rel=1e-12)
             assert palm.condition[order] == condition
 
+    def test_series_model_never_factorises(self, monkeypatch):
+        model = seeded(fast_service_model, 64)
+        statics = chain_statics(model)
+        solves = counting(monkeypatch, np.linalg, "solve")
+        palm = palm_moment_vectors(model, statics, 20)
+        conditions = [recursion_matrix(model, statics, order)[1] for order in range(1, 21)]
+        assert solves == []
+        assert conditions == palm.condition[1:].tolist()
+        assert np.nanmax(palm.solve_residual) < 1e-14
+
     @pytest.mark.parametrize("order", [0, MAX_ORDER + 1, 60])
     def test_order_outside_the_supported_range_raises(self, order):
         model = identical_state_model()
@@ -195,6 +265,68 @@ class TestPalmVectors:
                 mu=1.0,
                 routing=[[0.2, 0.8], [1.0, 0.0]],
             )
+
+
+class TestSolverChoice:
+    """Per order, the Neumann series where it is cheaper than one LU, the LU elsewhere."""
+
+    @pytest.mark.parametrize("build", [fast_service_model, fast_service_mixed_model])
+    def test_series_agrees_with_the_lu_on_every_order(self, build):
+        model = build(64, np.random.default_rng(64))
+        statics = chain_statics(model)
+        routing = statics.reversed_routing
+        palm = palm_moment_vectors(model, statics, 20)
+        weights = _weights(model.sojourns, model.service_rates, 20)
+        taus = np.diagonal(weights, axis1=1, axis2=2).T
+        tau_max = taus.max(axis=1)
+        steps = moments._series_steps(tau_max, 64)
+        assert np.all(steps[1:] > 0)
+        rho = offered_loads(model)
+        routed = [routing @ vec for vec in palm.vectors]
+        matrix = np.empty_like(routing)
+        for n in range(1, 21):
+            rhs = sum(weights[:, n, j] * rho ** (n - j) * routed[j] for j in range(n))
+            both = np.column_stack((rhs, np.ones(64)))
+            series, series_condition = moments._solve(routing, taus[n], tau_max[n], steps[n], both, matrix)
+            lu, lu_condition = moments._solve(routing, taus[n], tau_max[n], 0, both, matrix)
+            assert np.abs(series - lu).max() <= 1e-14 * np.abs(lu).max()
+            assert series_condition == pytest.approx(lu_condition, rel=1e-14, abs=0.0)
+        if build is fast_service_mixed_model:
+            # the premises: zero right-hand side entries and an underflowed tau
+            assert np.any(rho == 0.0)
+            assert taus[14, 0] > 0.0 and taus[15, 0] == 0.0
+
+    def test_step_counts(self):
+        # zero speed (tau_max = 1) takes the LU, with no log(1) in a division;
+        # tau_max = 0 needs one product; 2 / 402 needs 7, within 64 / 8
+        tau_max = np.array([1.0, 0.0, 2.0 / 402.0, 2.0 / 402.0, 0.5])
+        assert moments._series_steps(tau_max, 64).tolist() == [0, 1, 7, 7, 0]
+        assert moments._series_steps(tau_max, 55).tolist() == [0, 1, 0, 0, 0]
+
+    def test_zero_speed_state_takes_the_lu(self, monkeypatch):
+        base = seeded(fast_service_model, 64)
+        model = dataclasses.replace(
+            base,
+            arrival_rates=np.concatenate(([0.0], base.arrival_rates[1:])),
+            speeds=np.concatenate(([0.0], base.speeds[1:])),
+        )
+        statics = chain_statics(model)
+        solves = counting(monkeypatch, np.linalg, "solve")
+        palm = palm_moment_vectors(model, statics, 20)
+        assert len(solves) == 20
+        assert recursion_matrix(model, statics, 20)[1] == palm.condition[20]
+        assert len(solves) == 21
+
+    @pytest.mark.parametrize("build", LU_MODELS)
+    def test_small_models_take_one_lu_per_order(self, build, monkeypatch):
+        # the solver of every order is picked once per call, before the loop
+        model = build()
+        statics = chain_statics(model)
+        solves = counting(monkeypatch, np.linalg, "solve")
+        choices = counting(monkeypatch, moments, "_series_steps")
+        palm_moment_vectors(model, statics, 20)
+        assert len(solves) == 20
+        assert len(choices) == 1
 
 
 class TestStationaryVectors:
