@@ -22,6 +22,7 @@ from .environment import (
 )
 from .errors import EstimationError, ModelError, NumericError
 from .closedform import TwoStateModel, kummer_reference
+from .checks import CheckVerdict, structural_checks
 from .modelfile import load_model, model_to_dict, parse_model
 from .moments import (
     MomentTable,
@@ -32,7 +33,6 @@ from .moments import (
     markovian_identity_residuals,
     offered_loads,
     palm_moment_vectors,
-    recursion_matrix,
     stationary_moment_vectors,
 )
 from .sim import (
@@ -51,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainStatics",
+    "CheckVerdict",
     "Deterministic",
     "EnvironmentModel",
     "EnvironmentPath",
@@ -82,10 +83,10 @@ __all__ = [
     "offered_loads",
     "palm_moment_vectors",
     "parse_model",
-    "recursion_matrix",
     "simulate_environment",
     "simulate_queue",
     "stationarity_check",
     "stationary_moment_vectors",
+    "structural_checks",
     "__version__",
 ]

@@ -4,7 +4,8 @@ Four verbs over a shared model-file format:
 
 * ``moments``   - factorial and raw moments of the customer count.
 * ``simulate``  - replication estimates of the factorial moments.
-* ``validate``  - every structural identity check that applies to the model.
+* ``validate``  - every structural identity check that applies to the model,
+  the verdicts of ``mminfenv.checks.structural_checks``.
 * ``compare``   - analytic moments against simulation, adjudicating the
   state-weighting question.
 
@@ -21,107 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closedform
-from .distributions import Exponential, Gamma
+from .checks import DEFAULT_TOLERANCES, CheckVerdict, structural_checks
 from .environment import chain_statics, mean_cycle_length
-from .errors import EstimationError, ModelError, NumericError
+from .errors import EstimationError, NumericError
 from .modelfile import load_model, model_to_dict
 from .moments import WEIGHTINGS, compute_moment_table
 from .sim import MAX_ESTIMATED_ORDER, SimulationConfig, default_warmup, estimate_factorial_moments
 
-__all__ = ["main", "entry_point", "RunReport", "CheckVerdict", "structural_checks"]
+__all__ = ["main", "entry_point", "RunReport"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
-
-DEFAULT_TOLERANCES = {
-    "tol_identity": 1e-9,
-    "tol_palm_match": 1e-12,
-    "tol_closedform": 1e-8,
-    "tol_kummer": 1e-9,
-    "tol_gamma": 1e-10,
-    "tol_solve": 1e-10,
-    "z_max": 3.0,
-}
-
-
-@dataclass
-class CheckVerdict:
-    """One named check with its numeric residual; no verdict without a number."""
-
-    name: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": _jsonify(self.residual),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-def structural_checks(model, table, tolerances=DEFAULT_TOLERANCES) -> list:
-    """Every structural check that applies to the model, read off its moment table.
-
-    ``table`` must carry its identity residuals (``compute_moment_table``
-    with its default ``with_checks=True``).  The two-state closed forms
-    are checked up to order 8 when the model is in their scope.
-    """
-    verdicts = []
-    solve_gap = float(np.nanmax(table.solve_residual)) if table.n_max >= 1 else 0.0
-    if table.n_max >= 1 and not np.all(np.isfinite(table.bn_condition[1:])):
-        solve_gap = float("inf")
-    verdicts.append(CheckVerdict("solve-backsubstitution", solve_gap, tolerances["tol_solve"]))
-
-    forward = table.identity_residuals["forward_relation"]
-    verdicts.append(CheckVerdict("forward-relation", float(np.max(forward)), tolerances["tol_identity"]))
-
-    markovian = table.identity_residuals["markovian_identity"]
-    if markovian is not None:
-        verdicts.append(
-            CheckVerdict("markovian-identity", float(np.max(markovian)), tolerances["tol_identity"])
-        )
-        palm_gap = max(_relative_gap(m, m0) for m, m0 in zip(table.stationary, table.palm))
-        verdicts.append(
-            CheckVerdict("exponential-palm-match", palm_gap, tolerances["tol_palm_match"])
-        )
-
-    try:
-        two_state, swapped = closedform.from_environment(model)
-    except ModelError:
-        return verdicts
-    depth = min(table.n_max, 8)
-    shifted = closedform.shifted_palm_moments(two_state, depth)
-    references = closedform.palm_from_shifted(two_state, shifted)
-    computed = np.array(table.palm[: depth + 1]).T
-    states = (1, 0) if swapped else (0, 1)
-    gap = max(_relative_gap(computed[k], ref) for k, ref in zip(states, references))
-    verdicts.append(CheckVerdict("two-state-closed-form", gap, tolerances["tol_closedform"]))
-
-    if isinstance(two_state.sojourn_1, Exponential):
-        kummer = closedform.kummer_reference(
-            a=two_state.sojourn_1.rate / two_state.service_rate_1,
-            b=two_state.exit_rate_2 / two_state.service_rate_2,
-            rho_star=two_state.rho_star,
-            n_max=depth,
-        )
-        verdicts.append(
-            CheckVerdict("kummer-sequence", _relative_gap(shifted[0], kummer), tolerances["tol_kummer"])
-        )
-    if isinstance(two_state.sojourn_1, Gamma):
-        gamma_form = closedform.gamma_sojourn_reference(two_state, depth)
-        verdicts.append(
-            CheckVerdict("gamma-product-formula", _relative_gap(shifted[0], gamma_form), tolerances["tol_gamma"])
-        )
-    return verdicts
 
 
 @dataclass
@@ -182,13 +95,6 @@ def _format_table(headers, rows) -> list:
     for row in cells:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     return lines
-
-
-def _relative_gap(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
-    return float(np.max(np.abs(a - b) / scale))
 
 
 def _check_simulation_order(args) -> None:
@@ -333,7 +239,7 @@ def cmd_compare(args) -> tuple:
     model = load_model(args.model)
     tolerances = _tolerances_from_args(args)
     statics = chain_statics(model)
-    table = compute_moment_table(model, n_max=args.order, statics=statics, with_checks=False)
+    table = compute_moment_table(model, n_max=args.order, statics=statics)
     config, estimate, echo = _run_simulation(args, model, statics)
 
     z_scores = {}
@@ -434,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tol-identity", dest="tol_identity", type=float,
                      default=DEFAULT_TOLERANCES["tol_identity"],
                      help="tolerance for the routing-identity residuals")
-    sub.add_argument("--tol-palm-match", dest="tol_palm_match", type=float,
-                     default=DEFAULT_TOLERANCES["tol_palm_match"],
-                     help="tolerance for Palm/stationary equality under exponential sojourns")
     sub.add_argument("--tol-closedform", dest="tol_closedform", type=float,
                      default=DEFAULT_TOLERANCES["tol_closedform"],
                      help="relative tolerance for the two-state closed form")

@@ -48,7 +48,7 @@ compared (simulation adjudicates; see the README).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -63,7 +63,6 @@ __all__ = [
     "MAX_ORDER",
     "WEIGHTINGS",
     "offered_loads",
-    "recursion_matrix",
     "PalmMoments",
     "palm_moment_vectors",
     "stationary_moment_vectors",
@@ -393,8 +392,8 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     return table
 
 
-def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n], built in ``out`` if given.
+def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n], built in ``out``.
 
     tau_k may underflow to 0 (a long sojourn at a high order): row k is
     then e_k, and the system stays a nonsingular M-matrix.
@@ -460,36 +459,6 @@ def _solve(routing: np.ndarray, tau: np.ndarray, tau_max: float, steps: int, bot
     return total[:, 0].copy(), (1.0 + tau_max) * float(total[:, 1].max())
 
 
-def recursion_matrix(model: EnvironmentModel, statics: ChainStatics, order: int):
-    """Matrix I - diag(tau_n) Q of the order-n Palm solve, with its condition number.
-
-    tau_n = w[n, n] = E[exp(-n mu_k T_k)] are the diagonal weights the
-    Palm solve uses, read off the same weight table (0 where they
-    underflow, which makes row k the unit row e_k).  The condition number
-    is the exact inf-norm one from the ones column of ``_solve``, with the
-    solver ``palm_moment_vectors`` picks for that order: the Neumann
-    series, with its tail below the unit roundoff, where its a-priori
-    length is at most K/8 two-column products (below the measured cost
-    of one LU, see ``_SERIES_BUDGET``), one LU otherwise.  Both therefore
-    agree bit for bit.  Orders run from 1 to MAX_ORDER.
-    """
-    if order < 1:
-        raise ValueError(f"recursion matrix is defined for order >= 1, got {order}")
-    order = _check_order(order)
-    tau = _weights(model.sojourns, model.service_rates, order)[:, order, order]
-    routing = statics.reversed_routing
-    matrix = _order_matrix(routing, tau)
-    tau_max = np.max(tau, keepdims=True)
-    steps = _series_steps(tau_max, len(tau))[0]
-    both = np.ones((len(tau), 2))
-    both[:, 0] = 0.0
-    try:
-        condition = _solve(routing, tau, float(tau_max[0]), steps, both, matrix)[1]
-    except np.linalg.LinAlgError:
-        condition = float("inf")
-    return matrix, condition
-
-
 def _require_nonnegative(vec: np.ndarray, context: str) -> None:
     """Moments of nonnegative quantities must stay nonnegative.
 
@@ -511,14 +480,11 @@ class PalmMoments:
     """Palm moment vectors m0^(n), n = 0..n_max, with solve diagnostics.
 
     ``condition[n]`` is the exact inf-norm condition number of the
-    order-n matrix I - diag(tau) Q, from the ones column of the solve
-    (see ``recursion_matrix``), and ``solve_residual[n]`` the relative
-    backward residual ||x - diag(tau) Q x - rhs||_inf / ||rhs||_inf of
-    its solution x (index 0 is a placeholder; order 0 needs no solve).
-    The solve of an order is its Neumann series, summed to a tail below
-    the unit roundoff, where the a-priori series length is at most K/8
-    two-column products (one LU measured about 25, 60 and 80 such
-    products at K = 50, 200 and 500), and one LU otherwise.
+    order-n matrix I - diag(tau) Q, read off the ones column of its solve
+    (see ``_solve``), and ``solve_residual[n]`` the relative backward
+    residual ||x - diag(tau) Q x - rhs||_inf / ||rhs||_inf of its
+    solution x (index 0 is a placeholder; order 0 needs no solve).
+    ``palm_moment_vectors`` says which solver each order takes.
     """
 
     vectors: tuple
@@ -545,13 +511,12 @@ def palm_moment_vectors(
     number.  The solver of each order is picked before the loop from its
     largest diagonal weight tau_max: the Neumann series where its
     a-priori length ceil(log(u (1 - tau_max)) / log(tau_max)) is at most
-    K/8 two-column products (one LU measured about 25 such products at
-    K = 50 and 80 at K = 500), stopped once the ones column bounds the
-    tail of both columns by the unit roundoff u; one LU otherwise (see
+    K/8 two-column products, below the measured cost of one LU
+    (``_SERIES_BUDGET``), stopped once the ones column bounds the tail of
+    both columns by the unit roundoff u; one LU otherwise (see
     ``_solve``).  The backward residual of every order is read off the
     product Q m0^(n) that the next order needs anyway; residuals above
-    1e-8 raise NumericError carrying it.  The model is validated by
-    ``chain_statics``; statics passed in certify it.
+    1e-8 raise NumericError carrying it.
     """
     n_max = _check_order(n_max)
     if statics is None:
@@ -643,7 +608,10 @@ class MomentTable:
     weighting ``w``; by the mixed-Poisson identity it equals the order-n
     factorial moment of N.  ``raw[w][n]`` are the corresponding raw
     moments via the second-kind Stirling transform.  ``weighting`` names
-    the default view used by the accessors.
+    the default view used by the accessors.  ``identity_residuals`` holds
+    the per-order residuals of ``forward_relation_residuals`` and
+    ``markovian_identity_residuals`` (None unless every sojourn is
+    exponential).
     """
 
     n_max: int
@@ -654,7 +622,7 @@ class MomentTable:
     weighting: str
     bn_condition: np.ndarray
     solve_residual: np.ndarray
-    identity_residuals: dict = field(default_factory=dict)
+    identity_residuals: dict
 
     def factorial_moments(self, weighting: str = None) -> np.ndarray:
         """f_N^(n), n = 0..n_max, under the given (or default) weighting."""
@@ -671,14 +639,13 @@ def assemble_moment_table(
     palm: PalmMoments,
     stationary: tuple,
     weighting: str = "occupancy",
-    with_checks: bool = True,
 ) -> MomentTable:
     """Contract the stationary vectors into scalar moments of N.
 
     Both weightings (embedded-chain vector and time-stationary
     occupancy) are always computed and stored; ``weighting`` only picks
-    the default view.  With ``with_checks`` the structural identity
-    residuals are evaluated and recorded as diagnostics.
+    the default view.  The structural identity residuals are always
+    evaluated and recorded as diagnostics (see ``mminfenv.checks``).
     """
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
@@ -693,15 +660,10 @@ def assemble_moment_table(
         aggregated[name] = scalars
         raw[name] = tables.raw_from_factorial(scalars)
 
-    identity_residuals = {}
-    if with_checks:
-        identity_residuals["forward_relation"] = forward_relation_residuals(
-            model, statics, palm
-        )
-        identity_residuals["markovian_identity"] = markovian_identity_residuals(
-            model, statics, stationary
-        )
-
+    identity_residuals = {
+        "forward_relation": forward_relation_residuals(model, statics, palm),
+        "markovian_identity": markovian_identity_residuals(model, statics, stationary),
+    }
     return MomentTable(
         n_max=n_max,
         palm=palm.vectors,
@@ -720,16 +682,13 @@ def compute_moment_table(
     n_max: int = 10,
     weighting: str = "occupancy",
     statics: ChainStatics = None,
-    with_checks: bool = True,
 ) -> MomentTable:
     """Convenience pipeline: statics, Palm solve, stationary update, assembly."""
     if statics is None:
         statics = chain_statics(model)
     palm = palm_moment_vectors(model, statics, n_max)
     stationary = stationary_moment_vectors(model, statics, palm)
-    return assemble_moment_table(
-        model, statics, palm, stationary, weighting=weighting, with_checks=with_checks
-    )
+    return assemble_moment_table(model, statics, palm, stationary, weighting=weighting)
 
 
 def _all_exponential(model: EnvironmentModel) -> bool:

@@ -78,7 +78,7 @@ def test_criterion_1_poisson_reduction():
         )
     for model in cases:
         rho = float(model.arrival_rates[0] / (model.speeds[0] * model.mu))
-        table = compute_moment_table(model, n_max=8, with_checks=False)
+        table = compute_moment_table(model, n_max=8)
         expected = rho ** np.arange(9)
         for weighting in ("embedded", "occupancy"):
             worst = max(worst, max_relative_gap(table.aggregated[weighting], expected))
@@ -216,7 +216,7 @@ def test_criterion_5_simulation_adjudication(k3_mixed_model):
         n_est=3,
     )
     assert config.horizon - config.warmup >= 2000.0 * cycle
-    table = compute_moment_table(model, n_max=3, statics=statics, with_checks=False)
+    table = compute_moment_table(model, n_max=3, statics=statics)
     estimate = estimate_factorial_moments(model, config)
     z_max = {}
     for weighting in ("embedded", "occupancy"):
@@ -245,7 +245,7 @@ def test_criterion_6_stirling_integrity(k3_mixed_model):
     )
     worst = 0.0
     for model in (k3_mixed_model, identical_state_model(rho=2.0)):
-        table = compute_moment_table(model, n_max=8, with_checks=False)
+        table = compute_moment_table(model, n_max=8)
         small = StirlingTables(8)
         for weighting in ("embedded", "occupancy"):
             back = small.factorial_from_raw(table.raw[weighting])

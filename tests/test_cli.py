@@ -10,7 +10,8 @@ import yaml
 
 import mminfenv
 from mminfenv import closedform, compute_moment_table, load_model
-from mminfenv.cli import main, structural_checks
+from mminfenv.checks import structural_checks
+from mminfenv.cli import main
 
 from conftest import MODELS_DIR
 
@@ -194,7 +195,8 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--model", K3_EXP)
         assert code == 0
         assert "markovian-identity" in out
-        assert "exponential-palm-match" in out
+        # the stationary vectors copy the Palm ones here: no check compares them
+        assert "exponential-palm-match" not in out
         assert "forward-relation" in out
         code, out, _ = run(capsys, "validate", "--model", K2_GAMMA)
         assert code == 0
@@ -233,6 +235,12 @@ class TestValidate:
         for model in (K2_EXP, K2_GAMMA):
             run(capsys, "validate", "--model", model, "--order", "20")
         assert len(calls) == 2
+
+    def test_removed_palm_match_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--model", K3_EXP, "--tol-palm-match", "1e-12"])
+        assert exit_info.value.code == 2
+        assert "--tol-palm-match" in capsys.readouterr().err
 
     def test_tolerance_flags_can_force_failure(self, capsys):
         code, out, _ = run(capsys, "validate", "--model", K2_GAMMA,
@@ -342,6 +350,12 @@ def test_cli_import_loads_no_scipy():
     # scipy serves only the test suite; the package must not pay for it at startup
     code = "import sys, mminfenv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert run_python("-c", code).stdout.strip() == "[]"
+
+
+def test_library_checks_load_no_cli():
+    # checking a moment table is library work: it must not import the CLI
+    code = "import sys, mminfenv; mminfenv.structural_checks; print('mminfenv.cli' in sys.modules)"
+    assert run_python("-c", code).stdout.strip() == "False"
 
 
 def test_module_invocation_runs_the_verb(tmp_path):
