@@ -106,9 +106,8 @@ def _check_simulation_order(args) -> None:
 
 
 def _tolerances_from_args(args) -> dict:
-    return {
-        name: getattr(args, name, default) for name, default in DEFAULT_TOLERANCES.items()
-    }
+    """The tolerances the verb has flags for, the only ones it reads."""
+    return {name: getattr(args, name) for name in DEFAULT_TOLERANCES if hasattr(args, name)}
 
 
 def _table_dict(table) -> dict:
@@ -382,7 +381,7 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except ValueError as exc:
-        # ModelError, or e.g. an order beyond the supported cap
+        # ModelError, an order beyond the supported cap, or a simulation flag out of range
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -27,9 +27,10 @@ one.  The j = n term carries tau_k = w_k[n, n] = E[exp(-n mu_k T)], so
 order n is one linear system ``(I - diag(tau) Q) m0^(n) = rhs`` with a
 nonnegative right-hand side.  Its inverse is the Neumann series
 sum_i (diag(tau) Q)^i, every term nonnegative: an order whose a-priori
-series length s_n = ceil(log(u (1 - tau_max)) / log(tau_max)) is at most
-K/8 two-column products sums the series to a tail below the unit
-roundoff u, and every other order takes one dense LU (see ``_solve``).
+series length, bounded through ||(diag(tau) Q)^2||_inf = max(tau * (Q tau)),
+is at most K/8 two-column products sums the series to a tail below the
+unit roundoff u, and every other order takes one dense LU (see
+``_series_steps`` and ``_solve``).
 The stationary vectors are the same sums with the residual weights
 ``w*`` and need no solve.  No term cancels, so the moments are accurate
 to roundoff at every order, and tau_k may underflow to 0 (row k of the
@@ -403,26 +404,45 @@ def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.n
     return matrix
 
 
-def _series_steps(tau_max: np.ndarray, k_count: int) -> np.ndarray:
+def _series_steps(taus: np.ndarray, routing: np.ndarray) -> list:
     """Per order, the products the Neumann series may take, or 0 where an LU is cheaper.
 
-    ``tau_max[n]`` is the largest diagonal weight of order n.  The terms
-    (diag(tau) Q)^i 1 are at most tau_max^i, so the series meets its
-    stopping rule (see ``_solve``) within
-    s_n = ceil(log(u (1 - tau_max)) / log(tau_max)) two-column products.
-    Orders with s_n <= K/8, about the cost of one LU (``_SERIES_BUDGET``),
-    get s_n; the others get 0.  tau_max is clamped into [tiny, 1 - u]:
-    where every tau underflowed it takes one product, and a state of zero
-    speed (tau_max = 1, where the series does not converge) gives a
-    length near 1e17, never within budget, with no log(1) to divide by.
+    ``taus[n]`` holds the diagonal weights of order n.  B = diag(tau) Q is
+    nonnegative with row sums tau, so ||B^r||_inf = max(B^r 1) =: beta_r:
+    beta_1 = tau_max, and beta_2 = max(tau * (Q tau)), one K x (n_max + 1)
+    product for every order.  The ones column after i products, B^i 1,
+    is then at most beta_2^(i // 2) beta_1^(i % 2), and the stopping rule
+    of ``_solve`` (max(t) tau_max / (1 - tau_max) <= u) fires by the
+    smallest i at which that bound does; beta_2 is inflated by 1 + 8 K u
+    against the rounding of the products.  ``_solve`` checks the terms
+    0..steps-1, so the grant is i + 1, capped by the tau_max-only length
+    s_n = ceil(log(u (1 - tau_max)) / log(tau_max)) (beta_2 <= tau_max^2,
+    so the cap only absorbs rounding).  Orders whose grant is at most
+    K/8, about the cost of one LU (``_SERIES_BUDGET``), get it; the
+    others get 0, and so does every order below K = 8, where nothing is
+    computed.  A state of zero speed (tau_max = 1, where the tail factor
+    is infinite) always gets 0; the clamps keep every logarithm finite
+    where tau or beta_2 underflowed to 0.
     """
-    tau = np.minimum(np.maximum(tau_max, np.finfo(float).tiny), 1.0 - _ROUNDOFF)
-    bound = np.ceil(np.log(_ROUNDOFF * (1.0 - tau)) / np.log(tau))
-    return np.where(bound <= _SERIES_BUDGET * k_count, bound, 0.0).astype(int)
+    k_count = len(routing)
+    budget = _SERIES_BUDGET * k_count
+    if budget < 1.0:
+        return [0] * len(taus)
+    tau_max = taus.max(axis=1)
+    beta_2 = (taus * (routing @ taus.T).T).max(axis=1) * (1.0 + 8.0 * k_count * _ROUNDOFF)
+    tau = np.clip(tau_max, np.finfo(float).tiny, 1.0 - _ROUNDOFF)
+    log_beta_2 = np.log(np.clip(beta_2, np.finfo(float).tiny, 1.0 - _ROUNDOFF))
+    # the rule fires once the ones column is at most u (1 - tau_max) / tau_max
+    target = np.log(_ROUNDOFF * (1.0 - tau) / tau)
+    even = 2.0 * np.maximum(np.ceil(target / log_beta_2), 0.0)
+    odd = 2.0 * np.maximum(np.ceil((target - np.log(tau)) / log_beta_2), 0.0) + 1.0
+    tau_only = np.ceil(np.log(_ROUNDOFF * (1.0 - tau)) / np.log(tau))
+    grant = np.minimum(np.minimum(even, odd) + 1.0, tau_only)
+    return np.where((grant <= budget) & (tau_max < 1.0), grant, 0.0).astype(int).tolist()
 
 
-def _solve(routing: np.ndarray, tau: np.ndarray, tau_max: float, steps: int, both: np.ndarray,
-           matrix: np.ndarray):
+def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, steps: int,
+           both: np.ndarray, matrix: np.ndarray):
     """Solve ``(I - diag(tau) Q) x = both[:, 0]``; return x and the exact inf-norm condition number.
 
     I - diag(tau) Q with Q = ``routing`` irreducible, nonnegative,
@@ -439,11 +459,13 @@ def _solve(routing: np.ndarray, tau: np.ndarray, tau_max: float, steps: int, bot
     tail of that column, sum_{i>=1} (diag(tau) Q)^i t, is at most u; since
     |rhs| <= ||rhs||_inf 1 entrywise, the tail of the other column is at
     most u ||rhs||_inf.  Both are normwise relative bounds, as x >= rhs and
-    the ones column's sum is >= 1.  The rule holds by ``steps`` products
-    at the latest; ``_series_steps`` grants them only where they number
-    at most K/8, below the measured cost of one LU (``_SERIES_BUDGET``).
-    With ``steps`` = 0 the matrix is built in ``matrix`` and solved by
-    one LU with the two right-hand sides.
+    the ones column's sum is >= 1.  ``_series_steps`` grants the products
+    after which the rule has fired, from the norm of (diag(tau) Q)^2, and
+    only where they number at most K/8, below the measured cost of one LU
+    (``_SERIES_BUDGET``); a series that runs out of them before the rule
+    fires has no tail bound and raises NumericError.  With ``steps`` = 0
+    the matrix is built in ``matrix`` and solved by one LU with the two
+    right-hand sides.  ``order`` names the order in the errors.
     """
     if steps:
         total, term = both.copy(), both
@@ -454,8 +476,15 @@ def _solve(routing: np.ndarray, tau: np.ndarray, tau_max: float, steps: int, bot
             term = routing @ term
             term *= tau[:, np.newaxis]
             total += term
+        else:
+            raise NumericError(
+                f"order-{order} Neumann series did not reach its tail bound within {steps} products"
+            )
     else:
-        total = np.linalg.solve(_order_matrix(routing, tau, out=matrix), both)
+        try:
+            total = np.linalg.solve(_order_matrix(routing, tau, out=matrix), both)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"order-{order} system is singular: {exc}") from exc
     return total[:, 0].copy(), (1.0 + tau_max) * float(total[:, 1].max())
 
 
@@ -509,12 +538,13 @@ def palm_moment_vectors(
     with R the diagonal matrix of offered loads, beside a second
     right-hand side, the ones vector, that gives the exact condition
     number.  The solver of each order is picked before the loop from its
-    largest diagonal weight tau_max: the Neumann series where its
-    a-priori length ceil(log(u (1 - tau_max)) / log(tau_max)) is at most
-    K/8 two-column products, below the measured cost of one LU
+    diagonal weights tau: the Neumann series where its a-priori length,
+    from tau_max and beta_2 = ||(diag(tau) Q)^2||_inf = max(tau * (Q tau)),
+    is at most K/8 two-column products, below the measured cost of one LU
     (``_SERIES_BUDGET``), stopped once the ones column bounds the tail of
-    both columns by the unit roundoff u; one LU otherwise (see
-    ``_solve``).  The backward residual of every order is read off the
+    both columns by the unit roundoff u; one LU otherwise, and at every
+    order of a model with a state of zero speed (see ``_series_steps``
+    and ``_solve``).  The backward residual of every order is read off the
     product Q m0^(n) that the next order needs anyway; residuals above
     1e-8 raise NumericError carrying it.
     """
@@ -528,7 +558,7 @@ def palm_moment_vectors(
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = np.diagonal(weights, axis1=1, axis2=2).T
     tau_max = taus.max(axis=1)
-    steps = _series_steps(tau_max, k_count).tolist()
+    steps = _series_steps(taus, routing)
 
     vectors = [np.ones(k_count)]
     routed = np.empty((k_count, n_max + 1))
@@ -543,10 +573,7 @@ def palm_moment_vectors(
     for n in range(1, n_max + 1):
         rhs = (weights[:, n, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
         both[:, 0] = rhs
-        try:
-            solution, cond = _solve(routing, taus[n], tau_max[n], steps[n], both, matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"order-{n} system is singular: {exc}") from exc
+        solution, cond = _solve(n, routing, taus[n], tau_max[n], steps[n], both, matrix)
         routed[:, n] = routing @ solution
         scale = max(float(np.abs(rhs).max()), 1e-300)
         residual = float(np.abs(solution - taus[n] * routed[:, n] - rhs).max()) / scale

@@ -54,7 +54,8 @@ class SimulationConfig:
     """Replication layout for a moment-estimation run.
 
     ``sampling_interval = None`` resolves to the model's mean environment
-    cycle length, which keeps consecutive samples weakly correlated.
+    cycle length, which keeps consecutive samples weakly correlated.  A
+    field out of range is an input error: ValueError.
     """
 
     warmup: float
@@ -66,27 +67,27 @@ class SimulationConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.warmup) and self.warmup >= 0.0):
-            raise EstimationError(f"warmup must be finite and nonnegative, got {self.warmup}")
+            raise ValueError(f"warmup must be finite and nonnegative, got {self.warmup}")
         if not (math.isfinite(self.horizon) and self.horizon > self.warmup):
-            raise EstimationError(
+            raise ValueError(
                 f"horizon ({self.horizon}) must be finite and exceed warmup ({self.warmup})"
             )
         if self.sampling_interval is not None and not (
             math.isfinite(self.sampling_interval) and self.sampling_interval > 0.0
         ):
-            raise EstimationError(
+            raise ValueError(
                 f"sampling interval must be positive, got {self.sampling_interval}"
             )
         if self.replications < 2:
-            raise EstimationError(
+            raise ValueError(
                 f"at least 2 replications are required for a standard error, got {self.replications}"
             )
         if not 1 <= self.n_est <= MAX_ESTIMATED_ORDER:
-            raise EstimationError(
+            raise ValueError(
                 f"n_est must be in 1..{MAX_ESTIMATED_ORDER}, got {self.n_est}"
             )
         if not 0 <= int(self.master_seed) < 2 ** 64:
-            raise EstimationError(f"master seed must fit in 64 bits, got {self.master_seed}")
+            raise ValueError(f"master seed must fit in 64 bits, got {self.master_seed}")
 
     def resolved_interval(self, model: EnvironmentModel, statics: ChainStatics) -> float:
         if self.sampling_interval is not None:
@@ -313,7 +314,7 @@ def _replication_estimate(
 def _sampling_grid(config: SimulationConfig, interval: float) -> np.ndarray:
     grid = np.arange(config.warmup + interval, config.horizon, interval)
     if grid.size < 2:
-        raise EstimationError(
+        raise ValueError(
             "fewer than 2 samples fit between warmup and horizon; "
             "lengthen the horizon or shrink the sampling interval"
         )

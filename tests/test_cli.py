@@ -226,6 +226,22 @@ class TestValidate:
         table = compute_moment_table(environment, n_max=6)
         assert [v.to_dict() for v in structural_checks(environment, table)] == reported
 
+    def test_out_reports_the_tolerances_the_verb_reads(self, capsys, tmp_path):
+        # validate reads the tol_* gates and compare only z_max; neither echoes the other's
+        out_path = tmp_path / "validate.json"
+        run(capsys, "validate", "--model", K3_MIXED, "--tol-solve", "1e-11", "--out", str(out_path))
+        config = json.loads(out_path.read_text())["config"]
+        assert config["tolerances"] == {
+            "tol_identity": 1e-9, "tol_closedform": 1e-8, "tol_kummer": 1e-9,
+            "tol_gamma": 1e-10, "tol_solve": 1e-11,
+        }
+        out_path = tmp_path / "compare.json"
+        run(capsys, "compare", "--model", IDENTICAL, "--order", "1", "--reps", "2",
+            "--warmup", "5", "--horizon", "50", "--z-max", "4", "--out", str(out_path))
+        config = json.loads(out_path.read_text())["config"]
+        assert config["z_max"] == 4.0
+        assert not any(key.startswith("tol") for key in config)
+
     def test_closed_form_evaluated_once(self, capsys, monkeypatch):
         calls = []
         original = closedform.shifted_palm_moments
@@ -270,11 +286,26 @@ class TestSimulate:
         estimate, se = float(rows[1][1]), float(rows[1][2])
         assert abs(estimate - 2.0) <= 3.0 * se
 
-    def test_single_replication_exits_3(self, capsys):
+    def test_single_replication_exits_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--model", IDENTICAL, "--reps", "1",
                            "--warmup", "5", "--horizon", "50")
-        assert code == 3
-        assert "replication" in err
+        assert code == 2
+        assert "input error" in err and "replication" in err
+
+    @pytest.mark.parametrize("verb", ["simulate", "compare"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--warmup", "-5"], "warmup"),
+        (["--horizon", "10", "--warmup", "20"], "exceed warmup"),
+        (["--interval", "-1"], "sampling interval"),
+        (["--seed", "-3"], "64 bits"),
+        (["--seed", str(2**64)], "64 bits"),
+        (["--warmup", "5", "--horizon", "50", "--interval", "30"], "fewer than 2 samples"),
+    ])
+    def test_flag_out_of_range_exits_2(self, capsys, verb, flags, message):
+        code, out, err = run(capsys, verb, "--model", IDENTICAL, "--reps", "2", *flags)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and message in err
 
     def test_record_contains_seeds_and_config(self, capsys, tmp_path):
         out_path = tmp_path / "sim.json"

@@ -106,6 +106,28 @@ LU_MODELS = CONDITION_MODELS[:5] + [
 ]
 
 
+# every model above, and the mixed fast-service and K = 200 models the grant tests meet
+GRANT_MODELS = CONDITION_MODELS + [
+    pytest.param(partial(seeded, fast_service_mixed_model, 64), id="fast_service_mixed_model-k64"),
+] + [
+    pytest.param(partial(seeded, build, 200), id=f"{build.__name__}-k200")
+    for build in (random_exponential_model, random_mixed_model)
+]
+
+
+def tau_max_lengths(taus):
+    """Per order, the a-priori series length from tau_max alone, ceil(log(u (1 - t)) / log(t))."""
+    lengths = []
+    for t in taus.max(axis=1).tolist():
+        if t >= 1.0:
+            lengths.append(math.inf)
+        elif t == 0.0:
+            lengths.append(1)
+        else:
+            lengths.append(math.ceil(math.log(2.0**-53 * (1.0 - t)) / math.log(t)))
+    return lengths
+
+
 def counting(monkeypatch, owner, name):
     """Replace ``owner.name`` by a wrapper that records each call; return the record."""
     calls = []
@@ -255,48 +277,108 @@ class TestPalmVectors:
 class TestSolverChoice:
     """Per order, the Neumann series where it is cheaper than one LU, the LU elsewhere."""
 
-    @pytest.mark.parametrize("build", [fast_service_model, fast_service_mixed_model])
-    def test_series_agrees_with_the_lu_on_every_order(self, build):
-        model = build(64, np.random.default_rng(64))
+    @pytest.mark.parametrize("build, k_count", [
+        pytest.param(fast_service_model, 64, id="fast_service_model"),
+        pytest.param(fast_service_mixed_model, 64, id="fast_service_mixed_model"),
+        pytest.param(random_exponential_model, 200, id="random_exponential_model-k200"),
+    ])
+    def test_series_agrees_with_the_lu_on_every_order(self, build, k_count):
+        model = seeded(build, k_count)
         statics = chain_statics(model)
         routing = statics.reversed_routing
         palm = palm_moment_vectors(model, statics, 20)
         weights = _weights(model.sojourns, model.service_rates, 20)
         taus = np.diagonal(weights, axis1=1, axis2=2).T
         tau_max = taus.max(axis=1)
-        steps = moments._series_steps(tau_max, 64)
-        assert np.all(steps[1:] > 0)
+        steps = moments._series_steps(taus, routing)
+        series_orders = [n for n in range(1, 21) if steps[n]]
+        # the orders the tau_max length alone would leave to the LU
+        moved = [n for n in series_orders if tau_max_lengths(taus)[n] > k_count / 8]
+        if build is random_exponential_model:
+            assert moved == list(range(12, 19))
+        else:
+            assert series_orders == list(range(1, 21))
         rho = offered_loads(model)
         routed = [routing @ vec for vec in palm.vectors]
         matrix = np.empty_like(routing)
-        for n in range(1, 21):
+        for n in series_orders:
             rhs = sum(weights[:, n, j] * rho ** (n - j) * routed[j] for j in range(n))
-            both = np.column_stack((rhs, np.ones(64)))
-            series, series_condition = moments._solve(routing, taus[n], tau_max[n], steps[n], both, matrix)
-            lu, lu_condition = moments._solve(routing, taus[n], tau_max[n], 0, both, matrix)
+            both = np.column_stack((rhs, np.ones(k_count)))
+            series, series_condition = moments._solve(n, routing, taus[n], tau_max[n], steps[n], both, matrix)
+            lu, lu_condition = moments._solve(n, routing, taus[n], tau_max[n], 0, both, matrix)
             assert np.abs(series - lu).max() <= 1e-14 * np.abs(lu).max()
             assert series_condition == pytest.approx(lu_condition, rel=1e-14, abs=0.0)
+            if n in moved:
+                # the rule fires with a product to spare: one product fewer gives the same sum
+                shorter, _ = moments._solve(n, routing, taus[n], tau_max[n], steps[n] - 1, both, matrix)
+                assert np.array_equal(shorter, series)
         if build is fast_service_mixed_model:
             # the premises: zero right-hand side entries and an underflowed tau
             assert np.any(rho == 0.0)
             assert taus[14, 0] > 0.0 and taus[15, 0] == 0.0
 
     def test_step_counts(self):
-        # zero speed (tau_max = 1) takes the LU, with no log(1) in a division;
+        # uniform tau makes beta_2 = tau_max^2: the tau_max lengths.  Zero
+        # speed (tau_max = 1) takes the LU, with no log(1) in a division;
         # tau_max = 0 needs one product; 2 / 402 needs 7, within 64 / 8
         tau_max = np.array([1.0, 0.0, 2.0 / 402.0, 2.0 / 402.0, 0.5])
-        assert moments._series_steps(tau_max, 64).tolist() == [0, 1, 7, 7, 0]
-        assert moments._series_steps(tau_max, 55).tolist() == [0, 1, 0, 0, 0]
+        for k_count, expected in ((64, [0, 1, 7, 7, 0]), (55, [0, 1, 0, 0, 0])):
+            routing = random_routing(k_count, np.random.default_rng(k_count))
+            taus = np.repeat(tau_max[:, np.newaxis], k_count, axis=1)
+            assert moments._series_steps(taus, routing) == expected
+
+    def test_two_state_cyclic_grant(self, monkeypatch):
+        # Q swaps the states, so (diag(tau) Q)^2 = diag(tau_0 tau_1) and
+        # beta_2 = tau_0 tau_1 exactly; the tail factor is 1 at tau_max = 0.5.
+        # tau = (0.5, 0.02): the ones column after 16 products is
+        # (tau_0 tau_1)^8 = 1e-16 <= u, after 15 it is 0.5 (tau_0 tau_1)^7.
+        # tau = (0.5, 0.12): an odd count, 0.5 (0.06)^13 = 6.5e-17 <= u after
+        # 27 products, 0.06^13 = 1.3e-16 after 26.  tau_max alone would
+        # grant 54 to both.  Zero speed keeps the LU though beta_2 = 0.3, and
+        # beta_2 = 0 (every tau underflowed) takes one product, with no log(0)
+        routing = np.array([[0.0, 1.0], [1.0, 0.0]])
+        taus = np.array([[1.0, 1.0], [0.5, 0.02], [0.5, 0.12], [2.0 / 402.0] * 2, [1.0, 0.3], [0.0, 0.0]])
+        assert moments._series_steps(taus, routing) == [0, 0, 0, 0, 0, 0]
+        assert tau_max_lengths(taus)[1:3] == [54, 54]
+        monkeypatch.setattr(moments, "_SERIES_BUDGET", 4.0)
+        assert moments._series_steps(taus, routing) == [0, 0, 0, 7, 0, 1]
+        monkeypatch.setattr(moments, "_SERIES_BUDGET", 32.0)
+        assert moments._series_steps(taus, routing) == [0, 17, 28, 7, 0, 1]
+
+    @pytest.mark.parametrize("build", GRANT_MODELS)
+    def test_grant_is_within_the_tau_max_length(self, build):
+        # beta_2 <= tau_max^2: no order moves from the series to the LU
+        model = build()
+        weights = _weights(model.sojourns, model.service_rates, 20)
+        taus = np.diagonal(weights, axis1=1, axis2=2).T
+        grants = moments._series_steps(taus, chain_statics(model).reversed_routing)
+        for grant, length in zip(grants, tau_max_lengths(taus)):
+            assert grant <= length
+            assert grant > 0 or length > model.num_states / 8
+
+    def test_short_grant_raises(self, monkeypatch):
+        # every order of this model meets its rule on the last product granted
+        grant = moments._series_steps
+        monkeypatch.setattr(moments, "_series_steps", lambda *args: [max(s - 1, 0) for s in grant(*args)])
+        with pytest.raises(NumericError, match="order-1 Neumann series did not reach its tail bound within 6"):
+            palm_moment_vectors(seeded(fast_service_model, 64), n_max=20)
 
     def test_zero_speed_state_takes_the_lu(self, monkeypatch):
-        base = seeded(fast_service_model, 64)
-        model = dataclasses.replace(
-            base,
-            arrival_rates=np.concatenate(([0.0], base.arrival_rates[1:])),
-            speeds=np.concatenate(([0.0], base.speeds[1:])),
+        # at K = 200 the beta_2 bound grants every order of a state slowed to
+        # speed 1e-9; at speed 0 the tail factor is infinite and all take the LU
+        base = seeded(fast_service_model, 200)
+        slow, model = (
+            dataclasses.replace(
+                base,
+                arrival_rates=np.concatenate(([0.0], base.arrival_rates[1:])),
+                speeds=np.concatenate(([speed], base.speeds[1:])),
+            )
+            for speed in (1e-9, 0.0)
         )
-        statics = chain_statics(model)
+        slow_statics, statics = chain_statics(slow), chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
+        palm_moment_vectors(slow, slow_statics, 20)
+        assert solves == []
         palm = palm_moment_vectors(model, statics, 20)
         assert len(solves) == 20
         expected = np.linalg.cond(order_matrix(model, statics, 20), np.inf)

@@ -7,7 +7,6 @@ from mminfenv import (
     Deterministic,
     EnvironmentModel,
     EnvironmentPath,
-    EstimationError,
     Exponential,
     Gamma,
     HyperExponential,
@@ -33,19 +32,19 @@ def small_config(**overrides):
 
 class TestConfig:
     def test_single_replication_rejected(self):
-        with pytest.raises(EstimationError, match="replication"):
+        with pytest.raises(ValueError, match="replication"):
             small_config(replications=1)
 
     def test_warmup_must_precede_horizon(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError):
             small_config(warmup=500.0, horizon=400.0)
 
     def test_order_cap(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError):
             small_config(n_est=7)
 
     def test_bad_interval(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError):
             small_config(sampling_interval=0.0)
 
     def test_default_interval_is_mean_cycle(self):
