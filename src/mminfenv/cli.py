@@ -120,6 +120,7 @@ def _table_dict(table) -> dict:
         "stationary_vectors": [v for v in table.stationary],
         "bn_condition": table.bn_condition,
         "solve_residual": table.solve_residual,
+        "palm_steps": table.palm_steps,
         "identity_residuals": dict(table.identity_residuals),
     }
 
@@ -220,6 +221,7 @@ def cmd_validate(args) -> tuple:
         command="validate",
         model=model_to_dict(model),
         config={"order": args.order, "tolerances": tolerances},
+        table=_table_dict(table),
         verdicts=verdicts,
     )
     report.lines.append(f"structural checks at orders 0..{args.order}")

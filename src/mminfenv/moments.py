@@ -25,16 +25,27 @@ reversed routing matrix Q.  Expanding the n-th power binomially gives
 so every coefficient is a probability and every row of weights sums to
 one.  The j = n term carries tau_k = w_k[n, n] = E[exp(-n mu_k T)], so
 order n is one linear system ``(I - diag(tau) Q) m0^(n) = rhs`` with a
-nonnegative right-hand side.  Its inverse is the Neumann series
-sum_i (diag(tau) Q)^i, every term nonnegative: an order whose a-priori
-series length, bounded through ||(diag(tau) Q)^2||_inf = max(tau * (Q tau)),
-is at most K/8 two-column products sums the series to a tail below the
-unit roundoff u, and every other order takes one dense LU (see
-``_series_steps`` and ``_solve``).
+nonnegative right-hand side.  With E = Q - 1 p' for any vector p, its
+matrix splits exactly as (I - diag(tau) E) - tau p', and Sherman-Morrison
+gives the solution from y and z, the series sum_i (diag(tau) E)^i applied
+to the right-hand side and to tau:
+
+    x = y + z (p.y) / (1 - p.z),
+
+where 1 - p.z > 0 by the matrix determinant lemma.  p = pi, the
+stationary law of Q, deflates the Perron mode of diag(tau) Q and
+p = 0 is the plain Neumann series; each order takes the p with the
+smaller q_n = max_k tau_k sum_j |Q_kj - p_j| >= ||diag(tau) E||_inf.  The
+tail of the series after a term t is at most ||t||_inf q_n / (1 - q_n)
+for any sign pattern, which gives both the a-priori length
+ceil(log(u (1 - q_n)) / log(q_n)) - 1 and the stopping rule (the tail
+at most the unit roundoff u, normwise).  An order whose length is within
+the measured cost of one LU sums the series; every other order takes
+one dense LU (see ``_series_grants`` and ``_solve``).
 The stationary vectors are the same sums with the residual weights
-``w*`` and need no solve.  No term cancels, so the moments are accurate
-to roundoff at every order, and tau_k may underflow to 0 (row k of the
-matrix is then e_k).
+``w*`` and need no solve.  No weight cancels, so the moments are
+accurate to roundoff at every order, and tau_k may underflow to 0 (row
+k of the matrix is then e_k).
 
 The weights of all orders form one lower-triangular table per call,
 ``table[k, n, j] = w_k[n, j]``.  Exponential, hyperexponential and gamma
@@ -81,13 +92,24 @@ MAX_ORDER = 20
 SOLVE_RESIDUAL_LIMIT = 1e-8
 _NEGATIVITY_FLOOR = 1e-10
 
-# unit roundoff of binary64, the tail the Neumann series is summed to
+# unit roundoff of binary64, the tail the Palm series is summed to
 _ROUNDOFF = 2.0**-53
-# two-column products per state that the series may take in place of one
-# LU: on a 2-core Xeon VM (OpenBLAS 0.3.31, one thread, best of 7) an LU
-# with its matrix build cost about 25, 60 and 80 bare products at K = 50,
-# 200 and 500, so K/8 stays below the break-even at every K
-_SERIES_BUDGET = 1.0 / 8.0
+# products of the deflated Palm series (one 2 x K by K x K product, its
+# correction and the tail test) that may stand in for one LU with its
+# matrix build: K/10 up to K = 100 and K/5 - 10 beyond (an LU grows as K^3,
+# a product as K^2 over a fixed interpreter cost), at most 40 while Q fits
+# in 3 MiB and at most 24 beyond, where each product streams Q from
+# memory.  LU time over step time on a 2-core Xeon VM (OpenBLAS 0.3.31,
+# one thread, median of 7):
+#   K      50   64  100  150  200  300  400  500  600  700  800  1000
+#   ratio 5.3  6.9 11.8 23.1 37.1 74.2 97.9 87.5 75.9 39.7 42.5  54.1
+#   rule  5.0  6.4 10.0 20.0 30.0 40.0 40.0 40.0 40.0 24.0 24.0  24.0
+# so the rule stays at or below the break-even at every K measured; below
+# K = 10 it is under one product and every order takes the LU
+_SERIES_SHARE = 1.0 / 10.0
+_SERIES_CAP = 40.0
+_SERIES_CAP_UNCACHED = 24.0
+_CACHED_BYTES = 3.0 * 2**20
 
 WEIGHTINGS = ("embedded", "occupancy")
 
@@ -120,30 +142,36 @@ def offered_loads(model: EnvironmentModel) -> np.ndarray:
     return rho
 
 
-def _gauss_beta(a: float, b: float, size: int):
-    """Nodes and probabilities of the ``size``-point Gauss rule of the Beta(a, b) law.
+def _gauss_beta(a, b, size: int):
+    """Nodes and probabilities of the ``size``-point Gauss rules of the Beta(a, b) laws.
 
     Golub-Welsch on the Jacobi matrix of the Jacobi polynomials with
     weight (1 - x)^(b-1) (1 + x)^(a-1) on [-1, 1], mapped to [0, 1];
-    Beta(1, 1) gives the Gauss-Legendre rule.
+    Beta(1, 1) gives the Gauss-Legendre rule.  ``a`` and ``b`` broadcast
+    to the leading shape of the results, one rule per entry, and all the
+    rules come from one stacked eigen-solve.
     """
-    alpha, beta = b - 1.0, a - 1.0
+    alpha, beta = np.broadcast_arrays(np.asarray(b, dtype=float) - 1.0, np.asarray(a, dtype=float) - 1.0)
+    alpha, beta = alpha[..., np.newaxis], beta[..., np.newaxis]
     k = np.arange(1.0, size)
     total = 2.0 * k + alpha + beta
-    diag = np.empty(size)
-    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
-    diag[1:] = (beta**2 - alpha**2) / (total * (total + 2.0))
-    off = np.empty(size - 1)
+    diag = np.empty(alpha.shape[:-1] + (size,))
+    diag[..., :1] = (beta - alpha) / (alpha + beta + 2.0)
+    diag[..., 1:] = (beta**2 - alpha**2) / (total * (total + 2.0))
+    off = np.empty(alpha.shape[:-1] + (size - 1,))
     # k = 1 with the factor 1 + alpha + beta (which may vanish) cancelled
-    off[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + alpha + beta) ** 2 * (3.0 + alpha + beta))
-    k, total = k[1:], total[1:]
-    off[1:] = (
+    off[..., :1] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + alpha + beta) ** 2 * (3.0 + alpha + beta))
+    k, total = k[1:], total[..., 1:]
+    off[..., 1:] = (
         4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
         / (total**2 * (total + 1.0) * (total - 1.0))
     )
-    jacobi = np.diag(diag) + np.diag(np.sqrt(off), 1) + np.diag(np.sqrt(off), -1)
+    jacobi = np.zeros(diag.shape + (size,))
+    index = np.arange(size)
+    jacobi[..., index, index] = diag
+    jacobi[..., index[1:], index[:-1]] = jacobi[..., index[:-1], index[1:]] = np.sqrt(off)
     nodes, vectors = np.linalg.eigh(jacobi)
-    return (nodes + 1.0) / 2.0, vectors[0] ** 2
+    return (nodes + 1.0) / 2.0, vectors[..., 0, :] ** 2
 
 
 # Gauss rule sizes: at order 20, 16 nodes per panel of the graded gamma
@@ -181,8 +209,8 @@ def _exponential_weights(rates: np.ndarray, service: np.ndarray, n_max: int) -> 
     return table
 
 
-def _gamma_scale_rule(a: float, b: float, c: float):
-    """Graded Gauss rule for B ~ Beta(a, b); B = 1 when b = 0.
+def _gamma_scale_rules(a: list, b: list, c: list) -> list:
+    """Graded Gauss rules for B ~ Beta(a_i, b_i), b_i > 0, one (nodes, probabilities) per entry.
 
     The exponential rows are rational in B with poles at B = -1 / (i c),
     i = 1..n, c = mu_k / rate, which crowd towards the end point 0 as c
@@ -192,27 +220,35 @@ def _gamma_scale_rule(a: float, b: float, c: float):
     and a fixed rule per panel converges at any c.  The first panel
     carries the B^(a-1) factor of the density in its Gauss weight, the
     last one the (1 - B)^(b-1) factor; the others are Gauss-Legendre.
+    The shape-dependent rules of every entry (Beta(a, b) where no cut is
+    needed, else Beta(a, 1) and Beta(1, b)) come from one stacked
+    eigen-solve.
     """
-    if b == 0.0:
-        return np.ones(1), np.ones(1)
-    panels = max(0, math.ceil(math.log(2 * MAX_ORDER * c, 4)))
-    if not panels:
-        return _gauss_beta(a, b, _PANEL_NODES)
-    # probabilities of the unnormalised density B^(a-1) (1 - B)^(b-1)
-    low = 4.0**-panels
-    z, p = _gauss_beta(a, 1.0, _PANEL_NODES)
-    nodes, probs = [low * z], [p * low**a / a * (1.0 - low * z) ** (b - 1.0)]
-    z, p = _legendre_rule(_PANEL_NODES)
-    lo = 4.0 ** -np.arange(panels, 1, -1.0)[:, np.newaxis]
-    x = lo * (1.0 + 3.0 * z)
-    nodes.append(x.ravel())
-    probs.append((3.0 * lo * p * x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)).ravel())
-    z, p = _gauss_beta(1.0, b, _PANEL_NODES)
-    x = 0.25 + 0.75 * z
-    nodes.append(x)
-    probs.append(p * 0.75**b / b * x ** (a - 1.0))
-    probs = np.concatenate(probs)
-    return np.concatenate(nodes), probs / probs.sum()
+    panels = [max(0, math.ceil(math.log(2 * MAX_ORDER * ci, 4))) for ci in c]
+    first = [bi if not m else 1.0 for bi, m in zip(b, panels)]
+    last = [bi for bi, m in zip(b, panels) if m]
+    nodes, probs = _gauss_beta(a + [1.0] * len(last), first + last, _PANEL_NODES)
+    legendre_nodes, legendre_probs = _legendre_rule(_PANEL_NODES)
+    rules, cut = [], len(a)
+    for z, p, ai, bi, m in zip(nodes, probs, a, b, panels):
+        if not m:
+            rules.append((z, p))
+            continue
+        # probabilities of the unnormalised density B^(a-1) (1 - B)^(b-1)
+        low = 4.0**-m
+        rule_nodes, rule_probs = [low * z], [p * low**ai / ai * (1.0 - low * z) ** (bi - 1.0)]
+        lo = 4.0 ** -np.arange(m, 1, -1.0)[:, np.newaxis]
+        x = lo * (1.0 + 3.0 * legendre_nodes)
+        rule_nodes.append(x.ravel())
+        rule_probs.append((3.0 * lo * legendre_probs * x ** (ai - 1.0) * (1.0 - x) ** (bi - 1.0)).ravel())
+        z, p = nodes[cut], probs[cut]
+        cut += 1
+        x = 0.25 + 0.75 * z
+        rule_nodes.append(x)
+        rule_probs.append(p * 0.75**bi / bi * x ** (ai - 1.0))
+        rule_probs = np.concatenate(rule_probs)
+        rules.append((np.concatenate(rule_nodes), rule_probs / rule_probs.sum()))
+    return rules
 
 
 def _erlang_mixture_weights(sojourns, service, n_max, residual):
@@ -236,8 +272,18 @@ def _erlang_mixture_weights(sojourns, service, n_max, residual):
     its weight table is the q-th power of the exponential one (the
     residual: the mean of the first q powers).
     """
+    # non-integer gamma shapes: the graded rules of all such states at once
+    fractional = [
+        (k, dist.shape + residual, math.ceil(dist.shape) - dist.shape, a / dist.rate)
+        for k, (dist, a) in enumerate(zip(sojourns, service.tolist()))
+        if isinstance(dist, Gamma) and dist.shape != math.ceil(dist.shape)
+    ]
+    rules = {}
+    if fractional:
+        states, *shapes = zip(*fractional)
+        rules = dict(zip(states, _gamma_scale_rules(*map(list, shapes))))
     branches = []
-    for dist, a in zip(sojourns, service.tolist()):
+    for k, dist in enumerate(sojourns):
         if isinstance(dist, Exponential):
             branches.append(([dist.rate], [1.0], 1))
         elif isinstance(dist, HyperExponential):
@@ -247,9 +293,8 @@ def _erlang_mixture_weights(sojourns, service, n_max, residual):
                 probs = [m / sum(means) for m in means]
             branches.append((list(dist.rates), probs, 1))
         else:
-            q = math.ceil(dist.shape)
-            nodes, weights = _gamma_scale_rule(dist.shape + residual, q - dist.shape, a / dist.rate)
-            branches.append(((dist.rate / nodes).tolist(), weights.tolist(), q))
+            nodes, weights = rules.get(k, (np.ones(1), np.ones(1)))
+            branches.append(((dist.rate / nodes).tolist(), weights.tolist(), math.ceil(dist.shape)))
     # a gamma state may have hundreds of branches: build the branch tables a
     # bounded number at a time, whole states per chunk
     sizes = np.cumsum([len(rates) for rates, _, _ in branches])
@@ -404,88 +449,117 @@ def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.n
     return matrix
 
 
-def _series_steps(taus: np.ndarray, routing: np.ndarray) -> list:
-    """Per order, the products the Neumann series may take, or 0 where an LU is cheaper.
+def _series_budget(k_count: int) -> float:
+    """Products of the Palm series that cost less than one LU at K states (see ``_SERIES_SHARE``)."""
+    cap = _SERIES_CAP if 8.0 * k_count**2 <= _CACHED_BYTES else _SERIES_CAP_UNCACHED
+    return min(max(_SERIES_SHARE * k_count, 2.0 * _SERIES_SHARE * k_count - 10.0), cap)
 
-    ``taus[n]`` holds the diagonal weights of order n.  B = diag(tau) Q is
-    nonnegative with row sums tau, so ||B^r||_inf = max(B^r 1) =: beta_r:
-    beta_1 = tau_max, and beta_2 = max(tau * (Q tau)), one K x (n_max + 1)
-    product for every order.  The ones column after i products, B^i 1,
-    is then at most beta_2^(i // 2) beta_1^(i % 2), and the stopping rule
-    of ``_solve`` (max(t) tau_max / (1 - tau_max) <= u) fires by the
-    smallest i at which that bound does; beta_2 is inflated by 1 + 8 K u
-    against the rounding of the products.  ``_solve`` checks the terms
-    0..steps-1, so the grant is i + 1, capped by the tau_max-only length
-    s_n = ceil(log(u (1 - tau_max)) / log(tau_max)) (beta_2 <= tau_max^2,
-    so the cap only absorbs rounding).  Orders whose grant is at most
-    K/8, about the cost of one LU (``_SERIES_BUDGET``), get it; the
-    others get 0, and so does every order below K = 8, where nothing is
-    computed.  A state of zero speed (tau_max = 1, where the tail factor
-    is infinite) always gets 0; the clamps keep every logarithm finite
-    where tau or beta_2 underflowed to 0.
+
+def _series_grants(taus: np.ndarray, routing: np.ndarray, pi: np.ndarray, buffer: np.ndarray):
+    """Per order, the products its series may take (0: an LU is cheaper), whether p = pi bounds it better, and q_n.
+
+    ``taus[n]`` holds the diagonal weights of order n.  For any p,
+    E = Q - 1 p' splits the order-n matrix exactly as
+    I - diag(tau) Q = (I - diag(tau) E) - tau p', and
+    ||diag(tau) E||_inf <= q_n = max_k tau_k sum_j |Q_kj - p_j|.  p = pi
+    (pi Q = pi) takes the Perron mode of Q out of E; p = 0 gives
+    q_n = tau_max, the plain Neumann series.  Each order takes the p with
+    the smaller q_n.  The row sums of |Q - 1 pi'| are one K^2 pass per
+    call, made in ``buffer`` (the order-matrix buffer, overwritten).  q_n
+    is raised by 4 K u tau_max, which bounds the rounding of one product,
+    so every computed term is at most q_n times the one before, and the
+    tail rule of ``_solve``, ||t||_inf q_n / (1 - q_n) <= u ||first term||_inf,
+    fires after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products
+    (and at least one).  Orders whose grant is within ``_series_budget``,
+    below the measured cost of one LU, get it; the others get 0, and so
+    does every order below K = 10.  The clamps keep the logarithms finite
+    where q_n underflowed to 0 or reached 1 (a state of zero speed has
+    tau = 1: its orders deflate or take the LU).
     """
     k_count = len(routing)
-    budget = _SERIES_BUDGET * k_count
+    budget = _series_budget(k_count)
     if budget < 1.0:
-        return [0] * len(taus)
+        return [0] * len(taus), np.zeros(len(taus), dtype=bool), np.ones(len(taus))
     tau_max = taus.max(axis=1)
-    beta_2 = (taus * (routing @ taus.T).T).max(axis=1) * (1.0 + 8.0 * k_count * _ROUNDOFF)
-    tau = np.clip(tau_max, np.finfo(float).tiny, 1.0 - _ROUNDOFF)
-    log_beta_2 = np.log(np.clip(beta_2, np.finfo(float).tiny, 1.0 - _ROUNDOFF))
-    # the rule fires once the ones column is at most u (1 - tau_max) / tau_max
-    target = np.log(_ROUNDOFF * (1.0 - tau) / tau)
-    even = 2.0 * np.maximum(np.ceil(target / log_beta_2), 0.0)
-    odd = 2.0 * np.maximum(np.ceil((target - np.log(tau)) / log_beta_2), 0.0) + 1.0
-    tau_only = np.ceil(np.log(_ROUNDOFF * (1.0 - tau)) / np.log(tau))
-    grant = np.minimum(np.minimum(even, odd) + 1.0, tau_only)
-    return np.where((grant <= budget) & (tau_max < 1.0), grant, 0.0).astype(int).tolist()
+    np.abs(np.subtract(routing, pi, out=buffer), out=buffer)
+    deflated = (taus * buffer.sum(axis=1)).max(axis=1)
+    deflate = deflated < tau_max
+    bound = np.where(deflate, deflated, tau_max) + 4.0 * k_count * _ROUNDOFF * tau_max
+    q = np.clip(bound, np.finfo(float).tiny, 1.0 - _ROUNDOFF)
+    grant = np.maximum(np.ceil(np.log(_ROUNDOFF * (1.0 - q)) / np.log(q)) - 1.0, 1.0)
+    steps = np.where(grant <= budget, grant, 0.0).astype(int)
+    return steps.tolist(), deflate, q
 
 
-def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, steps: int,
-           both: np.ndarray, matrix: np.ndarray):
-    """Solve ``(I - diag(tau) Q) x = both[:, 0]``; return x and the exact inf-norm condition number.
+def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, p: np.ndarray, bound: float,
+           steps: int, block: np.ndarray, matrix: np.ndarray):
+    """Solve ``(I - diag(tau) Q) x = block[0]``; return x, its exact inf-norm condition number and the products taken.
 
-    I - diag(tau) Q with Q = ``routing`` irreducible, nonnegative,
-    row-stochastic and zero on its diagonal, 0 <= tau <= 1, and tau < 1
-    in every state of positive speed, is an irreducibly diagonally
-    dominant M-matrix, so its inverse is nonnegative.  Hence its inverse
-    inf-norm is the largest entry of its inverse times 1, solved beside x
-    from ``both[:, 1]``, which must be the ones vector, and its inf-norm
-    is 1 + ``tau_max``, the largest entry of ``tau``.
+    ``block`` holds the right-hand side in its first row and tau in its
+    second.  I - diag(tau) Q with Q = ``routing`` irreducible,
+    nonnegative, row-stochastic and zero on its diagonal, 0 <= tau <= 1,
+    and tau < 1 in every state of positive speed, is an irreducibly
+    diagonally dominant M-matrix: its inverse is nonnegative, so its
+    inverse inf-norm is the largest entry of its inverse times 1, and its
+    inf-norm is 1 + tau_max.  As diag(tau) Q 1 = tau, its inverse times 1
+    is 1 plus its inverse times tau, which needs no third column.
 
-    With ``steps`` > 0 (from ``_series_steps``) both columns are summed
-    as the Neumann series sum_i (diag(tau) Q)^i both.  Once the ones
-    column's last term t has max(t) tau_max / (1 - tau_max) <= u, the
-    tail of that column, sum_{i>=1} (diag(tau) Q)^i t, is at most u; since
-    |rhs| <= ||rhs||_inf 1 entrywise, the tail of the other column is at
-    most u ||rhs||_inf.  Both are normwise relative bounds, as x >= rhs and
-    the ones column's sum is >= 1.  ``_series_steps`` grants the products
-    after which the rule has fired, from the norm of (diag(tau) Q)^2, and
-    only where they number at most K/8, below the measured cost of one LU
-    (``_SERIES_BUDGET``); a series that runs out of them before the rule
-    fires has no tail bound and raises NumericError.  With ``steps`` = 0
-    the matrix is built in ``matrix`` and solved by one LU with the two
-    right-hand sides.  ``order`` names the order in the errors.
+    With E = Q - 1 p' the matrix is (I - diag(tau) E) - tau p', and with
+    [y, z] the inverse of its first part applied to the block,
+    Sherman-Morrison gives
+
+        x = y + z (p.y) / (1 - p.z),   inverse times 1 = 1 + z / (1 - p.z).
+
+    By the matrix determinant lemma 1 - p.z is the determinant of the
+    matrix over that of its first part; both are positive (an M-matrix,
+    and I minus a matrix of spectral radius below 1), so a value that is
+    not positive means rounding has broken the solve: NumericError.
+    ``p`` = 0 leaves x = y bit for bit.
+
+    With ``steps`` > 0 (from ``_series_grants``, and ``bound`` >= q_n >=
+    ||diag(tau) E||_inf) [y, z] are the series sum_i (diag(tau) E)^i
+    applied to both rows, each product one 2 x K by K x K product
+    corrected by p.  The tail after a term t is at most
+    ||t||_inf q_n / (1 - q_n) whatever its signs, and the series stops
+    once that is at most u times the inf-norm of the row's first term, in
+    both rows; a series that runs out of its ``steps`` first has no tail
+    bound and raises NumericError.  With ``steps`` = 0 the matrix is built
+    in ``matrix`` and [x, z] come from one LU (``p`` is not read).
+    ``tau_max`` is the largest entry of ``tau``; ``order`` names the order
+    in the errors.
     """
-    if steps:
-        total, term = both.copy(), both
-        tail = tau_max / (1.0 - tau_max)
-        for _ in range(steps):
-            if float(term[:, 1].max()) * tail <= _ROUNDOFF:
-                break
-            term = routing @ term
-            term *= tau[:, np.newaxis]
-            total += term
-        else:
-            raise NumericError(
-                f"order-{order} Neumann series did not reach its tail bound within {steps} products"
-            )
-    else:
+    if not steps:
         try:
-            total = np.linalg.solve(_order_matrix(routing, tau, out=matrix), both)
+            solution, z = np.linalg.solve(_order_matrix(routing, tau, out=matrix), block.T).T
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"order-{order} system is singular: {exc}") from exc
-    return total[:, 0].copy(), (1.0 + tau_max) * float(total[:, 1].max())
+        return solution.copy(), (1.0 + tau_max) * (1.0 + float(z.max())), 0
+    total, term = block.copy(), block
+    rhs_limit, tau_limit = (_ROUNDOFF * (1.0 - bound) * np.abs(block).max(axis=1)).tolist()
+    routing_t = routing.T
+    for used in range(1, steps + 1):
+        # (diag(tau) E t)' = (t' Q' - (t' p) 1') diag(tau), both rows at once
+        shift = term @ p
+        term = term @ routing_t
+        term -= shift[:, np.newaxis]
+        term *= tau
+        total += term
+        rhs_top, tau_top = np.abs(term).max(axis=1).tolist()
+        if rhs_top * bound <= rhs_limit and tau_top * bound <= tau_limit:
+            break
+    else:
+        raise NumericError(
+            f"order-{order} Neumann series did not reach its tail bound within {steps} products"
+        )
+    y, z = total
+    p_y, p_z = (total @ p).tolist()
+    denominator = 1.0 - p_z
+    if not denominator > 0.0:
+        raise NumericError(
+            f"order-{order} deflated series lost the sign of its determinant: 1 - p.z = {denominator:.3e}"
+        )
+    solution = y + z * (p_y / denominator)
+    return solution, (1.0 + tau_max) * (1.0 + float(z.max()) / denominator), used
 
 
 def _require_nonnegative(vec: np.ndarray, context: str) -> None:
@@ -513,12 +587,15 @@ class PalmMoments:
     (see ``_solve``), and ``solve_residual[n]`` the relative backward
     residual ||x - diag(tau) Q x - rhs||_inf / ||rhs||_inf of its
     solution x (index 0 is a placeholder; order 0 needs no solve).
-    ``palm_moment_vectors`` says which solver each order takes.
+    ``steps[n]`` is 0 where order n took the LU and otherwise the number
+    of products its series took (``palm_moment_vectors`` says which
+    solver each order takes; ``steps[0]`` is 0).
     """
 
     vectors: tuple
     condition: np.ndarray
     solve_residual: np.ndarray
+    steps: np.ndarray
 
     @property
     def n_max(self) -> int:
@@ -536,17 +613,20 @@ def palm_moment_vectors(
         (I - diag(w[n, n]) Q) m0^(n) = sum_{j<n} w[n, j] R^(n-j) Q m0^(j)
 
     with R the diagonal matrix of offered loads, beside a second
-    right-hand side, the ones vector, that gives the exact condition
-    number.  The solver of each order is picked before the loop from its
-    diagonal weights tau: the Neumann series where its a-priori length,
-    from tau_max and beta_2 = ||(diag(tau) Q)^2||_inf = max(tau * (Q tau)),
-    is at most K/8 two-column products, below the measured cost of one LU
-    (``_SERIES_BUDGET``), stopped once the ones column bounds the tail of
-    both columns by the unit roundoff u; one LU otherwise, and at every
-    order of a model with a state of zero speed (see ``_series_steps``
-    and ``_solve``).  The backward residual of every order is read off the
-    product Q m0^(n) that the next order needs anyway; residuals above
-    1e-8 raise NumericError carrying it.
+    right-hand side, tau = w[n, n] itself, that gives the exact condition
+    number.  The solver of each order is picked before the loop from tau
+    (see ``_series_grants`` and ``_solve``).  With E = Q - 1 p' the
+    matrix splits as (I - diag(tau) E) - tau p', so by Sherman-Morrison
+    the order is the series sum_i (diag(tau) E)^i on both right-hand
+    sides plus a rank-one correction.  p = pi deflates the Perron mode,
+    p = 0 is the plain Neumann series; each order takes the p with the
+    smaller bound q_n >= ||diag(tau) E||_inf, and the series where its
+    a-priori length from q_n is within the measured cost of one LU
+    (``_SERIES_SHARE``), stopped once q_n bounds its tail by the unit
+    roundoff u.  Every other order takes one LU.  ``steps`` records the
+    products each order took (0 for an LU).  The backward residual of
+    every order is read off the product Q m0^(n) that the next order
+    needs anyway; residuals above 1e-8 raise NumericError carrying it.
     """
     n_max = _check_order(n_max)
     if statics is None:
@@ -557,23 +637,28 @@ def palm_moment_vectors(
     weights = _weights(model.sojourns, model.service_rates, n_max)
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = np.diagonal(weights, axis1=1, axis2=2).T
+    # the matrix of the LU orders, built in place (first the grants' workspace)
+    matrix = np.empty_like(routing)
+    grants, deflate, bounds = _series_grants(taus, routing, statics.pi, matrix)
     tau_max = taus.max(axis=1)
-    steps = _series_steps(taus, routing)
+    no_deflation = np.zeros(k_count)
 
     vectors = [np.ones(k_count)]
     routed = np.empty((k_count, n_max + 1))
     routed[:, 0] = routing @ vectors[0]
     condition = np.full(n_max + 1, np.nan)
     solve_residual = np.full(n_max + 1, np.nan)
+    steps = np.zeros(n_max + 1, dtype=int)
 
-    # the matrix of the LU orders, built in place
-    matrix = np.empty_like(routing)
-    # the right-hand side of each order, beside the ones vector
-    both = np.ones((k_count, 2))
+    # the right-hand side of each order above its diagonal weights, one row
+    # each: the series multiplies the rows by Q', faster than Q by columns
+    block = np.empty((2, k_count))
     for n in range(1, n_max + 1):
         rhs = (weights[:, n, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
-        both[:, 0] = rhs
-        solution, cond = _solve(n, routing, taus[n], tau_max[n], steps[n], both, matrix)
+        block[0] = rhs
+        block[1] = taus[n]
+        p = statics.pi if deflate[n] else no_deflation
+        solution, cond, steps[n] = _solve(n, routing, taus[n], tau_max[n], p, bounds[n], grants[n], block, matrix)
         routed[:, n] = routing @ solution
         scale = max(float(np.abs(rhs).max()), 1e-300)
         residual = float(np.abs(solution - taus[n] * routed[:, n] - rhs).max()) / scale
@@ -591,6 +676,7 @@ def palm_moment_vectors(
         vectors=tuple(vectors),
         condition=condition,
         solve_residual=solve_residual,
+        steps=steps,
     )
 
 
@@ -638,7 +724,9 @@ class MomentTable:
     the default view used by the accessors.  ``identity_residuals`` holds
     the per-order residuals of ``forward_relation_residuals`` and
     ``markovian_identity_residuals`` (None unless every sojourn is
-    exponential).
+    exponential).  ``bn_condition``, ``solve_residual`` and ``palm_steps``
+    are the per-order diagnostics of the Palm solve (see ``PalmMoments``:
+    ``palm_steps[n]`` is 0 for an LU order, otherwise its series products).
     """
 
     n_max: int
@@ -649,6 +737,7 @@ class MomentTable:
     weighting: str
     bn_condition: np.ndarray
     solve_residual: np.ndarray
+    palm_steps: np.ndarray
     identity_residuals: dict
 
     def factorial_moments(self, weighting: str = None) -> np.ndarray:
@@ -700,6 +789,7 @@ def assemble_moment_table(
         weighting=weighting,
         bn_condition=palm.condition,
         solve_residual=palm.solve_residual,
+        palm_steps=palm.steps,
         identity_residuals=identity_residuals,
     )
 

@@ -62,6 +62,27 @@ def random_mixed_model(k_count: int, rng: np.random.Generator) -> EnvironmentMod
     )
 
 
+def ring_model(k_count: int, rng: np.random.Generator, mu: float = None) -> EnvironmentModel:
+    """All-exponential model on a sparse ring: state k jumps only to k - 1 or k + 1 (mod K).
+
+    Each row of |Q - 1 pi'| then sums to nearly 2, so deflating by pi
+    bounds the Palm series worse than tau_max, and every order that sums
+    the series takes the plain one (p = 0).
+    """
+    routing = np.zeros((k_count, k_count))
+    forward = rng.uniform(0.2, 0.8, k_count)
+    states = np.arange(k_count)
+    routing[states, (states + 1) % k_count] = forward
+    routing[states, (states - 1) % k_count] = 1.0 - forward
+    return EnvironmentModel(
+        arrival_rates=rng.uniform(0.2, 3.0, k_count),
+        speeds=rng.uniform(0.5, 1.0, k_count),
+        sojourns=tuple(Exponential(rate=float(r)) for r in rng.uniform(0.5, 2.0, k_count)),
+        mu=float(rng.uniform(0.8, 1.5)) if mu is None else mu,
+        routing=routing,
+    )
+
+
 def random_two_state_model(rng: np.random.Generator, family: str) -> TwoStateModel:
     """Random in-scope two-state model with the given state-1 family."""
     if family == "gamma":

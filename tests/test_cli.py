@@ -9,11 +9,11 @@ import pytest
 import yaml
 
 import mminfenv
-from mminfenv import closedform, compute_moment_table, load_model
+from mminfenv import closedform, compute_moment_table, load_model, model_to_dict
 from mminfenv.checks import structural_checks
 from mminfenv.cli import main
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, ring_model
 
 ROOT = MODELS_DIR.parent
 SHIPPED = sorted(str(path) for path in MODELS_DIR.glob("*.yaml"))
@@ -90,6 +90,23 @@ class TestMoments:
         assert payload["command"] == "moments"
         assert payload["model"]["schema_version"] == 1
         assert len(payload["table"]["factorial"]["occupancy"]) == 4
+
+    def test_out_reports_the_solver_of_each_order(self, capsys, tmp_path):
+        # palm_steps[n]: 0 for an LU order, else the products of its series
+        ring = ring_model(64, np.random.default_rng(64), mu=800.0)
+        model_path = tmp_path / "ring.yaml"
+        model_path.write_text(yaml.safe_dump(model_to_dict(ring)))
+        for verb, model, steps in (
+            ("moments", str(model_path), compute_moment_table(load_model(model_path), n_max=20).palm_steps),
+            ("validate", K3_MIXED, [0] * 21),
+        ):
+            out_path = tmp_path / f"{verb}.json"
+            run(capsys, verb, "--model", model, "--order", "20", "--out", str(out_path))
+            reported = json.loads(out_path.read_text())["table"]["palm_steps"]
+            assert reported == list(steps)
+            assert all(isinstance(count, int) for count in reported)
+        assert reported == [0] * 21
+        assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [6, 5, 5, 5, 4]
 
     def test_invalid_model_exits_2(self, capsys, tmp_path):
         document = yaml.safe_load(open(IDENTICAL))

@@ -206,6 +206,17 @@ class TestChainStatics:
             double = (statics.reversed_routing.T * pi[np.newaxis, :]) / pi[:, np.newaxis]
             assert np.max(np.abs(double - model.routing)) < 1e-12
 
+    def test_reversed_routing_is_c_contiguous(self):
+        # the Palm series multiplies 2 x K blocks by its transpose, fastest
+        # with Q row-major; the entries are those of the textbook formula
+        for k_count in (3, 40):
+            model = random_mixed_model(k_count, np.random.default_rng(k_count))
+            statics = chain_statics(model)
+            reversed_routing = statics.reversed_routing
+            assert reversed_routing.flags.c_contiguous and not reversed_routing.flags.f_contiguous
+            pi = statics.pi
+            assert np.array_equal(reversed_routing, (model.routing.T * pi[np.newaxis, :]) / pi[:, np.newaxis])
+
     def test_occupancy_weights_by_mean_sojourns(self):
         model = two_state_model(sojourns=(Exponential(1.0), Exponential(4.0)))
         statics = chain_statics(model)

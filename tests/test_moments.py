@@ -38,6 +38,7 @@ from conftest import (
     random_exponential_model,
     random_mixed_model,
     random_routing,
+    ring_model,
 )
 
 
@@ -48,8 +49,9 @@ def seeded(build, k_count):
 def fast_service_model(k_count, rng):
     """All-exponential, every service rate at least 200 times every exit rate.
 
-    tau_1 <= 2 / (2 + 400) gives an a-priori series length of 7 at order 1
-    and less above it: at K = 64 (budget 8) every order takes the series.
+    tau_1 <= 2 / (2 + 400) gives an a-priori series length of at most 6
+    products at order 1 and less above it: at K = 64 (budget 6.4) every
+    order takes the series.
     """
     return EnvironmentModel(
         arrival_rates=rng.uniform(0.2, 3.0, k_count),
@@ -87,6 +89,23 @@ def fast_service_mixed_model(k_count, rng):
     )
 
 
+def zero_speed_model(k_count, rng):
+    """All-exponential with state 0 at speed 0 (tau_0 = 1 at every order) and near-uniform routing.
+
+    Row 0 of |Q - 1 pi'| sums to about 0.05, so deflation bounds every
+    order's series by q_n ~ 0.05 though tau_max = 1.
+    """
+    routing = rng.uniform(0.95, 1.05, (k_count, k_count))
+    np.fill_diagonal(routing, 0.0)
+    return EnvironmentModel(
+        arrival_rates=np.concatenate(([0.0], rng.uniform(0.2, 3.0, k_count - 1))),
+        speeds=np.concatenate(([0.0], rng.uniform(0.3, 1.0, k_count - 1))),
+        sojourns=tuple(Exponential(rate=float(r)) for r in rng.uniform(0.5, 2.0, k_count)),
+        mu=float(rng.uniform(0.8, 1.5)),
+        routing=routing / routing.sum(axis=1, keepdims=True),
+    )
+
+
 CONDITION_MODELS = [
     pytest.param(partial(load_model, path), id=path.stem)
     for path in sorted(MODELS_DIR.glob("*.yaml"))
@@ -106,17 +125,22 @@ LU_MODELS = CONDITION_MODELS[:5] + [
 ]
 
 
-# every model above, and the mixed fast-service and K = 200 models the grant tests meet
+# every model above, and the mixed fast-service, K = 200 and ring models the grant tests meet
 GRANT_MODELS = CONDITION_MODELS + [
     pytest.param(partial(seeded, fast_service_mixed_model, 64), id="fast_service_mixed_model-k64"),
 ] + [
     pytest.param(partial(seeded, build, 200), id=f"{build.__name__}-k200")
-    for build in (random_exponential_model, random_mixed_model)
+    for build in (random_exponential_model, random_mixed_model, zero_speed_model)
+] + [
+    pytest.param(partial(ring_model, 64, np.random.default_rng(64), mu=800.0), id="ring_model-k64"),
 ]
 
 
 def tau_max_lengths(taus):
-    """Per order, the a-priori series length from tau_max alone, ceil(log(u (1 - t)) / log(t))."""
+    """Per order, the a-priori plain series length from tau_max alone, ceil(log(u (1 - t)) / log(t)).
+
+    It counts the terms the tail rule looks at, one more than the products.
+    """
     lengths = []
     for t in taus.max(axis=1).tolist():
         if t >= 1.0:
@@ -126,6 +150,49 @@ def tau_max_lengths(taus):
         else:
             lengths.append(math.ceil(math.log(2.0**-53 * (1.0 - t)) / math.log(t)))
     return lengths
+
+
+def diagonal_weights(model, n_max=20):
+    """taus[n, k] = w_k[n, n], the diagonal weights of every order."""
+    weights = _weights(model.sojourns, model.service_rates, n_max)
+    return np.diagonal(weights, axis1=1, axis2=2).T
+
+
+def series_grants(model, statics, budget=None, monkeypatch=None):
+    """``_series_grants`` of a model, under the given budget of products if one is given."""
+    if budget is not None:
+        monkeypatch.setattr(moments, "_series_budget", lambda k_count: budget)
+    routing = statics.reversed_routing
+    return moments._series_grants(diagonal_weights(model), routing, statics.pi, np.empty_like(routing))
+
+
+def long_double_palm(model, statics, n_max=20):
+    """Palm vectors from the same weights in x87 long double (64-bit significand).
+
+    Each order's system is solved by an LU in double precision refined
+    with residuals in long double until the correction stops moving it,
+    so the result carries about 19 digits wherever the condition number
+    is far below 1e16.
+    """
+    ld = np.longdouble
+    routing = statics.reversed_routing.astype(ld)
+    weights = _weights(model.sojourns, model.service_rates, n_max).astype(ld)
+    rho = offered_loads(model).astype(ld)
+    taus = np.diagonal(weights, axis1=1, axis2=2).T
+    vectors, routed = [np.ones(model.num_states, dtype=ld)], [routing @ np.ones(model.num_states, dtype=ld)]
+    for n in range(1, n_max + 1):
+        rhs = sum(weights[:, n, j] * rho ** (n - j) * routed[j] for j in range(n))
+        matrix = np.eye(model.num_states) - taus[n].astype(float)[:, np.newaxis] * statics.reversed_routing
+        x = np.linalg.solve(matrix, rhs.astype(float)).astype(ld)
+        for _ in range(10):
+            residual = rhs - (x - taus[n] * (routing @ x))
+            correction = np.linalg.solve(matrix, residual.astype(float))
+            x = x + correction
+            if np.abs(correction).max() <= 1e-19 * float(np.abs(x).max()):
+                break
+        vectors.append(x)
+        routed.append(routing @ x)
+    return vectors
 
 
 def counting(monkeypatch, owner, name):
@@ -275,97 +342,160 @@ class TestPalmVectors:
 
 
 class TestSolverChoice:
-    """Per order, the Neumann series where it is cheaper than one LU, the LU elsewhere."""
+    """Per order, the deflated or plain series where it is cheaper than one LU, the LU elsewhere."""
 
-    @pytest.mark.parametrize("build, k_count", [
-        pytest.param(fast_service_model, 64, id="fast_service_model"),
-        pytest.param(fast_service_mixed_model, 64, id="fast_service_mixed_model"),
-        pytest.param(random_exponential_model, 200, id="random_exponential_model-k200"),
+    @pytest.mark.parametrize("build, k_count, deflates", [
+        pytest.param(fast_service_model, 64, True, id="fast_service_model"),
+        pytest.param(fast_service_mixed_model, 64, True, id="fast_service_mixed_model"),
+        pytest.param(random_exponential_model, 200, True, id="random_exponential_model-k200"),
+        pytest.param(fast_service_mixed_model, 200, True, id="fast_service_mixed_model-k200"),
+        pytest.param(fast_service_mixed_model, 500, True, id="fast_service_mixed_model-k500"),
+        pytest.param(random_exponential_model, 500, True, id="random_exponential_model-k500"),
+        pytest.param(zero_speed_model, 200, True, id="zero_speed_model-k200"),
+        # the ring's rows of |Q - 1 pi'| sum to nearly 2: it never deflates
+        pytest.param(partial(ring_model, mu=800.0), 64, False, id="ring_model-k64"),
     ])
-    def test_series_agrees_with_the_lu_on_every_order(self, build, k_count):
+    def test_series_agrees_with_the_lu_on_every_order(self, build, k_count, deflates, monkeypatch):
+        # every order is granted its series here (a budget of 200 products)
+        # and solved both ways; the budgeted call must agree with both
         model = seeded(build, k_count)
         statics = chain_statics(model)
         routing = statics.reversed_routing
         palm = palm_moment_vectors(model, statics, 20)
+        grants, deflate, bounds = series_grants(model, statics, 200.0, monkeypatch)
+        assert all(grants[1:])
+        assert deflate[1:].tolist() == [deflates] * 20
         weights = _weights(model.sojourns, model.service_rates, 20)
         taus = np.diagonal(weights, axis1=1, axis2=2).T
-        tau_max = taus.max(axis=1)
-        steps = moments._series_steps(taus, routing)
-        series_orders = [n for n in range(1, 21) if steps[n]]
-        # the orders the tau_max length alone would leave to the LU
-        moved = [n for n in series_orders if tau_max_lengths(taus)[n] > k_count / 8]
-        if build is random_exponential_model:
-            assert moved == list(range(12, 19))
-        else:
-            assert series_orders == list(range(1, 21))
         rho = offered_loads(model)
         routed = [routing @ vec for vec in palm.vectors]
         matrix = np.empty_like(routing)
-        for n in series_orders:
+        for n in range(1, 21):
             rhs = sum(weights[:, n, j] * rho ** (n - j) * routed[j] for j in range(n))
-            both = np.column_stack((rhs, np.ones(k_count)))
-            series, series_condition = moments._solve(n, routing, taus[n], tau_max[n], steps[n], both, matrix)
-            lu, lu_condition = moments._solve(n, routing, taus[n], tau_max[n], 0, both, matrix)
+            block = np.vstack((rhs, taus[n]))
+            p = statics.pi if deflate[n] else np.zeros(k_count)
+            tau_max = taus[n].max()
+            series, series_condition, used = moments._solve(
+                n, routing, taus[n], tau_max, p, bounds[n], grants[n], block, matrix
+            )
+            lu, lu_condition, _ = moments._solve(n, routing, taus[n], tau_max, None, 0.5, 0, block, matrix)
+            assert 1 <= used <= grants[n]
             assert np.abs(series - lu).max() <= 1e-14 * np.abs(lu).max()
-            assert series_condition == pytest.approx(lu_condition, rel=1e-14, abs=0.0)
-            if n in moved:
-                # the rule fires with a product to spare: one product fewer gives the same sum
-                shorter, _ = moments._solve(n, routing, taus[n], tau_max[n], steps[n] - 1, both, matrix)
-                assert np.array_equal(shorter, series)
+            expected = np.linalg.cond(np.eye(k_count) - taus[n][:, np.newaxis] * routing, np.inf)
+            assert series_condition == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert lu_condition == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert np.abs(palm.vectors[n] - lu).max() <= 1e-14 * np.abs(lu).max()
         if build is fast_service_mixed_model:
             # the premises: zero right-hand side entries and an underflowed tau
             assert np.any(rho == 0.0)
             assert taus[14, 0] > 0.0 and taus[15, 0] == 0.0
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(partial(seeded, random_exponential_model, 200), id="random_exponential_model-k200"),
+        pytest.param(partial(seeded, random_exponential_model, 500), id="random_exponential_model-k500"),
+        pytest.param(partial(seeded, fast_service_mixed_model, 500), id="fast_service_mixed_model-k500"),
+    ])
+    def test_palm_vectors_match_a_long_double_solve(self, build):
+        model = build()
+        statics = chain_statics(model)
+        palm = palm_moment_vectors(model, statics, 20)
+        assert palm.steps[1:].any()
+        for computed, reference in zip(palm.vectors[1:], long_double_palm(model, statics)[1:]):
+            error = np.abs(computed - reference).max() / np.abs(reference).max()
+            assert float(error) <= 1e-14
+
+    def test_budget_rule(self):
+        # K/10 up to K = 100, K/5 - 10 beyond, capped at 40 while Q fits in
+        # 3 MiB (K <= 627) and at 24 beyond: the rule the measured LU / step
+        # ratios in the comment of _SERIES_SHARE were checked against
+        sizes = [9, 10, 50, 64, 100, 150, 200, 300, 500, 627, 628, 1000]
+        expected = [0.9, 1.0, 5.0, 6.4, 10.0, 20.0, 30.0, 40.0, 40.0, 40.0, 24.0, 24.0]
+        assert [moments._series_budget(k_count) for k_count in sizes] == pytest.approx(expected, rel=1e-15)
+
     def test_step_counts(self):
-        # uniform tau makes beta_2 = tau_max^2: the tau_max lengths.  Zero
-        # speed (tau_max = 1) takes the LU, with no log(1) in a division;
-        # tau_max = 0 needs one product; 2 / 402 needs 7, within 64 / 8
-        tau_max = np.array([1.0, 0.0, 2.0 / 402.0, 2.0 / 402.0, 0.5])
-        for k_count, expected in ((64, [0, 1, 7, 7, 0]), (55, [0, 1, 0, 0, 0])):
+        # uniform tau: zero speed (tau = 1) takes the LU, since p = 0 bounds
+        # the series by 1 and p = pi by the largest row sum of |Q - 1 pi'|
+        # (over 0.5); tau = 0 takes one product with no log(0) (and p = pi
+        # cannot beat q_n = 0); tau = 2 / 402 deflates to q_n ~ 0.003 and 6
+        # products, within the budget K/10 at K = 64 but not at K = 55
+        taus = np.array([[1.0], [0.0], [2.0 / 402.0], [2.0 / 402.0], [0.5]])
+        for k_count, expected in ((64, [0, 1, 6, 6, 0]), (55, [0, 1, 0, 0, 0])):
             routing = random_routing(k_count, np.random.default_rng(k_count))
-            taus = np.repeat(tau_max[:, np.newaxis], k_count, axis=1)
-            assert moments._series_steps(taus, routing) == expected
+            pi = chain_statics(dataclasses.replace(seeded(random_exponential_model, k_count), routing=routing)).pi
+            grants, deflate, _ = moments._series_grants(
+                np.repeat(taus, k_count, axis=1), routing, pi, np.empty_like(routing)
+            )
+            assert grants == expected
+            assert deflate.tolist() == [True, False, True, True, True]
 
     def test_two_state_cyclic_grant(self, monkeypatch):
-        # Q swaps the states, so (diag(tau) Q)^2 = diag(tau_0 tau_1) and
-        # beta_2 = tau_0 tau_1 exactly; the tail factor is 1 at tau_max = 0.5.
-        # tau = (0.5, 0.02): the ones column after 16 products is
-        # (tau_0 tau_1)^8 = 1e-16 <= u, after 15 it is 0.5 (tau_0 tau_1)^7.
-        # tau = (0.5, 0.12): an odd count, 0.5 (0.06)^13 = 6.5e-17 <= u after
-        # 27 products, 0.06^13 = 1.3e-16 after 26.  tau_max alone would
-        # grant 54 to both.  Zero speed keeps the LU though beta_2 = 0.3, and
-        # beta_2 = 0 (every tau underflowed) takes one product, with no log(0)
+        # Q swaps the states and pi = (1/2, 1/2): each row of |Q - 1 pi'|
+        # sums to 1, so deflating gains nothing and every order takes the
+        # plain series, q_n = tau_max (1 + 8u).  tau_max = 0.5 needs
+        # 0.5^(i+1) <= u / 2, i = 53 products, and the rounding margin makes
+        # it 54; tau_max = 0.12 gives 17.  Zero speed keeps the LU however
+        # large the budget, and an underflowed tau takes one product
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        taus = np.array([[1.0, 1.0], [0.5, 0.02], [0.5, 0.12], [2.0 / 402.0] * 2, [1.0, 0.3], [0.0, 0.0]])
-        assert moments._series_steps(taus, routing) == [0, 0, 0, 0, 0, 0]
-        assert tau_max_lengths(taus)[1:3] == [54, 54]
-        monkeypatch.setattr(moments, "_SERIES_BUDGET", 4.0)
-        assert moments._series_steps(taus, routing) == [0, 0, 0, 7, 0, 1]
-        monkeypatch.setattr(moments, "_SERIES_BUDGET", 32.0)
-        assert moments._series_steps(taus, routing) == [0, 17, 28, 7, 0, 1]
+        pi = np.array([0.5, 0.5])
+        taus = np.array([[1.0, 1.0], [0.5, 0.02], [0.12, 0.1], [2.0 / 402.0] * 2, [1.0, 0.3], [0.0, 0.0]])
+        buffer = np.empty((2, 2))
+        assert moments._series_grants(taus, routing, pi, buffer)[0] == [0, 0, 0, 0, 0, 0]
+        monkeypatch.setattr(moments, "_series_budget", lambda k_count: 20.0)
+        assert moments._series_grants(taus, routing, pi, buffer)[0] == [0, 0, 17, 6, 0, 1]
+        monkeypatch.setattr(moments, "_series_budget", lambda k_count: 1e6)
+        grants, deflate, bounds = moments._series_grants(taus, routing, pi, buffer)
+        assert grants == [0, 54, 17, 6, 0, 1]
+        assert not deflate.any()
+        assert bounds[1] == 0.5 + 8.0 * 2.0**-53 * 0.5
 
     @pytest.mark.parametrize("build", GRANT_MODELS)
-    def test_grant_is_within_the_tau_max_length(self, build):
-        # beta_2 <= tau_max^2: no order moves from the series to the LU
+    def test_grant_is_within_the_tau_max_length(self, build, monkeypatch):
+        # q_n <= tau_max (1 + 4Ku): deflation never lengthens an order's
+        # series, so it never moves an order from the series to the LU
         model = build()
-        weights = _weights(model.sojourns, model.service_rates, 20)
-        taus = np.diagonal(weights, axis1=1, axis2=2).T
-        grants = moments._series_steps(taus, chain_statics(model).reversed_routing)
-        for grant, length in zip(grants, tau_max_lengths(taus)):
+        statics = chain_statics(model)
+        budget = moments._series_budget(model.num_states)
+        grants, _, _ = series_grants(model, statics)
+        for grant, length in zip(grants, tau_max_lengths(diagonal_weights(model))):
             assert grant <= length
-            assert grant > 0 or length > model.num_states / 8
+            assert grant > 0 or length > budget
+        # and with any budget, no grant exceeds the plain one
+        grants, _, _ = series_grants(model, statics, 1e6, monkeypatch)
+        for grant, length in zip(grants, tau_max_lengths(diagonal_weights(model))):
+            assert grant <= length
 
     def test_short_grant_raises(self, monkeypatch):
-        # every order of this model meets its rule on the last product granted
-        grant = moments._series_steps
-        monkeypatch.setattr(moments, "_series_steps", lambda *args: [max(s - 1, 0) for s in grant(*args)])
-        with pytest.raises(NumericError, match="order-1 Neumann series did not reach its tail bound within 6"):
-            palm_moment_vectors(seeded(fast_service_model, 64), n_max=20)
+        # the ring takes the plain series, whose order-1 rule fires on the
+        # last product granted (6)
+        model = ring_model(64, np.random.default_rng(64), mu=800.0)
+        assert palm_moment_vectors(model, n_max=1).steps[1] == 6
+        grant = moments._series_grants
+        monkeypatch.setattr(
+            moments, "_series_grants",
+            lambda *args: ([max(s - 1, 0) for s in grant(*args)[0]], *grant(*args)[1:]),
+        )
+        with pytest.raises(NumericError, match="order-1 Neumann series did not reach its tail bound within 5"):
+            palm_moment_vectors(model, n_max=20)
+
+    def test_broken_determinant_sign_raises(self):
+        # 1 - p.z > 0 holds for any p by the determinant lemma; a second row
+        # that is not tau (here 40 tau) breaks it, and the solve refuses
+        model = seeded(fast_service_model, 64)
+        statics = chain_statics(model)
+        grants, deflate, bounds = series_grants(model, statics)
+        assert deflate[1]
+        tau = diagonal_weights(model)[1]
+        block = np.vstack((np.ones(64), 40.0 * tau / (statics.pi @ tau)))
+        with pytest.raises(NumericError, match="order-1 deflated series lost the sign of its determinant"):
+            moments._solve(
+                1, statics.reversed_routing, tau, tau.max(), statics.pi, bounds[1], grants[1], block, np.empty((64, 64))
+            )
 
     def test_zero_speed_state_takes_the_lu(self, monkeypatch):
-        # at K = 200 the beta_2 bound grants every order of a state slowed to
-        # speed 1e-9; at speed 0 the tail factor is infinite and all take the LU
+        # speed 0 gives tau_0 = 1: the plain series has no bound (q = 1), and
+        # with dense random routing the deflated bound, row 0 of |Q - 1 pi'|
+        # (about 0.45), grants more than K/5 - 10 = 30 products at K = 200.
+        # Deflation treats speed 0 and speed 1e-9 alike: both take the LU
         base = seeded(fast_service_model, 200)
         slow, model = (
             dataclasses.replace(
@@ -377,12 +507,24 @@ class TestSolverChoice:
         )
         slow_statics, statics = chain_statics(slow), chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
-        palm_moment_vectors(slow, slow_statics, 20)
-        assert solves == []
-        palm = palm_moment_vectors(model, statics, 20)
+        assert not palm_moment_vectors(slow, slow_statics, 20).steps.any()
         assert len(solves) == 20
+        palm = palm_moment_vectors(model, statics, 20)
+        assert not palm.steps.any()
+        assert len(solves) == 40
         expected = np.linalg.cond(order_matrix(model, statics, 20), np.inf)
         assert palm.condition[20] == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_speed_state_deflates(self, monkeypatch):
+        # near-uniform routing: row 0 of |Q - 1 pi'| sums to about 0.05, and
+        # every order deflates though tau_max = 1
+        model = seeded(zero_speed_model, 200)
+        statics = chain_statics(model)
+        solves = counting(monkeypatch, np.linalg, "solve")
+        palm = palm_moment_vectors(model, statics, 20)
+        assert solves == []
+        assert palm.steps[1:].all()
+        assert series_grants(model, statics)[1][1:].all()
 
     @pytest.mark.parametrize("build", LU_MODELS)
     def test_small_models_take_one_lu_per_order(self, build, monkeypatch):
@@ -390,10 +532,11 @@ class TestSolverChoice:
         model = build()
         statics = chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
-        choices = counting(monkeypatch, moments, "_series_steps")
-        palm_moment_vectors(model, statics, 20)
+        choices = counting(monkeypatch, moments, "_series_grants")
+        palm = palm_moment_vectors(model, statics, 20)
         assert len(solves) == 20
         assert len(choices) == 1
+        assert not palm.steps.any()
 
 
 class TestStationaryVectors:
@@ -613,15 +756,53 @@ class TestFixedCosts:
         assert len(calls) == 2
 
     def test_forward_check_makes_no_scalar_exponential_transform_call(self, monkeypatch):
-        model = random_exponential_model(50, np.random.default_rng(50))
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, n_max=20)
+        # nor a scalar call of any other family with an array transform
+        families = (Exponential, Gamma, Deterministic, HyperExponential)
         calls = []
-        original = Exponential.laplace
-        monkeypatch.setattr(Exponential, "laplace", lambda self, s: calls.append(s) or original(self, s))
-        residuals = forward_relation_residuals(model, statics, palm)
-        assert not calls
-        assert np.max(residuals) < 1e-12
+        for family in families:
+            original = family.laplace
+            monkeypatch.setattr(
+                family, "laplace", lambda self, s, original=original: calls.append(s) or original(self, s)
+            )
+        for build in (random_exponential_model, random_mixed_model):
+            model = build(50, np.random.default_rng(50))
+            statics = chain_statics(model)
+            palm = palm_moment_vectors(model, statics, n_max=20)
+            calls.clear()
+            residuals = forward_relation_residuals(model, statics, palm)
+            assert not calls
+            assert np.max(residuals) < 1e-12
+        assert {type(dist) for dist in model.sojourns} == set(families)
+
+    def test_stacked_gauss_rules_equal_one_rule_at_a_time(self):
+        # one stacked eigen-solve gives every rule bit for bit as one solve per rule
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.5, 4.0, 200), rng.uniform(0.01, 1.0, 200)
+        nodes, probs = moments._gauss_beta(a, b, moments._PANEL_NODES)
+        for i in range(200):
+            single = moments._gauss_beta(float(a[i]), float(b[i]), moments._PANEL_NODES)
+            assert np.array_equal(nodes[i], single[0]) and np.array_equal(probs[i], single[1])
+        # and the graded rules of many gamma states at once, as one at a time
+        c = 10.0 ** rng.uniform(-2.0, 8.0, 40)
+        together = moments._gamma_scale_rules(a[:40].tolist(), b[:40].tolist(), c.tolist())
+        for i, (rule_nodes, rule_probs) in enumerate(together):
+            alone_nodes, alone_probs = moments._gamma_scale_rules([float(a[i])], [float(b[i])], [float(c[i])])[0]
+            assert np.array_equal(rule_nodes, alone_nodes) and np.array_equal(rule_probs, alone_probs)
+
+    def test_gamma_rules_take_one_eigen_solve_per_table(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda matrix: calls.append(matrix.shape) or original(matrix))
+        rng = np.random.default_rng(3)
+        laws = [Gamma(shape=float(s), rate=1.0) for s in rng.uniform(0.5, 3.0, 30)]
+        service = 10.0 ** rng.uniform(-1.0, 3.0, 30)
+        moments._legendre_rule(moments._PANEL_NODES)
+        for residual in (False, True):
+            calls.clear()
+            _weights(laws, service, 20, residual=residual)
+            # one stack of 16-point Jacobi matrices, at least one per state
+            assert len(calls) == 1
+            assert calls[0][0] >= 30 and calls[0][1:] == (16, 16)
 
     def test_legendre_rule_is_built_once(self, monkeypatch):
         calls = []
