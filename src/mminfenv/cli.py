@@ -113,7 +113,6 @@ def _tolerances_from_args(args) -> dict:
 def _table_dict(table) -> dict:
     return {
         "n_max": table.n_max,
-        "weighting_default": table.weighting,
         "factorial": {w: table.aggregated[w] for w in table.aggregated},
         "raw": {w: table.raw[w] for w in table.raw},
         "palm_vectors": [v for v in table.palm],
@@ -127,35 +126,20 @@ def _table_dict(table) -> dict:
 
 def cmd_moments(args) -> tuple:
     model = load_model(args.model)
-    weighting = args.weighting
-    table = compute_moment_table(
-        model, n_max=args.order, weighting="occupancy" if weighting == "both" else weighting
-    )
+    table = compute_moment_table(model, n_max=args.order)
     report = RunReport(
         command="moments",
         model=model_to_dict(model),
-        config={"order": args.order, "weighting": weighting},
+        config={"order": args.order, "weighting": args.weighting},
         table=_table_dict(table),
     )
     report.lines.append(f"moments of the customer count (orders 0..{args.order})")
-    if weighting == "both":
-        headers = ["order", "f_N[embedded]", "f_N[occupancy]", "m_N[embedded]", "m_N[occupancy]"]
-        rows = [
-            [
-                n,
-                _fmt(table.aggregated["embedded"][n]),
-                _fmt(table.aggregated["occupancy"][n]),
-                _fmt(table.raw["embedded"][n]),
-                _fmt(table.raw["occupancy"][n]),
-            ]
-            for n in range(args.order + 1)
-        ]
-    else:
-        headers = ["order", f"f_N[{weighting}]", f"m_N[{weighting}]"]
-        rows = [
-            [n, _fmt(table.aggregated[weighting][n]), _fmt(table.raw[weighting][n])]
-            for n in range(args.order + 1)
-        ]
+    shown = WEIGHTINGS if args.weighting == "both" else (args.weighting,)
+    headers = ["order"] + [f"f_N[{w}]" for w in shown] + [f"m_N[{w}]" for w in shown]
+    rows = [
+        [n] + [_fmt(table.aggregated[w][n]) for w in shown] + [_fmt(table.raw[w][n]) for w in shown]
+        for n in range(args.order + 1)
+    ]
     report.lines.extend(_format_table(headers, rows))
     return report, EXIT_OK
 

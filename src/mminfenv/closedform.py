@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import Exponential, Gamma, SojournDistribution
 from .environment import EnvironmentModel
 from .errors import ModelError, NumericError
-from .moments import MAX_ORDER, _check_order
+from .moments import _check_order
 
 __all__ = [
     "TwoStateModel",

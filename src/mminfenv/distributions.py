@@ -134,15 +134,6 @@ class Gamma(SojournDistribution):
         s = _check_transform_arg(s)
         return (1.0 + s / self.rate) ** (-self.shape)
 
-    @classmethod
-    def laplace_table(cls, laws, s) -> np.ndarray:
-        # the base as one array, the powers by the C library's pow that
-        # laplace calls (numpy's may round otherwise): equal bit for bit
-        s = _check_transform_args(s)
-        base = 1.0 + s / np.array([law.rate for law in laws])
-        exponents = [-law.shape for law in laws] * len(base)
-        return np.array(list(map(pow, base.ravel().tolist(), exponents))).reshape(s.shape)
-
     def mean(self) -> float:
         return self.shape / self.rate
 
@@ -167,14 +158,6 @@ class Deterministic(SojournDistribution):
     def laplace(self, s: float) -> float:
         s = _check_transform_arg(s)
         return math.exp(-s * self.value)
-
-    @classmethod
-    def laplace_table(cls, laws, s) -> np.ndarray:
-        # the exponents as one array, exp by the C library's, as laplace
-        # (numpy's may round otherwise): equal bit for bit
-        s = _check_transform_args(s)
-        exponents = -s * np.array([law.value for law in laws])
-        return np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(s.shape)
 
     def mean(self) -> float:
         return self.value
@@ -211,21 +194,6 @@ class HyperExponential(SojournDistribution):
     def laplace(self, s: float) -> float:
         s = _check_transform_arg(s)
         return sum(p * r / (r + s) for p, r in zip(self.probs, self.rates))
-
-    @classmethod
-    def laplace_table(cls, laws, s) -> np.ndarray:
-        # branch by branch in the order of laplace's sum; laws with fewer
-        # branches are padded with probability 0, which adds exactly 0
-        s = _check_transform_args(s)
-        width = max(len(law.rates) for law in laws)
-        probs, rates = np.zeros((width, len(laws))), np.ones((width, len(laws)))
-        for k, law in enumerate(laws):
-            probs[: len(law.probs), k] = law.probs
-            rates[: len(law.rates), k] = law.rates
-        total = np.zeros_like(s)
-        for p, r in zip(probs, rates):
-            total = total + p * r / (r + s)
-        return total
 
     def mean(self) -> float:
         return sum(p / r for p, r in zip(self.probs, self.rates))

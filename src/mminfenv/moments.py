@@ -25,17 +25,16 @@ reversed routing matrix Q.  Expanding the n-th power binomially gives
 so every coefficient is a probability and every row of weights sums to
 one.  The j = n term carries tau_k = w_k[n, n] = E[exp(-n mu_k T)], so
 order n is one linear system ``(I - diag(tau) Q) m0^(n) = rhs`` with a
-nonnegative right-hand side.  With E = Q - 1 p' for any vector p, its
-matrix splits exactly as (I - diag(tau) E) - tau p', and Sherman-Morrison
-gives the solution from y and z, the series sum_i (diag(tau) E)^i applied
-to the right-hand side and to tau:
+nonnegative right-hand side.  With E = Q - 1 pi', pi the stationary law
+of Q, its matrix splits exactly as (I - diag(tau) E) - tau pi', and
+Sherman-Morrison gives the solution from y and z, the series
+sum_i (diag(tau) E)^i applied to the right-hand side and to tau:
 
-    x = y + z (p.y) / (1 - p.z),
+    x = y + z (pi.y) / (1 - pi.z),
 
-where 1 - p.z > 0 by the matrix determinant lemma.  p = pi, the
-stationary law of Q, deflates the Perron mode of diag(tau) Q and
-p = 0 is the plain Neumann series; each order takes the p with the
-smaller q_n = max_k tau_k sum_j |Q_kj - p_j| >= ||diag(tau) E||_inf.  The
+where 1 - pi.z > 0 by the matrix determinant lemma.  E has the Perron
+mode of diag(tau) Q deflated, and
+q_n = max_k tau_k sum_j |Q_kj - pi_j| >= ||diag(tau) E||_inf.  The
 tail of the series after a term t is at most ||t||_inf q_n / (1 - q_n)
 for any sign pattern, which gives both the a-priori length
 ceil(log(u (1 - q_n)) / log(q_n)) - 1 and the stopping rule (the tail
@@ -97,19 +96,17 @@ _ROUNDOFF = 2.0**-53
 # products of the deflated Palm series (one 2 x K by K x K product, its
 # correction and the tail test) that may stand in for one LU with its
 # matrix build: K/10 up to K = 100 and K/5 - 10 beyond (an LU grows as K^3,
-# a product as K^2 over a fixed interpreter cost), at most 40 while Q fits
-# in 3 MiB and at most 24 beyond, where each product streams Q from
-# memory.  LU time over step time on a 2-core Xeon VM (OpenBLAS 0.3.31,
-# one thread, median of 7):
+# a product as K^2 over a fixed interpreter cost), at most 40.  LU time
+# over step time on a 2-core Xeon VM (OpenBLAS 0.3.31, one thread, median
+# of 7):
 #   K      50   64  100  150  200  300  400  500  600  700  800  1000
 #   ratio 5.3  6.9 11.8 23.1 37.1 74.2 97.9 87.5 75.9 39.7 42.5  54.1
-#   rule  5.0  6.4 10.0 20.0 30.0 40.0 40.0 40.0 40.0 24.0 24.0  24.0
-# so the rule stays at or below the break-even at every K measured; below
-# K = 10 it is under one product and every order takes the LU
+#   rule  5.0  6.4 10.0 20.0 30.0 40.0 40.0 40.0 40.0 40.0 40.0  40.0
+# so the rule stays within 1% of the break-even at every K measured (the
+# grant itself runs 2-5 times the products taken); below K = 10 it is
+# under one product and every order takes the LU
 _SERIES_SHARE = 1.0 / 10.0
 _SERIES_CAP = 40.0
-_SERIES_CAP_UNCACHED = 24.0
-_CACHED_BYTES = 3.0 * 2**20
 
 WEIGHTINGS = ("embedded", "occupancy")
 
@@ -451,47 +448,42 @@ def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.n
 
 def _series_budget(k_count: int) -> float:
     """Products of the Palm series that cost less than one LU at K states (see ``_SERIES_SHARE``)."""
-    cap = _SERIES_CAP if 8.0 * k_count**2 <= _CACHED_BYTES else _SERIES_CAP_UNCACHED
-    return min(max(_SERIES_SHARE * k_count, 2.0 * _SERIES_SHARE * k_count - 10.0), cap)
+    return min(max(_SERIES_SHARE * k_count, 2.0 * _SERIES_SHARE * k_count - 10.0), _SERIES_CAP)
 
 
 def _series_grants(taus: np.ndarray, routing: np.ndarray, pi: np.ndarray, buffer: np.ndarray):
-    """Per order, the products its series may take (0: an LU is cheaper), whether p = pi bounds it better, and q_n.
+    """Per order, the products its series may take (0: an LU is cheaper) and q_n.
 
-    ``taus[n]`` holds the diagonal weights of order n.  For any p,
-    E = Q - 1 p' splits the order-n matrix exactly as
-    I - diag(tau) Q = (I - diag(tau) E) - tau p', and
-    ||diag(tau) E||_inf <= q_n = max_k tau_k sum_j |Q_kj - p_j|.  p = pi
-    (pi Q = pi) takes the Perron mode of Q out of E; p = 0 gives
-    q_n = tau_max, the plain Neumann series.  Each order takes the p with
-    the smaller q_n.  The row sums of |Q - 1 pi'| are one K^2 pass per
-    call, made in ``buffer`` (the order-matrix buffer, overwritten).  q_n
-    is raised by 4 K u tau_max, which bounds the rounding of one product,
-    so every computed term is at most q_n times the one before, and the
-    tail rule of ``_solve``, ||t||_inf q_n / (1 - q_n) <= u ||first term||_inf,
-    fires after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products
-    (and at least one).  Orders whose grant is within ``_series_budget``,
-    below the measured cost of one LU, get it; the others get 0, and so
-    does every order below K = 10.  The clamps keep the logarithms finite
-    where q_n underflowed to 0 or reached 1 (a state of zero speed has
-    tau = 1: its orders deflate or take the LU).
+    ``taus[n]`` holds the diagonal weights of order n.  E = Q - 1 pi'
+    (pi Q = pi), Q with its Perron mode taken out, splits the order-n
+    matrix exactly as I - diag(tau) Q = (I - diag(tau) E) - tau pi', and
+    ||diag(tau) E||_inf <= q_n = max_k tau_k sum_j |Q_kj - pi_j|.  The
+    row sums of |Q - 1 pi'| are one K^2 pass per call, made in ``buffer``
+    (the order-matrix buffer, overwritten).  q_n is raised by
+    4 K u tau_max, which bounds the rounding of one product, so every
+    computed term is at most q_n times the one before, and the tail rule
+    of ``_solve``, ||t||_inf q_n / (1 - q_n) <= u ||first term||_inf, fires
+    after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products (and at
+    least one).  Orders whose grant is within ``_series_budget``, below
+    the measured cost of one LU, get it; the others get 0, and so does
+    every order below K = 10.  Sparse routing, whose rows of |Q - 1 pi'|
+    sum to nearly 2, bounds the series loosely and takes the LU more
+    often.  The clamps keep the logarithms finite where q_n underflowed to
+    0 or reached 1.
     """
     k_count = len(routing)
     budget = _series_budget(k_count)
     if budget < 1.0:
-        return [0] * len(taus), np.zeros(len(taus), dtype=bool), np.ones(len(taus))
-    tau_max = taus.max(axis=1)
+        return [0] * len(taus), np.ones(len(taus))
     np.abs(np.subtract(routing, pi, out=buffer), out=buffer)
-    deflated = (taus * buffer.sum(axis=1)).max(axis=1)
-    deflate = deflated < tau_max
-    bound = np.where(deflate, deflated, tau_max) + 4.0 * k_count * _ROUNDOFF * tau_max
+    bound = (taus * buffer.sum(axis=1)).max(axis=1) + 4.0 * k_count * _ROUNDOFF * taus.max(axis=1)
     q = np.clip(bound, np.finfo(float).tiny, 1.0 - _ROUNDOFF)
     grant = np.maximum(np.ceil(np.log(_ROUNDOFF * (1.0 - q)) / np.log(q)) - 1.0, 1.0)
     steps = np.where(grant <= budget, grant, 0.0).astype(int)
-    return steps.tolist(), deflate, q
+    return steps.tolist(), q
 
 
-def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, p: np.ndarray, bound: float,
+def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, pi: np.ndarray, bound: float,
            steps: int, block: np.ndarray, matrix: np.ndarray):
     """Solve ``(I - diag(tau) Q) x = block[0]``; return x, its exact inf-norm condition number and the products taken.
 
@@ -504,29 +496,26 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, p: 
     inf-norm is 1 + tau_max.  As diag(tau) Q 1 = tau, its inverse times 1
     is 1 plus its inverse times tau, which needs no third column.
 
-    With E = Q - 1 p' the matrix is (I - diag(tau) E) - tau p', and with
-    [y, z] the inverse of its first part applied to the block,
-    Sherman-Morrison gives
+    With ``steps`` > 0 (from ``_series_grants``, and ``bound`` >= q_n >=
+    ||diag(tau) E||_inf) the matrix is (I - diag(tau) E) - tau pi' with
+    E = Q - 1 pi', and [y, z], its first part's inverse applied to the
+    block, are the series sum_i (diag(tau) E)^i applied to both rows, each
+    product one 2 x K by K x K product corrected by pi.  Sherman-Morrison
+    gives
 
-        x = y + z (p.y) / (1 - p.z),   inverse times 1 = 1 + z / (1 - p.z).
+        x = y + z (pi.y) / (1 - pi.z),   inverse times 1 = 1 + z / (1 - pi.z).
 
-    By the matrix determinant lemma 1 - p.z is the determinant of the
+    By the matrix determinant lemma 1 - pi.z is the determinant of the
     matrix over that of its first part; both are positive (an M-matrix,
     and I minus a matrix of spectral radius below 1), so a value that is
-    not positive means rounding has broken the solve: NumericError.
-    ``p`` = 0 leaves x = y bit for bit.
-
-    With ``steps`` > 0 (from ``_series_grants``, and ``bound`` >= q_n >=
-    ||diag(tau) E||_inf) [y, z] are the series sum_i (diag(tau) E)^i
-    applied to both rows, each product one 2 x K by K x K product
-    corrected by p.  The tail after a term t is at most
-    ||t||_inf q_n / (1 - q_n) whatever its signs, and the series stops
-    once that is at most u times the inf-norm of the row's first term, in
-    both rows; a series that runs out of its ``steps`` first has no tail
-    bound and raises NumericError.  With ``steps`` = 0 the matrix is built
-    in ``matrix`` and [x, z] come from one LU (``p`` is not read).
-    ``tau_max`` is the largest entry of ``tau``; ``order`` names the order
-    in the errors.
+    not positive means rounding has broken the solve: NumericError.  The
+    tail after a term t is at most ||t||_inf q_n / (1 - q_n) whatever its
+    signs, and the series stops once that is at most u times the inf-norm
+    of the row's first term, in both rows; a series that runs out of its
+    ``steps`` first has no tail bound and raises NumericError.  With
+    ``steps`` = 0 the matrix is built in ``matrix`` and [x, z] come from
+    one LU (``pi`` is not read).  ``tau_max`` is the largest entry of
+    ``tau``; ``order`` names the order in the errors.
     """
     if not steps:
         try:
@@ -538,8 +527,8 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, p: 
     rhs_limit, tau_limit = (_ROUNDOFF * (1.0 - bound) * np.abs(block).max(axis=1)).tolist()
     routing_t = routing.T
     for used in range(1, steps + 1):
-        # (diag(tau) E t)' = (t' Q' - (t' p) 1') diag(tau), both rows at once
-        shift = term @ p
+        # (diag(tau) E t)' = (t' Q' - (t' pi) 1') diag(tau), both rows at once
+        shift = term @ pi
         term = term @ routing_t
         term -= shift[:, np.newaxis]
         term *= tau
@@ -552,13 +541,13 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, p: 
             f"order-{order} Neumann series did not reach its tail bound within {steps} products"
         )
     y, z = total
-    p_y, p_z = (total @ p).tolist()
-    denominator = 1.0 - p_z
+    pi_y, pi_z = (total @ pi).tolist()
+    denominator = 1.0 - pi_z
     if not denominator > 0.0:
         raise NumericError(
-            f"order-{order} deflated series lost the sign of its determinant: 1 - p.z = {denominator:.3e}"
+            f"order-{order} deflated series lost the sign of its determinant: 1 - pi.z = {denominator:.3e}"
         )
-    solution = y + z * (p_y / denominator)
+    solution = y + z * (pi_y / denominator)
     return solution, (1.0 + tau_max) * (1.0 + float(z.max()) / denominator), used
 
 
@@ -615,13 +604,12 @@ def palm_moment_vectors(
     with R the diagonal matrix of offered loads, beside a second
     right-hand side, tau = w[n, n] itself, that gives the exact condition
     number.  The solver of each order is picked before the loop from tau
-    (see ``_series_grants`` and ``_solve``).  With E = Q - 1 p' the
-    matrix splits as (I - diag(tau) E) - tau p', so by Sherman-Morrison
-    the order is the series sum_i (diag(tau) E)^i on both right-hand
-    sides plus a rank-one correction.  p = pi deflates the Perron mode,
-    p = 0 is the plain Neumann series; each order takes the p with the
-    smaller bound q_n >= ||diag(tau) E||_inf, and the series where its
-    a-priori length from q_n is within the measured cost of one LU
+    (see ``_series_grants`` and ``_solve``).  With E = Q - 1 pi', which
+    deflates the Perron mode, the matrix splits as
+    (I - diag(tau) E) - tau pi', so by Sherman-Morrison the order is the
+    series sum_i (diag(tau) E)^i on both right-hand sides plus a rank-one
+    correction.  An order sums the series where its a-priori length from
+    q_n >= ||diag(tau) E||_inf is within the measured cost of one LU
     (``_SERIES_SHARE``), stopped once q_n bounds its tail by the unit
     roundoff u.  Every other order takes one LU.  ``steps`` records the
     products each order took (0 for an LU).  The backward residual of
@@ -639,9 +627,8 @@ def palm_moment_vectors(
     taus = np.diagonal(weights, axis1=1, axis2=2).T
     # the matrix of the LU orders, built in place (first the grants' workspace)
     matrix = np.empty_like(routing)
-    grants, deflate, bounds = _series_grants(taus, routing, statics.pi, matrix)
+    grants, bounds = _series_grants(taus, routing, statics.pi, matrix)
     tau_max = taus.max(axis=1)
-    no_deflation = np.zeros(k_count)
 
     vectors = [np.ones(k_count)]
     routed = np.empty((k_count, n_max + 1))
@@ -657,8 +644,9 @@ def palm_moment_vectors(
         rhs = (weights[:, n, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
         block[0] = rhs
         block[1] = taus[n]
-        p = statics.pi if deflate[n] else no_deflation
-        solution, cond, steps[n] = _solve(n, routing, taus[n], tau_max[n], p, bounds[n], grants[n], block, matrix)
+        solution, cond, steps[n] = _solve(
+            n, routing, taus[n], tau_max[n], statics.pi, bounds[n], grants[n], block, matrix
+        )
         routed[:, n] = routing @ solution
         scale = max(float(np.abs(rhs).max()), 1e-300)
         residual = float(np.abs(solution - taus[n] * routed[:, n] - rhs).max()) / scale
@@ -720,8 +708,8 @@ class MomentTable:
     ``aggregated[w][n]`` is the order-n moment of the mixing mass under
     weighting ``w``; by the mixed-Poisson identity it equals the order-n
     factorial moment of N.  ``raw[w][n]`` are the corresponding raw
-    moments via the second-kind Stirling transform.  ``weighting`` names
-    the default view used by the accessors.  ``identity_residuals`` holds
+    moments via the second-kind Stirling transform; the accessors read
+    either weighting, occupancy unless told.  ``identity_residuals`` holds
     the per-order residuals of ``forward_relation_residuals`` and
     ``markovian_identity_residuals`` (None unless every sojourn is
     exponential).  ``bn_condition``, ``solve_residual`` and ``palm_steps``
@@ -734,19 +722,18 @@ class MomentTable:
     stationary: tuple
     aggregated: dict
     raw: dict
-    weighting: str
     bn_condition: np.ndarray
     solve_residual: np.ndarray
     palm_steps: np.ndarray
     identity_residuals: dict
 
-    def factorial_moments(self, weighting: str = None) -> np.ndarray:
-        """f_N^(n), n = 0..n_max, under the given (or default) weighting."""
-        return self.aggregated[weighting or self.weighting]
+    def factorial_moments(self, weighting: str = "occupancy") -> np.ndarray:
+        """f_N^(n), n = 0..n_max, under the given weighting."""
+        return self.aggregated[weighting]
 
-    def raw_moments(self, weighting: str = None) -> np.ndarray:
-        """E[N^n], n = 0..n_max, under the given (or default) weighting."""
-        return self.raw[weighting or self.weighting]
+    def raw_moments(self, weighting: str = "occupancy") -> np.ndarray:
+        """E[N^n], n = 0..n_max, under the given weighting."""
+        return self.raw[weighting]
 
 
 def assemble_moment_table(
@@ -754,17 +741,14 @@ def assemble_moment_table(
     statics: ChainStatics,
     palm: PalmMoments,
     stationary: tuple,
-    weighting: str = "occupancy",
 ) -> MomentTable:
     """Contract the stationary vectors into scalar moments of N.
 
     Both weightings (embedded-chain vector and time-stationary
-    occupancy) are always computed and stored; ``weighting`` only picks
-    the default view.  The structural identity residuals are always
-    evaluated and recorded as diagnostics (see ``mminfenv.checks``).
+    occupancy) are computed and stored.  The structural identity
+    residuals are evaluated and recorded as diagnostics (see
+    ``mminfenv.checks``).
     """
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     n_max = palm.n_max
     tables = _stirling_tables(n_max)
     weights = {"embedded": statics.pi, "occupancy": statics.occupancy}
@@ -786,7 +770,6 @@ def assemble_moment_table(
         stationary=tuple(stationary),
         aggregated=aggregated,
         raw=raw,
-        weighting=weighting,
         bn_condition=palm.condition,
         solve_residual=palm.solve_residual,
         palm_steps=palm.steps,
@@ -797,7 +780,6 @@ def assemble_moment_table(
 def compute_moment_table(
     model: EnvironmentModel,
     n_max: int = 10,
-    weighting: str = "occupancy",
     statics: ChainStatics = None,
 ) -> MomentTable:
     """Convenience pipeline: statics, Palm solve, stationary update, assembly."""
@@ -805,7 +787,7 @@ def compute_moment_table(
         statics = chain_statics(model)
     palm = palm_moment_vectors(model, statics, n_max)
     stationary = stationary_moment_vectors(model, statics, palm)
-    return assemble_moment_table(model, statics, palm, stationary, weighting=weighting)
+    return assemble_moment_table(model, statics, palm, stationary)
 
 
 def _all_exponential(model: EnvironmentModel) -> bool:

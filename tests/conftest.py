@@ -65,9 +65,9 @@ def random_mixed_model(k_count: int, rng: np.random.Generator) -> EnvironmentMod
 def ring_model(k_count: int, rng: np.random.Generator, mu: float = None) -> EnvironmentModel:
     """All-exponential model on a sparse ring: state k jumps only to k - 1 or k + 1 (mod K).
 
-    Each row of |Q - 1 pi'| then sums to nearly 2, so deflating by pi
-    bounds the Palm series worse than tau_max, and every order that sums
-    the series takes the plain one (p = 0).
+    Each row of |Q - 1 pi'| then sums to nearly 2, so the deflated Palm
+    series is bounded by q_n ~ 2 tau_max, and its grants are longer than
+    on dense routing.
     """
     routing = np.zeros((k_count, k_count))
     forward = rng.uniform(0.2, 0.8, k_count)

@@ -81,6 +81,24 @@ class TestMoments:
         assert code == 0
         assert "f_N[embedded]" in out and "occupancy" not in out
 
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: Path(path).stem)
+    def test_single_weighting_rows_are_columns_of_both(self, capsys, path):
+        # one weighting prints the order, f_N and m_N columns of --weighting both, cell for cell
+        def rows(weighting):
+            code, out, _ = run(capsys, "moments", "--model", path, "--order", "20", "--weighting", weighting)
+            assert code == 0
+            return [line.split() for line in out.splitlines() if line and line[0].isdigit()]
+
+        both = rows("both")
+        table = compute_moment_table(load_model(path), n_max=20)
+        shown = ("embedded", "occupancy")
+        assert both == [
+            [str(n)] + [f"{table.aggregated[w][n]:.12g}" for w in shown] + [f"{table.raw[w][n]:.12g}" for w in shown]
+            for n in range(21)
+        ]
+        for weighting, f_column, m_column in (("embedded", 1, 3), ("occupancy", 2, 4)):
+            assert rows(weighting) == [[row[0], row[f_column], row[m_column]] for row in both]
+
     def test_out_report_is_json(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(capsys, "moments", "--model", K3_MIXED, "--order", "3",
@@ -106,7 +124,7 @@ class TestMoments:
             assert reported == list(steps)
             assert all(isinstance(count, int) for count in reported)
         assert reported == [0] * 21
-        assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [6, 5, 5, 5, 4]
+        assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [0, 5, 5, 5, 4]
 
     def test_invalid_model_exits_2(self, capsys, tmp_path):
         document = yaml.safe_load(open(IDENTICAL))

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -331,6 +332,26 @@ def test_no_explicit_inverse_in_the_package():
     # each linear system gets one factorisation: no condition number or
     # inverse is formed explicitly anywhere in the package
     assert package_lines_matching(r"linalg\.(cond|inv)\s*\(") == []
+
+
+def test_no_unused_import_in_the_package():
+    # every name a module imports is read somewhere in it; the package's
+    # __init__ imports only to re-export
+    package = Path(__file__).resolve().parent.parent / "src" / "mminfenv"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unused == []
 
 
 def test_only_the_model_runs_the_structural_checks():

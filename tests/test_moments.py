@@ -125,14 +125,13 @@ LU_MODELS = CONDITION_MODELS[:5] + [
 ]
 
 
-# every model above, and the mixed fast-service, K = 200 and ring models the grant tests meet
+# every model above, and the mixed fast-service and K = 200 models the grant tests meet: all
+# with dense routing
 GRANT_MODELS = CONDITION_MODELS + [
     pytest.param(partial(seeded, fast_service_mixed_model, 64), id="fast_service_mixed_model-k64"),
 ] + [
     pytest.param(partial(seeded, build, 200), id=f"{build.__name__}-k200")
     for build in (random_exponential_model, random_mixed_model, zero_speed_model)
-] + [
-    pytest.param(partial(ring_model, 64, np.random.default_rng(64), mu=800.0), id="ring_model-k64"),
 ]
 
 
@@ -342,29 +341,29 @@ class TestPalmVectors:
 
 
 class TestSolverChoice:
-    """Per order, the deflated or plain series where it is cheaper than one LU, the LU elsewhere."""
+    """Per order, the deflated series where it is cheaper than one LU, the LU elsewhere."""
 
-    @pytest.mark.parametrize("build, k_count, deflates", [
-        pytest.param(fast_service_model, 64, True, id="fast_service_model"),
-        pytest.param(fast_service_mixed_model, 64, True, id="fast_service_mixed_model"),
-        pytest.param(random_exponential_model, 200, True, id="random_exponential_model-k200"),
-        pytest.param(fast_service_mixed_model, 200, True, id="fast_service_mixed_model-k200"),
-        pytest.param(fast_service_mixed_model, 500, True, id="fast_service_mixed_model-k500"),
-        pytest.param(random_exponential_model, 500, True, id="random_exponential_model-k500"),
-        pytest.param(zero_speed_model, 200, True, id="zero_speed_model-k200"),
-        # the ring's rows of |Q - 1 pi'| sum to nearly 2: it never deflates
-        pytest.param(partial(ring_model, mu=800.0), 64, False, id="ring_model-k64"),
+    @pytest.mark.parametrize("build, k_count", [
+        pytest.param(fast_service_model, 64, id="fast_service_model"),
+        pytest.param(fast_service_mixed_model, 64, id="fast_service_mixed_model"),
+        pytest.param(random_exponential_model, 200, id="random_exponential_model-k200"),
+        pytest.param(fast_service_mixed_model, 200, id="fast_service_mixed_model-k200"),
+        pytest.param(fast_service_mixed_model, 500, id="fast_service_mixed_model-k500"),
+        pytest.param(random_exponential_model, 500, id="random_exponential_model-k500"),
+        pytest.param(zero_speed_model, 200, id="zero_speed_model-k200"),
+        # the ring's rows of |Q - 1 pi'| sum to nearly 2, so q_n ~ 2 tau_max:
+        # its fast service still grants every order a short series
+        pytest.param(partial(ring_model, mu=800.0), 64, id="ring_model-k64"),
     ])
-    def test_series_agrees_with_the_lu_on_every_order(self, build, k_count, deflates, monkeypatch):
+    def test_series_agrees_with_the_lu_on_every_order(self, build, k_count, monkeypatch):
         # every order is granted its series here (a budget of 200 products)
         # and solved both ways; the budgeted call must agree with both
         model = seeded(build, k_count)
         statics = chain_statics(model)
         routing = statics.reversed_routing
         palm = palm_moment_vectors(model, statics, 20)
-        grants, deflate, bounds = series_grants(model, statics, 200.0, monkeypatch)
+        grants, bounds = series_grants(model, statics, 200.0, monkeypatch)
         assert all(grants[1:])
-        assert deflate[1:].tolist() == [deflates] * 20
         weights = _weights(model.sojourns, model.service_rates, 20)
         taus = np.diagonal(weights, axis1=1, axis2=2).T
         rho = offered_loads(model)
@@ -373,10 +372,9 @@ class TestSolverChoice:
         for n in range(1, 21):
             rhs = sum(weights[:, n, j] * rho ** (n - j) * routed[j] for j in range(n))
             block = np.vstack((rhs, taus[n]))
-            p = statics.pi if deflate[n] else np.zeros(k_count)
             tau_max = taus[n].max()
             series, series_condition, used = moments._solve(
-                n, routing, taus[n], tau_max, p, bounds[n], grants[n], block, matrix
+                n, routing, taus[n], tau_max, statics.pi, bounds[n], grants[n], block, matrix
             )
             lu, lu_condition, _ = moments._solve(n, routing, taus[n], tau_max, None, 0.5, 0, block, matrix)
             assert 1 <= used <= grants[n]
@@ -405,33 +403,28 @@ class TestSolverChoice:
             assert float(error) <= 1e-14
 
     def test_budget_rule(self):
-        # K/10 up to K = 100, K/5 - 10 beyond, capped at 40 while Q fits in
-        # 3 MiB (K <= 627) and at 24 beyond: the rule the measured LU / step
-        # ratios in the comment of _SERIES_SHARE were checked against
+        # K/10 up to K = 100, K/5 - 10 beyond, capped at 40: the rule the
+        # measured LU / step ratios in the comment of _SERIES_SHARE were
+        # checked against
         sizes = [9, 10, 50, 64, 100, 150, 200, 300, 500, 627, 628, 1000]
-        expected = [0.9, 1.0, 5.0, 6.4, 10.0, 20.0, 30.0, 40.0, 40.0, 40.0, 24.0, 24.0]
+        expected = [0.9, 1.0, 5.0, 6.4, 10.0, 20.0, 30.0, 40.0, 40.0, 40.0, 40.0, 40.0]
         assert [moments._series_budget(k_count) for k_count in sizes] == pytest.approx(expected, rel=1e-15)
 
     def test_step_counts(self):
-        # uniform tau: zero speed (tau = 1) takes the LU, since p = 0 bounds
-        # the series by 1 and p = pi by the largest row sum of |Q - 1 pi'|
-        # (over 0.5); tau = 0 takes one product with no log(0) (and p = pi
-        # cannot beat q_n = 0); tau = 2 / 402 deflates to q_n ~ 0.003 and 6
+        # uniform tau: zero speed (tau = 1) takes the LU, since q_n is the
+        # largest row sum of |Q - 1 pi'| (over 0.5); tau = 0 takes one
+        # product with no log(0); tau = 2 / 402 gives q_n ~ 0.003 and 6
         # products, within the budget K/10 at K = 64 but not at K = 55
         taus = np.array([[1.0], [0.0], [2.0 / 402.0], [2.0 / 402.0], [0.5]])
         for k_count, expected in ((64, [0, 1, 6, 6, 0]), (55, [0, 1, 0, 0, 0])):
             routing = random_routing(k_count, np.random.default_rng(k_count))
             pi = chain_statics(dataclasses.replace(seeded(random_exponential_model, k_count), routing=routing)).pi
-            grants, deflate, _ = moments._series_grants(
-                np.repeat(taus, k_count, axis=1), routing, pi, np.empty_like(routing)
-            )
+            grants, _ = moments._series_grants(np.repeat(taus, k_count, axis=1), routing, pi, np.empty_like(routing))
             assert grants == expected
-            assert deflate.tolist() == [True, False, True, True, True]
 
     def test_two_state_cyclic_grant(self, monkeypatch):
         # Q swaps the states and pi = (1/2, 1/2): each row of |Q - 1 pi'|
-        # sums to 1, so deflating gains nothing and every order takes the
-        # plain series, q_n = tau_max (1 + 8u).  tau_max = 0.5 needs
+        # sums to 1, so q_n = tau_max (1 + 8u).  tau_max = 0.5 needs
         # 0.5^(i+1) <= u / 2, i = 53 products, and the rounding margin makes
         # it 54; tau_max = 0.12 gives 17.  Zero speed keeps the LU however
         # large the budget, and an underflowed tau takes one product
@@ -443,38 +436,40 @@ class TestSolverChoice:
         monkeypatch.setattr(moments, "_series_budget", lambda k_count: 20.0)
         assert moments._series_grants(taus, routing, pi, buffer)[0] == [0, 0, 17, 6, 0, 1]
         monkeypatch.setattr(moments, "_series_budget", lambda k_count: 1e6)
-        grants, deflate, bounds = moments._series_grants(taus, routing, pi, buffer)
+        grants, bounds = moments._series_grants(taus, routing, pi, buffer)
         assert grants == [0, 54, 17, 6, 0, 1]
-        assert not deflate.any()
         assert bounds[1] == 0.5 + 8.0 * 2.0**-53 * 0.5
 
     @pytest.mark.parametrize("build", GRANT_MODELS)
     def test_grant_is_within_the_tau_max_length(self, build, monkeypatch):
-        # q_n <= tau_max (1 + 4Ku): deflation never lengthens an order's
-        # series, so it never moves an order from the series to the LU
+        # on dense routing q_n <= tau_max (1 + 4Ku): deflation never
+        # lengthens an order's series past the plain one, so it never moves
+        # an order from the series to the LU (sparse routing, like the
+        # ring's, can: there q_n ~ 2 tau_max)
         model = build()
         statics = chain_statics(model)
         budget = moments._series_budget(model.num_states)
-        grants, _, _ = series_grants(model, statics)
+        grants, _ = series_grants(model, statics)
         for grant, length in zip(grants, tau_max_lengths(diagonal_weights(model))):
             assert grant <= length
             assert grant > 0 or length > budget
         # and with any budget, no grant exceeds the plain one
-        grants, _, _ = series_grants(model, statics, 1e6, monkeypatch)
+        grants, _ = series_grants(model, statics, 1e6, monkeypatch)
         for grant, length in zip(grants, tau_max_lengths(diagonal_weights(model))):
             assert grant <= length
 
     def test_short_grant_raises(self, monkeypatch):
-        # the ring takes the plain series, whose order-1 rule fires on the
-        # last product granted (6)
+        # the ring's order 1 takes the LU, orders 2 and 3 take 5 of their 6
+        # granted products, and the order-4 rule fires on the last product
+        # granted (5)
         model = ring_model(64, np.random.default_rng(64), mu=800.0)
-        assert palm_moment_vectors(model, n_max=1).steps[1] == 6
+        assert palm_moment_vectors(model, n_max=4).steps.tolist() == [0, 0, 5, 5, 5]
         grant = moments._series_grants
         monkeypatch.setattr(
             moments, "_series_grants",
             lambda *args: ([max(s - 1, 0) for s in grant(*args)[0]], *grant(*args)[1:]),
         )
-        with pytest.raises(NumericError, match="order-1 Neumann series did not reach its tail bound within 5"):
+        with pytest.raises(NumericError, match="order-4 Neumann series did not reach its tail bound within 4"):
             palm_moment_vectors(model, n_max=20)
 
     def test_broken_determinant_sign_raises(self):
@@ -482,8 +477,7 @@ class TestSolverChoice:
         # that is not tau (here 40 tau) breaks it, and the solve refuses
         model = seeded(fast_service_model, 64)
         statics = chain_statics(model)
-        grants, deflate, bounds = series_grants(model, statics)
-        assert deflate[1]
+        grants, bounds = series_grants(model, statics)
         tau = diagonal_weights(model)[1]
         block = np.vstack((np.ones(64), 40.0 * tau / (statics.pi @ tau)))
         with pytest.raises(NumericError, match="order-1 deflated series lost the sign of its determinant"):
@@ -492,10 +486,9 @@ class TestSolverChoice:
             )
 
     def test_zero_speed_state_takes_the_lu(self, monkeypatch):
-        # speed 0 gives tau_0 = 1: the plain series has no bound (q = 1), and
-        # with dense random routing the deflated bound, row 0 of |Q - 1 pi'|
-        # (about 0.45), grants more than K/5 - 10 = 30 products at K = 200.
-        # Deflation treats speed 0 and speed 1e-9 alike: both take the LU
+        # speed 0 gives tau_0 = 1: with dense random routing the bound, row 0
+        # of |Q - 1 pi'| (about 0.45), grants more than K/5 - 10 = 30
+        # products at K = 200.  Speed 0 and speed 1e-9 take the LU alike
         base = seeded(fast_service_model, 200)
         slow, model = (
             dataclasses.replace(
@@ -517,14 +510,14 @@ class TestSolverChoice:
 
     def test_zero_speed_state_deflates(self, monkeypatch):
         # near-uniform routing: row 0 of |Q - 1 pi'| sums to about 0.05, and
-        # every order deflates though tau_max = 1
+        # every order sums the series though tau_max = 1
         model = seeded(zero_speed_model, 200)
         statics = chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
         palm = palm_moment_vectors(model, statics, 20)
         assert solves == []
         assert palm.steps[1:].all()
-        assert series_grants(model, statics)[1][1:].all()
+        assert series_grants(model, statics)[1][1:].max() < 0.05
 
     @pytest.mark.parametrize("build", LU_MODELS)
     def test_small_models_take_one_lu_per_order(self, build, monkeypatch):
@@ -633,12 +626,18 @@ class TestMomentTable:
         for vec, power in zip(table.palm + table.stationary, np.tile(powers, 2)):
             assert vec == pytest.approx(np.full(k_count, power), rel=1e-13)
 
-    def test_weighting_selects_default_view(self, k3_mixed_model):
-        table = compute_moment_table(k3_mixed_model, n_max=3, weighting="embedded")
-        assert table.factorial_moments() is table.aggregated["embedded"]
-        assert table.factorial_moments("occupancy") is table.aggregated["occupancy"]
-        with pytest.raises(ValueError):
-            compute_moment_table(k3_mixed_model, n_max=2, weighting="nonsense")
+    def test_accessors_take_the_weighting(self, k3_mixed_model):
+        # both weightings are always computed; the accessors read occupancy unless told
+        table = compute_moment_table(k3_mixed_model, n_max=3)
+        for weighting in ("embedded", "occupancy"):
+            assert table.factorial_moments(weighting) is table.aggregated[weighting]
+            assert table.raw_moments(weighting) is table.raw[weighting]
+        assert table.factorial_moments() is table.aggregated["occupancy"]
+        assert table.raw_moments() is table.raw["occupancy"]
+        with pytest.raises(KeyError):
+            table.factorial_moments("nonsense")
+        with pytest.raises(TypeError):
+            compute_moment_table(k3_mixed_model, n_max=3, weighting="embedded")
 
     def test_identity_residuals_recorded(self, k3_exponential_model):
         table = compute_moment_table(k3_exponential_model, n_max=4)
@@ -756,14 +755,10 @@ class TestFixedCosts:
         assert len(calls) == 2
 
     def test_forward_check_makes_no_scalar_exponential_transform_call(self, monkeypatch):
-        # nor a scalar call of any other family with an array transform
-        families = (Exponential, Gamma, Deterministic, HyperExponential)
+        # exponential states, alone or beside other families, read the array transform
         calls = []
-        for family in families:
-            original = family.laplace
-            monkeypatch.setattr(
-                family, "laplace", lambda self, s, original=original: calls.append(s) or original(self, s)
-            )
+        original = Exponential.laplace
+        monkeypatch.setattr(Exponential, "laplace", lambda self, s: calls.append(s) or original(self, s))
         for build in (random_exponential_model, random_mixed_model):
             model = build(50, np.random.default_rng(50))
             statics = chain_statics(model)
@@ -772,7 +767,7 @@ class TestFixedCosts:
             residuals = forward_relation_residuals(model, statics, palm)
             assert not calls
             assert np.max(residuals) < 1e-12
-        assert {type(dist) for dist in model.sojourns} == set(families)
+        assert {type(dist) for dist in model.sojourns} == {Exponential, Gamma, Deterministic, HyperExponential}
 
     def test_stacked_gauss_rules_equal_one_rule_at_a_time(self):
         # one stacked eigen-solve gives every rule bit for bit as one solve per rule
