@@ -12,7 +12,6 @@ from .distributions import (
     Gamma,
     HyperExponential,
     SojournDistribution,
-    TabulatedLaplace,
 )
 from .environment import (
     ChainStatics,
@@ -67,7 +66,6 @@ __all__ = [
     "SimulationEstimate",
     "SojournDistribution",
     "StirlingTables",
-    "TabulatedLaplace",
     "TwoStateModel",
     "assemble_moment_table",
     "chain_statics",

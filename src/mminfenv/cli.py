@@ -106,8 +106,13 @@ def _check_simulation_order(args) -> None:
 
 
 def _tolerances_from_args(args) -> dict:
-    """The tolerances the verb has flags for, the only ones it reads."""
-    return {name: getattr(args, name) for name in DEFAULT_TOLERANCES if hasattr(args, name)}
+    """The tolerances the verb has flags for, the only ones it reads; each finite and >= 0."""
+    tolerances = {name: getattr(args, name) for name in DEFAULT_TOLERANCES if hasattr(args, name)}
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be finite and nonnegative, got {value}")
+    return tolerances
 
 
 def _table_dict(table) -> dict:
@@ -367,16 +372,20 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except ValueError as exc:
-        # ModelError, an order beyond the supported cap, or a simulation flag out of range
+        # ModelError, an order beyond the cap, or a simulation or tolerance flag out of range
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    sys.stdout.write(report.to_text())
     if args.out:
         payload = report.to_dict()
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, sort_keys=True, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"input error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+    sys.stdout.write(report.to_text())
     return code
 
 

@@ -2,8 +2,8 @@
 
 Every family exposes its Laplace transform at nonnegative real arguments
 together with its mean; these two quantities are all the analytic
-machinery ever needs.  For simulation each parametric family can also
-draw full sojourns, one or a vector of them per call, and an equilibrium
+machinery ever needs.  For simulation each family can also draw full
+sojourns, one or a vector of them per call, and an equilibrium
 (integrated-tail) residual sojourn, the latter being what a stationary
 observer sees of the in-progress sojourn.  The residual is drawn exactly
 as U times a length-biased sojourn, U uniform on [0, 1).
@@ -22,7 +22,6 @@ __all__ = [
     "Gamma",
     "Deterministic",
     "HyperExponential",
-    "TabulatedLaplace",
 ]
 
 
@@ -213,57 +212,3 @@ class HyperExponential(SojournDistribution):
         # length biasing reweights branch i by its mean: p_i / r_i, and the
         # residual of an exponential branch is that exponential again
         return self._branch_sample(rng, [p / r for p, r in zip(self.probs, self.rates)], None)
-
-
-@dataclass(frozen=True)
-class TabulatedLaplace(SojournDistribution):
-    """User-supplied transform given on a grid, with monotonicity validation.
-
-    `points` is an increasing grid of transform arguments starting at 0;
-    `values` are the transform values there, starting at 1 and strictly
-    decreasing.  Evaluation interpolates log-linearly; arguments beyond
-    the grid are a domain error.  The law cannot be sampled, so models
-    using it are analytic-only.
-    """
-
-    points: np.ndarray
-    values: np.ndarray
-    mean_value: float
-
-    def __post_init__(self):
-        points = np.array(self.points, dtype=float)
-        values = np.array(self.values, dtype=float)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
-        if points.ndim != 1 or points.shape != values.shape or points.size < 2:
-            raise ModelError("TabulatedLaplace needs matching 1-d grids with at least 2 points")
-        if points[0] != 0.0 or np.any(np.diff(points) <= 0.0):
-            raise ModelError("TabulatedLaplace grid must start at 0 and increase strictly")
-        if values[0] != 1.0:
-            raise ModelError("TabulatedLaplace must take the value 1 at argument 0")
-        if np.any(values <= 0.0) or np.any(values > 1.0):
-            raise ModelError("TabulatedLaplace values must lie in (0, 1]")
-        if np.any(np.diff(values) >= 0.0):
-            raise ModelError("TabulatedLaplace values must be strictly decreasing")
-        if not (math.isfinite(self.mean_value) and self.mean_value > 0.0):
-            raise ModelError(f"TabulatedLaplace mean must be positive, got {self.mean_value}")
-        points.flags.writeable = False
-        values.flags.writeable = False
-
-    def laplace(self, s: float) -> float:
-        s = _check_transform_arg(s)
-        if s > self.points[-1]:
-            raise ValueError(
-                f"argument {s} is outside the tabulated range [0, {self.points[-1]}]"
-            )
-        return float(np.exp(np.interp(s, self.points, np.log(self.values))))
-
-    def mean(self) -> float:
-        return self.mean_value
-
-    def sample(self, rng, size=None):
-        raise ModelError("a tabulated sojourn law cannot be sampled; simulation needs a parametric family")
-
-    def sample_residual(self, rng) -> float:
-        raise ModelError("a tabulated sojourn law cannot be sampled; simulation needs a parametric family")
-

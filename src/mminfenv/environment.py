@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SojournDistribution
+from .distributions import Deterministic, Exponential, Gamma, HyperExponential
 from .errors import ModelError, NumericError
 
 __all__ = [
@@ -24,6 +24,10 @@ __all__ = [
 
 STRUCTURAL_TOL = 1e-12
 CONDITION_LIMIT = 1e12
+
+# the sojourn laws the moment engine builds weights for, the simulator
+# samples and a model file names
+SOJOURN_FAMILIES = (Exponential, Gamma, Deterministic, HyperExponential)
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,9 @@ class EnvironmentModel:
     speeds : array_like, shape (K,)
         Server speed per state, in [0, 1]; the effective service rate in
         state k is ``speeds[k] * mu``.
-    sojourns : sequence of SojournDistribution, length K
-        Sojourn-time law per state.
+    sojourns : sequence, length K
+        Sojourn-time law per state: an Exponential, Gamma, Deterministic
+        or HyperExponential instance.
     mu : float
         Base service rate of the exponential service requirement.
     routing : array_like, shape (K, K)
@@ -67,8 +72,10 @@ class EnvironmentModel:
             raise ModelError("arrival_rates and speeds must be 1-d arrays of equal length")
         if len(sojourns) != lam.size:
             raise ModelError("one sojourn law per state is required")
-        if any(not isinstance(d, SojournDistribution) for d in sojourns):
-            raise ModelError("sojourns must be SojournDistribution instances")
+        for k, dist in enumerate(sojourns):
+            if not isinstance(dist, SOJOURN_FAMILIES):
+                names = ", ".join(family.__name__ for family in SOJOURN_FAMILIES)
+                raise ModelError(f"state {k} has sojourn law {type(dist).__name__}, not one of {names}")
         if routing.shape != (lam.size, lam.size):
             raise ModelError(
                 f"routing must be {lam.size}x{lam.size}, got shape {routing.shape}"

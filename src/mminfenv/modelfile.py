@@ -158,9 +158,8 @@ def _sojourn_to_dict(dist) -> dict:
         return {"family": "gamma", "shape": dist.shape, "rate": dist.rate}
     if isinstance(dist, Deterministic):
         return {"family": "deterministic", "value": dist.value}
-    if isinstance(dist, HyperExponential):
-        return {"family": "hyperexponential", "probs": list(dist.probs), "rates": list(dist.rates)}
-    raise ModelError(f"sojourn family {type(dist).__name__} has no file representation")
+    # a model admits the four families only, so what is left is hyperexponential
+    return {"family": "hyperexponential", "probs": list(dist.probs), "rates": list(dist.rates)}
 
 
 def model_to_dict(model: EnvironmentModel) -> dict:

@@ -49,8 +49,8 @@ k of the matrix is then e_k).
 The weights of all orders form one lower-triangular table per call,
 ``table[k, n, j] = w_k[n, j]``.  Exponential, hyperexponential and gamma
 sojourns are all mixtures of Erlang laws and share one builder;
-deterministic sojourns follow Pascal's rule; any other law is
-differenced exactly; zero speed (X = 1) gives the identity.
+deterministic sojourns follow Pascal's rule; zero speed (X = 1) gives
+the identity.  These four families are the only laws a model admits.
 
 The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
@@ -67,7 +67,7 @@ import numpy as np
 
 from .distributions import Deterministic, Exponential, Gamma, HyperExponential
 from .environment import ChainStatics, EnvironmentModel, chain_statics
-from .errors import ModelError, NumericError
+from .errors import NumericError
 from .stirling import StirlingTables
 
 __all__ = [
@@ -371,38 +371,6 @@ def _deterministic_weights(sojourns, service, n_max, residual):
     return np.tril(out)
 
 
-def _difference_weights(sojourns, service, n_max, residual):
-    """Any other law: exact finite differences of its transform values.
-
-    w[n, j] = C(n, j) ((-Delta)^(n-j) tau)(j) with tau(p) the transform
-    (or the residual transform (1 - tau) / (s mean)) at s = p mu_k,
-    differenced in rational arithmetic so no digit is lost.  A negative
-    weight means the values are not completely monotone, i.e. not the
-    transform of any law (a tabulated transform too coarse for the order
-    asked, say): ModelError.
-    """
-    # imported here: fractions loads the decimal module, about 0.4 MB that
-    # no shipped sojourn family needs
-    from fractions import Fraction
-
-    table = np.zeros((len(sojourns), n_max + 1, n_max + 1))
-    for k, (dist, a) in enumerate(zip(sojourns, service)):
-        values = [Fraction(dist.laplace(p * a)) for p in range(n_max + 1)]
-        if residual:
-            scale = Fraction(a) * Fraction(dist.mean())
-            values = [Fraction(1)] + [(1 - v) / (p * scale) for p, v in enumerate(values) if p]
-        for gap in range(n_max + 1):
-            for j, diff in enumerate(values):
-                if diff < 0:
-                    raise ModelError(
-                        f"{type(dist).__name__} transform values at multiples of {a!r} are not "
-                        f"completely monotone (weight w[{j + gap}, {j}] < 0): no law has them"
-                    )
-                table[k, j + gap, j] = float(math.comb(j + gap, j) * diff)
-            values = [values[j] - values[j + 1] for j in range(len(values) - 1)]
-    return table
-
-
 def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarray:
     """The (K, n_max + 1, n_max + 1) lower-triangular table of weights.
 
@@ -416,12 +384,10 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     for k, (dist, a) in enumerate(zip(sojourns, service.tolist())):
         if a == 0.0:
             builder = None
-        elif isinstance(dist, (Exponential, HyperExponential, Gamma)):
-            builder = _erlang_mixture_weights
         elif isinstance(dist, Deterministic):
             builder = _deterministic_weights
         else:
-            builder = _difference_weights
+            builder = _erlang_mixture_weights
         builders.setdefault(builder, []).append(k)
     if len(builders) == 1 and None not in builders:
         (builder,) = builders

@@ -141,8 +141,8 @@ class SimulationEstimate:
     replications: int
     master_seed: int
     occupancy: np.ndarray
-    config: SimulationConfig = field(repr=False, default=None)
-    half_means: np.ndarray = field(repr=False, default=None)
+    config: SimulationConfig = field(repr=False)
+    half_means: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +153,7 @@ class SimulationEstimate:
             "replications": self.replications,
             "master_seed": self.master_seed,
             "occupancy": self.occupancy.tolist(),
-            "config": asdict(self.config) if self.config is not None else None,
+            "config": asdict(self.config),
         }
 
 

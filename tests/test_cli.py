@@ -126,6 +126,14 @@ class TestMoments:
         assert reported == [0] * 21
         assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [0, 5, 5, 5, 4]
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "moments", "--model", K2_EXP, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:")
+        assert not target.exists()
+
     def test_invalid_model_exits_2(self, capsys, tmp_path):
         document = yaml.safe_load(open(IDENTICAL))
         document["routing"][0][0] = 0.5
@@ -298,6 +306,17 @@ class TestValidate:
                            "--tol-closedform", "1e-30")
         assert code == 1
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize("verb, flag", [("validate", "--tol-solve"), ("compare", "--z-max")])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tolerance_out_of_range_exits_2(capsys, verb, flag, value):
+    # a compare that got past its flags would simulate: keep that run short
+    short = ["--reps", "2", "--warmup", "5", "--horizon", "50"] if verb == "compare" else []
+    code, out, err = run(capsys, verb, "--model", IDENTICAL, "--order", "2", *short, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {flag} must be finite and nonnegative, got {float(value)}\n"
 
 
 class TestSimulate:

@@ -10,7 +10,6 @@ from mminfenv import (
     Gamma,
     HyperExponential,
     ModelError,
-    TabulatedLaplace,
 )
 
 ALL_FAMILIES = [
@@ -181,42 +180,6 @@ def test_invalid_parameters_rejected(bad):
         bad()
 
 
-class TestTabulatedLaplace:
-    def _from_exponential(self, rate=1.5, top=20.0, points=400):
-        grid = np.linspace(0.0, top, points)
-        values = rate / (rate + grid)
-        return TabulatedLaplace(points=grid, values=values, mean_value=1.0 / rate)
-
-    def test_interpolates_close_to_source(self):
-        dist = self._from_exponential()
-        source = Exponential(rate=1.5)
-        for s in (0.0, 0.33, 4.2, 19.9):
-            assert dist.laplace(s) == pytest.approx(source.laplace(s), rel=1e-4)
-
-    def test_monotonicity_validation(self):
-        grid = np.array([0.0, 1.0, 2.0])
-        with pytest.raises(ModelError):
-            TabulatedLaplace(points=grid, values=np.array([1.0, 0.5, 0.6]), mean_value=1.0)
-        with pytest.raises(ModelError):
-            TabulatedLaplace(points=grid, values=np.array([0.9, 0.5, 0.4]), mean_value=1.0)
-        with pytest.raises(ModelError):
-            TabulatedLaplace(points=np.array([0.0, 2.0, 1.0]), values=np.array([1.0, 0.5, 0.4]), mean_value=1.0)
-
-    def test_out_of_range_is_domain_error(self):
-        dist = self._from_exponential(top=5.0)
-        with pytest.raises(ValueError):
-            dist.laplace(5.1)
-
-    def test_cannot_be_sampled(self):
-        dist = self._from_exponential()
-        rng = np.random.default_rng(0)
-        with pytest.raises(ModelError):
-            dist.sample(rng)
-        with pytest.raises(ModelError):
-            dist.sample_residual(rng)
-
-
-GRID = np.linspace(0.0, 60.0, 41)
 TABLE_LAWS = {
     Exponential: [Exponential(rate=2.0), Exponential(rate=0.37), Exponential(rate=1e-3)],
     Gamma: [Gamma(shape=2.0, rate=3.0), Gamma(shape=0.5, rate=1.0), Gamma(shape=2.6, rate=0.4)],
@@ -225,13 +188,6 @@ TABLE_LAWS = {
         HyperExponential(probs=(0.3, 0.7), rates=(0.5, 2.0)),
         HyperExponential(probs=(0.0, 1.0), rates=(4.0, 0.8)),
         HyperExponential(probs=(1.0,), rates=(1.3,)),
-    ],
-    TabulatedLaplace: [
-        TabulatedLaplace(points=GRID, values=2.0 / (2.0 + GRID), mean_value=0.5),
-        TabulatedLaplace(
-            points=np.array([0.0, 25.0, 60.0]), values=np.array([1.0, 0.4, 0.1]), mean_value=1.0
-        ),
-        TabulatedLaplace(points=np.array([0.0, 60.0]), values=np.array([1.0, 0.2]), mean_value=2.0),
     ],
 }
 

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from mminfenv import (
     Exponential,
     ModelError,
     NumericError,
+    SojournDistribution,
     chain_statics,
     load_model,
     mean_cycle_length,
@@ -359,6 +361,24 @@ def test_only_the_model_runs_the_structural_checks():
     pattern = r"\b(_violations|validate_model|require_valid)\b"
     assert package_lines_matching(pattern, skip={"environment.py"}) == []
     assert package_lines_matching(pattern) != []
+
+
+def test_unknown_sojourn_law_rejected():
+    # a law outside the four families fails when the model is built, not
+    # later in the moment engine, the simulator or the model writer
+    class Uniform(SojournDistribution):
+        def laplace(self, s):
+            return -math.expm1(-s) / s if s else 1.0
+
+        def mean(self):
+            return 0.5
+
+    with pytest.raises(ModelError) as info:
+        two_state_model(sojourns=(Exponential(1.0), Uniform()))
+    message = str(info.value)
+    assert "state 1" in message and "Uniform" in message
+    for family in ("Exponential", "Gamma", "Deterministic", "HyperExponential"):
+        assert family in message
 
 
 def test_mean_cycle_length_cyclic_deterministic():

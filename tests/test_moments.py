@@ -16,7 +16,6 @@ from mminfenv import (
     NumericError,
     SimulationConfig,
     StirlingTables,
-    TabulatedLaplace,
     chain_statics,
     closedform,
     compute_moment_table,
@@ -902,12 +901,6 @@ WEIGHT_FAMILIES = {
     "deterministic": Deterministic(1.5),
     "deterministic-long": Deterministic(40.0),
     "deterministic-short": Deterministic(0.05),
-    # a gamma transform tabulated exactly at the multiples of the service rate
-    "tabulated": TabulatedLaplace(
-        points=WEIGHT_RATE * np.arange(21),
-        values=(1.0 + WEIGHT_RATE * np.arange(21) / 0.9) ** -1.7,
-        mean_value=1.7 / 0.9,
-    ),
 }
 
 
@@ -1008,53 +1001,13 @@ class TestWeights:
 
     def test_branch_chunks_change_no_weight(self, monkeypatch):
         # one state per chunk must give the tables of one chunk for all
-        sojourns = [dist for name, dist in sorted(WEIGHT_FAMILIES.items()) if name != "tabulated"] * 3
+        sojourns = [dist for _, dist in sorted(WEIGHT_FAMILIES.items())] * 3
         rates = WEIGHT_RATE * np.linspace(0.5, 2.0, len(sojourns))
         for residual in (False, True):
             whole = _weights(sojourns, rates, 20, residual=residual)
             with monkeypatch.context() as patch:
                 patch.setattr(moments, "_BRANCH_CHUNK", 1)
                 assert np.array_equal(_weights(sojourns, rates, 20, residual=residual), whole)
-
-    def test_tabulated_transform_not_completely_monotone_rejected(self):
-        # third differences of 1, 0.5, 0.4, 0.1 turn negative: no law has this transform
-        table = TabulatedLaplace(
-            points=np.arange(4.0), values=np.array([1.0, 0.5, 0.4, 0.1]), mean_value=1.0
-        )
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0],
-            speeds=[1.0, 1.0],
-            sojourns=(table, Exponential(1.0)),
-            mu=1.0,
-            routing=[[0.0, 1.0], [1.0, 0.0]],
-        )
-        with pytest.raises(ModelError, match="completely monotone"):
-            compute_moment_table(model, n_max=3)
-
-
-def test_tabulated_transform_extension_point():
-    # a tabulated transform built from exponential values should steer the
-    # recursion to nearly the same moments as the parametric family
-    from mminfenv import TabulatedLaplace
-
-    rate = 1.5
-    grid = np.linspace(0.0, 40.0, 4000)
-    tabulated = TabulatedLaplace(points=grid, values=rate / (rate + grid), mean_value=1.0 / rate)
-
-    def build(sojourn_1):
-        return EnvironmentModel(
-            arrival_rates=[2.0, 0.5],
-            speeds=[1.0, 0.6],
-            sojourns=(sojourn_1, Exponential(1.0)),
-            mu=1.0,
-            routing=[[0.0, 1.0], [1.0, 0.0]],
-        )
-
-    reference = compute_moment_table(build(Exponential(rate)), n_max=5)
-    via_table = compute_moment_table(build(tabulated), n_max=5)
-    assert via_table.factorial_moments() == pytest.approx(
-        reference.factorial_moments(), rel=1e-6
-    )
 
 
 def test_zero_speed_state_supported():

@@ -124,21 +124,6 @@ class TestEnvironmentPaths:
                 assert ends[-1] >= horizon
                 assert np.all(ends[:-1] < horizon)
 
-    def test_tabulated_sojourn_cannot_be_simulated(self):
-        from mminfenv import ModelError, TabulatedLaplace
-
-        grid = np.linspace(0.0, 20.0, 200)
-        tabulated = TabulatedLaplace(points=grid, values=1.0 / (1.0 + grid), mean_value=1.0)
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0],
-            speeds=[1.0, 1.0],
-            sojourns=(tabulated, Exponential(1.0)),
-            mu=1.0,
-            routing=[[0.0, 1.0], [1.0, 0.0]],
-        )
-        with pytest.raises(ModelError, match="sampled"):
-            simulate_environment(model, 50.0, np.random.default_rng(3))
-
 
 class TestQueue:
     def test_no_arrivals_no_customers(self):
