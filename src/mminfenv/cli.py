@@ -125,6 +125,7 @@ def _table_dict(table) -> dict:
         "bn_condition": table.bn_condition,
         "solve_residual": table.solve_residual,
         "palm_steps": table.palm_steps,
+        "statics_steps": table.statics_steps,
         "identity_residuals": dict(table.identity_residuals),
     }
 

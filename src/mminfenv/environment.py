@@ -25,6 +25,24 @@ __all__ = [
 STRUCTURAL_TOL = 1e-12
 CONDITION_LIMIT = 1e12
 
+# unit roundoff of binary64, the tail the Neumann series are summed to
+_ROUNDOFF = 2.0**-53
+# products of a deflated Neumann series (for the Palm solve one 2 x K by
+# K x K product, its correction and the tail test) that may stand in for
+# one LU with its matrix build: K/10 up to K = 100 and K/5 - 10 beyond (an
+# LU grows as K^3, a product as K^2 over a fixed interpreter cost), at
+# most 40.  LU time over step time on a 2-core Xeon VM (OpenBLAS 0.3.31,
+# one thread, median of 7):
+#   K      50   64  100  150  200  300  400  500  600  700  800  1000
+#   ratio 5.3  6.9 11.8 23.1 37.1 74.2 97.9 87.5 75.9 39.7 42.5  54.1
+#   rule  5.0  6.4 10.0 20.0 30.0 40.0 40.0 40.0 40.0 40.0 40.0  40.0
+# so the rule stays within 1% of the break-even at every K measured (the
+# Palm grant itself runs 2-5 times the products taken); below K = 10 it is
+# under one product and every solve takes the LU.  The series for pi
+# (one 1 x K product per step against an LU of the same size) shares it.
+_SERIES_SHARE = 1.0 / 10.0
+_SERIES_CAP = 40.0
+
 # the sojourn laws the moment engine builds weights for, the simulator
 # samples and a model file names
 SOJOURN_FAMILIES = (Exponential, Gamma, Deterministic, HyperExponential)
@@ -108,12 +126,15 @@ class ChainStatics:
     ``pi`` is the stationary law of the embedded jump chain,
     ``reversed_routing`` the time-reversed jump matrix
     diag(pi)^-1 P^T diag(pi), and ``occupancy`` the time-stationary state
-    law, proportional to pi weighted by mean sojourns.
+    law, proportional to pi weighted by mean sojourns.  ``steps`` is the
+    number of products the series for pi took, or 0 where pi came from
+    the LU (see ``chain_statics``).
     """
 
     pi: np.ndarray
     reversed_routing: np.ndarray
     occupancy: np.ndarray
+    steps: int
 
     def __post_init__(self):
         for arr in (self.pi, self.reversed_routing, self.occupancy):
@@ -185,8 +206,75 @@ def _violations(model: EnvironmentModel) -> list:
     return report
 
 
+def _series_budget(k_count: int) -> float:
+    """Products of a Neumann series that cost less than one LU at K states (see ``_SERIES_SHARE``)."""
+    return min(max(_SERIES_SHARE * k_count, 2.0 * _SERIES_SHARE * k_count - 10.0), _SERIES_CAP)
+
+
+def _stationary_series(routing: np.ndarray, buffer: np.ndarray):
+    """Embedded stationary law as a deflated Neumann series, or None where it cannot certify it.
+
+    With u the column means of P (a probability vector) and
+    E = P - 1 u', which has zero row sums, pi P = pi and pi 1 = 1 give
+    pi' (I - E) = u', so pi' = u' sum_i E^i.  Each product
+    t' E = t' P - (t' 1) u' is one 1 x K by K x K product.  For row
+    vectors the max-row-sum norm pairs with the 1-norm:
+    ||t' E||_1 <= ||t||_1 q with q = max_k sum_j |P_kj - u_j| + 4 K eps,
+    the second term (eps the unit roundoff) bounding the rounding of one
+    product, so the tail after a term t is at most ||t||_1 q / (1 - q),
+    and the series stops once that is at most eps (1 - q) ||u||_1.  Seneta's
+    ergodicity coefficient tau_1(P) is at most q, so pi moves by at most
+    1 / (1 - q) times a perturbation of the balance equations; q is
+    required to keep that within ``CONDITION_LIMIT``, the gate of the LU.
+
+    Returns pi and the products taken, or (None, 0) without a result:
+    below K = 10 (a budget under one product), where the terms shrink
+    more slowly than the geometric pace that would take ||u||_1 down to
+    eps ||u||_1 within the n products of ``_series_budget`` (term i must
+    be at most eps^(i / n) ||u||_1; the first term is checked before the
+    K^2 pass for q, so at K = 50, where the series would need 14 products
+    against a budget of 5, it costs one product), where 1 / (1 - q) is
+    not within ``CONDITION_LIMIT``
+    (q >= 1 on sparse or nearly decomposable chains), where the budget
+    runs out first, and where the final tail bound exceeds
+    ``STRUCTURAL_TOL`` times the smallest entry of pi (a rarely entered
+    state, which the bound cannot resolve relatively).  ``buffer`` is a
+    K x K workspace, overwritten.
+    """
+    k_count = len(routing)
+    steps = int(_series_budget(k_count))
+    if steps < 1:
+        return None, 0
+    # the column means as one vector-matrix product, faster than a reduction over axis 0
+    u = np.full(k_count, 1.0 / k_count) @ routing
+    u_norm = float(u.sum())
+    term = u @ routing - u_norm * u
+    size = float(np.abs(term).sum())
+    if size > u_norm * _ROUNDOFF ** (1.0 / steps):
+        return None, 0
+    np.abs(np.subtract(routing, u, out=buffer), out=buffer)
+    q = float(buffer.sum(axis=1).max()) + 4.0 * k_count * _ROUNDOFF
+    if not (1.0 - q) * CONDITION_LIMIT > 1.0:
+        return None, 0
+    ratio = q / (1.0 - q)
+    limit = _ROUNDOFF * (1.0 - q) * u_norm
+    total = u + term
+    used = 1
+    while size * ratio > limit:
+        if used == steps or size > u_norm * _ROUNDOFF ** (used / steps):
+            return None, 0
+        term = term @ routing - term.sum() * u
+        total += term
+        size = float(np.abs(term).sum())
+        used += 1
+    pi = total / total.sum()
+    if not size * ratio <= STRUCTURAL_TOL * pi.min():
+        return None, 0
+    return pi, used
+
+
 def _stationary_law(routing: np.ndarray):
-    """Embedded stationary law from the reduced balance system.
+    """Embedded stationary law from the reduced balance system, by one LU.
 
     State d, the one with the largest column sum of P, is dropped, and
     with pi_d = 1 the other balance equations read
@@ -198,7 +286,8 @@ def _stationary_law(routing: np.ndarray):
     garbage solve of a near-singular system cannot pass as well
     conditioned).  Returns pi (x with 1 put back at d, normalised), d and
     that condition number; pi is None and the number inf when the solve
-    fails.
+    fails.  ``chain_statics`` takes it wherever ``_stationary_series``
+    gives no result: always below K = 10.
     """
     k_count = len(routing)
     dropped = int(np.argmax(routing.sum(axis=0)))
@@ -220,33 +309,44 @@ def _stationary_law(routing: np.ndarray):
 def chain_statics(model: EnvironmentModel) -> ChainStatics:
     """Solve for the embedded stationary vector and derive reversed routing and occupancy.
 
-    pi comes from the reduced balance system: the state with the largest
+    pi is first sought as the deflated Neumann series of
+    ``_stationary_series``, within ``_series_budget`` products; it is
+    taken where the series certifies it (its ergodicity bound keeps the
+    sensitivity of pi within 1e12, and its tail bound is a small relative
+    error in every entry).  Everywhere else, and always below K = 10, pi
+    comes from the reduced balance system: the state with the largest
     column sum of P is dropped and pinned to 1, and the remaining
     equations are one dense solve (see ``_stationary_law``).  Its matrix
     is an M-matrix, so the same solve gives the exact inf-norm condition
-    number of the reduced M-matrix; above 1e12 it raises NumericError, as
-    does a balance residual pi P - pi above 1e-10.
+    number of the reduced M-matrix; above 1e12 it raises NumericError.
+    On either path a balance residual pi P - pi above 1e-10 raises
+    NumericError.  ``steps`` records the products of the series, 0 for
+    the LU.
     """
     routing = model.routing
-
-    pi, _, condition = _stationary_law(routing)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise NumericError(
-            f"embedded balance system is near-singular (condition {condition:.3e} > 1e12)"
-        )
+    k_count = model.num_states
+    # the reversed routing's storage, first the series' workspace; C-order
+    # (routing.T alone would be F-contiguous): the Palm series multiplies
+    # it into K x 2 blocks, faster in this layout
+    reversed_routing = np.empty((k_count, k_count))
+    pi, steps = _stationary_series(routing, reversed_routing)
+    if pi is None:
+        pi, _, condition = _stationary_law(routing)
+        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+            raise NumericError(
+                f"embedded balance system is near-singular (condition {condition:.3e} > 1e12)"
+            )
 
     balance = np.max(np.abs(pi @ routing - pi))
     if balance > 100 * STRUCTURAL_TOL:
         raise NumericError(f"stationary solve residual {balance:.3e} exceeds tolerance")
 
-    # C-contiguous (routing.T alone would make it F-contiguous): the Palm
-    # series multiplies it into K x 2 blocks, faster in this layout
-    reversed_routing = np.multiply(routing.T, pi[np.newaxis, :], order="C")
+    np.multiply(routing.T, pi[np.newaxis, :], out=reversed_routing)
     reversed_routing /= pi[:, np.newaxis]
     means = np.array([d.mean() for d in model.sojourns])
     occupancy = pi * means
     occupancy = occupancy / occupancy.sum()
-    return ChainStatics(pi=pi, reversed_routing=reversed_routing, occupancy=occupancy)
+    return ChainStatics(pi=pi, reversed_routing=reversed_routing, occupancy=occupancy, steps=steps)
 
 
 def mean_cycle_length(model: EnvironmentModel, statics: ChainStatics = None) -> float:

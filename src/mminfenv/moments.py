@@ -66,7 +66,7 @@ from itertools import chain
 import numpy as np
 
 from .distributions import Deterministic, Exponential, Gamma, HyperExponential
-from .environment import ChainStatics, EnvironmentModel, chain_statics
+from .environment import _ROUNDOFF, ChainStatics, EnvironmentModel, _series_budget, chain_statics
 from .errors import NumericError
 from .stirling import StirlingTables
 
@@ -90,23 +90,6 @@ MAX_ORDER = 20
 
 SOLVE_RESIDUAL_LIMIT = 1e-8
 _NEGATIVITY_FLOOR = 1e-10
-
-# unit roundoff of binary64, the tail the Palm series is summed to
-_ROUNDOFF = 2.0**-53
-# products of the deflated Palm series (one 2 x K by K x K product, its
-# correction and the tail test) that may stand in for one LU with its
-# matrix build: K/10 up to K = 100 and K/5 - 10 beyond (an LU grows as K^3,
-# a product as K^2 over a fixed interpreter cost), at most 40.  LU time
-# over step time on a 2-core Xeon VM (OpenBLAS 0.3.31, one thread, median
-# of 7):
-#   K      50   64  100  150  200  300  400  500  600  700  800  1000
-#   ratio 5.3  6.9 11.8 23.1 37.1 74.2 97.9 87.5 75.9 39.7 42.5  54.1
-#   rule  5.0  6.4 10.0 20.0 30.0 40.0 40.0 40.0 40.0 40.0 40.0  40.0
-# so the rule stays within 1% of the break-even at every K measured (the
-# grant itself runs 2-5 times the products taken); below K = 10 it is
-# under one product and every order takes the LU
-_SERIES_SHARE = 1.0 / 10.0
-_SERIES_CAP = 40.0
 
 WEIGHTINGS = ("embedded", "occupancy")
 
@@ -412,11 +395,6 @@ def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.n
     return matrix
 
 
-def _series_budget(k_count: int) -> float:
-    """Products of the Palm series that cost less than one LU at K states (see ``_SERIES_SHARE``)."""
-    return min(max(_SERIES_SHARE * k_count, 2.0 * _SERIES_SHARE * k_count - 10.0), _SERIES_CAP)
-
-
 def _series_grants(taus: np.ndarray, routing: np.ndarray, pi: np.ndarray, buffer: np.ndarray):
     """Per order, the products its series may take (0: an LU is cheaper) and q_n.
 
@@ -576,7 +554,7 @@ def palm_moment_vectors(
     series sum_i (diag(tau) E)^i on both right-hand sides plus a rank-one
     correction.  An order sums the series where its a-priori length from
     q_n >= ||diag(tau) E||_inf is within the measured cost of one LU
-    (``_SERIES_SHARE``), stopped once q_n bounds its tail by the unit
+    (``environment._SERIES_SHARE``), stopped once q_n bounds its tail by the unit
     roundoff u.  Every other order takes one LU.  ``steps`` records the
     products each order took (0 for an LU).  The backward residual of
     every order is read off the product Q m0^(n) that the next order
@@ -680,7 +658,9 @@ class MomentTable:
     ``markovian_identity_residuals`` (None unless every sojourn is
     exponential).  ``bn_condition``, ``solve_residual`` and ``palm_steps``
     are the per-order diagnostics of the Palm solve (see ``PalmMoments``:
-    ``palm_steps[n]`` is 0 for an LU order, otherwise its series products).
+    ``palm_steps[n]`` is 0 for an LU order, otherwise its series products),
+    and ``statics_steps`` is ``ChainStatics.steps``, the products of the
+    series for pi (0 where pi came from the LU).
     """
 
     n_max: int
@@ -691,6 +671,7 @@ class MomentTable:
     bn_condition: np.ndarray
     solve_residual: np.ndarray
     palm_steps: np.ndarray
+    statics_steps: int
     identity_residuals: dict
 
     def factorial_moments(self, weighting: str = "occupancy") -> np.ndarray:
@@ -739,6 +720,7 @@ def assemble_moment_table(
         bn_condition=palm.condition,
         solve_residual=palm.solve_residual,
         palm_steps=palm.steps,
+        statics_steps=statics.steps,
         identity_residuals=identity_residuals,
     )
 
@@ -784,11 +766,11 @@ def markovian_identity_residuals(
     if not _all_exponential(model):
         return None
     exit_rates = np.array([1.0 / d.mean() for d in model.sojourns])
-    reversed_generator_t = (model.routing - np.eye(model.num_states)) * exit_rates[np.newaxis, :]
     rows = np.array(stationary) * statics.pi
     orders = np.arange(len(rows))[:, np.newaxis]
-    # row @ (n M - G) = n row * service - row @ G, with all rows @ G in one product
-    left = (orders * rows * model.service_rates - rows @ reversed_generator_t)[1:]
+    # row @ (n M - (P - I) diag(q)) = n row * service - (row @ P - row) * q,
+    # with all rows @ P in one product and no K x K temporary
+    left = (orders * rows * model.service_rates - (rows @ model.routing - rows) * exit_rates)[1:]
     right = orders[1:] * rows[:-1] * model.arrival_rates
 
     scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))

@@ -9,11 +9,11 @@ import pytest
 import yaml
 
 import mminfenv
-from mminfenv import closedform, compute_moment_table, load_model, model_to_dict
+from mminfenv import chain_statics, closedform, compute_moment_table, load_model, model_to_dict
 from mminfenv.checks import structural_checks
 from mminfenv.cli import main
 
-from conftest import MODELS_DIR, ring_model
+from conftest import MODELS_DIR, random_exponential_model, ring_model
 
 ROOT = MODELS_DIR.parent
 SHIPPED = sorted(str(path) for path in MODELS_DIR.glob("*.yaml"))
@@ -110,7 +110,8 @@ class TestMoments:
         assert len(payload["table"]["factorial"]["occupancy"]) == 4
 
     def test_out_reports_the_solver_of_each_order(self, capsys, tmp_path):
-        # palm_steps[n]: 0 for an LU order, else the products of its series
+        # palm_steps[n]: 0 for an LU order, else the products of its series;
+        # statics_steps likewise for pi
         ring = ring_model(64, np.random.default_rng(64), mu=800.0)
         model_path = tmp_path / "ring.yaml"
         model_path.write_text(yaml.safe_dump(model_to_dict(ring)))
@@ -120,11 +121,24 @@ class TestMoments:
         ):
             out_path = tmp_path / f"{verb}.json"
             run(capsys, verb, "--model", model, "--order", "20", "--out", str(out_path))
-            reported = json.loads(out_path.read_text())["table"]["palm_steps"]
+            table = json.loads(out_path.read_text())["table"]
+            reported = table["palm_steps"]
             assert reported == list(steps)
             assert all(isinstance(count, int) for count in reported)
+            assert table["statics_steps"] == chain_statics(load_model(model)).steps == 0
         assert reported == [0] * 21
         assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [0, 5, 5, 5, 4]
+
+    def test_out_reports_the_series_steps_of_pi(self, capsys, tmp_path):
+        # a dense K = 120 chain takes the series for pi (a JSON file is YAML)
+        dense = random_exponential_model(120, np.random.default_rng(120))
+        model_path = tmp_path / "dense.yaml"
+        model_path.write_text(json.dumps(model_to_dict(dense)))
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "moments", "--model", str(model_path), "--order", "2", "--out", str(out_path))
+        assert code == 0
+        steps = json.loads(out_path.read_text())["table"]["statics_steps"]
+        assert steps == chain_statics(load_model(model_path)).steps > 0
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"

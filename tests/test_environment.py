@@ -304,17 +304,98 @@ class TestStationaryLaw:
             assert condition == pytest.approx(np.linalg.cond(reduced, np.inf), rel=1e-12)
 
     def test_pi_matches_extended_precision_at_k500(self):
-        # the all-exponential K = 500 benchmark routing; the reference is
-        # power iteration on the lazy chain (I + P) / 2 in long double
+        # the all-exponential K = 500 benchmark routing, whose pi comes from
+        # the deflated series
         routing = random_routing(500, np.random.default_rng([0, 500]))
-        lazy = (np.eye(500, dtype=np.longdouble) + routing.astype(np.longdouble)) / 2
-        reference = np.full(500, 1 / np.longdouble(500))
-        for _ in range(200):
-            reference = reference @ lazy
-            reference /= reference.sum()
-        assert np.max(np.abs(reference @ lazy - reference) / reference) < 1e-17
-        pi = _stationary_law(routing)[0]
-        assert np.max(np.abs(pi - reference) / reference) < 1e-14
+        reference = long_double_stationary_law(routing)
+        statics = chain_statics(model_with_routing(routing))
+        assert statics.steps > 0
+        assert np.max(np.abs(statics.pi - reference) / reference) < 1e-14
+
+
+class TestStationarySeries:
+    def test_series_agrees_with_the_lu(self):
+        for k_count in (200, 500):
+            routing = random_routing(k_count, np.random.default_rng([0, k_count]))
+            statics = chain_statics(model_with_routing(routing))
+            assert 0 < statics.steps <= environment._series_budget(k_count)
+            lu = _stationary_law(routing)[0]
+            assert np.max(np.abs(statics.pi - lu) / lu) < 1e-14
+
+    def test_small_chains_take_the_lu(self):
+        # below K = 10 the budget is under one product: pi is the LU's, bit
+        # for bit, even on the uniform chain, whose column means are pi
+        uniform = (np.ones((9, 9)) - np.eye(9)) / 8
+        for model in [load_model(path) for path in SHIPPED] + [model_with_routing(uniform)]:
+            statics = chain_statics(model)
+            assert statics.steps == 0
+            assert np.array_equal(statics.pi, _stationary_law(model.routing)[0])
+        assert environment._stationary_series(uniform, np.empty((9, 9))) == (None, 0)
+        # one state more and the series takes it in one product
+        uniform = (np.ones((10, 10)) - np.eye(10)) / 9
+        assert environment._stationary_series(uniform, np.empty((10, 10)))[1] == 1
+
+    @pytest.mark.parametrize("k_count, products", [(50, 1), (100, 5)])
+    def test_hopeless_series_is_abandoned_early(self, k_count, products):
+        # on the benchmark chains the series would need 14 products against a
+        # budget of 5 at K = 50, and 12 against 10 at K = 100.  At K = 50 it
+        # is abandoned on its first term, before the K^2 pass for q (the
+        # workspace stays untouched); at K = 100 on its fifth.
+        class CountingProducts(np.ndarray):
+            products = 0
+
+            def __rmatmul__(self, other):
+                CountingProducts.products += 1
+                return other @ np.asarray(self)
+
+        routing = random_routing(k_count, np.random.default_rng([0, k_count]))
+        buffer = np.full((k_count, k_count), np.nan)
+        assert environment._stationary_series(routing.view(CountingProducts), buffer) == (None, 0)
+        # the column means are one more product
+        assert CountingProducts.products == products + 1
+        assert np.isnan(buffer).all() == (products == 1)
+
+    def test_rarely_entered_state_matches_extended_precision(self):
+        # state 0 is entered ~1e-11 times as often as the others: the series'
+        # tail bound cannot resolve its entry relatively, so the LU gives pi
+        k_count = 300
+        routing = random_routing(k_count, np.random.default_rng(300))
+        routing[:, 0] *= 1e-11
+        routing /= routing.sum(axis=1, keepdims=True)
+        reference = long_double_stationary_law(routing)
+        assert reference[0] < 1e-10 * reference[1:].min()
+        statics = chain_statics(model_with_routing(routing))
+        assert statics.steps == 0
+        assert np.max(np.abs(statics.pi - reference) / reference) < 1e-14
+
+    def test_weakly_linked_dense_blocks_raise(self):
+        # two dense 100-state blocks, each state linked to the other block
+        # with probability 1e-13: no certified series, and the LU's
+        # condition number is above 1e12
+        k_count, half, eps = 200, 100, 1e-13
+        rng = np.random.default_rng(200)
+        routing = np.zeros((k_count, k_count))
+        routing[:half, :half] = random_routing(half, rng)
+        routing[half:, half:] = random_routing(half, rng)
+        routing *= 1.0 - eps
+        states = np.arange(k_count)
+        routing[states, (states + half) % k_count] = eps
+        model = model_with_routing(routing)
+        assert environment._stationary_series(model.routing, np.empty((k_count, k_count)))[0] is None
+        with pytest.raises(NumericError, match="near-singular"):
+            chain_statics(model)
+
+
+def long_double_stationary_law(routing):
+    """pi by power iteration on the lazy chain (I + P) / 2 in long double."""
+    k_count = len(routing)
+    lazy = (np.eye(k_count, dtype=np.longdouble) + routing.astype(np.longdouble)) / 2
+    reference = np.full(k_count, 1 / np.longdouble(k_count))
+    for _ in range(200):
+        reference = reference @ lazy
+        reference /= reference.sum()
+    assert np.max(np.abs(reference @ lazy - reference) / reference) < 1e-17
+    return reference
 
 
 def package_lines_matching(pattern, skip=()):

@@ -753,6 +753,17 @@ class TestFixedCosts:
             dataclasses.replace(k3_mixed_model, mu=0.0)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("k_count, solves", [(2, 1), (3, 1), (5, 1), (9, 1), (500, 0)])
+    def test_statics_solve_only_where_the_series_cannot_run(self, k_count, solves, monkeypatch):
+        # below K = 10 pi always takes the LU; on a dense K = 500 chain the
+        # series certifies it with no K x K solve
+        model = seeded(random_exponential_model, k_count)
+        calls = []
+        original = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or original(a, b))
+        assert (chain_statics(model).steps > 0) == (solves == 0)
+        assert len(calls) == solves
+
     def test_forward_check_makes_no_scalar_exponential_transform_call(self, monkeypatch):
         # exponential states, alone or beside other families, read the array transform
         calls = []
