@@ -46,11 +46,14 @@ The stationary vectors are the same sums with the residual weights
 accurate to roundoff at every order, and tau_k may underflow to 0 (row
 k of the matrix is then e_k).
 
-The weights of all orders form one lower-triangular table per call,
-``table[k, n, j] = w_k[n, j]``.  Exponential, hyperexponential and gamma
-sojourns are all mixtures of Erlang laws and share one builder;
-deterministic sojourns follow Pascal's rule; zero speed (X = 1) gives
-the identity.  These four families are the only laws a model admits.
+The weights of all orders form one table per call, order-major and
+lower-triangular in (n, j): ``table[n, j, k] = w_k[n, j]``, so order n
+reads row n of every state as one contiguous (n + 1) x K block.
+Exponential rows are products of positive ratios; hyperexponential and
+gamma sojourns are mixtures of Erlang laws built from the exponential
+rows of their branches; deterministic sojourns follow Pascal's rule;
+zero speed (X = 1) gives the identity.  These four families are the
+only laws a model admits.
 
 The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
@@ -173,20 +176,28 @@ def _legendre_rule(size: int):
 
 
 def _exponential_weights(rates: np.ndarray, service: np.ndarray, n_max: int) -> np.ndarray:
-    """Weight tables of exponential sojourns, one (n_max + 1)-square table per rate.
+    """Weight tables of exponential sojourns, ``table[n, j, k]`` for rate ``rates[k]``.
 
     X = exp(-a T) is Beta(r / a, 1) for rate r and service rate a, so
     w[n, n] = r / (r + n a), the sojourn transform at n a, and
     w[n, j] = w[n-1, j] n a / (r + n a) for j < n: products of positive
-    factors only.
+    factors only, one multiply per row once the factors of every order
+    are formed.
     """
-    table = np.zeros((len(rates), n_max + 1, n_max + 1))
-    table[:, 0, 0] = 1.0
+    table = np.zeros((n_max + 1, n_max + 1, len(rates)))
+    table[0, 0] = 1.0
+    scaled = np.arange(1, n_max + 1)[:, np.newaxis] * service
+    denominators = rates + scaled
+    factors, diagonals = scaled / denominators, rates / denominators
     for n in range(1, n_max + 1):
-        denominator = rates + n * service
-        np.multiply(table[:, n - 1, :n], (n * service / denominator)[:, np.newaxis], out=table[:, n, :n])
-        table[:, n, n] = rates / denominator
+        np.multiply(table[n - 1, :n], factors[n - 1], out=table[n, :n])
+        table[n, n] = diagonals[n - 1]
     return table
+
+
+def _exponential_sojourn_weights(sojourns, service, n_max, residual):
+    """Exponential sojourns, each its own residual."""
+    return _exponential_weights(np.array([dist.rate for dist in sojourns]), service, n_max)
 
 
 def _gamma_scale_rules(a: list, b: list, c: list) -> list:
@@ -232,12 +243,11 @@ def _gamma_scale_rules(a: list, b: list, c: list) -> list:
 
 
 def _erlang_mixture_weights(sojourns, service, n_max, residual):
-    """Exponential, hyperexponential and gamma sojourns, as mixtures of Erlang laws.
+    """Hyperexponential and gamma sojourns, as mixtures of Erlang laws.
 
     Each state lists branches (rate, probability, q), a sojourn that is
     Erlang(q, rate) with that probability:
 
-    * Exponential(r) is the single branch (r, 1, 1), its own residual.
     * HyperExponential has branches (r_i, p_i, 1); its residual reweights
       branch i by its mean p_i / r_i, as its sampler does.
     * Gamma(s, r), with q = ceil(s), is B G for independent
@@ -264,9 +274,7 @@ def _erlang_mixture_weights(sojourns, service, n_max, residual):
         rules = dict(zip(states, _gamma_scale_rules(*map(list, shapes))))
     branches = []
     for k, dist in enumerate(sojourns):
-        if isinstance(dist, Exponential):
-            branches.append(([dist.rate], [1.0], 1))
-        elif isinstance(dist, HyperExponential):
+        if isinstance(dist, HyperExponential):
             probs = list(dist.probs)
             if residual:
                 means = [p / r for p, r in zip(probs, dist.rates)]
@@ -282,13 +290,13 @@ def _erlang_mixture_weights(sojourns, service, n_max, residual):
     if not cuts.size:
         return _mix_erlang_branches(branches, service, n_max, residual)
     bounds = zip([0, *cuts], [*cuts, len(branches)])
-    return np.concatenate([
-        _mix_erlang_branches(branches[lo:hi], service[lo:hi], n_max, residual) for lo, hi in bounds
-    ])
+    return np.concatenate(
+        [_mix_erlang_branches(branches[lo:hi], service[lo:hi], n_max, residual) for lo, hi in bounds], axis=2
+    )
 
 
 def _mix_erlang_branches(branches, service, n_max, residual):
-    """One weight table per state from its Erlang branches (rates, probabilities, q)."""
+    """One weight table per state from its Erlang branches (rates, probabilities, q), ``table[n, j, k]``."""
     rates, probs, powers = zip(*branches)
     counts = [len(branch_rates) for branch_rates in rates]
     flat_rates = np.fromiter(chain.from_iterable(rates), float)
@@ -296,7 +304,8 @@ def _mix_erlang_branches(branches, service, n_max, residual):
     powers = np.repeat(powers, counts)
     for q in set(powers.tolist()) - {1}:
         chosen = np.flatnonzero(powers == q)
-        factor = table[chosen]
+        # one (n_max + 1)-square matrix per branch, for the row-times-matrix products
+        factor = np.ascontiguousarray(table[:, :, chosen].transpose(2, 0, 1))
         for n in range(n_max + 1):
             # row n of the q-th power (or of the mean of the first q powers)
             # from rows 0..n alone, so that no weight depends on n_max
@@ -304,11 +313,11 @@ def _mix_erlang_branches(branches, service, n_max, residual):
             for _ in range(q - 1):
                 power = (power[:, np.newaxis, :] @ factor[:, : n + 1, : n + 1])[:, 0]
                 total = total + power
-            table[chosen, n, : n + 1] = total / q if residual else power
-    if len(table) == len(branches):
+            table[n, : n + 1][:, chosen] = (total / q if residual else power).T
+    if table.shape[2] == len(branches):
         return table
-    table *= np.fromiter(chain.from_iterable(probs), float)[:, np.newaxis, np.newaxis]
-    return np.add.reduceat(table, np.cumsum(counts) - counts, axis=0)
+    table *= np.fromiter(chain.from_iterable(probs), float)
+    return np.add.reduceat(table, np.cumsum(counts) - counts, axis=2)
 
 
 def _integrated_powers(c: np.ndarray, n_max: int) -> np.ndarray:
@@ -338,35 +347,40 @@ def _deterministic_weights(sojourns, service, n_max, residual):
     Palm row, and w*[n, 0] = I_n(c) / c.
     """
     c = service * np.array([dist.value for dist in sojourns])
-    x, y = np.exp(-c)[:, np.newaxis], -np.expm1(-c)[:, np.newaxis]
-    table = np.zeros((len(c), n_max + 1, n_max + 1))
-    table[:, 0, 0] = 1.0
+    x, y = np.exp(-c), -np.expm1(-c)
+    table = np.zeros((n_max + 1, n_max + 1, len(c)))
+    table[0, 0] = 1.0
     for n in range(1, n_max + 1):
-        previous = table[:, n - 1, :n]
-        table[:, n, :n] = previous * y
-        table[:, n, 1 : n + 1] += previous * x
+        previous = table[n - 1, :n]
+        table[n, :n] = previous * y
+        table[n, 1 : n + 1] += previous * x
     if not residual:
         return table
     out = np.empty_like(table)
-    out[:, :, 0] = _integrated_powers(c, n_max) / c[:, np.newaxis]
-    scale = c[:, np.newaxis, np.newaxis] * np.arange(1, n_max + 1)
-    out[:, :, 1:] = np.cumsum(table[:, :, :-1], axis=2) / scale
-    return np.tril(out)
+    out[:, 0] = _integrated_powers(c, n_max).T / c
+    scale = np.arange(1, n_max + 1)[:, np.newaxis] * c
+    out[:, 1:] = np.cumsum(table[:, :-1], axis=1) / scale
+    out[np.triu_indices(n_max + 1, 1)] = 0.0
+    return out
 
 
 def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarray:
-    """The (K, n_max + 1, n_max + 1) lower-triangular table of weights.
+    """The (n_max + 1, n_max + 1, K) table of weights, lower-triangular in (n, j).
 
-    ``table[k, n, j]`` is w_k[n, j] = E[P(Bin(n, X) = j)], X = exp(-service[k] T)
+    ``table[n, j, k]`` is w_k[n, j] = E[P(Bin(n, X) = j)], X = exp(-service[k] T)
     and T the sojourn of state k, or its equilibrium residual when
-    ``residual``.  Every weight is nonnegative and every row sums to one.
-    Zero speed gives X = 1, all the mass on j = n: the identity.
+    ``residual``.  The table is C-contiguous, so row n of every state is
+    the one (n + 1) x K block ``table[n, : n + 1]``.  Every weight is
+    nonnegative and every row sums to one.  Zero speed gives X = 1, all
+    the mass on j = n: the identity.
     """
     service = np.asarray(service, dtype=float)
     builders = {}
     for k, (dist, a) in enumerate(zip(sojourns, service.tolist())):
         if a == 0.0:
             builder = None
+        elif isinstance(dist, Exponential):
+            builder = _exponential_sojourn_weights
         elif isinstance(dist, Deterministic):
             builder = _deterministic_weights
         else:
@@ -375,12 +389,12 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     if len(builders) == 1 and None not in builders:
         (builder,) = builders
         return builder(sojourns, service, n_max, residual)
-    table = np.empty((len(sojourns), n_max + 1, n_max + 1))
+    table = np.empty((n_max + 1, n_max + 1, len(sojourns)))
     for builder, states in builders.items():
         if builder is None:
-            table[states] = np.eye(n_max + 1)
+            table[:, :, states] = np.eye(n_max + 1)[:, :, np.newaxis]
         else:
-            table[states] = builder([sojourns[k] for k in states], service[states], n_max, residual)
+            table[:, :, states] = builder([sojourns[k] for k in states], service[states], n_max, residual)
     return table
 
 
@@ -565,18 +579,20 @@ def palm_moment_vectors(
         statics = chain_statics(model)
     routing = statics.reversed_routing
     k_count = model.num_states
-    load_powers = offered_loads(model)[:, np.newaxis] ** np.arange(n_max + 1)
+    orders = np.arange(n_max + 1)
+    load_powers = offered_loads(model) ** orders[:, np.newaxis]
     weights = _weights(model.sojourns, model.service_rates, n_max)
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
-    taus = np.diagonal(weights, axis1=1, axis2=2).T
+    taus = weights[orders, orders]
     # the matrix of the LU orders, built in place (first the grants' workspace)
     matrix = np.empty_like(routing)
     grants, bounds = _series_grants(taus, routing, statics.pi, matrix)
     tau_max = taus.max(axis=1)
 
     vectors = [np.ones(k_count)]
-    routed = np.empty((k_count, n_max + 1))
-    routed[:, 0] = routing @ vectors[0]
+    # Q m0^(j) of every order solved so far, one row per order
+    routed = np.empty((n_max + 1, k_count))
+    routed[0] = routing @ vectors[0]
     condition = np.full(n_max + 1, np.nan)
     solve_residual = np.full(n_max + 1, np.nan)
     steps = np.zeros(n_max + 1, dtype=int)
@@ -585,15 +601,15 @@ def palm_moment_vectors(
     # each: the series multiplies the rows by Q', faster than Q by columns
     block = np.empty((2, k_count))
     for n in range(1, n_max + 1):
-        rhs = (weights[:, n, :n] * load_powers[:, n:0:-1] * routed[:, :n]).sum(axis=1)
+        rhs = (weights[n, :n] * load_powers[n:0:-1] * routed[:n]).sum(axis=0)
         block[0] = rhs
         block[1] = taus[n]
         solution, cond, steps[n] = _solve(
             n, routing, taus[n], tau_max[n], statics.pi, bounds[n], grants[n], block, matrix
         )
-        routed[:, n] = routing @ solution
+        routed[n] = routing @ solution
         scale = max(float(np.abs(rhs).max()), 1e-300)
-        residual = float(np.abs(solution - taus[n] * routed[:, n] - rhs).max()) / scale
+        residual = float(np.abs(solution - taus[n] * routed[n] - rhs).max()) / scale
         if residual > SOLVE_RESIDUAL_LIMIT:
             raise NumericError(
                 f"order-{n} solve is ill-conditioned: relative residual {residual:.3e} "
@@ -636,11 +652,11 @@ def stationary_moment_vectors(
     ]
     if not states:
         return tuple(vectors)
-    load_powers = offered_loads(model)[states, np.newaxis] ** np.arange(palm.n_max + 1)
-    routed = statics.reversed_routing[states] @ np.array(palm.vectors).T
+    load_powers = offered_loads(model)[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
+    routed = np.array(palm.vectors) @ statics.reversed_routing[states].T
     weights = _weights([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
     for n in range(1, palm.n_max + 1):
-        vectors[n][states] = (weights[:, n, : n + 1] * load_powers[:, n::-1] * routed[:, : n + 1]).sum(axis=1)
+        vectors[n][states] = (weights[n, : n + 1] * load_powers[n::-1] * routed[: n + 1]).sum(axis=0)
         _require_nonnegative(vectors[n], f"stationary moment vector at order {n}")
     return tuple(vectors)
 

@@ -114,8 +114,7 @@ class EnvironmentPath:
         begins = ends - self.durations
         overlap = np.minimum(ends, stop) - np.maximum(begins, start)
         overlap = np.maximum(overlap, 0.0)
-        weights = np.zeros(num_states)
-        np.add.at(weights, self.states, overlap)
+        weights = np.bincount(self.states, weights=overlap, minlength=num_states)
         total = weights.sum()
         if total <= 0.0:
             raise EstimationError("empty occupancy window")

@@ -40,6 +40,11 @@ class StirlingTables:
             first.append(row_s1)
         self.second_kind = second
         self.first_kind = first
+        # float copies for the contractions, zero above the diagonal
+        self._second_float, self._first_float = (
+            np.array([row + [0] * (self.n_max - l) for l, row in enumerate(triangle)], dtype=float)
+            for triangle in (second, first)
+        )
 
     def compose(self) -> list:
         """Product of the two triangles in exact integer arithmetic.
@@ -62,24 +67,22 @@ class StirlingTables:
 
     def raw_from_factorial(self, factorial_moments) -> np.ndarray:
         """Raw moments from factorial moments: m^(l) = sum_j S2[l][j] f^(j)."""
-        return self._contract(self.second_kind, factorial_moments)
+        return self._contract(self._second_float, factorial_moments)
 
     def factorial_from_raw(self, raw_moments) -> np.ndarray:
         """Factorial moments from raw moments via the signed first-kind triangle."""
-        return self._contract(self.first_kind, raw_moments)
+        return self._contract(self._first_float, raw_moments)
 
     def _contract(self, triangle, moments) -> np.ndarray:
-        """sum_j triangle[l][j] moments[j] for each l, summed left to right in float64."""
+        """sum_j triangle[l][j] moments[j] for each l, summed left to right in float64.
+
+        Row l's running sum is read at its diagonal, before the zeros above
+        it are added.
+        """
         values = np.asarray(moments, dtype=float)
         self._check_len(values)
-        values = values.tolist()
-        out = []
-        for row in triangle[: len(values)]:
-            total = 0.0
-            for coefficient, value in zip(row, values):
-                total += coefficient * value
-            out.append(total)
-        return np.array(out)
+        size = values.size
+        return np.cumsum(triangle[:size, :size] * values, axis=1).diagonal().copy()
 
     def _check_len(self, seq) -> None:
         if seq.size - 1 > self.n_max:

@@ -418,12 +418,13 @@ def test_no_explicit_inverse_in_the_package():
 
 
 def test_no_unused_import_in_the_package():
-    # every name a module imports is read somewhere in it; the package's
-    # __init__ imports only to re-export
-    package = Path(__file__).resolve().parent.parent / "src" / "mminfenv"
+    # every name a module or test file imports is read somewhere in it; the
+    # package's __init__ imports only to re-export
+    tests = Path(__file__).resolve().parent
+    package = tests.parent / "src" / "mminfenv"
     unused = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
+        if path == package / "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         imported = {}
@@ -433,7 +434,7 @@ def test_no_unused_import_in_the_package():
                     name = alias.asname or alias.name.split(".")[0]
                     imported.setdefault(name, node.lineno)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+        unused += [f"{path.parent.name}/{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == []
 
 

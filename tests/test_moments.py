@@ -152,8 +152,7 @@ def tau_max_lengths(taus):
 
 def diagonal_weights(model, n_max=20):
     """taus[n, k] = w_k[n, n], the diagonal weights of every order."""
-    weights = _weights(model.sojourns, model.service_rates, n_max)
-    return np.diagonal(weights, axis1=1, axis2=2).T
+    return np.diagonal(_weights(model.sojourns, model.service_rates, n_max)).T
 
 
 def series_grants(model, statics, budget=None, monkeypatch=None):
@@ -176,10 +175,10 @@ def long_double_palm(model, statics, n_max=20):
     routing = statics.reversed_routing.astype(ld)
     weights = _weights(model.sojourns, model.service_rates, n_max).astype(ld)
     rho = offered_loads(model).astype(ld)
-    taus = np.diagonal(weights, axis1=1, axis2=2).T
+    taus = np.diagonal(weights).T
     vectors, routed = [np.ones(model.num_states, dtype=ld)], [routing @ np.ones(model.num_states, dtype=ld)]
     for n in range(1, n_max + 1):
-        rhs = sum(weights[:, n, j] * rho ** (n - j) * routed[j] for j in range(n))
+        rhs = sum(weights[n, j] * rho ** (n - j) * routed[j] for j in range(n))
         matrix = np.eye(model.num_states) - taus[n].astype(float)[:, np.newaxis] * statics.reversed_routing
         x = np.linalg.solve(matrix, rhs.astype(float)).astype(ld)
         for _ in range(10):
@@ -250,7 +249,7 @@ class TestOfferedLoads:
 
 def order_matrix(model, statics, order):
     """I - diag(tau) Q of the order-n Palm solve, tau_k = w_k[n, n], built here from the weights."""
-    tau = _weights(model.sojourns, model.service_rates, order)[:, order, order]
+    tau = _weights(model.sojourns, model.service_rates, order)[order, order]
     return np.eye(len(tau)) - tau[:, np.newaxis] * statics.reversed_routing
 
 
@@ -364,12 +363,12 @@ class TestSolverChoice:
         grants, bounds = series_grants(model, statics, 200.0, monkeypatch)
         assert all(grants[1:])
         weights = _weights(model.sojourns, model.service_rates, 20)
-        taus = np.diagonal(weights, axis1=1, axis2=2).T
+        taus = np.diagonal(weights).T
         rho = offered_loads(model)
         routed = [routing @ vec for vec in palm.vectors]
         matrix = np.empty_like(routing)
         for n in range(1, 21):
-            rhs = sum(weights[:, n, j] * rho ** (n - j) * routed[j] for j in range(n))
+            rhs = sum(weights[n, j] * rho ** (n - j) * routed[j] for j in range(n))
             block = np.vstack((rhs, taus[n]))
             tau_max = taus[n].max()
             series, series_condition, used = moments._solve(
@@ -921,7 +920,7 @@ class TestWeights:
     @staticmethod
     def rows(dist, rate, residual):
         table = _weights([dist], [rate], 20, residual=residual)
-        return [table[:, n, : n + 1] for n in range(21)]
+        return [table[n, : n + 1].T for n in range(21)]
 
     @pytest.mark.parametrize("name", sorted(WEIGHT_FAMILIES))
     @pytest.mark.parametrize("residual", [False, True], ids=["palm", "residual"])
@@ -1008,7 +1007,28 @@ class TestWeights:
         for residual in (False, True):
             short = _weights(sojourns, rates, 6, residual=residual)
             full = _weights(sojourns, rates, 20, residual=residual)
-            assert np.array_equal(short, full[:, :7, :7])
+            assert np.array_equal(short, full[:7, :7])
+            # order-major and C-contiguous, from every builder: row n of
+            # every state is the one block table[n, : n + 1]
+            assert short.shape == (7, 7, len(sojourns)) and short.flags.c_contiguous
+            assert full.shape == (21, 21, len(sojourns)) and full.flags.c_contiguous
+            for dist in sojourns:
+                for rate in (WEIGHT_RATE, 0.0):
+                    table = _weights([dist], [rate], 20, residual=residual)
+                    assert table.shape == (21, 21, 1) and table.flags.c_contiguous
+
+    @pytest.mark.parametrize("residual", [False, True], ids=["palm", "residual"])
+    def test_one_rate_laws_give_the_exponential_table(self, residual):
+        # exponential states take their own builder; a one-branch
+        # hyperexponential and a unit-shape gamma, built as Erlang mixtures,
+        # must give its table bit for bit, alone and side by side
+        for rate in (0.05, 1.3, 40.0):
+            laws = [Exponential(rate), HyperExponential(probs=(1.0,), rates=(rate,)), Gamma(shape=1.0, rate=rate)]
+            alone = [_weights([law], [WEIGHT_RATE], 20, residual=residual) for law in laws]
+            together = _weights(laws, np.full(3, WEIGHT_RATE), 20, residual=residual)
+            for k, table in enumerate(alone):
+                assert np.array_equal(table, alone[0])
+                assert np.array_equal(together[:, :, k : k + 1], alone[0])
 
     def test_branch_chunks_change_no_weight(self, monkeypatch):
         # one state per chunk must give the tables of one chunk for all

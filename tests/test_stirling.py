@@ -82,3 +82,24 @@ def test_contractions_match_the_numpy_scalar_sums_bit_for_bit():
                     [sum(triangle[l][j] * values[j] for j in range(l + 1)) for l in range(size)]
                 )
                 assert np.array_equal(convert(values), expected)
+
+
+def test_contraction_sums_each_row_left_to_right():
+    # the same sums as a plain left-to-right loop, bit for bit, for both
+    # triangles and every length
+    tables = StirlingTables(20)
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        size = int(rng.integers(1, 22))
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+        for triangle, contract in (
+            (tables.second_kind, tables.raw_from_factorial),
+            (tables.first_kind, tables.factorial_from_raw),
+        ):
+            expected = []
+            for row in triangle[:size]:
+                total = 0.0
+                for coefficient, value in zip(row, values.tolist()):
+                    total += coefficient * value
+                expected.append(total)
+            assert contract(values).tobytes() == np.array(expected).tobytes()
