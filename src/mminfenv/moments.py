@@ -48,12 +48,13 @@ k of the matrix is then e_k).
 
 The weights of all orders form one table per call, order-major and
 lower-triangular in (n, j): ``table[n, j, k] = w_k[n, j]``, so order n
-reads row n of every state as one contiguous (n + 1) x K block.
-Exponential rows are products of positive ratios; hyperexponential and
-gamma sojourns are mixtures of Erlang laws built from the exponential
-rows of their branches; deterministic sojourns follow Pascal's rule;
-zero speed (X = 1) gives the identity.  These four families are the
-only laws a model admits.
+reads row n of every state as one contiguous (n + 1) x K block.  Each
+law gives only its top row, at order MAX_ORDER: exponential,
+hyperexponential and gamma sojourns as mixtures of Erlang laws,
+deterministic sojourns as a binomial pmf, and zero speed (X = 1) as all
+its mass on j = MAX_ORDER.  These four families are the only laws a
+model admits.  Every lower row follows by Bernstein degree reduction,
+one add per weight with positive terms only (see ``_weights``).
 
 The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
@@ -64,7 +65,6 @@ compared (simulation adjudicates; see the README).
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -158,13 +158,11 @@ def _gauss_beta(a, b, size: int):
 
 
 # Gauss rule sizes: at order 20, 16 nodes per panel of the graded gamma
-# rule hold the weights within 2e-15 of extended-precision quadrature for
+# rule hold the weights within 5e-15 of an 80-digit evaluation for
 # service to sojourn rate ratios from 0.02 to 1e8 (12 nodes: 5e-12); the
-# Legendre rule integrates (1 - e^-t)^n over [0, 2 H_n] to a few ulps.
+# Legendre rule integrates (1 - e^-t)^N over [0, 2 H_N] to a few ulps.
 _PANEL_NODES = 16
 _LEGENDRE_NODES = 40
-# Erlang branches whose tables are built at once, about 3.6 MB at order 20
-_BRANCH_CHUNK = 1024
 
 
 @lru_cache(maxsize=None)
@@ -175,29 +173,38 @@ def _legendre_rule(size: int):
     return nodes, probs
 
 
-def _exponential_weights(rates: np.ndarray, service: np.ndarray, n_max: int) -> np.ndarray:
-    """Weight tables of exponential sojourns, ``table[n, j, k]`` for rate ``rates[k]``.
+def _erlang_rows(rho: np.ndarray, powers: np.ndarray, residual: bool) -> np.ndarray:
+    """Top rows w[N, j], N = MAX_ORDER, of Erlang(q) sojourns, one column per branch.
 
-    X = exp(-a T) is Beta(r / a, 1) for rate r and service rate a, so
-    w[n, n] = r / (r + n a), the sojourn transform at n a, and
-    w[n, j] = w[n-1, j] n a / (r + n a) for j < n: products of positive
-    factors only, one multiply per row once the factors of every order
-    are formed.
+    ``rho`` is the branch rate over the service rate and ``powers`` its q.
+    X of an exponential sojourn is Beta(rho, 1), so with
+    y_m = rho / (rho + m), w[N, j] = C(N, j) rho B(j + rho, N - j + 1) =
+    y_j prod_{m>j} m / (rho + m).  X of Erlang(q) is a product of q such
+    factors, which multiplies that row by the complete homogeneous
+    polynomial h_{q-1}(y_j, ..., y_N), formed as suffix sums
+    h_i[j] = sum_{m>=j} y_m h_{i-1}[m] from h_0 = 1.  The residual of
+    Erlang(q) is the equal mixture of Erlang(1..q): the mean of
+    h_0..h_{q-1}.  Every term is positive.
     """
-    table = np.zeros((n_max + 1, n_max + 1, len(rates)))
-    table[0, 0] = 1.0
-    scaled = np.arange(1, n_max + 1)[:, np.newaxis] * service
-    denominators = rates + scaled
-    factors, diagonals = scaled / denominators, rates / denominators
-    for n in range(1, n_max + 1):
-        np.multiply(table[n - 1, :n], factors[n - 1], out=table[n, :n])
-        table[n, n] = diagonals[n - 1]
-    return table
+    m = np.arange(MAX_ORDER + 1.0)[:, np.newaxis]
+    denominators = rho + m
+    y = rho / denominators
+    rows = y.copy()
+    rows[:-1] *= np.cumprod((m[1:] / denominators[1:])[::-1], axis=0)[::-1]
+    for q in set(powers.tolist()) - {1}:
+        chosen = np.flatnonzero(powers == q)
+        power = total = np.ones((MAX_ORDER + 1, len(chosen)))
+        for _ in range(q - 1):
+            power = np.cumsum((y[:, chosen] * power)[::-1], axis=0)[::-1]
+            total = total + power
+        rows[:, chosen] *= total / q if residual else power
+    return rows
 
 
-def _exponential_sojourn_weights(sojourns, service, n_max, residual):
-    """Exponential sojourns, each its own residual."""
-    return _exponential_weights(np.array([dist.rate for dist in sojourns]), service, n_max)
+def _exponential_rows(sojourns, service, residual):
+    """Exponential sojourns: one Erlang(1) branch each, its own residual."""
+    rho = np.array([dist.rate for dist in sojourns]) / service
+    return _erlang_rows(rho, np.ones(len(rho), dtype=int), residual)
 
 
 def _gamma_scale_rules(a: list, b: list, c: list) -> list:
@@ -242,7 +249,7 @@ def _gamma_scale_rules(a: list, b: list, c: list) -> list:
     return rules
 
 
-def _erlang_mixture_weights(sojourns, service, n_max, residual):
+def _erlang_mixture_rows(sojourns, service, residual):
     """Hyperexponential and gamma sojourns, as mixtures of Erlang laws.
 
     Each state lists branches (rate, probability, q), a sojourn that is
@@ -257,10 +264,6 @@ def _erlang_mixture_weights(sojourns, service, n_max, residual):
       B' ~ Beta(s + 1, q - s), and U Gamma(q + 1, r) is the residual of
       Erlang(q, r): the equal mixture of Gamma(i, r), i = 1..q.  Integer
       shapes take B = 1 and are exact.
-
-    X of Erlang(q) is a product of q independent exponential factors, so
-    its weight table is the q-th power of the exponential one (the
-    residual: the mean of the first q powers).
     """
     # non-integer gamma shapes: the graded rules of all such states at once
     fractional = [
@@ -272,95 +275,58 @@ def _erlang_mixture_weights(sojourns, service, n_max, residual):
     if fractional:
         states, *shapes = zip(*fractional)
         rules = dict(zip(states, _gamma_scale_rules(*map(list, shapes))))
-    branches = []
+    rates, probs, powers = [], [], []
     for k, dist in enumerate(sojourns):
         if isinstance(dist, HyperExponential):
-            probs = list(dist.probs)
+            branch_probs = np.array(dist.probs)
             if residual:
-                means = [p / r for p, r in zip(probs, dist.rates)]
-                probs = [m / sum(means) for m in means]
-            branches.append((list(dist.rates), probs, 1))
+                means = branch_probs / dist.rates
+                branch_probs = means / means.sum()
+            rates.append(np.array(dist.rates))
+            probs.append(branch_probs)
+            powers.append(1)
         else:
             nodes, weights = rules.get(k, (np.ones(1), np.ones(1)))
-            branches.append(((dist.rate / nodes).tolist(), weights.tolist(), math.ceil(dist.shape)))
-    # a gamma state may have hundreds of branches: build the branch tables a
-    # bounded number at a time, whole states per chunk
-    sizes = np.cumsum([len(rates) for rates, _, _ in branches])
-    cuts = np.flatnonzero(np.diff(sizes // _BRANCH_CHUNK)) + 1
-    if not cuts.size:
-        return _mix_erlang_branches(branches, service, n_max, residual)
-    bounds = zip([0, *cuts], [*cuts, len(branches)])
-    return np.concatenate(
-        [_mix_erlang_branches(branches[lo:hi], service[lo:hi], n_max, residual) for lo, hi in bounds], axis=2
-    )
-
-
-def _mix_erlang_branches(branches, service, n_max, residual):
-    """One weight table per state from its Erlang branches (rates, probabilities, q), ``table[n, j, k]``."""
-    rates, probs, powers = zip(*branches)
+            rates.append(dist.rate / nodes)
+            probs.append(weights)
+            powers.append(math.ceil(dist.shape))
     counts = [len(branch_rates) for branch_rates in rates]
-    flat_rates = np.fromiter(chain.from_iterable(rates), float)
-    table = _exponential_weights(flat_rates, np.repeat(service, counts), n_max)
-    powers = np.repeat(powers, counts)
-    for q in set(powers.tolist()) - {1}:
-        chosen = np.flatnonzero(powers == q)
-        # one (n_max + 1)-square matrix per branch, for the row-times-matrix products
-        factor = np.ascontiguousarray(table[:, :, chosen].transpose(2, 0, 1))
-        for n in range(n_max + 1):
-            # row n of the q-th power (or of the mean of the first q powers)
-            # from rows 0..n alone, so that no weight depends on n_max
-            power = total = factor[:, n, : n + 1]
-            for _ in range(q - 1):
-                power = (power[:, np.newaxis, :] @ factor[:, : n + 1, : n + 1])[:, 0]
-                total = total + power
-            table[n, : n + 1][:, chosen] = (total / q if residual else power).T
-    if table.shape[2] == len(branches):
-        return table
-    table *= np.fromiter(chain.from_iterable(probs), float)
-    return np.add.reduceat(table, np.cumsum(counts) - counts, axis=2)
+    rows = _erlang_rows(np.concatenate(rates) / np.repeat(service, counts), np.repeat(powers, counts), residual)
+    rows *= np.concatenate(probs)
+    return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=1)
 
 
-def _integrated_powers(c: np.ndarray, n_max: int) -> np.ndarray:
-    """I_n(c) = int_0^c (1 - e^-t)^n dt for n = 0..n_max, one row per entry of c.
+def _integrated_power(c: np.ndarray) -> np.ndarray:
+    """I_N(c) = int_0^c (1 - e^-t)^N dt, N = MAX_ORDER, one entry per entry of c.
 
-    Past c = 2 H_n it is c - sum_{i<=n} (1 - e^-c)^i / i, a difference
+    Past c = 2 H_N it is c - sum_{i<=N} (1 - e^-c)^i / i, a difference
     that keeps more than half of c; below, a Gauss-Legendre rule on
     [0, c] (the integrand is entire and varies on a scale of one).
     """
-    n = np.arange(n_max + 1)
-    harmonic = np.cumsum(np.concatenate(([0.0], 1.0 / n[1:])))
+    i = np.arange(1, MAX_ORDER + 1)
     y = -np.expm1(-c)[:, np.newaxis]
-    partial = np.cumsum(np.hstack((np.zeros((len(c), 1)), y ** n[1:] / n[1:])), axis=1)
-    closed = c[:, np.newaxis] - partial
+    closed = c - (y**i / i).sum(axis=1)
     nodes, probs = _legendre_rule(_LEGENDRE_NODES)
-    base = -np.expm1(-np.multiply.outer(c, nodes))
-    quadrature = c[:, np.newaxis] * (base[:, np.newaxis, :] ** n[:, np.newaxis] * probs).sum(axis=2)
-    return np.where(c[:, np.newaxis] >= 2.0 * harmonic, closed, quadrature)
+    quadrature = c * ((-np.expm1(-np.multiply.outer(c, nodes))) ** MAX_ORDER * probs).sum(axis=1)
+    return np.where(c >= 2.0 * np.sum(1.0 / i), closed, quadrature)
 
 
-def _deterministic_weights(sojourns, service, n_max, residual):
-    """Deterministic sojourns: binomial rows at x = exp(-c), c = mu_k d.
+def _deterministic_rows(sojourns, service, residual):
+    """Deterministic sojourns: the binomial pmf at x = exp(-c), c = mu_k d.
 
-    The rows follow Pascal's rule, w[n, j] = (1 - x) w[n-1, j] + x w[n-1, j-1],
-    with positive terms only.  The residual is uniform on [0, d]; for
-    j >= 1 its weights are P(Bin(n, x) < j) / (c j), partial sums of the
-    Palm row, and w*[n, 0] = I_n(c) / c.
+    The residual is uniform on [0, d]; for j >= 1 its weights are
+    P(Bin(N, x) < j) / (c j), partial sums of the Palm row, and
+    w*[N, 0] = I_N(c) / c.
     """
     c = service * np.array([dist.value for dist in sojourns])
-    x, y = np.exp(-c), -np.expm1(-c)
-    table = np.zeros((n_max + 1, n_max + 1, len(c)))
-    table[0, 0] = 1.0
-    for n in range(1, n_max + 1):
-        previous = table[n - 1, :n]
-        table[n, :n] = previous * y
-        table[n, 1 : n + 1] += previous * x
+    j = np.arange(MAX_ORDER + 1)[:, np.newaxis]
+    row = np.abs(_signed_binomials(MAX_ORDER)[-1])[:, np.newaxis] * np.exp(-c) ** j
+    row *= (-np.expm1(-c)) ** (MAX_ORDER - j)
     if not residual:
-        return table
-    out = np.empty_like(table)
-    out[:, 0] = _integrated_powers(c, n_max).T / c
-    scale = np.arange(1, n_max + 1)[:, np.newaxis] * c
-    out[:, 1:] = np.cumsum(table[:, :-1], axis=1) / scale
-    out[np.triu_indices(n_max + 1, 1)] = 0.0
+        return row
+    out = np.empty_like(row)
+    out[0] = _integrated_power(c) / c
+    out[1:] = np.cumsum(row[:-1], axis=0) / (j[1:] * c)
     return out
 
 
@@ -371,8 +337,14 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     and T the sojourn of state k, or its equilibrium residual when
     ``residual``.  The table is C-contiguous, so row n of every state is
     the one (n + 1) x K block ``table[n, : n + 1]``.  Every weight is
-    nonnegative and every row sums to one.  Zero speed gives X = 1, all
-    the mass on j = n: the identity.
+    nonnegative and every row sums to one.
+
+    Each family gives only its top row, n = N = MAX_ORDER; zero speed
+    (X = 1) gives e_N.  The rows below follow by Bernstein degree
+    reduction (Farouki and Rajan, 1988): v[n, j] = w[n, j] / C(n, j) =
+    E[(1 - X)^(n-j) X^j] satisfies v[n-1, j] = v[n, j] + v[n, j+1], a sum
+    of positive terms, elementwise in k.  Every table is built at N and
+    sliced, so no weight depends on ``n_max``.
     """
     service = np.asarray(service, dtype=float)
     builders = {}
@@ -380,22 +352,30 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
         if a == 0.0:
             builder = None
         elif isinstance(dist, Exponential):
-            builder = _exponential_sojourn_weights
+            builder = _exponential_rows
         elif isinstance(dist, Deterministic):
-            builder = _deterministic_weights
+            builder = _deterministic_rows
         else:
-            builder = _erlang_mixture_weights
+            builder = _erlang_mixture_rows
         builders.setdefault(builder, []).append(k)
-    if len(builders) == 1 and None not in builders:
-        (builder,) = builders
-        return builder(sojourns, service, n_max, residual)
-    table = np.empty((n_max + 1, n_max + 1, len(sojourns)))
+    table = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1, len(sojourns)))
+    top = table[MAX_ORDER]
     for builder, states in builders.items():
+        # a family that holds every state needs no gather or scatter
+        index = states if len(states) < len(sojourns) else slice(None)
         if builder is None:
-            table[:, :, states] = np.eye(n_max + 1)[:, :, np.newaxis]
+            top[MAX_ORDER, index] = 1.0
         else:
-            table[:, :, states] = builder([sojourns[k] for k in states], service[states], n_max, residual)
-    return table
+            top[:, index] = builder([sojourns[k] for k in states], service[index], residual)
+    binomials = np.abs(_signed_binomials(MAX_ORDER))[:, :, np.newaxis]
+    top /= binomials[MAX_ORDER]
+    for n in range(MAX_ORDER, 0, -1):
+        np.add(table[n, :n], table[n, 1 : n + 1], out=table[n - 1, :n])
+    # row by row (C(n, 0) = C(n, n) = 1), so that the zero pages above the
+    # diagonal are never touched
+    for n in range(2, n_max + 1):
+        table[n, 1:n] *= binomials[n, 1:n]
+    return np.ascontiguousarray(table[: n_max + 1, : n_max + 1])
 
 
 def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.ndarray:

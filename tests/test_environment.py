@@ -438,6 +438,32 @@ def test_no_unused_import_in_the_package():
     assert unused == []
 
 
+def test_no_unused_private_name_in_the_package():
+    # every module-level private function, class or constant of the package
+    # is read somewhere in the package, so no helper outlives its last caller
+    package = Path(__file__).resolve().parent.parent / "src" / "mminfenv"
+    defined, read = {}, set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(f"{where} {name}" for name, where in defined.items() if name not in read) == []
+
+
 def test_only_the_model_runs_the_structural_checks():
     # a model checks itself once, at construction; no other module re-validates it
     pattern = r"\b(_violations|validate_model|require_valid)\b"

@@ -904,6 +904,8 @@ WEIGHT_FAMILIES = {
     "exponential": Exponential(1.3),
     "hyperexponential": HyperExponential(probs=(0.4, 0.0, 0.6), rates=(0.5, 1.0, 2.0)),
     "erlang": Gamma(shape=3.0, rate=1.5),
+    "erlang-7": Gamma(7.0, 2.0),
+    "gamma-5.4": Gamma(5.4, 0.9),
     "gamma-0.7": Gamma(shape=0.7, rate=1.2),
     "gamma-2.6": Gamma(shape=2.6, rate=0.4),
     # sojourns 8000 times longer than a service time
@@ -943,7 +945,7 @@ class TestWeights:
                     assert binomials @ row[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
                 assert row[0, n] == pytest.approx(transform(n * WEIGHT_RATE), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("name", ["deterministic-short", "deterministic", "gamma-0.7", "gamma-2.6"])
+    @pytest.mark.parametrize("name", ["deterministic-short", "deterministic", "gamma-0.7", "gamma-2.6", "gamma-5.4"])
     def test_smallest_weights_match_extended_precision(self, name):
         # w[n, 0] = E[(1 - X)^n] is tiny when mu_k T is short; it must keep
         # its relative accuracy (no complement 1 - sum_{j>=1} w[n, j])
@@ -970,7 +972,7 @@ class TestWeights:
                 assert palm_rows[n][0, 0] == pytest.approx(float(palm(n)), rel=1e-12, abs=0.0)
                 assert residual_rows[n][0, 0] == pytest.approx(float(residual(n)), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("shape, ratio", [(0.7, 1e3), (2.6, 1e4)])
+    @pytest.mark.parametrize("shape, ratio", [(0.7, 1e3), (2.6, 1e4), (5.4, 1e3)])
     def test_slow_gamma_rows_match_extended_precision(self, shape, ratio):
         # c = mu_k / rate large: the rows, rational in the gamma time scale,
         # have poles crowding towards its end point 0; every weight of the
@@ -1019,9 +1021,10 @@ class TestWeights:
 
     @pytest.mark.parametrize("residual", [False, True], ids=["palm", "residual"])
     def test_one_rate_laws_give_the_exponential_table(self, residual):
-        # exponential states take their own builder; a one-branch
-        # hyperexponential and a unit-shape gamma, built as Erlang mixtures,
-        # must give its table bit for bit, alone and side by side
+        # exponential states form their top rows apart from the Erlang
+        # mixtures; a one-branch hyperexponential and a unit-shape gamma must
+        # give their table bit for bit, and the degree reduction must treat
+        # each state's column alone, whatever its neighbours
         for rate in (0.05, 1.3, 40.0):
             laws = [Exponential(rate), HyperExponential(probs=(1.0,), rates=(rate,)), Gamma(shape=1.0, rate=rate)]
             alone = [_weights([law], [WEIGHT_RATE], 20, residual=residual) for law in laws]
@@ -1029,16 +1032,6 @@ class TestWeights:
             for k, table in enumerate(alone):
                 assert np.array_equal(table, alone[0])
                 assert np.array_equal(together[:, :, k : k + 1], alone[0])
-
-    def test_branch_chunks_change_no_weight(self, monkeypatch):
-        # one state per chunk must give the tables of one chunk for all
-        sojourns = [dist for _, dist in sorted(WEIGHT_FAMILIES.items())] * 3
-        rates = WEIGHT_RATE * np.linspace(0.5, 2.0, len(sojourns))
-        for residual in (False, True):
-            whole = _weights(sojourns, rates, 20, residual=residual)
-            with monkeypatch.context() as patch:
-                patch.setattr(moments, "_BRANCH_CHUNK", 1)
-                assert np.array_equal(_weights(sojourns, rates, 20, residual=residual), whole)
 
 
 def test_zero_speed_state_supported():
