@@ -1,37 +1,45 @@
 """
-Markov-environment identities
-=============================
+Rate conservation in the environment
+====================================
 
-When every sojourn is exponential the environment is an ordinary Markov
-jump process and two strong structural facts hold: the stationary and
-Palm moment vectors coincide, and consecutive moment orders are tied by
-a generator identity.  A third identity, the forward-routing form of
-the Palm recursion, holds for every model.  The library evaluates all
-of them as residuals; this script shows them on a model loaded from a
-file.
+Between environment jumps the mixing mass Lambda moves as
+dLambda/dt = lambda_k - mu_k Lambda, and it is continuous at the jumps.
+Rate conservation for Lambda^n 1{state k} then ties the Palm vectors
+(seen at transitions) to the stationary vectors (seen at a stationary
+instant) at every order, whatever the sojourn laws:
+
+    n s^(n) M - (r^(n) P - r^(n)) diag(1/mean) = n s^(n-1) Lambda,
+
+with r = m0' diag(pi) and s = m' diag(pi).  When every sojourn is
+exponential the two families coincide and this is the generator identity
+of the Markov environment.  This script evaluates the identity as
+residuals on two model files.
 """
 
 import numpy as np
 
 from mminfenv import (
     chain_statics,
-    forward_relation_residuals,
     load_model,
-    markovian_identity_residuals,
     palm_moment_vectors,
+    rate_conservation_residuals,
     stationary_moment_vectors,
 )
 
+
+def vectors(model, n_max):
+    statics = chain_statics(model)
+    palm = palm_moment_vectors(model, statics, n_max=n_max)
+    return statics, palm, stationary_moment_vectors(model, statics, palm)
+
+
 ###############################################################################
-# Load the all-exponential three-state model shipped with the repo.
+# The all-exponential three-state model shipped with the repo.
 
 model = load_model("models/k3_exponential.yaml")
-statics = chain_statics(model)
+statics, palm, stationary = vectors(model, 6)
 print("embedded stationary vector:", np.round(statics.pi, 6).tolist())
 print("occupancy law:             ", np.round(statics.occupancy, 6).tolist())
-
-palm = palm_moment_vectors(model, statics, n_max=6)
-stationary = stationary_moment_vectors(model, statics, palm)
 
 ###############################################################################
 # Palm vs stationary: a residual sojourn of an exponential law is the
@@ -41,22 +49,19 @@ gap = max(float(np.max(np.abs(a - b))) for a, b in zip(palm.vectors, stationary)
 print(f"\nmax |palm - stationary| over orders 0..6: {gap}")
 
 ###############################################################################
-# The generator identity ties order n to order n-1.
+# Rate conservation ties order n to order n-1; order 0 is the
+# stationarity of the embedded vector.
 
-residuals = markovian_identity_residuals(model, statics, stationary)
-print("generator-identity residuals by order:", ["%.2e" % r for r in residuals[1:]])
+residuals = rate_conservation_residuals(model, statics, palm, stationary)
+print("rate-conservation residuals by order:", ["%.2e" % r for r in residuals])
 
 ###############################################################################
-# The forward-routing relation holds for any model, exponential or not;
-# order 0 reduces to the stationarity of the embedded vector.
-
-forward = forward_relation_residuals(model, statics, palm)
-print("forward-relation residuals by order:  ", ["%.2e" % r for r in forward])
+# The same identity on the mixed-family model, where the Palm and
+# stationary vectors differ.
 
 mixed = load_model("models/k3_mixed.yaml")
-mixed_statics = chain_statics(mixed)
-mixed_palm = palm_moment_vectors(mixed, mixed_statics, n_max=6)
-mixed_forward = forward_relation_residuals(mixed, mixed_statics, mixed_palm)
-print("same check on the mixed-family model:  ", ["%.2e" % r for r in mixed_forward])
-print("generator identity there:", markovian_identity_residuals(mixed, mixed_statics,
-      stationary_moment_vectors(mixed, mixed_statics, mixed_palm)))
+mixed_statics, mixed_palm, mixed_stationary = vectors(mixed, 6)
+gap = max(float(np.max(np.abs(a / b - 1.0))) for a, b in zip(mixed_palm.vectors, mixed_stationary))
+print(f"\nmixed-family model, max |palm / stationary - 1|: {gap:.3f}")
+mixed_residuals = rate_conservation_residuals(mixed, mixed_statics, mixed_palm, mixed_stationary)
+print("rate-conservation residuals there:   ", ["%.2e" % r for r in mixed_residuals])

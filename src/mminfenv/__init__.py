@@ -28,10 +28,9 @@ from .moments import (
     PalmMoments,
     assemble_moment_table,
     compute_moment_table,
-    forward_relation_residuals,
-    markovian_identity_residuals,
     offered_loads,
     palm_moment_vectors,
+    rate_conservation_residuals,
     stationary_moment_vectors,
 )
 from .sim import (
@@ -72,15 +71,14 @@ __all__ = [
     "compute_moment_table",
     "default_warmup",
     "estimate_factorial_moments",
-    "forward_relation_residuals",
     "kummer_reference",
     "load_model",
-    "markovian_identity_residuals",
     "mean_cycle_length",
     "model_to_dict",
     "offered_loads",
     "palm_moment_vectors",
     "parse_model",
+    "rate_conservation_residuals",
     "simulate_environment",
     "simulate_queue",
     "stationarity_check",

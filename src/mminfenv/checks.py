@@ -1,9 +1,9 @@
 """Verdicts on a moment table: every structural check that applies to its model.
 
 Each verdict is a named residual against a tolerance, read off a
-``MomentTable`` (its solve diagnostics and identity residuals) or off
-the two-state closed forms of ``closedform``.  The ``validate`` verb
-reports exactly this list.
+``MomentTable`` (its solve diagnostics and rate-conservation residuals)
+or off the two-state closed forms of ``closedform``.  The ``validate``
+verb reports exactly this list.
 """
 
 import math
@@ -68,14 +68,8 @@ def structural_checks(model, table, tolerances=DEFAULT_TOLERANCES) -> list:
         solve_gap = float("inf")
     verdicts.append(CheckVerdict("solve-backsubstitution", solve_gap, tolerances["tol_solve"]))
 
-    forward = table.identity_residuals["forward_relation"]
-    verdicts.append(CheckVerdict("forward-relation", float(np.max(forward)), tolerances["tol_identity"]))
-
-    markovian = table.identity_residuals["markovian_identity"]
-    if markovian is not None:
-        verdicts.append(
-            CheckVerdict("markovian-identity", float(np.max(markovian)), tolerances["tol_identity"])
-        )
+    conservation = float(np.max(table.conservation_residuals))
+    verdicts.append(CheckVerdict("rate-conservation", conservation, tolerances["tol_identity"]))
 
     try:
         two_state, swapped = closedform.from_environment(model)

@@ -32,31 +32,12 @@ def _check_transform_arg(s) -> float:
     return s
 
 
-def _check_transform_args(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if not (np.isfinite(s).all() and (s >= 0.0).all()):
-        raise ValueError(f"Laplace transform arguments must be finite nonnegative reals, got {s}")
-    return s
-
-
 class SojournDistribution:
     """Common interface of all sojourn-time laws."""
 
     def laplace(self, s: float) -> float:
         """E[exp(-s T)] for s >= 0, exact at s = 0."""
         raise NotImplementedError
-
-    @classmethod
-    def laplace_table(cls, laws, s) -> np.ndarray:
-        """``laws[k].laplace(s[i, k])`` for laws of this family, as one (rows, len(laws)) array.
-
-        Column k of ``s`` holds the arguments of ``laws[k]``.  A family may
-        override this with an array evaluation equal bit for bit to its
-        ``laplace``; the default calls ``laplace`` entry by entry.
-        """
-        s = np.asarray(s, dtype=float)
-        values = [[law.laplace(x) for law, x in zip(laws, row)] for row in s.tolist()]
-        return np.array(values).reshape(s.shape)
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -93,13 +74,6 @@ class Exponential(SojournDistribution):
     def laplace(self, s: float) -> float:
         s = _check_transform_arg(s)
         return self.rate / (self.rate + s)
-
-    @classmethod
-    def laplace_table(cls, laws, s) -> np.ndarray:
-        # the operations of laplace, one IEEE division per entry: equal bit for bit
-        s = _check_transform_args(s)
-        rates = np.array([law.rate for law in laws])
-        return rates / (rates + s)
 
     def residual_laplace(self, s: float) -> float:
         # memoryless: the residual law is the sojourn law itself; returning

@@ -60,6 +60,11 @@ The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
 time-stationary occupancy weights are carried everywhere so they can be
 compared (simulation adjudicates; see the README).
+
+One identity checks both families at every order, for every sojourn
+law: rate conservation for Lambda^n 1{state k}, which moves as
+dLambda/dt = lambda_k - mu_k Lambda between environment jumps and is
+continuous at them (see ``rate_conservation_residuals``).
 """
 
 import math
@@ -83,8 +88,7 @@ __all__ = [
     "MomentTable",
     "assemble_moment_table",
     "compute_moment_table",
-    "markovian_identity_residuals",
-    "forward_relation_residuals",
+    "rate_conservation_residuals",
 ]
 
 # the weight form holds far past order 20, but no check bounds the forward
@@ -320,7 +324,7 @@ def _deterministic_rows(sojourns, service, residual):
     """
     c = service * np.array([dist.value for dist in sojourns])
     j = np.arange(MAX_ORDER + 1)[:, np.newaxis]
-    row = np.abs(_signed_binomials(MAX_ORDER)[-1])[:, np.newaxis] * np.exp(-c) ** j
+    row = _binomials(MAX_ORDER)[-1][:, np.newaxis] * np.exp(-c) ** j
     row *= (-np.expm1(-c)) ** (MAX_ORDER - j)
     if not residual:
         return row
@@ -367,7 +371,7 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
             top[MAX_ORDER, index] = 1.0
         else:
             top[:, index] = builder([sojourns[k] for k in states], service[index], residual)
-    binomials = np.abs(_signed_binomials(MAX_ORDER))[:, :, np.newaxis]
+    binomials = _binomials(MAX_ORDER)[:, :, np.newaxis]
     top /= binomials[MAX_ORDER]
     for n in range(MAX_ORDER, 0, -1):
         np.add(table[n, :n], table[n, 1 : n + 1], out=table[n - 1, :n])
@@ -649,10 +653,9 @@ class MomentTable:
     weighting ``w``; by the mixed-Poisson identity it equals the order-n
     factorial moment of N.  ``raw[w][n]`` are the corresponding raw
     moments via the second-kind Stirling transform; the accessors read
-    either weighting, occupancy unless told.  ``identity_residuals`` holds
-    the per-order residuals of ``forward_relation_residuals`` and
-    ``markovian_identity_residuals`` (None unless every sojourn is
-    exponential).  ``bn_condition``, ``solve_residual`` and ``palm_steps``
+    either weighting, occupancy unless told.  ``conservation_residuals``
+    holds the per-order residuals of ``rate_conservation_residuals``, for
+    every model.  ``bn_condition``, ``solve_residual`` and ``palm_steps``
     are the per-order diagnostics of the Palm solve (see ``PalmMoments``:
     ``palm_steps[n]`` is 0 for an LU order, otherwise its series products),
     and ``statics_steps`` is ``ChainStatics.steps``, the products of the
@@ -668,7 +671,7 @@ class MomentTable:
     solve_residual: np.ndarray
     palm_steps: np.ndarray
     statics_steps: int
-    identity_residuals: dict
+    conservation_residuals: np.ndarray
 
     def factorial_moments(self, weighting: str = "occupancy") -> np.ndarray:
         """f_N^(n), n = 0..n_max, under the given weighting."""
@@ -688,9 +691,8 @@ def assemble_moment_table(
     """Contract the stationary vectors into scalar moments of N.
 
     Both weightings (embedded-chain vector and time-stationary
-    occupancy) are computed and stored.  The structural identity
-    residuals are evaluated and recorded as diagnostics (see
-    ``mminfenv.checks``).
+    occupancy) are computed and stored.  The rate-conservation residuals
+    are evaluated and recorded as diagnostics (see ``mminfenv.checks``).
     """
     n_max = palm.n_max
     tables = _stirling_tables(n_max)
@@ -703,10 +705,6 @@ def assemble_moment_table(
         aggregated[name] = scalars
         raw[name] = tables.raw_from_factorial(scalars)
 
-    identity_residuals = {
-        "forward_relation": forward_relation_residuals(model, statics, palm),
-        "markovian_identity": markovian_identity_residuals(model, statics, stationary),
-    }
     return MomentTable(
         n_max=n_max,
         palm=palm.vectors,
@@ -717,7 +715,7 @@ def assemble_moment_table(
         solve_residual=palm.solve_residual,
         palm_steps=palm.steps,
         statics_steps=statics.steps,
-        identity_residuals=identity_residuals,
+        conservation_residuals=rate_conservation_residuals(model, statics, palm, stationary),
     )
 
 
@@ -734,107 +732,53 @@ def compute_moment_table(
     return assemble_moment_table(model, statics, palm, stationary)
 
 
-def _all_exponential(model: EnvironmentModel) -> bool:
-    return all(isinstance(d, Exponential) for d in model.sojourns)
-
-
-def markovian_identity_residuals(
-    model: EnvironmentModel, statics: ChainStatics, stationary: tuple
+def rate_conservation_residuals(
+    model: EnvironmentModel, statics: ChainStatics, palm: PalmMoments, stationary: tuple
 ) -> np.ndarray:
-    """Residuals of the Markov-environment generator identity, or None.
+    """Residuals of rate conservation for Lambda^n 1{state k}, one per order.
 
-    With exponential sojourns the environment is a Markov jump process
-    whose reversed-time generator is H = diag(1/mean_k)(Q - I), and the
-    stationary vectors satisfy the column relation
-    (n M - H) m^(n) = n Lambda m^(n-1) for n >= 1, with M and Lambda the
-    diagonal service-rate and arrival-rate matrices.  Transposing and
-    conjugating by Pi = diag(pi) turns it into the row relation
+    Between environment jumps the mixing mass moves as
+    dLambda/dt = lambda_k - mu_k Lambda, and it is continuous at the jumps.
+    So the stationary process Lambda^n 1{state k} has the mean drift
+    n lambda_k Lambda^(n-1) - n mu_k Lambda^n in state k, and that drift
+    balances its mean jumps (Miyazawa, Rate conservation laws: a survey,
+    Queueing Systems 15, 1994): transitions into k bring Lambda^n with the
+    Palm moments of the state left, transitions out of k take away those
+    of k.  Divided by the transition rate and by the mean sojourns, with
+    Palm rows r = m0' Pi, stationary rows s = m' Pi (Pi = diag(pi)) and
+    q_k = 1 / mean_k, it reads
 
-        (m^(n)' Pi)(n M - (P - I) diag(1/mean_k)) = n (m^(n-1)' Pi) Lambda
+        n s^(n) M - (r^(n) P - r^(n)) diag(q) = n s^(n-1) Lambda,
 
-    which is what is evaluated here.  Note the operator order: the
-    similarity transform of H' by Pi is (P - I) diag(1/mean_k), which
-    differs from the forward generator diag(1/mean_k)(P - I) whenever
-    the sojourn means are heterogeneous.  Returns the scaled max-norm
-    residual per order (index 0 unused, set to 0), or None when a
-    non-exponential sojourn makes the identity inapplicable.
+    M and Lambda the diagonal service-rate and arrival-rate matrices.  It
+    holds for every sojourn law and ties the Palm solve to the stationary
+    update at the same order; order 0 is the stationarity of pi.  With
+    exponential sojourns r = s and it is the generator identity of the
+    Markov environment.  Each order is scaled by the largest magnitude of
+    its four terms, not by the realised sums, and the scaled max-norm
+    residual is returned per order.
     """
-    if not _all_exponential(model):
-        return None
-    exit_rates = np.array([1.0 / d.mean() for d in model.sojourns])
+    exit_rates = 1.0 / np.array([dist.mean() for dist in model.sojourns])
+    palm_rows = np.array(palm.vectors) * statics.pi
     rows = np.array(stationary) * statics.pi
     orders = np.arange(len(rows))[:, np.newaxis]
-    # row @ (n M - (P - I) diag(q)) = n row * service - (row @ P - row) * q,
-    # with all rows @ P in one product and no K x K temporary
-    left = (orders * rows * model.service_rates - (rows @ model.routing - rows) * exit_rates)[1:]
-    right = orders[1:] * rows[:-1] * model.arrival_rates
-
-    scale = np.maximum(np.abs(left).max(axis=1), np.abs(right).max(axis=1))
-    residuals = np.zeros(len(rows))
-    residuals[1:] = np.abs(left - right).max(axis=1) / np.maximum(scale, 1e-300)
-    return residuals
-
-
-def forward_relation_residuals(
-    model: EnvironmentModel, statics: ChainStatics, palm: PalmMoments
-) -> np.ndarray:
-    """Residuals of the forward-routing form of the Palm recursion.
-
-    The Palm recursion is stated against the reversed routing matrix Q;
-    transposing it yields an equivalent row-vector relation against the
-    forward matrix P, multiplied here on the right by diag(tau) so that
-    no 1/tau appears:
-
-        sum_j (-1)^j C(n,j) (m0^(j)' Pi - (m0^(j)' Pi P) diag(tau)) R^(n-j) = 0,
-
-    with tau_k = tau_k(n mu_k) read from the laws' transforms (one
-    ``laplace_table`` per law family), an independent source for the
-    weights the solve used.  It exercises an independent code path and
-    is returned here as a scaled max-norm residual per order (order 0
-    included: it reduces to the stationarity of pi).
-    """
-    rho = offered_loads(model)
-    rho_top = max(float(np.max(rho)), 1e-300)
-    rows = np.array(palm.vectors) * statics.pi
-    orders = np.arange(len(rows))
-    coeffs = _signed_binomials(len(rows) - 1)
-    transforms = _transform_table(model.sojourns, np.multiply.outer(orders, model.service_rates))
-    # row @ (I - P diag(tau)) = row - (row @ P) * tau, with all rows @ P in one product
-    rows_routed = rows @ model.routing
-    rho_powers = rho ** orders[:, np.newaxis]
-
-    # scale by the input magnitudes, not the realized (cancelling) terms:
-    # a bound on |row @ matrix| is |row|_inf times the matrix 1-norm,
-    # which is max(1 + tau * column sums of P) exactly since P >= 0 has
-    # zero diagonal and tau >= 0
-    matrix_bounds = np.max(1.0 + transforms * model.routing.sum(axis=0), axis=1)
-    lags = np.maximum(orders[:, np.newaxis] - orders, 0)
-    top_terms = np.abs(coeffs) * np.abs(rows).max(axis=1) * (rho_top ** orders)[lags]
-    scales = np.maximum(top_terms.max(axis=1) * matrix_bounds, 1e-300)
-
-    residuals = np.empty(len(rows))
-    for n, tau in enumerate(transforms):
-        terms = (rows[: n + 1] - rows_routed[: n + 1] * tau) * rho_powers[n::-1]
-        residuals[n] = np.abs(coeffs[n, : n + 1] @ terms).max()
-    return residuals / scales
+    service = orders * rows * model.service_rates
+    # all rows @ P in one product, and no K x K temporary
+    entering = (palm_rows @ model.routing) * exit_rates
+    leaving = palm_rows * exit_rates
+    arrivals = np.zeros_like(rows)
+    arrivals[1:] = orders[1:] * rows[:-1] * model.arrival_rates
+    gap = np.abs(service - (entering - leaving) - arrivals).max(axis=1)
+    scale = np.max([np.abs(term).max(axis=1) for term in (service, entering, leaving, arrivals)], axis=0)
+    return gap / np.maximum(scale, 1e-300)
 
 
 @lru_cache(maxsize=None)
-def _signed_binomials(n_max: int) -> np.ndarray:
-    """(-1)^j C(n, j) at [n, j] for n, j <= n_max, 0 above the diagonal; built once, read-only."""
+def _binomials(n_max: int) -> np.ndarray:
+    """C(n, j) at [n, j] for n, j <= n_max, 0 above the diagonal; built once, read-only."""
     table = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
-        table[n, : n + 1] = [(-1.0) ** j * math.comb(n, j) for j in range(n + 1)]
+        table[n, : n + 1] = [math.comb(n, j) for j in range(n + 1)]
     table.flags.writeable = False
     return table
 
-
-def _transform_table(sojourns, arguments: np.ndarray) -> np.ndarray:
-    """``sojourns[k].laplace(arguments[i, k])``, evaluated one law family at a time."""
-    families = {}
-    for k, dist in enumerate(sojourns):
-        families.setdefault(type(dist), []).append(k)
-    table = np.empty_like(arguments)
-    for family, states in families.items():
-        table[:, states] = family.laplace_table([sojourns[k] for k in states], arguments[:, states])
-    return table

@@ -7,6 +7,7 @@ from mminfenv import (
     assemble_moment_table,
     chain_statics,
     load_model,
+    moments,
     palm_moment_vectors,
     stationary_moment_vectors,
     structural_checks,
@@ -16,8 +17,9 @@ from conftest import MODELS_DIR
 
 SHIPPED = sorted(MODELS_DIR.glob("*.yaml"))
 
-# the verdicts that read the Palm or stationary vectors of the table
-READS_VECTORS = {"forward-relation", "markovian-identity", "two-state-closed-form"}
+# the verdicts that read the Palm or stationary vectors of the table (the
+# two-state closed form only up to order 8)
+READS_VECTORS = {"rate-conservation", "two-state-closed-form"}
 
 
 def verdicts_of(model, statics, palm):
@@ -27,19 +29,54 @@ def verdicts_of(model, statics, palm):
     return {v.name: v for v in structural_checks(model, table)}
 
 
-@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: Path(path).stem)
-def test_perturbed_order_2_fails_every_verdict_that_reads_it(path):
-    # a relative error of 1e-6 in the order-2 Palm vector, carried into the
-    # stationary vectors, must fail every check that reads the vectors and
-    # leave the others passing
+def perturbed_verdicts(path, order):
+    """The verdicts after a relative error of 1e-6 in the order-n Palm vector, all passing before it.
+
+    The error is carried into the stationary vectors; the table has order 20.
+    """
     model = load_model(path)
     statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, 6)
+    palm = palm_moment_vectors(model, statics, 20)
     assert all(v.passed for v in verdicts_of(model, statics, palm).values())
-
     vectors = list(palm.vectors)
-    vectors[2] = vectors[2] * (1.0 + 1e-6)
-    verdicts = verdicts_of(model, statics, dataclasses.replace(palm, vectors=tuple(vectors)))
-    assert "forward-relation" in verdicts
+    vectors[order] = vectors[order] * (1.0 + 1e-6)
+    return verdicts_of(model, statics, dataclasses.replace(palm, vectors=tuple(vectors)))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: Path(path).stem)
+def test_perturbed_order_2_fails_every_verdict_that_reads_it(path):
+    # every check that reads the vectors must fail, and the others pass
+    verdicts = perturbed_verdicts(path, 2)
+    assert "rate-conservation" in verdicts
     for name, verdict in verdicts.items():
         assert verdict.passed == (name not in READS_VECTORS), (name, verdict.residual)
+
+
+@pytest.mark.parametrize("order", [10, 20])
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: Path(path).stem)
+def test_perturbed_high_order_fails_rate_conservation(path, order):
+    # above the closed form's depth only rate conservation reads the
+    # vectors, and its sensitivity must not decay with the order
+    verdicts = perturbed_verdicts(path, order)
+    conservation = verdicts.pop("rate-conservation")
+    assert not conservation.passed, conservation.residual
+    assert all(v.passed for v in verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("name", ["k2_gamma_exp", "k3_mixed"])
+def test_stationary_update_with_palm_weights_fails_rate_conservation(name, monkeypatch):
+    # the stationary update must read the residual weights: built with the
+    # Palm weights it is wrong wherever a sojourn is not exponential, and
+    # only rate conservation ties it to the Palm solve.  (On identical.yaml
+    # every table of weights that sums to one gives the exact rho^n, so
+    # that fault changes no number there.)
+    model = load_model(MODELS_DIR / f"{name}.yaml")
+    statics = chain_statics(model)
+    palm = palm_moment_vectors(model, statics, 20)
+    original = moments._weights
+    monkeypatch.setattr(
+        moments, "_weights", lambda sojourns, service, n_max, residual=False: original(sojourns, service, n_max)
+    )
+    verdicts = verdicts_of(model, statics, palm)
+    assert not verdicts["rate-conservation"].passed, verdicts["rate-conservation"].residual
+    assert verdicts["solve-backsubstitution"].passed

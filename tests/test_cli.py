@@ -108,6 +108,9 @@ class TestMoments:
         assert payload["command"] == "moments"
         assert payload["model"]["schema_version"] == 1
         assert len(payload["table"]["factorial"]["occupancy"]) == 4
+        residuals = payload["table"]["conservation_residuals"]
+        assert len(residuals) == 4 and max(residuals) <= 1e-14
+        assert "identity_residuals" not in payload["table"]
 
     def test_out_reports_the_solver_of_each_order(self, capsys, tmp_path):
         # palm_steps[n]: 0 for an LU order, else the products of its series;
@@ -230,7 +233,7 @@ class TestValidate:
         assert "overall: PASS" in out
 
     def test_long_deterministic_sojourn_passes_at_order_20(self, capsys, tmp_path):
-        # the forward relation at order 20 needs tau = exp(-700), not 1/tau
+        # tau = exp(-700) at order 20: no check may divide by it
         document = {
             "schema_version": 1,
             "mu": 1.0,
@@ -249,17 +252,19 @@ class TestValidate:
         assert "overall: PASS" in out
 
     def test_applicable_checks_listed(self, capsys):
+        # one identity check, on every model
+        for model in SHIPPED:
+            code, out, _ = run(capsys, "validate", "--model", model)
+            assert code == 0
+            assert "rate-conservation" in out
+            assert "forward-relation" not in out and "markovian-identity" not in out
         code, out, _ = run(capsys, "validate", "--model", K3_EXP)
-        assert code == 0
-        assert "markovian-identity" in out
         # the stationary vectors copy the Palm ones here: no check compares them
         assert "exponential-palm-match" not in out
-        assert "forward-relation" in out
         code, out, _ = run(capsys, "validate", "--model", K2_GAMMA)
         assert code == 0
         assert "two-state-closed-form" in out
         assert "gamma-product-formula" in out
-        assert "markovian-identity" not in out
         code, out, _ = run(capsys, "validate", "--model", K2_EXP)
         assert code == 0
         assert "kummer-sequence" in out
@@ -403,6 +408,23 @@ class TestCompare:
                            "--horizon", "2080")
         assert code == 0
         assert "occupancy" in out.splitlines()[-1]
+
+    def test_inconsistent_occupancy_fails_even_when_embedded_is_consistent(self, capsys, monkeypatch):
+        # the simulation samples at fixed times, so only the occupancy
+        # weighting decides; scaled occupancy moments must fail while the
+        # embedded ones, unchanged, stay consistent
+        def scaled_occupancy(*args, **kwargs):
+            table = compute_moment_table(*args, **kwargs)
+            table.aggregated["occupancy"] = table.aggregated["occupancy"] * 1.5
+            return table
+
+        monkeypatch.setattr(mminfenv.cli, "compute_moment_table", scaled_occupancy)
+        code, out, _ = run(capsys, "compare", "--model", IDENTICAL, "--order", "2",
+                           "--seed", "3", "--reps", "32", "--warmup", "20",
+                           "--horizon", "520")
+        assert code == 1
+        assert "consistent weighting(s): embedded" in out
+        assert "occupancy weighting is not consistent" in out.splitlines()[-1]
 
     def test_order_above_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "compare", "--model", IDENTICAL, "--order", "7")

@@ -43,6 +43,15 @@ def test_negative_argument_is_domain_error():
             dist.residual_laplace(-1e-9)
 
 
+def test_non_finite_argument_is_domain_error():
+    for dist in ALL_FAMILIES:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dist.laplace(bad)
+            with pytest.raises(ValueError):
+                dist.residual_laplace(bad)
+
+
 def test_laplace_monotone_decreasing_in_unit_interval():
     grid = np.linspace(0.0, 8.0, 60)
     for dist in ALL_FAMILIES:
@@ -178,36 +187,3 @@ def test_gamma_residual_sampling_cdf_against_quadrature():
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ModelError):
         bad()
-
-
-TABLE_LAWS = {
-    Exponential: [Exponential(rate=2.0), Exponential(rate=0.37), Exponential(rate=1e-3)],
-    Gamma: [Gamma(shape=2.0, rate=3.0), Gamma(shape=0.5, rate=1.0), Gamma(shape=2.6, rate=0.4)],
-    Deterministic: [Deterministic(value=1.0), Deterministic(value=0.3), Deterministic(value=35.0)],
-    HyperExponential: [
-        HyperExponential(probs=(0.3, 0.7), rates=(0.5, 2.0)),
-        HyperExponential(probs=(0.0, 1.0), rates=(4.0, 0.8)),
-        HyperExponential(probs=(1.0,), rates=(1.3,)),
-    ],
-}
-
-
-@pytest.mark.parametrize("family", list(TABLE_LAWS), ids=lambda family: family.__name__)
-def test_laplace_table_equals_scalar_laplace_bit_for_bit(family):
-    # arguments n a_k as the forward check forms them, with a zero-speed
-    # column (all arguments 0) and a non-integer speed
-    laws = TABLE_LAWS[family]
-    arguments = np.multiply.outer(np.arange(21), np.array([0.0, 0.713, 2.9]))
-    table = family.laplace_table(laws, arguments)
-    assert table.shape == arguments.shape
-    expected = np.array([[law.laplace(s) for law, s in zip(laws, row)] for row in arguments.tolist()])
-    assert np.array_equal(table, expected)
-    assert np.all(table[:, 0] == 1.0)
-
-
-def test_laplace_table_rejects_bad_arguments():
-    for family, laws in TABLE_LAWS.items():
-        for bad in (-0.5, np.nan, np.inf):
-            arguments = np.array([[0.0, 1.0, bad]])
-            with pytest.raises(ValueError):
-                family.laplace_table(laws, arguments)

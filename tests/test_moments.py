@@ -20,11 +20,10 @@ from mminfenv import (
     closedform,
     compute_moment_table,
     estimate_factorial_moments,
-    forward_relation_residuals,
     load_model,
-    markovian_identity_residuals,
     offered_loads,
     palm_moment_vectors,
+    rate_conservation_residuals,
     stationary_moment_vectors,
 )
 from mminfenv import environment, moments
@@ -105,6 +104,35 @@ def zero_speed_model(k_count, rng):
     )
 
 
+def zero_speed_state_model():
+    """A deterministic state with zero speed and zero arrivals between two exponential states."""
+    return EnvironmentModel(
+        arrival_rates=[2.0, 0.0, 1.0],
+        speeds=[1.0, 0.0, 0.5],
+        sojourns=(Exponential(1.0), Deterministic(0.5), Exponential(2.0)),
+        mu=1.0,
+        routing=[[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+    )
+
+
+def long_deterministic_model(value, arrival_rates=(1.0, 1.0)):
+    """Deterministic(value) alternating with Exponential(1): tau = exp(-n value) underflows at high orders."""
+    return EnvironmentModel(
+        arrival_rates=list(arrival_rates),
+        speeds=[1.0, 1.0],
+        sojourns=(Deterministic(value), Exponential(1.0)),
+        mu=1.0,
+        routing=[[0.0, 1.0], [1.0, 0.0]],
+    )
+
+
+def conservation_residuals(model, n_max):
+    """``rate_conservation_residuals`` of the model's Palm and stationary vectors."""
+    statics = chain_statics(model)
+    palm = palm_moment_vectors(model, statics, n_max)
+    return rate_conservation_residuals(model, statics, palm, stationary_moment_vectors(model, statics, palm))
+
+
 CONDITION_MODELS = [
     pytest.param(partial(load_model, path), id=path.stem)
     for path in sorted(MODELS_DIR.glob("*.yaml"))
@@ -121,6 +149,16 @@ CONDITION_MODELS = [
 LU_MODELS = CONDITION_MODELS[:5] + [
     pytest.param(partial(seeded, random_mixed_model, k_count), id=f"random_mixed_model-k{k_count}")
     for k_count in (5, 20, 50, 60)
+]
+
+
+# the shipped models, mixed draws up to K = 200, a zero-speed state and an underflowing tau
+CONSERVATION_MODELS = CONDITION_MODELS[:5] + [
+    pytest.param(partial(seeded, random_mixed_model, k_count), id=f"random_mixed_model-k{k_count}")
+    for k_count in (3, 8, 60, 200)
+] + [
+    pytest.param(zero_speed_state_model, id="zero_speed_state_model"),
+    pytest.param(partial(long_deterministic_model, 300.0, (3.0, 0.2)), id="deterministic-300"),
 ]
 
 
@@ -637,10 +675,13 @@ class TestMomentTable:
         with pytest.raises(TypeError):
             compute_moment_table(k3_mixed_model, n_max=3, weighting="embedded")
 
-    def test_identity_residuals_recorded(self, k3_exponential_model):
-        table = compute_moment_table(k3_exponential_model, n_max=4)
-        assert np.max(table.identity_residuals["forward_relation"]) < 1e-12
-        assert np.max(table.identity_residuals["markovian_identity"]) < 1e-12
+    @pytest.mark.parametrize("build", CONSERVATION_MODELS)
+    def test_identity_residuals_recorded(self, build):
+        # rate conservation applies to every model and holds to roundoff at every order
+        table = compute_moment_table(build(), n_max=20)
+        residuals = table.conservation_residuals
+        assert residuals is not None and residuals.shape == (21,)
+        assert np.max(residuals) <= 1e-14
 
     def test_flow_balance_under_occupancy(self):
         # equal service rates: the mean count is the occupancy-weighted
@@ -763,21 +804,6 @@ class TestFixedCosts:
         assert (chain_statics(model).steps > 0) == (solves == 0)
         assert len(calls) == solves
 
-    def test_forward_check_makes_no_scalar_exponential_transform_call(self, monkeypatch):
-        # exponential states, alone or beside other families, read the array transform
-        calls = []
-        original = Exponential.laplace
-        monkeypatch.setattr(Exponential, "laplace", lambda self, s: calls.append(s) or original(self, s))
-        for build in (random_exponential_model, random_mixed_model):
-            model = build(50, np.random.default_rng(50))
-            statics = chain_statics(model)
-            palm = palm_moment_vectors(model, statics, n_max=20)
-            calls.clear()
-            residuals = forward_relation_residuals(model, statics, palm)
-            assert not calls
-            assert np.max(residuals) < 1e-12
-        assert {type(dist) for dist in model.sojourns} == {Exponential, Gamma, Deterministic, HyperExponential}
-
     def test_stacked_gauss_rules_equal_one_rule_at_a_time(self):
         # one stacked eigen-solve gives every rule bit for bit as one solve per rule
         rng = np.random.default_rng(11)
@@ -823,53 +849,32 @@ class TestFixedCosts:
 
 class TestIdentityChecks:
     def test_markovian_identity_randomized(self):
+        # exponential sojourns: rate conservation is the generator identity of the Markov environment
         rng = np.random.default_rng(41)
         for _ in range(5):
-            model = random_exponential_model(3, rng)
-            statics = chain_statics(model)
-            palm = palm_moment_vectors(model, statics, n_max=6)
-            stationary = stationary_moment_vectors(model, statics, palm)
-            residuals = markovian_identity_residuals(model, statics, stationary)
-            assert np.max(residuals) < 1e-9
+            assert np.max(conservation_residuals(random_exponential_model(3, rng), 6)) < 1e-9
 
-    def test_markovian_identity_identical_state_first_order(self):
-        beta, mu = 1.0, 1.0
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0],
-            speeds=[beta, beta],
-            sojourns=(Exponential(1.0), Exponential(2.0)),
-            mu=mu,
-            routing=[[0.0, 1.0], [1.0, 0.0]],
-        )
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, n_max=1)
-        stationary = stationary_moment_vectors(model, statics, palm)
-        residuals = markovian_identity_residuals(model, statics, stationary)
-        assert residuals[1] < 1e-13
-
-    def test_markovian_identity_not_applicable(self, k3_mixed_model):
-        statics = chain_statics(k3_mixed_model)
-        palm = palm_moment_vectors(k3_mixed_model, statics, n_max=2)
-        stationary = stationary_moment_vectors(k3_mixed_model, statics, palm)
-        assert markovian_identity_residuals(k3_mixed_model, statics, stationary) is None
-
-    def test_forward_relation_randomized(self):
+    def test_rate_conservation_randomized(self):
         rng = np.random.default_rng(43)
         for _ in range(5):
-            model = random_mixed_model(int(rng.integers(2, 5)), rng)
-            statics = chain_statics(model)
-            palm = palm_moment_vectors(model, statics, n_max=6)
-            residuals = forward_relation_residuals(model, statics, palm)
+            residuals = conservation_residuals(random_mixed_model(int(rng.integers(2, 5)), rng), 6)
             assert residuals.shape == (7,)
             assert np.max(residuals) < 1e-9
 
-    def test_forward_relation_order_zero_is_stationarity(self, k3_mixed_model):
-        statics = chain_statics(k3_mixed_model)
-        palm = palm_moment_vectors(k3_mixed_model, statics, n_max=0)
-        residuals = forward_relation_residuals(k3_mixed_model, statics, palm)
-        assert residuals[0] < 1e-14
+    def test_markovian_identity_identical_state_first_order(self):
+        model = EnvironmentModel(
+            arrival_rates=[1.0, 1.0],
+            speeds=[1.0, 1.0],
+            sojourns=(Exponential(1.0), Exponential(2.0)),
+            mu=1.0,
+            routing=[[0.0, 1.0], [1.0, 0.0]],
+        )
+        assert conservation_residuals(model, 1)[1] < 1e-13
 
-    def test_forward_relation_symmetric_two_state(self):
+    def test_order_zero_is_stationarity(self, k3_mixed_model):
+        assert conservation_residuals(k3_mixed_model, 0)[0] < 1e-14
+
+    def test_symmetric_two_state(self):
         model = EnvironmentModel(
             arrival_rates=[1.5, 1.5],
             speeds=[1.0, 1.0],
@@ -877,24 +882,13 @@ class TestIdentityChecks:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, n_max=4)
-        assert np.max(forward_relation_residuals(model, statics, palm)) < 1e-13
+        assert np.max(conservation_residuals(model, 4)) < 1e-13
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_forward_relation_long_deterministic_sojourn(self):
+    def test_long_deterministic_sojourn(self):
         # tau = exp(-700) at order 20: a relation that divided by tau
         # overflowed to NaN on these correct moments
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0],
-            speeds=[1.0, 1.0],
-            sojourns=(Deterministic(35.0), Exponential(1.0)),
-            mu=1.0,
-            routing=[[0.0, 1.0], [1.0, 0.0]],
-        )
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, n_max=20)
-        residuals = forward_relation_residuals(model, statics, palm)
+        residuals = conservation_residuals(long_deterministic_model(35.0), 20)
         assert np.all(np.isfinite(residuals))
         assert np.max(residuals) <= 1e-12
 
@@ -1037,15 +1031,7 @@ class TestWeights:
 def test_zero_speed_state_supported():
     # a state may have zero speed when it also has zero arrivals; the
     # order-n diagonal entry there is 1 and the system stays invertible
-    model = EnvironmentModel(
-        arrival_rates=[2.0, 0.0, 1.0],
-        speeds=[1.0, 0.0, 0.5],
-        sojourns=(Exponential(1.0), Deterministic(0.5), Exponential(2.0)),
-        mu=1.0,
-        routing=[[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
-    )
-    statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, n_max=5)
+    model = zero_speed_state_model()
+    palm = palm_moment_vectors(model, chain_statics(model), n_max=5)
     assert np.nanmax(palm.solve_residual) < 1e-10
-    residuals = forward_relation_residuals(model, statics, palm)
-    assert np.max(residuals) < 1e-9
+    assert np.max(conservation_residuals(model, 5)) < 1e-9

@@ -172,4 +172,4 @@ def test_underflowed_transform_matches_extended_precision():
         routing=[[0.0, 1.0], [1.0, 0.0]],
     )
     table = assert_matches_reference(model, digits=3000)
-    assert np.max(table.identity_residuals["forward_relation"]) <= 1e-12
+    assert np.max(table.conservation_residuals) <= 1e-12
