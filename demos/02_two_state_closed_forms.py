@@ -2,39 +2,41 @@
 Two-state closed forms
 ======================
 
-With two alternating states and an exponential sojourn in state 2, the
-Palm moments have an explicit product form.  Two classical special
-cases fall out of it: an exponential state 1 gives the coefficient
-sequence of a Kummer confluent-hypergeometric function, and a gamma
-state 1 gives a rational product.  This script evaluates all three
-routes and pits them against the general matrix recursion.
+With two alternating states and an exponential sojourn in one of them
+(the formula's state 2), the Palm moments have an explicit product
+form.  Two classical special cases fall out of it: an exponential
+state 1 gives the coefficient sequence of a Kummer confluent-
+hypergeometric function, and a gamma state 1 gives a rational product.
+This script evaluates all three routes on the same ``EnvironmentModel``
+the general matrix recursion reads, and pits them against it.
 """
 
 import numpy as np
 
-from mminfenv import Exponential, Gamma, TwoStateModel, kummer_reference, palm_moment_vectors
-from mminfenv.closedform import (
-    gamma_sojourn_reference,
-    palm_moments,
-    shifted_palm_moments,
-    to_environment,
-)
+from mminfenv import EnvironmentModel, Exponential, Gamma, kummer_reference, offered_loads, palm_moment_vectors
+from mminfenv.closedform import gamma_sojourn_reference, palm_moments, roles, shifted_palm_moments
+
+
+def two_state(arrival_rates, service_rates, sojourns):
+    """Alternating routing, mu = 1, so the speeds are the service rates."""
+    return EnvironmentModel(
+        arrival_rates=arrival_rates,
+        speeds=service_rates,
+        sojourns=sojourns,
+        mu=1.0,
+        routing=[[0.0, 1.0], [1.0, 0.0]],
+    )
+
 
 ###############################################################################
 # Both states exponential: the Kummer route.
 # With unit rates and arrivals only in state 2, the shifted moments are
 # the rising-factorial ratios (1)_n / (3)_n: 1, 1/3, 1/6, ...
 
-model = TwoStateModel(
-    arrival_rate_1=0.0,
-    arrival_rate_2=1.0,
-    service_rate_1=1.0,
-    service_rate_2=1.0,
-    sojourn_1=Exponential(1.0),
-    sojourn_2=Exponential(1.0),
-)
-shifted_1, _ = shifted_palm_moments(model, 6)
-kummer = kummer_reference(a=1.0, b=1.0, rho_star=model.rho_star, n_max=6)
+model = two_state([0.0, 1.0], [1.0, 1.0], (Exponential(1.0), Exponential(1.0)))
+rho = offered_loads(model)
+shifted_1 = shifted_palm_moments(model, 6)[0]
+kummer = kummer_reference(a=1.0, b=1.0, rho_star=rho[1] - rho[0], n_max=6)
 print("shifted state-1 moments:", np.round(shifted_1, 10).tolist())
 print("kummer coefficients:    ", np.round(kummer, 10).tolist())
 
@@ -42,40 +44,30 @@ print("kummer coefficients:    ", np.round(kummer, 10).tolist())
 # Gamma state 1: the rational product, checked against the product form
 # and against the general K-state recursion.
 
-model = TwoStateModel(
-    arrival_rate_1=0.5,
-    arrival_rate_2=2.0,
-    service_rate_1=0.8,
-    service_rate_2=1.0,
-    sojourn_1=Gamma(shape=2.0, rate=1.5),
-    sojourn_2=Exponential(1.0),
-)
+model = two_state([0.5, 2.0], [0.8, 1.0], (Gamma(shape=2.0, rate=1.5), Exponential(1.0)))
 product = shifted_palm_moments(model, 8)[0]
-direct = gamma_sojourn_reference(model, 8)
+direct = gamma_sojourn_reference(model, 8)[0]
 print("\ngamma model, shifted moments:")
 print("  product form :", np.round(product[:5], 8).tolist())
 print("  gamma formula:", np.round(direct[:5], 8).tolist())
 print("  max relative gap:", np.max(np.abs(direct / product - 1.0)))
 
-plain_1, plain_2 = palm_moments(model, 8)
-general = palm_moment_vectors(to_environment(model), n_max=8)
-recursion_1 = np.array([v[0] for v in general.vectors])
-recursion_2 = np.array([v[1] for v in general.vectors])
+plain = palm_moments(model, 8)
+recursion = np.array(palm_moment_vectors(model, n_max=8).vectors).T
 print("\nplain Palm moments, closed form vs matrix recursion:")
-print("  state 1 gap:", np.max(np.abs(recursion_1 / plain_1 - 1.0)))
-print("  state 2 gap:", np.max(np.abs(recursion_2 / plain_2 - 1.0)))
+print("  state 1 gap:", np.max(np.abs(recursion[0] / plain[0] - 1.0)))
+print("  state 2 gap:", np.max(np.abs(recursion[1] / plain[1] - 1.0)))
+
+# Listing the exponential state first changes nothing but the row order.
+relisted = two_state([2.0, 0.5], [1.0, 0.8], (Exponential(1.0), Gamma(shape=2.0, rate=1.5)))
+print("  exponential state listed first: roles", roles(relisted),
+      "rows exchanged bit for bit:", np.array_equal(palm_moments(relisted, 8), plain[::-1]))
 
 ###############################################################################
 # The load difference may be negative; the formulas are signed.
 
-heavy_first = TwoStateModel(
-    arrival_rate_1=3.0,
-    arrival_rate_2=0.5,
-    service_rate_1=1.0,
-    service_rate_2=1.0,
-    sojourn_1=Exponential(1.0),
-    sojourn_2=Exponential(1.0),
-)
+heavy_first = two_state([3.0, 0.5], [1.0, 1.0], (Exponential(1.0), Exponential(1.0)))
+rho = offered_loads(heavy_first)
 shifted = shifted_palm_moments(heavy_first, 4)[0]
-print(f"\nrho_star = {heavy_first.rho_star} (negative):",
+print(f"\nrho_star = {rho[1] - rho[0]} (negative):",
       "shifted moments alternate in sign:", np.round(shifted, 6).tolist())

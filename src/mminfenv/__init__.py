@@ -20,7 +20,7 @@ from .environment import (
     mean_cycle_length,
 )
 from .errors import EstimationError, ModelError, NumericError
-from .closedform import TwoStateModel, kummer_reference
+from .closedform import kummer_reference
 from .checks import CheckVerdict, structural_checks
 from .modelfile import load_model, model_to_dict, parse_model
 from .moments import (
@@ -65,7 +65,6 @@ __all__ = [
     "SimulationEstimate",
     "SojournDistribution",
     "StirlingTables",
-    "TwoStateModel",
     "assemble_moment_table",
     "chain_statics",
     "compute_moment_table",

@@ -14,6 +14,7 @@ import numpy as np
 from . import closedform
 from .distributions import Exponential, Gamma
 from .errors import ModelError
+from .moments import offered_loads
 
 __all__ = ["DEFAULT_TOLERANCES", "CheckVerdict", "structural_checks"]
 
@@ -72,30 +73,34 @@ def structural_checks(model, table, tolerances=DEFAULT_TOLERANCES) -> list:
     verdicts.append(CheckVerdict("rate-conservation", conservation, tolerances["tol_identity"]))
 
     try:
-        two_state, swapped = closedform.from_environment(model)
+        first, second = closedform.roles(model)
     except ModelError:
         return verdicts
     depth = min(table.n_max, 8)
-    shifted = closedform.shifted_palm_moments(two_state, depth)
-    references = closedform.palm_from_shifted(two_state, shifted)
+    shifted = closedform.shifted_palm_moments(model, depth)
+    reference = closedform.palm_from_shifted(model, shifted)
     computed = np.array(table.palm[: depth + 1]).T
-    states = (1, 0) if swapped else (0, 1)
-    gap = max(_relative_gap(computed[k], ref) for k, ref in zip(states, references))
+    gap = _relative_gap(computed, reference)
     verdicts.append(CheckVerdict("two-state-closed-form", gap, tolerances["tol_closedform"]))
 
-    if isinstance(two_state.sojourn_1, Exponential):
+    sojourn_1 = model.sojourns[first]
+    if isinstance(sojourn_1, Exponential):
+        service = model.service_rates
+        rho = offered_loads(model)
         kummer = closedform.kummer_reference(
-            a=two_state.sojourn_1.rate / two_state.service_rate_1,
-            b=two_state.exit_rate_2 / two_state.service_rate_2,
-            rho_star=two_state.rho_star,
+            a=sojourn_1.rate / service[first],
+            b=model.sojourns[second].rate / service[second],
+            rho_star=rho[second] - rho[first],
             n_max=depth,
         )
         verdicts.append(
-            CheckVerdict("kummer-sequence", _relative_gap(shifted[0], kummer), tolerances["tol_kummer"])
+            CheckVerdict("kummer-sequence", _relative_gap(shifted[first], kummer), tolerances["tol_kummer"])
         )
-    if isinstance(two_state.sojourn_1, Gamma):
-        gamma_form = closedform.gamma_sojourn_reference(two_state, depth)
+    if isinstance(sojourn_1, Gamma):
+        gamma_form = closedform.gamma_sojourn_reference(model, depth)
         verdicts.append(
-            CheckVerdict("gamma-product-formula", _relative_gap(shifted[0], gamma_form), tolerances["tol_gamma"])
+            CheckVerdict(
+                "gamma-product-formula", _relative_gap(shifted[first], gamma_form[first]), tolerances["tol_gamma"]
+            )
         )
     return verdicts

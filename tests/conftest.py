@@ -11,8 +11,8 @@ from mminfenv import (
     Exponential,
     Gamma,
     HyperExponential,
-    TwoStateModel,
     load_model,
+    offered_loads,
 )
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -83,8 +83,11 @@ def ring_model(k_count: int, rng: np.random.Generator, mu: float = None) -> Envi
     )
 
 
-def random_two_state_model(rng: np.random.Generator, family: str) -> TwoStateModel:
-    """Random in-scope two-state model with the given state-1 family."""
+def random_two_state_model(rng: np.random.Generator, family: str) -> EnvironmentModel:
+    """Random in-scope two-state model: the given family in state 1, an exponential state 2.
+
+    mu is 1, so the drawn speeds are the service rates exactly.
+    """
     if family == "gamma":
         sojourn_1 = Gamma(shape=float(rng.uniform(0.5, 3.0)), rate=float(rng.uniform(0.5, 2.0)))
     elif family == "deterministic":
@@ -97,14 +100,33 @@ def random_two_state_model(rng: np.random.Generator, family: str) -> TwoStateMod
         sojourn_1 = Exponential(rate=float(rng.uniform(0.5, 2.0)))
     else:
         raise ValueError(family)
-    return TwoStateModel(
-        arrival_rate_1=float(rng.uniform(0.0, 3.0)),
-        arrival_rate_2=float(rng.uniform(0.0, 3.0)),
-        service_rate_1=float(rng.uniform(0.3, 1.0)),
-        service_rate_2=float(rng.uniform(0.3, 1.0)),
-        sojourn_1=sojourn_1,
-        sojourn_2=Exponential(rate=float(rng.uniform(0.5, 2.0))),
+    arrival_rates = [float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 3.0))]
+    speeds = [float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 1.0))]
+    return two_state_model(
+        arrival_rates, speeds, (sojourn_1, Exponential(rate=float(rng.uniform(0.5, 2.0))))
     )
+
+
+def two_state_model(arrival_rates, service_rates, sojourns) -> EnvironmentModel:
+    """Two alternating states with the given service rates (at most 1) as speeds, mu = 1."""
+    return EnvironmentModel(
+        arrival_rates=arrival_rates,
+        speeds=service_rates,
+        sojourns=tuple(sojourns),
+        mu=1.0,
+        routing=[[0.0, 1.0], [1.0, 0.0]],
+    )
+
+
+def kummer_parameters(model: EnvironmentModel) -> dict:
+    """Kummer's a, b and rho_star for a two-state model whose state 1 is listed first.
+
+    a and b are each state's sojourn rate over its service rate, and
+    rho_star = rho_2 - rho_1 the offered-load difference.
+    """
+    a, b = (law.rate / rate for law, rate in zip(model.sojourns, model.service_rates))
+    rho = offered_loads(model)
+    return {"a": a, "b": b, "rho_star": rho[1] - rho[0]}
 
 
 def identical_state_model(rho: float = 2.0) -> EnvironmentModel:

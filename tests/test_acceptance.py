@@ -14,32 +14,29 @@ from mminfenv import (
     Gamma,
     SimulationConfig,
     StirlingTables,
-    TwoStateModel,
     chain_statics,
     compute_moment_table,
     estimate_factorial_moments,
     kummer_reference,
     load_model,
     mean_cycle_length,
+    offered_loads,
     palm_moment_vectors,
     rate_conservation_residuals,
     stationary_moment_vectors,
 )
-from mminfenv.closedform import (
-    gamma_sojourn_reference,
-    palm_moments,
-    shifted_palm_moments,
-    to_environment,
-)
+from mminfenv.closedform import gamma_sojourn_reference, palm_moments, shifted_palm_moments
 from mminfenv.cli import main
 from mminfenv.sim import _replication_estimate, _sampling_grid
 
 from conftest import (
     MODELS_DIR,
     identical_state_model,
+    kummer_parameters,
     random_exponential_model,
     random_mixed_model,
     random_two_state_model,
+    two_state_model,
 )
 
 
@@ -123,34 +120,24 @@ def test_criterion_3_two_state_closed_form():
     worst_closed = 0.0
     for index in range(20):
         model = random_two_state_model(rng, families[index % 3])
-        reference_1, reference_2 = palm_moments(model, 8)
-        general = palm_moment_vectors(to_environment(model), n_max=8)
-        computed_1 = np.array([v[0] for v in general.vectors])
-        computed_2 = np.array([v[1] for v in general.vectors])
-        worst_closed = max(
-            worst_closed,
-            max_relative_gap(computed_1, reference_1),
-            max_relative_gap(computed_2, reference_2),
-        )
+        reference = palm_moments(model, 8)
+        general = np.array(palm_moment_vectors(model, n_max=8).vectors).T
+        worst_closed = max(worst_closed, max_relative_gap(general, reference))
     worst_kummer = 0.0
     for _ in range(8):
         model = random_two_state_model(rng, "exponential")
-        kummer_shifted = kummer_reference(
-            a=model.sojourn_1.rate / model.service_rate_1,
-            b=model.exit_rate_2 / model.service_rate_2,
-            rho_star=model.rho_star,
-            n_max=8,
-        )
+        kummer_shifted = kummer_reference(**kummer_parameters(model), n_max=8)
         # closed form against the Kummer sequence
-        shifted_1, _ = shifted_palm_moments(model, 8)
+        shifted_1 = shifted_palm_moments(model, 8)[0]
         worst_kummer = max(worst_kummer, max_relative_gap(shifted_1, kummer_shifted))
         # general recursion against the Kummer sequence, through the load shift
-        general = palm_moment_vectors(to_environment(model), n_max=8)
+        general = palm_moment_vectors(model, n_max=8)
         computed_1 = np.array([v[0] for v in general.vectors])
+        rho_1 = offered_loads(model)[0]
         from_kummer = np.array(
             [
                 sum(
-                    math.comb(n, j) * model.rho_1 ** (n - j) * kummer_shifted[j]
+                    math.comb(n, j) * rho_1 ** (n - j) * kummer_shifted[j]
                     for j in range(n + 1)
                 )
                 for n in range(9)
@@ -174,25 +161,14 @@ def test_criterion_4_gamma_reference():
     for shape in (0.5, 1.0, 2.0, 3.0):
         for _ in range(3):
             base = random_two_state_model(rng, "gamma")
-            model = TwoStateModel(
-                arrival_rate_1=base.arrival_rate_1,
-                arrival_rate_2=base.arrival_rate_2,
-                service_rate_1=base.service_rate_1,
-                service_rate_2=base.service_rate_2,
-                sojourn_1=Gamma(shape=shape, rate=base.sojourn_1.rate),
-                sojourn_2=base.sojourn_2,
-            )
+            sojourn_1 = Gamma(shape=shape, rate=base.sojourns[0].rate)
+            model = two_state_model(base.arrival_rates, base.speeds, (sojourn_1, base.sojourns[1]))
             direct = gamma_sojourn_reference(model, 8)
-            product = shifted_palm_moments(model, 8)[0]
+            product = shifted_palm_moments(model, 8)
             worst = max(worst, max_relative_gap(direct, product))
             if shape == 1.0:
-                kummer = kummer_reference(
-                    a=model.sojourn_1.rate / model.service_rate_1,
-                    b=model.exit_rate_2 / model.service_rate_2,
-                    rho_star=model.rho_star,
-                    n_max=8,
-                )
-                worst_collapse = max(worst_collapse, max_relative_gap(direct, kummer))
+                kummer = kummer_reference(**kummer_parameters(model), n_max=8)
+                worst_collapse = max(worst_collapse, max_relative_gap(direct[0], kummer))
     elapsed = time.perf_counter() - start
     report(
         "gamma-reference",
