@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from mminfenv import (
+    EnvironmentModel,
+    Exponential,
+    Gamma,
     assemble_moment_table,
     chain_statics,
     load_model,
@@ -29,12 +32,11 @@ def verdicts_of(model, statics, palm):
     return {v.name: v for v in structural_checks(model, table)}
 
 
-def perturbed_verdicts(path, order):
+def perturbed_verdicts(model, order):
     """The verdicts after a relative error of 1e-6 in the order-n Palm vector, all passing before it.
 
     The error is carried into the stationary vectors; the table has order 20.
     """
-    model = load_model(path)
     statics = chain_statics(model)
     palm = palm_moment_vectors(model, statics, 20)
     assert all(v.passed for v in verdicts_of(model, statics, palm).values())
@@ -43,11 +45,32 @@ def perturbed_verdicts(path, order):
     return verdicts_of(model, statics, dataclasses.replace(palm, vectors=tuple(vectors)))
 
 
+def light_two_state_model(lam):
+    """A Gamma state and an exponential one, arrivals lam and lam / 2: order-n moments scale as lam^n."""
+    return EnvironmentModel(
+        arrival_rates=[lam, lam / 2.0],
+        speeds=[1.0, 0.6],
+        sojourns=(Gamma(2.0, 1.5), Exponential(0.8)),
+        mu=1.2,
+        routing=[[0.0, 1.0], [1.0, 0.0]],
+    )
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: Path(path).stem)
 def test_perturbed_order_2_fails_every_verdict_that_reads_it(path):
     # every check that reads the vectors must fail, and the others pass
-    verdicts = perturbed_verdicts(path, 2)
+    verdicts = perturbed_verdicts(load_model(path), 2)
     assert "rate-conservation" in verdicts
+    for name, verdict in verdicts.items():
+        assert verdict.passed == (name not in READS_VECTORS), (name, verdict.residual)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-3])
+def test_perturbed_closed_form_depth_fails_at_any_load(lam):
+    # at lam = 1e-3 the order-8 moments are ~1e-24: the closed-form gap
+    # must read the relative error, not an absolute one below 1e-12
+    verdicts = perturbed_verdicts(light_two_state_model(lam), 8)
+    assert verdicts["two-state-closed-form"].residual == pytest.approx(1e-6, rel=1e-3)
     for name, verdict in verdicts.items():
         assert verdict.passed == (name not in READS_VECTORS), (name, verdict.residual)
 
@@ -57,7 +80,7 @@ def test_perturbed_order_2_fails_every_verdict_that_reads_it(path):
 def test_perturbed_high_order_fails_rate_conservation(path, order):
     # above the closed form's depth only rate conservation reads the
     # vectors, and its sensitivity must not decay with the order
-    verdicts = perturbed_verdicts(path, order)
+    verdicts = perturbed_verdicts(load_model(path), order)
     conservation = verdicts.pop("rate-conservation")
     assert not conservation.passed, conservation.residual
     assert all(v.passed for v in verdicts.values()), verdicts
