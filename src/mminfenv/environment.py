@@ -44,8 +44,14 @@ _SERIES_SHARE = 1.0 / 10.0
 _SERIES_CAP = 40.0
 
 # the sojourn laws the moment engine builds weights for, the simulator
-# samples and a model file names
-SOJOURN_FAMILIES = (Exponential, Gamma, Deterministic, HyperExponential)
+# samples and a model file names, by their name in a model file; a law's
+# dataclass fields are its parameter keys there
+SOJOURN_FAMILIES = {
+    "exponential": Exponential,
+    "gamma": Gamma,
+    "deterministic": Deterministic,
+    "hyperexponential": HyperExponential,
+}
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,8 @@ class EnvironmentModel:
         if len(sojourns) != lam.size:
             raise ModelError("one sojourn law per state is required")
         for k, dist in enumerate(sojourns):
-            if not isinstance(dist, SOJOURN_FAMILIES):
-                names = ", ".join(family.__name__ for family in SOJOURN_FAMILIES)
+            if not isinstance(dist, tuple(SOJOURN_FAMILIES.values())):
+                names = ", ".join(family.__name__ for family in SOJOURN_FAMILIES.values())
                 raise ModelError(f"state {k} has sojourn law {type(dist).__name__}, not one of {names}")
         if routing.shape != (lam.size, lam.size):
             raise ModelError(

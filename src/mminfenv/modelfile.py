@@ -22,12 +22,12 @@ Sojourn families and their parameter keys: exponential {rate}, gamma
 {shape, rate}, deterministic {value}, hyperexponential {probs, rates}.
 """
 
+import dataclasses
 import numbers
 
 import yaml
 
-from .distributions import Deterministic, Exponential, Gamma, HyperExponential
-from .environment import EnvironmentModel
+from .environment import SOJOURN_FAMILIES, EnvironmentModel
 from .errors import ModelError
 
 __all__ = ["SCHEMA_VERSION", "load_model", "parse_model", "model_to_dict"]
@@ -37,14 +37,6 @@ SCHEMA_VERSION = 1
 # libyaml's C parser when PyYAML was built with it (about ten times faster
 # on the shipped files); both build the same document tree
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-_FAMILY_KEYS = {
-    "exponential": {"rate"},
-    "gamma": {"shape", "rate"},
-    "deterministic": {"value"},
-    "hyperexponential": {"probs", "rates"},
-}
-
 
 def _require_keys(mapping: dict, allowed: set, context: str) -> None:
     if not isinstance(mapping, dict):
@@ -77,22 +69,18 @@ def _parse_sojourn(node: dict, context: str):
     if not isinstance(node, dict) or "family" not in node:
         raise ModelError(f"{context} must be a mapping with a 'family' field")
     family = node["family"]
-    if family not in _FAMILY_KEYS:
+    if family not in SOJOURN_FAMILIES:
         raise ModelError(
-            f"{context}: unknown family {family!r}; expected one of {sorted(_FAMILY_KEYS)}"
+            f"{context}: unknown family {family!r}; expected one of {sorted(SOJOURN_FAMILIES)}"
         )
-    _require_keys(node, _FAMILY_KEYS[family] | {"family"}, context)
-    if family == "hyperexponential":
-        return HyperExponential(
-            probs=tuple(_numbers(node["probs"], f"{context}.probs")),
-            rates=tuple(_numbers(node["rates"], f"{context}.rates")),
-        )
-    params = {key: _number(node[key], f"{context}.{key}") for key in sorted(_FAMILY_KEYS[family])}
-    if family == "exponential":
-        return Exponential(**params)
-    if family == "gamma":
-        return Gamma(**params)
-    return Deterministic(**params)
+    law = SOJOURN_FAMILIES[family]
+    fields = {field.name: field.type for field in dataclasses.fields(law)}
+    _require_keys(node, set(fields) | {"family"}, context)
+    params = {}
+    for key in sorted(fields):
+        parse = _numbers if fields[key] is tuple else _number
+        params[key] = parse(node[key], f"{context}.{key}")
+    return law(**params)
 
 
 def parse_model(document: dict) -> EnvironmentModel:
@@ -152,14 +140,12 @@ def load_model(path) -> EnvironmentModel:
 
 
 def _sojourn_to_dict(dist) -> dict:
-    if isinstance(dist, Exponential):
-        return {"family": "exponential", "rate": dist.rate}
-    if isinstance(dist, Gamma):
-        return {"family": "gamma", "shape": dist.shape, "rate": dist.rate}
-    if isinstance(dist, Deterministic):
-        return {"family": "deterministic", "value": dist.value}
-    # a model admits the four families only, so what is left is hyperexponential
-    return {"family": "hyperexponential", "probs": list(dist.probs), "rates": list(dist.rates)}
+    family = next(name for name, law in SOJOURN_FAMILIES.items() if isinstance(dist, law))
+    node = {"family": family}
+    for field in dataclasses.fields(dist):
+        value = getattr(dist, field.name)
+        node[field.name] = list(value) if field.type is tuple else value
+    return node
 
 
 def model_to_dict(model: EnvironmentModel) -> dict:
