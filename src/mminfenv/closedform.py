@@ -129,14 +129,16 @@ def palm_from_shifted(model, shifted) -> np.ndarray:
     A moment that leaves double precision raises NumericError.
     """
     _, _, (rho_1, _) = _paper_states(model)
-    shifted = np.asarray(shifted, dtype=float)
-    out = np.empty_like(shifted)
+    rows = np.asarray(shifted, dtype=float).tolist()
+    out = np.empty((len(rows), len(rows[0])))
     try:
-        for n in range(shifted.shape[1]):
-            acc = np.zeros(len(shifted))
-            for j in range(n + 1):
-                acc += math.comb(n, j) * rho_1 ** (n - j) * shifted[:, j]
-            out[:, n] = acc
+        for n in range(out.shape[1]):
+            weights = [math.comb(n, j) * rho_1 ** (n - j) for j in range(n + 1)]
+            for k, row in enumerate(rows):
+                acc = 0.0
+                for weight, value in zip(weights, row):
+                    acc += weight * value
+                out[k, n] = acc
     except OverflowError as exc:
         raise NumericError("two-state Palm moments overflowed double precision") from exc
     if not np.all(np.isfinite(out)):

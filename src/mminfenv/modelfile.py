@@ -38,6 +38,7 @@ SCHEMA_VERSION = 1
 # on the shipped files); both build the same document tree
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+
 def _require_keys(mapping: dict, allowed: set, context: str) -> None:
     if not isinstance(mapping, dict):
         raise ModelError(f"{context} must be a mapping, got {type(mapping).__name__}")

@@ -256,3 +256,9 @@ class TestGammaReference:
     def test_wrong_family_rejected(self):
         with pytest.raises(ModelError):
             gamma_sojourn_reference(example_two_state(), 4)
+
+    def test_overflow_raises_numeric_error(self):
+        # (g + n)^shape = 320^300 leaves double precision though the model is valid
+        model = example_two_state(arrivals=(1.0, 0.5), sojourns=(Gamma(300.0, 300.0), Exponential(1.0)))
+        with pytest.raises(NumericError, match="overflowed"):
+            gamma_sojourn_reference(model, 20)
