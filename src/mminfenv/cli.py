@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -353,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's own parser, built on its first call and reused; build_parser()
+# still hands every other caller a fresh one to extend
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 COMMANDS = {
     "moments": cmd_moments,
     "simulate": cmd_simulate,
@@ -362,8 +368,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = COMMANDS[args.command](args)
     except NumericError as exc:

@@ -11,7 +11,7 @@ import yaml
 import mminfenv
 from mminfenv import chain_statics, closedform, compute_moment_table, load_model, model_to_dict
 from mminfenv.checks import structural_checks
-from mminfenv.cli import main
+from mminfenv.cli import build_parser, main
 
 from conftest import MODELS_DIR, random_exponential_model, ring_model
 
@@ -496,3 +496,40 @@ def test_module_invocation_runs_the_verb(tmp_path):
     result = run_python("-m", "mminfenv.cli", "moments", "--model", str(bad), check=False)
     assert result.returncode == 2
     assert "input error" in result.stderr
+
+
+def test_main_is_reentrant_with_its_shared_parser(capsys, tmp_path):
+    # main parses with one parser per process: a usage error or a flag given
+    # to one call must leave nothing behind for the next
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--model", K2_GAMMA, "--no-such-flag"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    strict = tmp_path / "a.json"
+    assert run(capsys, "validate", "--model", K2_GAMMA, "--tol-identity", "1e-3",
+               "--out", str(strict))[0] == 0
+    assert json.loads(strict.read_text())["config"]["tolerances"]["tol_identity"] == 1e-3
+    in_process = tmp_path / "b.json"
+    code, out, err = run(capsys, "validate", "--model", K2_GAMMA, "--out", str(in_process))
+
+    fresh = tmp_path / "c.json"
+    result = run_python("-m", "mminfenv.cli", "validate", "--model", K2_GAMMA,
+                        "--out", str(fresh), check=False)
+    assert (code, out, err) == (result.returncode, result.stdout, result.stderr)
+    assert in_process.read_bytes() == fresh.read_bytes()
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("verb", ["moments", "simulate", "validate", "compare"])
+def test_help_exits_0_on_every_call(capsys, verb):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert f"usage: mminfenv {verb}" in texts[0]
