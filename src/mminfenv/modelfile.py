@@ -15,7 +15,8 @@ A model file is a single YAML document:
       - [0.0, 1.0]
       - [1.0, 0.0]
 
-Unknown keys are rejected anywhere in the tree (fail closed), every
+Unknown and repeated keys are rejected anywhere in the tree (fail
+closed: YAML would otherwise keep the last of two values), every
 numeric field must be an integer or a float (a bool, a string or null
 is a ModelError naming the field), and ``schema_version`` must be 1.
 Sojourn families and their parameter keys: exponential {rate}, gamma
@@ -24,6 +25,7 @@ Sojourn families and their parameter keys: exponential {rate}, gamma
 
 import dataclasses
 import numbers
+from collections.abc import Hashable
 
 import yaml
 
@@ -34,9 +36,35 @@ __all__ = ["SCHEMA_VERSION", "load_model", "parse_model", "model_to_dict"]
 
 SCHEMA_VERSION = 1
 
+
+class _UniqueKeys:
+    """Loader mixin: a key repeated within one mapping is a YAML error naming its line."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                if isinstance(key, Hashable):
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found duplicate key {key!r}", key_node.start_mark,
+                        )
+                    seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def _unique_keys(loader):
+    """``loader`` with the repeated-key check, under the same name."""
+    return type(loader.__name__, (_UniqueKeys, loader), {})
+
+
 # libyaml's C parser when PyYAML was built with it (about ten times faster
 # on the shipped files); both build the same document tree
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = _unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _require_keys(mapping: dict, allowed: set, context: str) -> None:

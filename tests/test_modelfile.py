@@ -17,7 +17,31 @@ from mminfenv.cli import main
 
 from conftest import MODELS_DIR
 
-LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+LOADERS = [
+    modelfile._unique_keys(loader)
+    for loader in [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+]
+
+# a valid two-state model file, then the same file with one key repeated:
+# (text, the repeated key, the line of its second occurrence)
+TWO_STATE_YAML = """\
+schema_version: 1
+mu: 1.0
+states:
+  - lambda: 1.0
+    beta: 1.0
+    sojourn: {family: exponential, rate: 2.0}
+  - lambda: 0.5
+    beta: 0.5
+    sojourn: {family: exponential, rate: 2.0}
+routing:
+  - [0.0, 1.0]
+  - [1.0, 0.0]
+"""
+DUPLICATE_KEYS = {
+    "top-level": (TWO_STATE_YAML.replace("mu: 1.0\n", "mu: 1.0\nmu: 2.0\n"), "mu", 3),
+    "nested": (TWO_STATE_YAML.replace("rate: 2.0}\nrouting", "rate: 2.0, rate: 3.0}\nrouting"), "rate", 9),
+}
 
 
 def minimal_document():
@@ -64,6 +88,24 @@ class TestShippedModels:
             assert np.array_equal(model.routing, models[0].routing)
             assert model.mu == models[0].mu
             assert model.sojourns == models[0].sojourns
+
+    @pytest.mark.parametrize("case", sorted(DUPLICATE_KEYS))
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_duplicate_key_rejected(self, loader, case, tmp_path, monkeypatch, capsys):
+        # YAML alone would keep the last value and load mu = 2.0 or rate = 3.0
+        monkeypatch.setattr(modelfile, "_YAML_LOADER", loader)
+        text, key, line = DUPLICATE_KEYS[case]
+        path = tmp_path / "duplicate.yaml"
+        path.write_text(text)
+        with pytest.raises(ModelError, match=rf"duplicate key '{key}'\n  in .*, line {line},"):
+            load_model(path)
+        assert main(["moments", "--model", str(path)]) == 2
+        assert f"duplicate key '{key}'" in capsys.readouterr().err
+        path.write_text(TWO_STATE_YAML)
+        assert load_model(path).mu == 1.0
+
+    def test_default_loader_rejects_duplicate_keys(self):
+        assert issubclass(modelfile._YAML_LOADER, modelfile._UniqueKeys)
 
     def test_k3_mixed_families(self):
         model = load_model(MODELS_DIR / "k3_mixed.yaml")
