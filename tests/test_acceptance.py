@@ -25,6 +25,7 @@ from mminfenv import (
     rate_conservation_residuals,
     stationary_moment_vectors,
 )
+from mminfenv.checks import _relative_gap as max_relative_gap
 from mminfenv.closedform import gamma_sojourn_reference, palm_moments, shifted_palm_moments
 from mminfenv.cli import main
 from mminfenv.sim import _replication_estimate, _sampling_grid
@@ -43,13 +44,6 @@ from conftest import (
 def report(name: str, passed: bool, detail: str) -> None:
     print(f"[acceptance] {name}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, f"{name}: {detail}"
-
-
-def max_relative_gap(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
-    return float(np.max(np.abs(a - b) / scale))
 
 
 def test_criterion_1_poisson_reduction():
