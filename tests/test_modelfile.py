@@ -104,6 +104,17 @@ class TestShippedModels:
         path.write_text(TWO_STATE_YAML)
         assert load_model(path).mu == 1.0
 
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_merge_key_may_be_overridden(self, loader, tmp_path, monkeypatch):
+        # a key that overrides one merged in with << is not a repeated key
+        monkeypatch.setattr(modelfile, "_YAML_LOADER", loader)
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            TWO_STATE_YAML.replace("sojourn: {", "sojourn: &law {", 1)
+            .replace("{family: exponential, rate: 2.0}\nrouting", "{<<: *law, rate: 3.0}\nrouting")
+        )
+        assert load_model(path).sojourns == (Exponential(2.0), Exponential(3.0))
+
     def test_default_loader_rejects_duplicate_keys(self):
         assert issubclass(modelfile._YAML_LOADER, modelfile._UniqueKeys)
 
