@@ -22,6 +22,7 @@ from mminfenv import (
     load_model,
     mean_cycle_length,
 )
+from mminfenv.checks import simulation_checks
 
 ###############################################################################
 # The shipped adjudication model: a long heavy gamma state, a middling
@@ -57,13 +58,12 @@ print("  estimates:", np.round(estimate.estimates, 5).tolist())
 print("  std errs :", np.round(estimate.standard_errors, 5).tolist())
 
 ###############################################################################
-# The verdict, as z-scores per order.
+# The verdict, as z-scores per order: the checks that ``compare`` reports.
 
+verdicts, z_scores = simulation_checks(table, estimate)
 print("\nz-scores |analytic - estimate| / std.err:")
-for weighting in ("embedded", "occupancy"):
-    z = np.abs(table.aggregated[weighting][1:] - estimate.estimates[1:]) \
-        / estimate.standard_errors[1:]
-    verdict = "consistent" if np.max(z) <= 3.0 else "rejected"
-    print(f"  {weighting:9s}: {np.round(z, 2).tolist()}  -> {verdict}")
+for verdict, (weighting, z) in zip(verdicts, z_scores.items()):
+    outcome = "consistent" if verdict.passed else "rejected"
+    print(f"  {weighting:9s}: {np.round(z, 2).tolist()}  -> {outcome}")
 
 print("\nempirical occupancy from the paths:", np.round(estimate.occupancy, 4).tolist())

@@ -1,9 +1,10 @@
-"""Verdicts on a moment table: every structural check that applies to its model.
+"""Verdicts on a moment table: its structural checks and its agreement with simulation.
 
 Each verdict is a named residual against a tolerance, read off a
-``MomentTable`` (its solve diagnostics and rate-conservation residuals)
-or off the two-state closed forms of ``closedform``.  The ``validate``
-verb reports exactly this list.
+``MomentTable`` (its solve diagnostics and rate-conservation residuals),
+off the two-state closed forms of ``closedform``, or off the z-scores of
+a simulation estimate.  The ``validate`` verb reports exactly the list
+of ``structural_checks``, and ``compare`` that of ``simulation_checks``.
 """
 
 import math
@@ -16,7 +17,7 @@ from .distributions import Exponential, Gamma
 from .errors import ModelError
 from .moments import offered_loads
 
-__all__ = ["DEFAULT_TOLERANCES", "CheckVerdict", "structural_checks"]
+__all__ = ["DEFAULT_TOLERANCES", "CheckVerdict", "simulation_checks", "structural_checks"]
 
 DEFAULT_TOLERANCES = {
     "tol_identity": 1e-9,
@@ -111,3 +112,25 @@ def structural_checks(model, table, tolerances=DEFAULT_TOLERANCES) -> list:
             )
         )
     return verdicts
+
+
+def simulation_checks(table, estimate, tolerances=DEFAULT_TOLERANCES) -> tuple:
+    """The ``weighting-<w>-consistent`` verdicts of a simulation estimate, and their z-scores.
+
+    ``z_scores[w][n - 1]`` is |analytic - estimate| / std.err at order n,
+    for n = 1..n_est.  Where the standard error is 0, the order reads 0
+    if the two agree within 1e-12, and inf otherwise.  Each verdict is
+    the largest z of its weighting against ``z_max``, in the table's
+    weighting order.  The table must reach order n_est.
+    """
+    orders = slice(1, len(estimate.estimates))
+    errors = estimate.standard_errors[orders]
+    z_scores = {}
+    for weighting, analytic in table.aggregated.items():
+        gap = np.abs(analytic[orders] - estimate.estimates[orders])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_scores[weighting] = np.where(errors > 0.0, gap / errors, np.where(gap < 1e-12, 0.0, np.inf))
+    verdicts = [
+        CheckVerdict(f"weighting-{w}-consistent", float(np.max(z)), tolerances["z_max"]) for w, z in z_scores.items()
+    ]
+    return verdicts, z_scores

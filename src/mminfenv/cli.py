@@ -6,8 +6,9 @@ Four verbs over a shared model-file format:
 * ``simulate``  - replication estimates of the factorial moments.
 * ``validate``  - every structural identity check that applies to the model,
   the verdicts of ``mminfenv.checks.structural_checks``.
-* ``compare``   - analytic moments against simulation; it passes when the
-  occupancy weighting, the law the simulation samples, is consistent.
+* ``compare``   - analytic moments against simulation, the verdicts of
+  ``mminfenv.checks.simulation_checks``; it passes when the occupancy
+  weighting, the law the simulation samples, is consistent.
 
 Exit codes are a stable contract: 0 success/pass, 1 check failure,
 2 input error, 3 numeric or estimation error.  Reports are deterministic
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import DEFAULT_TOLERANCES, CheckVerdict, structural_checks
+from .checks import DEFAULT_TOLERANCES, simulation_checks, structural_checks
 from .environment import chain_statics, mean_cycle_length
 from .errors import EstimationError, NumericError
 from .modelfile import load_model, model_to_dict
@@ -234,20 +235,7 @@ def cmd_compare(args) -> tuple:
     table = compute_moment_table(model, n_max=args.order, statics=statics)
     config, estimate, echo = _run_simulation(args, model, statics)
 
-    z_scores = {}
-    for weighting in WEIGHTINGS:
-        analytic = table.aggregated[weighting][1 : args.order + 1]
-        simulated = estimate.estimates[1 : args.order + 1]
-        errors = estimate.standard_errors[1 : args.order + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(analytic - simulated) / errors
-        z = np.where(errors > 0.0, z, np.where(np.abs(analytic - simulated) < 1e-12, 0.0, np.inf))
-        z_scores[weighting] = z
-
-    verdicts = [
-        CheckVerdict(f"weighting-{w}-consistent", float(np.max(z_scores[w])), tolerances["z_max"])
-        for w in WEIGHTINGS
-    ]
+    verdicts, z_scores = simulation_checks(table, estimate, tolerances)
     consistent = [w for w, v in zip(WEIGHTINGS, verdicts) if v.passed]
 
     report = RunReport(

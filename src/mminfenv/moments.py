@@ -59,7 +59,7 @@ one add per weight with positive terms only (see ``_weights``).
 The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
 time-stationary occupancy weights are carried everywhere so they can be
-compared (simulation adjudicates; see the README).
+compared (simulation adjudicates; see ``checks.simulation_checks``).
 
 One identity checks both families at every order, for every sojourn
 law: rate conservation for Lambda^n 1{state k}, which moves as

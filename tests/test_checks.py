@@ -1,20 +1,27 @@
 import dataclasses
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mminfenv import (
     EnvironmentModel,
     Exponential,
     Gamma,
+    SimulationConfig,
     assemble_moment_table,
     chain_statics,
+    compute_moment_table,
+    estimate_factorial_moments,
     load_model,
     moments,
     palm_moment_vectors,
     stationary_moment_vectors,
     structural_checks,
 )
+from mminfenv.checks import simulation_checks
+from mminfenv.cli import main
 
 from conftest import MODELS_DIR
 
@@ -103,3 +110,59 @@ def test_stationary_update_with_palm_weights_fails_rate_conservation(name, monke
     verdicts = verdicts_of(model, statics, palm)
     assert not verdicts["rate-conservation"].passed, verdicts["rate-conservation"].residual
     assert verdicts["solve-backsubstitution"].passed
+
+
+# a short simulation, and the compare flags that give the same one
+SHORT_RUN = {"warmup": 5.0, "horizon": 55.0, "replications": 2, "master_seed": 7}
+SHORT_FLAGS = ["--warmup", "5", "--horizon", "55", "--reps", "2", "--seed", "7"]
+
+
+def short_estimate(model, n_est):
+    return estimate_factorial_moments(model, SimulationConfig(**SHORT_RUN, n_est=n_est))
+
+
+def test_zero_standard_error_reads_zero_or_inf():
+    # order 1 agrees with the occupancy moment within 1e-12, order 2 does
+    # not, both with no standard error; order 3 keeps a real one
+    model = load_model(MODELS_DIR / "k3_mixed.yaml")
+    table = compute_moment_table(model, n_max=3)
+    estimate = short_estimate(model, 3)
+    occupancy = table.aggregated["occupancy"]
+    estimates = estimate.estimates.copy()
+    estimates[1] = occupancy[1] + 5e-13
+    estimates[2] = occupancy[2] * (1.0 + 1e-6)
+    errors = estimate.standard_errors.copy()
+    errors[1:3] = 0.0
+    estimate = dataclasses.replace(estimate, estimates=estimates, standard_errors=errors)
+    verdicts, z_scores = simulation_checks(table, estimate)
+    z_3 = abs(occupancy[3] - estimates[3]) / errors[3]
+    assert z_scores["occupancy"].tolist() == [0.0, np.inf, z_3]
+    # the embedded moments differ from the estimate at both orders
+    assert z_scores["embedded"][:2].tolist() == [np.inf, np.inf]
+    assert [v.residual for v in verdicts] == [np.inf, np.inf]
+    assert not any(v.passed for v in verdicts)
+
+
+def test_verdicts_follow_the_table_weightings():
+    # one verdict per weighting, in the table's order, each the largest z
+    # over the estimated orders, which may stop below the table's
+    model = load_model(MODELS_DIR / "k3_mixed.yaml")
+    table = compute_moment_table(model, n_max=6)
+    verdicts, z_scores = simulation_checks(table, short_estimate(model, 3), {"z_max": 1.5})
+    assert list(z_scores) == list(table.aggregated) == ["embedded", "occupancy"]
+    assert [v.name for v in verdicts] == ["weighting-embedded-consistent", "weighting-occupancy-consistent"]
+    for verdict, z in zip(verdicts, z_scores.values()):
+        assert z.shape == (3,)
+        assert verdict.residual == np.max(z)
+        assert verdict.tolerance == 1.5
+    assert [v.tolerance for v in simulation_checks(table, short_estimate(model, 1))[0]] == [3.0, 3.0]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: Path(path).stem)
+def test_compare_reports_the_library_verdicts(path, tmp_path, capsys):
+    out_path = tmp_path / "compare.json"
+    main(["compare", "--model", str(path), "--order", "2", *SHORT_FLAGS, "--out", str(out_path)])
+    capsys.readouterr()
+    model = load_model(path)
+    verdicts, _ = simulation_checks(compute_moment_table(model, n_max=2), short_estimate(model, 2))
+    assert [v.to_dict() for v in verdicts] == json.loads(out_path.read_text())["verdicts"]

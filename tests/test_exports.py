@@ -1,7 +1,9 @@
-"""Every exported name resolves: a deletion must not leave a stale entry in an ``__all__``."""
+"""Every exported name resolves, and the package builds its verdicts in one module."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,16 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == [], f"{name}.__all__ names {missing}, which {name} does not define"
+
+
+def test_verdicts_are_built_only_in_checks():
+    # one home for the checks: the CLI and the rest of the library report
+    # the verdicts of mminfenv.checks and construct none of their own
+    modules = set()
+    for path in sorted(Path(mminfenv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "CheckVerdict" or getattr(func, "attr", None) == "CheckVerdict":
+                    modules.add(path.name)
+    assert modules == {"checks.py"}
