@@ -32,6 +32,17 @@ def _check_transform_arg(s) -> float:
     return s
 
 
+def _normalised_cdf(probabilities) -> np.ndarray:
+    """Cumulative sums along the last axis, divided by their totals.
+
+    Trailing entries after the last positive probability equal the total,
+    so they become exactly 1 and a uniform draw in [0, 1) searched with
+    side "right" never lands on a zero-probability index.
+    """
+    cdf = np.cumsum(probabilities, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
 class SojournDistribution:
     """Common interface of all sojourn-time laws."""
 
@@ -172,10 +183,9 @@ class HyperExponential(SojournDistribution):
         return sum(p / r for p, r in zip(self.probs, self.rates))
 
     def _branch_sample(self, rng, weights, size):
-        # pick branches by the normalised cumulative weights (the last
-        # positive one is exactly 1), then scale unit exponentials
-        cdf = np.cumsum(weights)
-        branch = np.searchsorted(cdf / cdf[-1], rng.random(size), side="right")
+        # pick branches by the normalised cumulative weights, then scale
+        # unit exponentials
+        branch = np.searchsorted(_normalised_cdf(weights), rng.random(size), side="right")
         draws = rng.exponential(1.0, size) / np.asarray(self.rates)[branch]
         return float(draws) if size is None else draws
 

@@ -100,7 +100,7 @@ _NEGATIVITY_FLOOR = 1e-10
 
 WEIGHTINGS = ("embedded", "occupancy")
 
-# the Stirling triangles of each order, built once
+# the second-kind Stirling triangle of each order, built once
 _stirling_tables = lru_cache(maxsize=None)(StirlingTables)
 
 
@@ -163,8 +163,9 @@ def _gauss_beta(a, b, size: int):
 
 # Gauss rule sizes: at order 20, 16 nodes per panel of the graded gamma
 # rule hold the weights within 5e-15 of an 80-digit evaluation for
-# service to sojourn rate ratios from 0.02 to 1e8 (12 nodes: 5e-12); the
-# Legendre rule integrates (1 - e^-t)^N over [0, 2 H_N] to a few ulps.
+# service to sojourn rate ratios from 0.02 to 1e8 (12 nodes: 5e-12), and
+# within 6e-15 of a 250-digit one from 1e-4 to 0.02; the Legendre rule
+# integrates (1 - e^-t)^N over [0, 2 H_N] to a few ulps.
 _PANEL_NODES = 16
 _LEGENDRE_NODES = 40
 
@@ -216,26 +217,21 @@ def _gamma_scale_rules(a: list, b: list, c: list) -> list:
 
     The exponential rows are rational in B with poles at B = -1 / (i c),
     i = 1..n, c = mu_k / rate, which crowd towards the end point 0 as c
-    grows.  So [0, 1] is cut at 4^-p < ... < 1/16 < 1/4 with
-    4^-p <= 1 / (2 MAX_ORDER c): no pole and no end point singularity of
-    the Beta density comes closer to a panel than a third of its width,
-    and a fixed rule per panel converges at any c.  The first panel
-    carries the B^(a-1) factor of the density in its Gauss weight, the
-    last one the (1 - B)^(b-1) factor; the others are Gauss-Legendre.
-    The shape-dependent rules of every entry (Beta(a, b) where no cut is
-    needed, else Beta(a, 1) and Beta(1, b)) come from one stacked
-    eigen-solve.
+    grows.  So [0, 1] is cut at 4^-p < ... < 1/16 < 1/4, at least at
+    1/4, with 4^-p <= 1 / (2 MAX_ORDER c): no pole and no end point
+    singularity of the Beta density comes closer to a panel than a third
+    of its width, and a fixed rule per panel converges at any c.  The
+    first panel carries the B^(a-1) factor of the density in its Gauss
+    weight, the last one the (1 - B)^(b-1) factor; the others are
+    Gauss-Legendre.  The Beta(a, 1) and Beta(1, b) rules of every entry
+    come from one stacked eigen-solve.
     """
-    panels = [max(0, math.ceil(math.log(2 * MAX_ORDER * ci, 4))) for ci in c]
-    first = [bi if not m else 1.0 for bi, m in zip(b, panels)]
-    last = [bi for bi, m in zip(b, panels) if m]
-    nodes, probs = _gauss_beta(a + [1.0] * len(last), first + last, _PANEL_NODES)
+    count = len(a)
+    panels = [max(1, math.ceil(math.log(2 * MAX_ORDER * ci, 4))) for ci in c]
+    nodes, probs = _gauss_beta(a + [1.0] * count, [1.0] * count + b, _PANEL_NODES)
     legendre_nodes, legendre_probs = _legendre_rule(_PANEL_NODES)
-    rules, cut = [], len(a)
-    for z, p, ai, bi, m in zip(nodes, probs, a, b, panels):
-        if not m:
-            rules.append((z, p))
-            continue
+    rules = []
+    for z, p, z_last, p_last, ai, bi, m in zip(nodes, probs, nodes[count:], probs[count:], a, b, panels):
         # probabilities of the unnormalised density B^(a-1) (1 - B)^(b-1)
         low = 4.0**-m
         rule_nodes, rule_probs = [low * z], [p * low**ai / ai * (1.0 - low * z) ** (bi - 1.0)]
@@ -243,11 +239,9 @@ def _gamma_scale_rules(a: list, b: list, c: list) -> list:
         x = lo * (1.0 + 3.0 * legendre_nodes)
         rule_nodes.append(x.ravel())
         rule_probs.append((3.0 * lo * legendre_probs * x ** (ai - 1.0) * (1.0 - x) ** (bi - 1.0)).ravel())
-        z, p = nodes[cut], probs[cut]
-        cut += 1
-        x = 0.25 + 0.75 * z
+        x = 0.25 + 0.75 * z_last
         rule_nodes.append(x)
-        rule_probs.append(p * 0.75**bi / bi * x ** (ai - 1.0))
+        rule_probs.append(p_last * 0.75**bi / bi * x ** (ai - 1.0))
         rule_probs = np.concatenate(rule_probs)
         rules.append((np.concatenate(rule_nodes), rule_probs / rule_probs.sum()))
     return rules

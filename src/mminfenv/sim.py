@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .distributions import _normalised_cdf
 from .environment import ChainStatics, EnvironmentModel, chain_statics, mean_cycle_length
 from .errors import EstimationError
 
@@ -102,14 +103,8 @@ class EnvironmentPath:
     states: np.ndarray
     durations: np.ndarray
 
-    @property
-    def total_duration(self) -> float:
-        return float(self.durations.sum())
-
-    def occupancy(self, num_states: int, start: float = 0.0, stop: float = None) -> np.ndarray:
+    def occupancy(self, num_states: int, start: float, stop: float) -> np.ndarray:
         """Fraction of [start, stop] spent in each state."""
-        if stop is None:
-            stop = self.total_duration
         ends = np.cumsum(self.durations)
         begins = ends - self.durations
         overlap = np.minimum(ends, stop) - np.maximum(begins, start)
@@ -167,17 +162,6 @@ def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(replication),))
     )
-
-
-def _normalised_cdf(probabilities: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis, divided by their totals.
-
-    Trailing entries after the last positive probability equal the total,
-    so they become exactly 1 and a uniform draw in [0, 1) searched with
-    side "right" never lands on a zero-probability index.
-    """
-    cdf = np.cumsum(probabilities, axis=-1)
-    return cdf / cdf[..., -1:]
 
 
 def simulate_environment(

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -144,6 +145,26 @@ def identical_state_model(rho: float = 2.0) -> EnvironmentModel:
         mu=mu,
         routing=[[0.0, 0.7, 0.3], [0.4, 0.0, 0.6], [0.5, 0.5, 0.0]],
     )
+
+
+def stirling_triangle(kind: int, n_max: int) -> list:
+    """Signed first-kind (kind 1) or second-kind (kind 2) Stirling triangle from mpmath.
+
+    Exact integers: at 40 digits mpmath holds every entry through order
+    20 exactly.
+    """
+    number = {1: mpmath.stirling1, 2: mpmath.stirling2}[kind]
+    with mpmath.workdps(40):
+        return [[int(number(l, j)) for j in range(l + 1)] for l in range(n_max + 1)]
+
+
+def stirling_sums(triangle: list, moments) -> np.ndarray:
+    """sum_j triangle[l][j] moments[j] for each l, at 40 digits, rounded to float64 once."""
+    values = [mpmath.mpf(float(x)) for x in moments]
+    with mpmath.workdps(40):
+        return np.array(
+            [float(mpmath.fsum(c * x for c, x in zip(triangle[l], values))) for l in range(len(values))]
+        )
 
 
 @pytest.fixture(scope="session")

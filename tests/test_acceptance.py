@@ -21,12 +21,9 @@ from mminfenv import (
     load_model,
     mean_cycle_length,
     offered_loads,
-    palm_moment_vectors,
-    rate_conservation_residuals,
-    stationary_moment_vectors,
 )
-from mminfenv.checks import _relative_gap as max_relative_gap, simulation_checks
-from mminfenv.closedform import gamma_sojourn_reference, palm_moments, shifted_palm_moments
+from mminfenv.checks import _relative_gap as max_relative_gap, simulation_checks, structural_checks
+from mminfenv.closedform import gamma_sojourn_reference, shifted_palm_moments
 from mminfenv.cli import main
 from mminfenv.sim import _replication_estimate, _sampling_grid
 
@@ -37,6 +34,8 @@ from conftest import (
     random_exponential_model,
     random_mixed_model,
     random_two_state_model,
+    stirling_sums,
+    stirling_triangle,
     two_state_model,
 )
 
@@ -44,6 +43,14 @@ from conftest import (
 def worse(worst: float, gap: float) -> float:
     """The larger of two gaps, NaN if either is: a NaN moment must fail its criterion."""
     return float(np.maximum(worst, gap))
+
+
+def check_residuals(model, table, names) -> dict:
+    """The residuals of the named ``validate`` verdicts on a table; each name must be reported."""
+    residuals = {v.name: v.residual for v in structural_checks(model, table)}
+    missing = sorted(set(names) - set(residuals))
+    assert not missing, f"validate reports no {missing}"
+    return residuals
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -86,7 +93,9 @@ def test_criterion_1_poisson_reduction():
 
 
 def test_criterion_2_markovian_identity():
-    # exponential sojourns: rate conservation is the Markov generator identity
+    # exponential sojourns: rate conservation is the Markov generator
+    # identity, read off the validate verdict; Palm and stationary vectors
+    # must then be equal
     start = time.perf_counter()
     rng = np.random.default_rng(2002)
     worst_identity = 0.0
@@ -94,12 +103,10 @@ def test_criterion_2_markovian_identity():
     for index in range(20):
         k_count = (2, 3, 5)[index % 3]
         model = random_exponential_model(k_count, rng)
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, n_max=6)
-        stationary = stationary_moment_vectors(model, statics, palm)
-        residuals = rate_conservation_residuals(model, statics, palm, stationary)
-        worst_identity = worse(worst_identity, float(np.max(residuals)))
-        gap = float(np.max([np.max(np.abs(a - b)) for a, b in zip(palm.vectors, stationary)]))
+        table = compute_moment_table(model, n_max=6)
+        residuals = check_residuals(model, table, ["rate-conservation"])
+        worst_identity = worse(worst_identity, residuals["rate-conservation"])
+        gap = float(np.max([np.max(np.abs(a - b)) for a, b in zip(table.palm, table.stationary)]))
         worst_equality = worse(worst_equality, gap)
     elapsed = time.perf_counter() - start
     report(
@@ -111,25 +118,26 @@ def test_criterion_2_markovian_identity():
 
 
 def test_criterion_3_two_state_closed_form():
+    # the closed-form and Kummer gaps are the validate verdicts; the load
+    # shift of the Kummer sequence into the general recursion is done here
     start = time.perf_counter()
     rng = np.random.default_rng(3003)
     families = ("gamma", "deterministic", "hyperexponential")
     worst_closed = 0.0
     for index in range(20):
         model = random_two_state_model(rng, families[index % 3])
-        reference = palm_moments(model, 8)
-        general = np.array(palm_moment_vectors(model, n_max=8).vectors).T
-        worst_closed = worse(worst_closed, max_relative_gap(general, reference))
+        residuals = check_residuals(model, compute_moment_table(model, n_max=8), ["two-state-closed-form"])
+        worst_closed = worse(worst_closed, residuals["two-state-closed-form"])
     worst_kummer = 0.0
     for _ in range(8):
         model = random_two_state_model(rng, "exponential")
-        kummer_shifted = kummer_reference(**kummer_parameters(model), n_max=8)
+        table = compute_moment_table(model, n_max=8)
         # closed form against the Kummer sequence
-        shifted_1 = shifted_palm_moments(model, 8)[0]
-        worst_kummer = worse(worst_kummer, max_relative_gap(shifted_1, kummer_shifted))
+        residuals = check_residuals(model, table, ["kummer-sequence"])
+        worst_kummer = worse(worst_kummer, residuals["kummer-sequence"])
         # general recursion against the Kummer sequence, through the load shift
-        general = palm_moment_vectors(model, n_max=8)
-        computed_1 = np.array([v[0] for v in general.vectors])
+        kummer_shifted = kummer_reference(**kummer_parameters(model), n_max=8)
+        computed_1 = np.array([v[0] for v in table.palm])
         rho_1 = offered_loads(model)[0]
         from_kummer = np.array(
             [
@@ -207,26 +215,22 @@ def test_criterion_5_simulation_adjudication(k3_mixed_model):
 
 
 def test_criterion_6_stirling_integrity(k3_mixed_model):
+    # the raw moments against an independent reference: mpmath's
+    # second-kind triangle, summed over the factorial moments at 40 digits
     start = time.perf_counter()
-    tables = StirlingTables(20)
-    composition = tables.compose()
-    exact = all(
-        composition[l][m] == (1 if l == m else 0)
-        for l in range(21)
-        for m in range(l + 1)
-    )
+    exact = StirlingTables(20).second_kind == stirling_triangle(2, 20)
+    reference = stirling_triangle(2, 8)
     worst = 0.0
     for model in (k3_mixed_model, identical_state_model(rho=2.0)):
         table = compute_moment_table(model, n_max=8)
-        small = StirlingTables(8)
         for weighting in ("embedded", "occupancy"):
-            back = small.factorial_from_raw(table.raw[weighting])
-            worst = worse(worst, max_relative_gap(back, table.aggregated[weighting]))
+            forward = stirling_sums(reference, table.aggregated[weighting])
+            worst = worse(worst, max_relative_gap(table.raw[weighting], forward))
     elapsed = time.perf_counter() - start
     report(
         "stirling-integrity",
         exact and worst <= 1e-10 and elapsed < 1.0,
-        f"integer inverses {'exact' if exact else 'BROKEN'}, round-trip gap "
+        f"triangle {'exact' if exact else 'BROKEN'} through order 20, raw-moment gap "
         f"{worst:.3e} (tol 1e-10), {elapsed:.2f}s (limit 1s)",
     )
 
@@ -244,18 +248,18 @@ def test_criterion_7_invertibility_observability(
     ]
     rng = np.random.default_rng(7007)
     models.extend(random_mixed_model(int(rng.integers(2, 6)), rng) for _ in range(10))
+    # the validate verdict: the largest solve residual, inf where an
+    # order's condition estimate is not finite
     worst_residual = 0.0
-    all_finite = True
     for model in models:
-        palm = palm_moment_vectors(model, n_max=10)
-        worst_residual = worse(worst_residual, float(np.nanmax(palm.solve_residual)))
-        all_finite = all_finite and bool(np.all(np.isfinite(palm.condition[1:])))
+        residuals = check_residuals(model, compute_moment_table(model, n_max=10), ["solve-backsubstitution"])
+        worst_residual = worse(worst_residual, residuals["solve-backsubstitution"])
     elapsed = time.perf_counter() - start
     report(
         "invertibility-observability",
-        worst_residual <= 1e-10 and all_finite and elapsed < 1.0,
-        f"max solve residual {worst_residual:.3e} (tol 1e-10), conditions "
-        f"{'finite' if all_finite else 'NOT finite'}, {elapsed:.2f}s (limit 1s)",
+        worst_residual <= 1e-10 and elapsed < 1.0,
+        f"max solve residual {worst_residual:.3e} (tol 1e-10; inf if a condition is not finite), "
+        f"{elapsed:.2f}s (limit 1s)",
     )
 
 

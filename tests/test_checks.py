@@ -121,6 +121,21 @@ def short_estimate(model, n_est):
     return estimate_factorial_moments(model, SimulationConfig(**SHORT_RUN, n_est=n_est))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_condition_fails_the_solve_verdict(bad):
+    # a finite residual with a non-finite condition estimate at any order
+    # must not pass: the verdict reads inf, reported as a null residual
+    model = load_model(MODELS_DIR / "k3_mixed.yaml")
+    table = compute_moment_table(model, n_max=4)
+    condition = table.bn_condition.copy()
+    condition[3] = bad
+    verdicts = {v.name: v for v in structural_checks(model, dataclasses.replace(table, bn_condition=condition))}
+    verdict = verdicts["solve-backsubstitution"]
+    assert verdict.residual == np.inf and not verdict.passed
+    record = json.loads(json.dumps(verdict.to_dict()))
+    assert record == {"name": "solve-backsubstitution", "residual": None, "tolerance": 1e-10, "passed": False}
+
+
 def test_zero_standard_error_reads_zero_or_inf():
     # order 1 agrees with the occupancy moment within 1e-12, order 2 does
     # not, both with no standard error; order 3 keeps a real one

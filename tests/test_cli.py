@@ -224,6 +224,31 @@ class TestMoments:
         assert code == 3
         assert "underflowed to 0 at order 2" in err
 
+    @pytest.mark.parametrize("verb", ["moments", "validate"])
+    def test_ill_conditioned_solve_exits_3(self, capsys, tmp_path, verb):
+        # a valid model served at speed 1e-15 in both states: every tau_k is
+        # within 1e-14 of 1, so the order-2 Palm matrix is singular to
+        # working precision and its back-substitution check fails
+        document = {
+            "schema_version": 1,
+            "mu": 1.0,
+            "states": [
+                {"lambda": 1e-16, "beta": 1e-15, "sojourn": {"family": "gamma", "shape": 2.5, "rate": 1.0}},
+                {"lambda": 1.0, "beta": 1e-15, "sojourn": {"family": "exponential", "rate": 1.0}},
+            ],
+            "routing": [[0.0, 1.0], [1.0, 0.0]],
+        }
+        path = tmp_path / "slow.yaml"
+        path.write_text(yaml.safe_dump(document))
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, verb, "--model", str(path), "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric error: order-2 solve is ill-conditioned: relative residual 4.883e-03 "
+            "exceeds 1e-08 (condition 6.798e+14)\n"
+        )
+        assert not out_path.exists()
+
 
 class TestValidate:
     @pytest.mark.parametrize("model", [K3_EXP, K2_GAMMA, K2_EXP, K3_MIXED, IDENTICAL])
@@ -467,9 +492,11 @@ def test_demo_runs(demo):
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy serves only the test suite; the package must not pay for it at startup
-    code = "import sys, mminfenv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@pytest.mark.parametrize("package", ["scipy", "mpmath"])
+def test_cli_import_loads_no_scipy(package):
+    # scipy and mpmath serve only the test suite; the package must not pay
+    # for them at startup
+    code = f"import sys, mminfenv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     assert run_python("-c", code).stdout.strip() == "[]"
 
 

@@ -182,6 +182,7 @@ def test_gamma_residual_sampling_cdf_against_quadrature():
         lambda: HyperExponential(probs=(0.5, 0.4), rates=(1.0, 2.0)),
         lambda: HyperExponential(probs=(0.5, 0.5), rates=(1.0, 0.0)),
         lambda: HyperExponential(probs=(1.0,), rates=()),
+        lambda: HyperExponential(probs=(-0.2, 1.2), rates=(1.0, 2.0)),
     ],
 )
 def test_invalid_parameters_rejected(bad):

@@ -155,6 +155,10 @@ class TestValidate:
             two_state_model(routing=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
         with pytest.raises(ModelError):
             two_state_model(sojourns=(Exponential(1.0),))
+        with pytest.raises(ModelError, match="arrival_rates and speeds must be 1-d arrays of equal length"):
+            two_state_model(speeds=[1.0, 0.5, 0.5])
+        with pytest.raises(ModelError, match="arrival_rates and speeds must be 1-d arrays of equal length"):
+            two_state_model(arrival_rates=[[1.0, 2.0]], speeds=[[1.0, 0.5]])
 
 
 class TestChainStatics:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -54,6 +56,40 @@ def minimal_document():
         ],
         "routing": [[0.0, 1.0], [1.0, 0.0]],
     }
+
+
+# one invalid field of the minimal document: (edit in place, the message naming it)
+INVALID_FIELDS = {
+    "state-not-mapping": (
+        lambda doc: doc.update(states=[5, doc["states"][1]]),
+        "states[0] must be a mapping, got int",
+    ),
+    "integer-too-large": (
+        lambda doc: doc["states"][0].update({"lambda": 10**400}),
+        "states[0].lambda = 1" + "0" * 400 + " is out of range",
+    ),
+    "sojourn-without-family": (
+        lambda doc: doc["states"][0]["sojourn"].pop("family"),
+        "states[0].sojourn must be a mapping with a 'family' field",
+    ),
+    "empty-states": (lambda doc: doc.update(states=[]), "'states' must be a nonempty list"),
+    "routing-not-list": (lambda doc: doc.update(routing="alternate"), "'routing' must be a list of rows"),
+    "speed-above-1": (lambda doc: doc["states"][0].update(beta=1.5), "speeds must lie in [0, 1]"),
+    "infinite-routing": (
+        lambda doc: doc.update(routing=[[0.0, math.inf], [1.0, 0.0]]),
+        "routing entries must be finite",
+    ),
+    "routing-above-1": (
+        lambda doc: doc.update(routing=[[0.0, 1.5], [1.0, 0.0]]),
+        "routing entries must lie in [0, 1]",
+    ),
+    "negative-branch-probability": (
+        lambda doc: doc["states"][0].update(
+            sojourn={"family": "hyperexponential", "probs": [-0.2, 1.2], "rates": [1.0, 2.0]}
+        ),
+        "HyperExponential branch probabilities must be nonnegative",
+    ),
+}
 
 
 class TestShippedModels:
@@ -216,6 +252,19 @@ class TestSchema:
             load_model(path)
         assert main(["moments", "--model", str(path)]) == 2
         assert "not valid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(INVALID_FIELDS))
+    def test_invalid_field_exits_2(self, case, tmp_path, capsys):
+        edit, message = INVALID_FIELDS[case]
+        document = minimal_document()
+        edit(document)
+        with pytest.raises(ModelError) as info:
+            parse_model(document)
+        assert message in str(info.value)
+        path = tmp_path / f"{case}.yaml"
+        path.write_text(yaml.safe_dump(document))
+        assert main(["moments", "--model", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_non_mapping_document_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"

@@ -15,7 +15,6 @@ from mminfenv import (
     ModelError,
     NumericError,
     SimulationConfig,
-    StirlingTables,
     chain_statics,
     closedform,
     compute_moment_table,
@@ -37,6 +36,8 @@ from conftest import (
     random_mixed_model,
     random_routing,
     ring_model,
+    stirling_sums,
+    stirling_triangle,
 )
 
 
@@ -631,10 +632,11 @@ class TestMomentTable:
             assert table.aggregated[weighting][0] == pytest.approx(1.0, abs=1e-14)
 
     def test_round_trip_on_computed_moments(self, k3_mixed_model):
+        # the inverse is mpmath's first-kind triangle, summed at 40 digits
         table = compute_moment_table(k3_mixed_model, n_max=8)
-        tables = StirlingTables(8)
+        first = stirling_triangle(1, 8)
         for weighting in ("embedded", "occupancy"):
-            back = tables.factorial_from_raw(table.raw[weighting])
+            back = stirling_sums(first, table.raw[weighting])
             assert back == pytest.approx(table.aggregated[weighting], rel=1e-10)
 
     def test_large_mixed_model_reaches_order_20(self):
@@ -965,25 +967,31 @@ class TestWeights:
                 assert palm_rows[n][0, 0] == pytest.approx(float(palm(n)), rel=1e-12, abs=0.0)
                 assert residual_rows[n][0, 0] == pytest.approx(float(residual(n)), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("shape, ratio", [(0.7, 1e3), (2.6, 1e4), (5.4, 1e3)])
+    @pytest.mark.parametrize(
+        "shape, ratio",
+        [(0.7, 1e3), (2.6, 1e4), (5.4, 1e3)]
+        + [(shape, ratio) for shape in (0.7, 2.6, 5.4) for ratio in (0.02, 0.005, 1e-4)],
+    )
     def test_slow_gamma_rows_match_extended_precision(self, shape, ratio):
         # c = mu_k / rate large: the rows, rational in the gamma time scale,
-        # have poles crowding towards its end point 0; every weight of the
-        # order-20 row must still hold its relative accuracy.  Reference: the
-        # alternating binomial sum of transform values at 60 digits, where
-        # its cancellation costs nothing
+        # have poles crowding towards its end point 0; c small (at most
+        # 1 / 40): the rule still cuts [0, 1] once, at 1/4.  Every weight of
+        # the rows of orders 1, 5 and 20 must hold its relative accuracy.
+        # Reference: the alternating binomial sum of transform values at
+        # 250 digits, which its cancellation needs at c = 1e-4 (60 digits
+        # suffice at c = 1e3)
         dist = Gamma(shape=shape, rate=WEIGHT_RATE / ratio)
-        n = 20
-        with mpmath.workdps(60):
+        with mpmath.workdps(250):
             s, c = mpmath.mpf(shape), mpmath.mpf(WEIGHT_RATE) / mpmath.mpf(dist.rate)
-            palm = lambda p: (1 + p * c) ** -s
-            residual = lambda p: (1 - palm(p)) / (p * c * s) if p else mpmath.mpf(1)
+            palm = [(1 + p * c) ** -s for p in range(21)]
+            residual = [mpmath.mpf(1)] + [(1 - palm[p]) / (p * c * s) for p in range(1, 21)]
             for is_residual, transform in ((False, palm), (True, residual)):
-                row = self.rows(dist, WEIGHT_RATE, is_residual)[n][0]
-                for j in range(n + 1):
-                    terms = [(-1) ** i * mpmath.binomial(n - j, i) * transform(j + i) for i in range(n - j + 1)]
-                    expected = mpmath.binomial(n, j) * mpmath.fsum(terms)
-                    assert row[j] == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+                rows = self.rows(dist, WEIGHT_RATE, is_residual)
+                for n in (1, 5, 20):
+                    for j in range(n + 1):
+                        terms = [(-1) ** i * mpmath.binomial(n - j, i) * transform[j + i] for i in range(n - j + 1)]
+                        expected = mpmath.binomial(n, j) * mpmath.fsum(terms)
+                        assert rows[n][0, j] == pytest.approx(float(expected), rel=1e-14, abs=0.0)
 
     def test_exponential_residual_rows_equal_palm_rows(self):
         dist = WEIGHT_FAMILIES["exponential"]

@@ -107,13 +107,13 @@ class TestEnvironmentPaths:
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
         path = simulate_environment(model, 2000.0, np.random.default_rng(5))
-        occupancy = path.occupancy(2)
+        occupancy = path.occupancy(2, 0.0, 2000.0)
         assert occupancy[0] > 0.99
 
     def test_path_covers_horizon(self):
         model = identical_state_model()
         path = simulate_environment(model, 123.0, np.random.default_rng(1))
-        assert path.total_duration >= 123.0
+        assert path.durations.sum() >= 123.0
 
     def test_path_stops_at_first_segment_reaching_horizon(self, k3_mixed_model):
         statics = chain_statics(k3_mixed_model)
