@@ -13,7 +13,15 @@ the general matrix recursion reads, and pits them against it.
 
 import numpy as np
 
-from mminfenv import EnvironmentModel, Exponential, Gamma, kummer_reference, offered_loads, palm_moment_vectors
+from mminfenv import (
+    EnvironmentModel,
+    Exponential,
+    Gamma,
+    chain_statics,
+    kummer_reference,
+    offered_loads,
+    palm_moment_vectors,
+)
 from mminfenv.closedform import gamma_sojourn_reference, palm_moments, roles, shifted_palm_moments
 
 
@@ -53,7 +61,7 @@ print("  gamma formula:", np.round(direct[:5], 8).tolist())
 print("  max relative gap:", np.max(np.abs(direct / product - 1.0)))
 
 plain = palm_moments(model, 8)
-recursion = np.array(palm_moment_vectors(model, n_max=8).vectors).T
+recursion = np.array(palm_moment_vectors(model, chain_statics(model), n_max=8).vectors).T
 print("\nplain Palm moments, closed form vs matrix recursion:")
 print("  state 1 gap:", np.max(np.abs(recursion[0] / plain[0] - 1.0)))
 print("  state 2 gap:", np.max(np.abs(recursion[1] / plain[1] - 1.0)))

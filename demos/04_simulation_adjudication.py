@@ -20,7 +20,6 @@ from mminfenv import (
     compute_moment_table,
     estimate_factorial_moments,
     load_model,
-    mean_cycle_length,
 )
 from mminfenv.checks import simulation_checks
 
@@ -39,11 +38,11 @@ print("  embedded :", np.round(table.aggregated['embedded'], 5).tolist())
 print("  occupancy:", np.round(table.aggregated['occupancy'], 5).tolist())
 
 ###############################################################################
-# Simulate.  Sixteen replications over several hundred environment
-# cycles keep this demo quick; the acceptance suite runs the full-size
-# experiment.
+# Simulate on the same statics, whose mean cycle length sizes the run.
+# Sixteen replications over several hundred environment cycles keep this
+# demo quick; the acceptance suite runs the full-size experiment.
 
-cycle = mean_cycle_length(model, statics)
+cycle = statics.cycle_length
 config = SimulationConfig(
     warmup=80.0,
     horizon=80.0 + 500.0 * cycle,
@@ -51,7 +50,7 @@ config = SimulationConfig(
     master_seed=31415,
     n_est=3,
 )
-estimate = estimate_factorial_moments(model, config)
+estimate = estimate_factorial_moments(model, config, statics)
 print(f"\nsimulated ({config.replications} replications, "
       f"{estimate.samples_per_replication} samples each):")
 print("  estimates:", np.round(estimate.estimates, 5).tolist())

@@ -13,12 +13,7 @@ from .distributions import (
     HyperExponential,
     SojournDistribution,
 )
-from .environment import (
-    ChainStatics,
-    EnvironmentModel,
-    chain_statics,
-    mean_cycle_length,
-)
+from .environment import ChainStatics, EnvironmentModel, chain_statics
 from .errors import EstimationError, ModelError, NumericError
 from .closedform import kummer_reference
 from .checks import CheckVerdict, structural_checks
@@ -31,6 +26,7 @@ from .moments import (
     offered_loads,
     palm_moment_vectors,
     rate_conservation_residuals,
+    raw_from_factorial,
     stationary_moment_vectors,
 )
 from .sim import (
@@ -43,7 +39,6 @@ from .sim import (
     simulate_queue,
     stationarity_check,
 )
-from .stirling import StirlingTables
 
 __version__ = "0.1.0"
 
@@ -64,7 +59,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationEstimate",
     "SojournDistribution",
-    "StirlingTables",
     "assemble_moment_table",
     "chain_statics",
     "compute_moment_table",
@@ -72,12 +66,12 @@ __all__ = [
     "estimate_factorial_moments",
     "kummer_reference",
     "load_model",
-    "mean_cycle_length",
     "model_to_dict",
     "offered_loads",
     "palm_moment_vectors",
     "parse_model",
     "rate_conservation_residuals",
+    "raw_from_factorial",
     "simulate_environment",
     "simulate_queue",
     "stationarity_check",

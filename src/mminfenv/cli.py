@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import DEFAULT_TOLERANCES, simulation_checks, structural_checks
-from .environment import chain_statics, mean_cycle_length
+from .environment import chain_statics
 from .errors import EstimationError, NumericError
 from .modelfile import load_model, model_to_dict
 from .moments import WEIGHTINGS, compute_moment_table
@@ -155,8 +155,7 @@ def cmd_moments(args) -> tuple:
 def _run_simulation(args, model, statics) -> tuple:
     """Resolve the simulation flags, run the estimate, and echo the resolved config."""
     warmup = args.warmup if args.warmup is not None else default_warmup(model)
-    cycle = mean_cycle_length(model, statics)
-    horizon = args.horizon if args.horizon is not None else warmup + 200.0 * cycle
+    horizon = args.horizon if args.horizon is not None else warmup + 200.0 * statics.cycle_length
     config = SimulationConfig(
         warmup=warmup,
         horizon=horizon,
@@ -165,14 +164,14 @@ def _run_simulation(args, model, statics) -> tuple:
         sampling_interval=args.interval,
         n_est=args.order,
     )
-    estimate = estimate_factorial_moments(model, config)
+    estimate = estimate_factorial_moments(model, config, statics)
     echo = {
         "order": args.order,
         "seed": args.seed,
         "replications": args.reps,
         "warmup": config.warmup,
         "horizon": config.horizon,
-        "sampling_interval": config.resolved_interval(model, statics),
+        "sampling_interval": config.resolved_interval(statics),
     }
     return config, estimate, echo
 

@@ -6,6 +6,11 @@ to a row-stochastic routing matrix with zero diagonal.  While in state k
 the queue sees Poisson arrivals at rate ``arrival_rates[k]`` and all
 servers run at speed ``speeds[k]`` relative to the base service rate
 ``mu``.
+
+``chain_statics`` derives everything else the moments and the simulator
+read from the model: the embedded chain's stationary law and reversed
+routing, the mean sojourns, the occupancy law and the mean cycle
+length.  Each verb calls it once and passes the result down.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,6 @@ __all__ = [
     "EnvironmentModel",
     "ChainStatics",
     "chain_statics",
-    "mean_cycle_length",
 ]
 
 STRUCTURAL_TOL = 1e-12
@@ -131,19 +135,25 @@ class ChainStatics:
 
     ``pi`` is the stationary law of the embedded jump chain,
     ``reversed_routing`` the time-reversed jump matrix
-    diag(pi)^-1 P^T diag(pi), and ``occupancy`` the time-stationary state
-    law, proportional to pi weighted by mean sojourns.  ``steps`` is the
-    number of products the series for pi took, or 0 where pi came from
-    the LU (see ``chain_statics``).
+    diag(pi)^-1 P^T diag(pi), ``mean_sojourns`` the mean sojourn of each
+    state, and ``occupancy`` the time-stationary state law, proportional
+    to pi weighted by mean sojourns.  ``cycle_length`` is the expected
+    time of one sweep of the environment, K mean segments of
+    pi-weighted mean sojourn (for cyclic routing the exact period of one
+    tour through the states).  ``steps`` is the number of products the
+    series for pi took, or 0 where pi came from the LU (see
+    ``chain_statics``).
     """
 
     pi: np.ndarray
     reversed_routing: np.ndarray
+    mean_sojourns: np.ndarray
     occupancy: np.ndarray
+    cycle_length: float
     steps: int
 
     def __post_init__(self):
-        for arr in (self.pi, self.reversed_routing, self.occupancy):
+        for arr in (self.pi, self.reversed_routing, self.mean_sojourns, self.occupancy):
             arr.flags.writeable = False
 
 
@@ -313,7 +323,10 @@ def _stationary_law(routing: np.ndarray):
 
 
 def chain_statics(model: EnvironmentModel) -> ChainStatics:
-    """Solve for the embedded stationary vector and derive reversed routing and occupancy.
+    """Solve for the embedded stationary vector and derive the rest of ``ChainStatics``.
+
+    The one place the chain's derived quantities are computed: each verb
+    builds them once and hands them to every layer that reads them.
 
     pi is first sought as the deflated Neumann series of
     ``_stationary_series``, within ``_series_budget`` products; it is
@@ -352,17 +365,7 @@ def chain_statics(model: EnvironmentModel) -> ChainStatics:
     means = np.array([d.mean() for d in model.sojourns])
     occupancy = pi * means
     occupancy = occupancy / occupancy.sum()
-    return ChainStatics(pi=pi, reversed_routing=reversed_routing, occupancy=occupancy, steps=steps)
-
-
-def mean_cycle_length(model: EnvironmentModel, statics: ChainStatics = None) -> float:
-    """Expected time for one sweep of the environment: K mean segments.
-
-    The mean segment duration is the pi-weighted mean sojourn; one
-    "cycle" is K consecutive segments, which for cyclic routing is the
-    exact period of one tour through the states.
-    """
-    if statics is None:
-        statics = chain_statics(model)
-    means = np.array([d.mean() for d in model.sojourns])
-    return float(model.num_states * (statics.pi @ means))
+    return ChainStatics(
+        pi=pi, reversed_routing=reversed_routing, mean_sojourns=means, occupancy=occupancy,
+        cycle_length=float(k_count * (pi @ means)), steps=steps,
+    )

@@ -60,6 +60,11 @@ The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
 time-stationary occupancy weights are carried everywhere so they can be
 compared (simulation adjudicates; see ``checks.simulation_checks``).
+Their raw moments follow by the second-kind Stirling transform, from
+one triangle at MAX_ORDER (see ``raw_from_factorial``).  Every function
+here reads the embedded chain's law, the reversed routing and the mean
+sojourns from the caller's ``ChainStatics``; only
+``compute_moment_table`` builds them when not handed them.
 
 One identity checks both families at every order, for every sojourn
 law: rate conservation for Lambda^n 1{state k}, which moves as
@@ -68,6 +73,7 @@ continuous at them (see ``rate_conservation_residuals``).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,7 +82,6 @@ import numpy as np
 from .distributions import Deterministic, Exponential, Gamma, HyperExponential
 from .environment import _ROUNDOFF, ChainStatics, EnvironmentModel, _series_budget, chain_statics
 from .errors import NumericError
-from .stirling import StirlingTables
 
 __all__ = [
     "MAX_ORDER",
@@ -89,6 +94,7 @@ __all__ = [
     "assemble_moment_table",
     "compute_moment_table",
     "rate_conservation_residuals",
+    "raw_from_factorial",
 ]
 
 # the weight form holds far past order 20, but no check bounds the forward
@@ -100,12 +106,19 @@ _NEGATIVITY_FLOOR = 1e-10
 
 WEIGHTINGS = ("embedded", "occupancy")
 
-# the second-kind Stirling triangle of each order, built once
-_stirling_tables = lru_cache(maxsize=None)(StirlingTables)
+
+def _integer(value, name: str) -> int:
+    """An integer input as an int: anything ``operator.index`` takes but a bool, else ValueError naming it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_order(n_max: int) -> int:
-    n_max = int(n_max)
+    n_max = _integer(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if n_max > MAX_ORDER:
@@ -527,9 +540,7 @@ class PalmMoments:
         return len(self.vectors) - 1
 
 
-def palm_moment_vectors(
-    model: EnvironmentModel, statics: ChainStatics = None, n_max: int = 10
-) -> PalmMoments:
+def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: int = 10) -> PalmMoments:
     """Moment vectors of the discounted arrival mass seen from a transition instant.
 
     Order 0 is the all-ones vector.  Each subsequent order n solves,
@@ -553,8 +564,6 @@ def palm_moment_vectors(
     needs anyway; residuals above 1e-8 raise NumericError carrying it.
     """
     n_max = _check_order(n_max)
-    if statics is None:
-        statics = chain_statics(model)
     routing = statics.reversed_routing
     k_count = model.num_states
     orders = np.arange(n_max + 1)
@@ -646,8 +655,9 @@ class MomentTable:
     ``aggregated[w][n]`` is the order-n moment of the mixing mass under
     weighting ``w``; by the mixed-Poisson identity it equals the order-n
     factorial moment of N.  ``raw[w][n]`` are the corresponding raw
-    moments via the second-kind Stirling transform; the accessors read
-    either weighting, occupancy unless told.  ``conservation_residuals``
+    moments via the second-kind Stirling transform
+    (``raw_from_factorial``); the accessors read either weighting,
+    occupancy unless told.  ``conservation_residuals``
     holds the per-order residuals of ``rate_conservation_residuals``, for
     every model.  ``bn_condition``, ``solve_residual`` and ``palm_steps``
     are the per-order diagnostics of the Palm solve (see ``PalmMoments``:
@@ -689,7 +699,6 @@ def assemble_moment_table(
     are evaluated and recorded as diagnostics (see ``mminfenv.checks``).
     """
     n_max = palm.n_max
-    tables = _stirling_tables(n_max)
     weights = {"embedded": statics.pi, "occupancy": statics.occupancy}
     aggregated = {}
     raw = {}
@@ -697,7 +706,7 @@ def assemble_moment_table(
         scalars = np.array([float(w @ vec) for vec in stationary])
         _require_nonnegative(scalars, f"aggregated moments under {name} weighting")
         aggregated[name] = scalars
-        raw[name] = tables.raw_from_factorial(scalars)
+        raw[name] = raw_from_factorial(scalars)
 
     return MomentTable(
         n_max=n_max,
@@ -718,7 +727,11 @@ def compute_moment_table(
     n_max: int = 10,
     statics: ChainStatics = None,
 ) -> MomentTable:
-    """Convenience pipeline: statics, Palm solve, stationary update, assembly."""
+    """Convenience pipeline: statics, Palm solve, stationary update, assembly.
+
+    The only function that builds the statics itself, when it is not
+    handed them (``compare`` hands it the ones its simulation reads).
+    """
     if statics is None:
         statics = chain_statics(model)
     palm = palm_moment_vectors(model, statics, n_max)
@@ -752,7 +765,7 @@ def rate_conservation_residuals(
     its four terms, not by the realised sums, and the scaled max-norm
     residual is returned per order.
     """
-    exit_rates = 1.0 / np.array([dist.mean() for dist in model.sojourns])
+    exit_rates = 1.0 / statics.mean_sojourns
     palm_rows = np.array(palm.vectors) * statics.pi
     rows = np.array(stationary) * statics.pi
     orders = np.arange(len(rows))[:, np.newaxis]
@@ -765,6 +778,36 @@ def rate_conservation_residuals(
     gap = np.abs(service - (entering - leaving) - arrivals).max(axis=1)
     scale = np.max([np.abs(term).max(axis=1) for term in (service, entering, leaving, arrivals)], axis=0)
     return gap / np.maximum(scale, 1e-300)
+
+
+@lru_cache(maxsize=None)
+def _second_kind() -> np.ndarray:
+    """S2(l, j), the partitions of an l-set into j blocks, at [l, j] for l, j <= MAX_ORDER.
+
+    Zero above the diagonal; built once, read-only.  Every entry through
+    order 20 is below 2^53, so the recurrence
+    S2(l, j) = j S2(l - 1, j) + S2(l - 1, j - 1) is exact in float64.
+    """
+    table = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1))
+    table[0, 0] = 1.0
+    for l in range(1, MAX_ORDER + 1):
+        table[l, 1 : l + 1] = np.arange(1, l + 1) * table[l - 1, 1 : l + 1] + table[l - 1, :l]
+    table.flags.writeable = False
+    return table
+
+
+def raw_from_factorial(factorial_moments) -> np.ndarray:
+    """Raw moments from factorial moments: m^(l) = sum_j S2(l, j) f^(j).
+
+    Row l is summed left to right in float64 and read at its diagonal,
+    before the zeros above it are added.  A sequence longer than
+    MAX_ORDER + 1 raises ValueError.
+    """
+    values = np.asarray(factorial_moments, dtype=float)
+    size = values.size
+    if size > MAX_ORDER + 1:
+        raise ValueError(f"moment sequence of order {size - 1} exceeds the maximum order {MAX_ORDER}")
+    return np.cumsum(_second_kind()[:size, :size] * values, axis=1).diagonal().copy()
 
 
 @lru_cache(maxsize=None)

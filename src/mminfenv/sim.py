@@ -18,7 +18,11 @@ the time-stationary occupancy law and the first sojourn is drawn from
 the equilibrium (integrated-tail) law.  The queue itself starts empty,
 so a warmup window is still discarded as defense in depth.  Sampling a
 one-sided forward window of this construction is taken as equivalent in
-law to sampling a two-sided stationary process at a fixed time.
+law to sampling a two-sided stationary process at a fixed time.  The
+occupancy law and the mean cycle length, which sizes the path's chunks
+and the default sampling interval, come from the caller's
+``ChainStatics``: the verb builds them once and the simulator never
+rebuilds them.
 
 Replications are independent: replication r uses a generator seeded by
 (master seed, spawn key r), and estimates are reduced in replication
@@ -33,8 +37,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .distributions import _normalised_cdf
-from .environment import ChainStatics, EnvironmentModel, chain_statics, mean_cycle_length
+from .environment import ChainStatics, EnvironmentModel
 from .errors import EstimationError
+from .moments import _integer
 
 __all__ = [
     "SimulationConfig",
@@ -56,7 +61,8 @@ class SimulationConfig:
 
     ``sampling_interval = None`` resolves to the model's mean environment
     cycle length, which keeps consecutive samples weakly correlated.  A
-    field out of range is an input error: ValueError.
+    field out of range, or an integer field given anything but an integer
+    (a bool or a float included), is an input error: ValueError.
     """
 
     warmup: float
@@ -67,6 +73,8 @@ class SimulationConfig:
     n_est: int = 3
 
     def __post_init__(self):
+        for name in ("replications", "master_seed", "n_est"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not (math.isfinite(self.warmup) and self.warmup >= 0.0):
             raise ValueError(f"warmup must be finite and nonnegative, got {self.warmup}")
         if not (math.isfinite(self.horizon) and self.horizon > self.warmup):
@@ -87,13 +95,13 @@ class SimulationConfig:
             raise ValueError(
                 f"n_est must be in 1..{MAX_ESTIMATED_ORDER}, got {self.n_est}"
             )
-        if not 0 <= int(self.master_seed) < 2 ** 64:
+        if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master seed must fit in 64 bits, got {self.master_seed}")
 
-    def resolved_interval(self, model: EnvironmentModel, statics: ChainStatics) -> float:
+    def resolved_interval(self, statics: ChainStatics) -> float:
         if self.sampling_interval is not None:
             return float(self.sampling_interval)
-        return mean_cycle_length(model, statics)
+        return statics.cycle_length
 
 
 @dataclass(frozen=True)
@@ -121,31 +129,29 @@ class SimulationEstimate:
     """Falling-factorial moment estimates with across-replication errors.
 
     ``estimates[n]`` approximates E[N(N-1)...(N-n+1)] for n = 0..n_est
-    (order 0 is identically 1).  Standard errors are computed across
+    (order 0 is identically 1); n_est, the replications and the master
+    seed are read from ``config``.  Standard errors are computed across
     replications only, never pooled within one, which sidesteps the
     autocorrelation of consecutive samples.  ``half_means[r]`` holds
     replication r's mean count over the first and the second half of its
     sampling grid, for ``stationarity_check``.
     """
 
-    orders: np.ndarray
     estimates: np.ndarray
     standard_errors: np.ndarray
     samples_per_replication: int
-    replications: int
-    master_seed: int
     occupancy: np.ndarray
     config: SimulationConfig = field(repr=False)
     half_means: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
-            "orders": self.orders.tolist(),
+            "orders": list(range(self.config.n_est + 1)),
             "estimates": self.estimates.tolist(),
             "standard_errors": self.standard_errors.tolist(),
             "samples_per_replication": self.samples_per_replication,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
+            "replications": self.config.replications,
+            "master_seed": self.config.master_seed,
             "occupancy": self.occupancy.tolist(),
             "config": asdict(self.config),
         }
@@ -168,7 +174,7 @@ def simulate_environment(
     model: EnvironmentModel,
     horizon: float,
     rng: np.random.Generator,
-    statics: ChainStatics = None,
+    statics: ChainStatics,
 ) -> EnvironmentPath:
     """Generate a stationary environment trajectory covering [0, horizon].
 
@@ -179,12 +185,10 @@ def simulate_environment(
     state in the chunk is drawn in one call, states in index order.  The
     path ends with the first segment whose end reaches the horizon.
     """
-    if statics is None:
-        statics = chain_statics(model)
     routing_cdf = _normalised_cdf(model.routing).tolist()
     state = int(np.searchsorted(_normalised_cdf(statics.occupancy), rng.random(), side="right"))
     first = model.sojourns[state].sample_residual(rng)
-    mean_segment = mean_cycle_length(model, statics) / model.num_states
+    mean_segment = statics.cycle_length / model.num_states
 
     states = [np.array([state])]
     durations = [np.array([first])]
@@ -305,17 +309,16 @@ def _sampling_grid(config: SimulationConfig, interval: float) -> np.ndarray:
 
 
 def estimate_factorial_moments(
-    model: EnvironmentModel, config: SimulationConfig
+    model: EnvironmentModel, config: SimulationConfig, statics: ChainStatics
 ) -> SimulationEstimate:
     """Estimate the factorial moments of the customer count by replication.
 
-    Runs ``config.replications`` independent replications, averages the
-    falling factorials of the sampled counts per replication, and
-    reports the across-replication mean and standard error per order.
+    Runs ``config.replications`` independent replications on the model's
+    ``statics``, averages the falling factorials of the sampled counts per
+    replication, and reports the across-replication mean and standard
+    error per order.
     """
-    statics = chain_statics(model)
-    interval = config.resolved_interval(model, statics)
-    grid = _sampling_grid(config, interval)
+    grid = _sampling_grid(config, config.resolved_interval(statics))
 
     per_rep = np.empty((config.replications, config.n_est + 1))
     occupancies = np.empty((config.replications, model.num_states))
@@ -331,12 +334,9 @@ def estimate_factorial_moments(
     if not (np.all(np.isfinite(estimates)) and np.all(np.isfinite(standard_errors))):
         raise EstimationError("estimates or standard errors are not finite")
     return SimulationEstimate(
-        orders=np.arange(config.n_est + 1),
         estimates=estimates,
         standard_errors=standard_errors,
         samples_per_replication=int(grid.size),
-        replications=config.replications,
-        master_seed=int(config.master_seed),
         occupancy=occupancies.mean(axis=0),
         config=config,
         half_means=half_means,
@@ -352,7 +352,7 @@ def stationarity_check(estimate: SimulationEstimate) -> dict:
     disagreement signals insufficient warmup.
     """
     first, second = estimate.half_means.T
-    root = math.sqrt(estimate.replications)
+    root = math.sqrt(estimate.config.replications)
     combined = math.hypot(first.std(ddof=1) / root, second.std(ddof=1) / root)
     gap = abs(first.mean() - second.mean())
     return {

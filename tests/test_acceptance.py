@@ -13,18 +13,17 @@ import numpy as np
 from mminfenv import (
     Gamma,
     SimulationConfig,
-    StirlingTables,
     chain_statics,
     compute_moment_table,
     estimate_factorial_moments,
     kummer_reference,
     load_model,
-    mean_cycle_length,
     offered_loads,
 )
 from mminfenv.checks import _relative_gap as max_relative_gap, simulation_checks, structural_checks
 from mminfenv.closedform import gamma_sojourn_reference, shifted_palm_moments
 from mminfenv.cli import main
+from mminfenv.moments import _second_kind
 from mminfenv.sim import _replication_estimate, _sampling_grid
 
 from conftest import (
@@ -187,7 +186,7 @@ def test_criterion_5_simulation_adjudication(k3_mixed_model):
     start = time.perf_counter()
     model = k3_mixed_model
     statics = chain_statics(model)
-    cycle = mean_cycle_length(model, statics)
+    cycle = statics.cycle_length
     warmup = 80.0
     config = SimulationConfig(
         warmup=warmup,
@@ -198,7 +197,7 @@ def test_criterion_5_simulation_adjudication(k3_mixed_model):
     )
     assert config.horizon - config.warmup >= 2000.0 * cycle
     table = compute_moment_table(model, n_max=3, statics=statics)
-    estimate = estimate_factorial_moments(model, config)
+    estimate = estimate_factorial_moments(model, config, statics)
     verdicts = {v.name: v for v in simulation_checks(table, estimate)[0]}
     embedded = verdicts["weighting-embedded-consistent"]
     occupancy = verdicts["weighting-occupancy-consistent"]
@@ -216,9 +215,10 @@ def test_criterion_5_simulation_adjudication(k3_mixed_model):
 
 def test_criterion_6_stirling_integrity(k3_mixed_model):
     # the raw moments against an independent reference: mpmath's
-    # second-kind triangle, summed over the factorial moments at 40 digits
+    # second-kind triangle, summed over the factorial moments at 40 digits;
+    # the library's float triangle holds every entry exactly (all below 2^53)
     start = time.perf_counter()
-    exact = StirlingTables(20).second_kind == stirling_triangle(2, 20)
+    exact = _second_kind().tolist() == [row + [0] * (20 - l) for l, row in enumerate(stirling_triangle(2, 20))]
     reference = stirling_triangle(2, 8)
     worst = 0.0
     for model in (k3_mixed_model, identical_state_model(rho=2.0)):
@@ -283,8 +283,8 @@ def test_criterion_8_determinism(capsys, tmp_path):
     config = SimulationConfig(
         warmup=10.0, horizon=310.0, replications=4, master_seed=424242, n_est=3
     )
-    grid = _sampling_grid(config, config.resolved_interval(model, statics))
-    sequential = estimate_factorial_moments(model, config)
+    grid = _sampling_grid(config, config.resolved_interval(statics))
+    sequential = estimate_factorial_moments(model, config, statics)
     out_of_order = {
         rep: _replication_estimate(model, config, statics, grid, rep)[0]
         for rep in (3, 1, 0, 2)

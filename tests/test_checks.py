@@ -118,7 +118,7 @@ SHORT_FLAGS = ["--warmup", "5", "--horizon", "55", "--reps", "2", "--seed", "7"]
 
 
 def short_estimate(model, n_est):
-    return estimate_factorial_moments(model, SimulationConfig(**SHORT_RUN, n_est=n_est))
+    return estimate_factorial_moments(model, SimulationConfig(**SHORT_RUN, n_est=n_est), chain_statics(model))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

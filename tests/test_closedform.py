@@ -11,6 +11,7 @@ from mminfenv import (
     Gamma,
     ModelError,
     NumericError,
+    chain_statics,
     compute_moment_table,
     kummer_reference,
     offered_loads,
@@ -40,7 +41,7 @@ def relabelled(model):
 
 def general_palm(model, n_max):
     """The engine's Palm moments as a (2, n_max + 1) array, one row per state."""
-    return np.array(palm_moment_vectors(model, n_max=n_max).vectors).T
+    return np.array(palm_moment_vectors(model, chain_statics(model), n_max=n_max).vectors).T
 
 
 class TestConstruction:
@@ -234,6 +235,11 @@ class TestKummer:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             kummer_reference(0.0, 1.0, 1.0, 3)
+
+    @pytest.mark.parametrize("n_max", [2.5, True])
+    def test_order_must_be_an_integer(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            kummer_reference(1.0, 1.0, 1.0, n_max)
 
 
 class TestGammaReference:

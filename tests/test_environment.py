@@ -15,7 +15,6 @@ from mminfenv import (
     SojournDistribution,
     chain_statics,
     load_model,
-    mean_cycle_length,
 )
 from mminfenv import environment
 from mminfenv.environment import _stationary_law
@@ -285,6 +284,8 @@ class TestChainStatics:
         statics = chain_statics(model)
         with pytest.raises(ValueError):
             statics.pi[0] = 1.0
+        with pytest.raises(ValueError):
+            statics.mean_sojourns[0] = 1.0
 
 
 class TestStationaryLaw:
@@ -493,7 +494,7 @@ def test_unknown_sojourn_law_rejected():
         assert family in message
 
 
-def test_mean_cycle_length_cyclic_deterministic():
+def test_cycle_length_cyclic_deterministic():
     model = EnvironmentModel(
         arrival_rates=[1.0, 1.0, 1.0],
         speeds=[1.0, 1.0, 1.0],
@@ -501,4 +502,6 @@ def test_mean_cycle_length_cyclic_deterministic():
         mu=1.0,
         routing=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
     )
-    assert mean_cycle_length(model) == pytest.approx(3.5, rel=1e-12)
+    statics = chain_statics(model)
+    assert statics.mean_sojourns.tolist() == [0.5, 1.0, 2.0]
+    assert statics.cycle_length == pytest.approx(3.5, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Every exported name resolves, and the package builds its verdicts in one module."""
+"""Every exported name resolves, and the package builds its verdicts and its chain statics each in one place."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mminfenv
+import mminfenv.cli
 
 MODULES = ["mminfenv"] + [f"mminfenv.{info.name}" for info in pkgutil.iter_modules(mminfenv.__path__)]
 
@@ -30,3 +31,21 @@ def test_verdicts_are_built_only_in_checks():
                 if getattr(func, "id", None) == "CheckVerdict" or getattr(func, "attr", None) == "CheckVerdict":
                     modules.add(path.name)
     assert modules == {"checks.py"}
+
+
+def test_statics_are_built_only_by_the_table_pipeline_and_the_verbs():
+    # one place computes the chain's derived quantities, and each verb
+    # hands them down: no library function rebuilds them for itself
+    callers = set()
+    for path in sorted(Path(mminfenv.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and "chain_statics" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None),
+                    ):
+                        callers.add(f"{path.stem}.{function.name}")
+    verbs = {f"cli.{command.__name__}" for command in mminfenv.cli.COMMANDS.values()}
+    assert "moments.compute_moment_table" in callers
+    assert callers - verbs == {"moments.compute_moment_table"}

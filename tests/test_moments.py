@@ -335,7 +335,7 @@ class TestPalmVectors:
         # constant arrival rates and speeds make the discounted mass
         # deterministic, so every Palm vector is the load power times ones
         model = identical_state_model(rho=2.0)
-        palm = palm_moment_vectors(model, n_max=20)
+        palm = palm_moment_vectors(model, chain_statics(model), n_max=20)
         for n, vector in enumerate(palm.vectors):
             assert vector == pytest.approx(np.full(3, 2.0 ** n), rel=1e-14)
 
@@ -343,26 +343,33 @@ class TestPalmVectors:
     def test_two_state_closed_form_at_order_20(self, name):
         model = load_model(MODELS_DIR / f"{name}.yaml")
         references = closedform.palm_moments(model, 20)
-        palm = palm_moment_vectors(model, n_max=20)
+        palm = palm_moment_vectors(model, chain_statics(model), n_max=20)
         computed = np.array(palm.vectors).T
         for k in range(2):
             assert computed[k] == pytest.approx(references[k], rel=1e-12, abs=0.0)
 
     def test_order_zero_only(self):
         model = identical_state_model()
-        palm = palm_moment_vectors(model, n_max=0)
+        palm = palm_moment_vectors(model, chain_statics(model), n_max=0)
         assert len(palm.vectors) == 1
         assert palm.vectors[0] == pytest.approx(np.ones(3))
 
     def test_solve_diagnostics_recorded(self, k3_mixed_model):
-        palm = palm_moment_vectors(k3_mixed_model, n_max=10)
+        palm = palm_moment_vectors(k3_mixed_model, chain_statics(k3_mixed_model), n_max=10)
         assert np.all(np.isfinite(palm.condition[1:]))
         assert np.nanmax(palm.solve_residual) < 1e-10
         assert np.isnan(palm.condition[0])
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            palm_moment_vectors(identical_state_model(), n_max=21)
+            model = identical_state_model()
+            palm_moment_vectors(model, chain_statics(model), n_max=21)
+
+    @pytest.mark.parametrize("n_max", [2.7, 2.0, True, "3"])
+    def test_order_must_be_an_integer(self, n_max):
+        # an order is neither truncated nor read off a bool
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            compute_moment_table(identical_state_model(), n_max=n_max)
 
     def test_invalid_model_rejected(self):
         # an invalid model never reaches the recursion: construction refuses it
@@ -499,14 +506,14 @@ class TestSolverChoice:
         # granted products, and the order-4 rule fires on the last product
         # granted (5)
         model = ring_model(64, np.random.default_rng(64), mu=800.0)
-        assert palm_moment_vectors(model, n_max=4).steps.tolist() == [0, 0, 5, 5, 5]
+        assert palm_moment_vectors(model, chain_statics(model), n_max=4).steps.tolist() == [0, 0, 5, 5, 5]
         grant = moments._series_grants
         monkeypatch.setattr(
             moments, "_series_grants",
             lambda *args: ([max(s - 1, 0) for s in grant(*args)[0]], *grant(*args)[1:]),
         )
         with pytest.raises(NumericError, match="order-4 Neumann series did not reach its tail bound within 4"):
-            palm_moment_vectors(model, n_max=20)
+            palm_moment_vectors(model, chain_statics(model), n_max=20)
 
     def test_broken_determinant_sign_raises(self):
         # 1 - p.z > 0 holds for any p by the determinant lemma; a second row
@@ -757,23 +764,40 @@ class TestNonnegativityGuard:
             _require_nonnegative(np.array([scale, np.nextafter(floor, -1.0)]), "unit test")
 
 
+VERB_ARGVS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--order", "3"],
+        ["validate", "--order", "3"],
+        ["simulate", "--reps", "4", "--warmup", "10", "--horizon", "60"],
+        ["compare", "--reps", "4", "--warmup", "10", "--horizon", "60"],
+    ],
+    ids=lambda argv: argv[0],
+)
+
+
 class TestFixedCosts:
     """Per-call work that must not come back: counted, never timed."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["moments", "--order", "3"],
-            ["validate", "--order", "3"],
-            ["simulate", "--reps", "4", "--warmup", "10", "--horizon", "60"],
-            ["compare", "--reps", "4", "--warmup", "10", "--horizon", "60"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @VERB_ARGVS
     def test_each_verb_validates_the_model_once(self, argv, monkeypatch, capsys):
         calls = []
         original = environment._violations
         monkeypatch.setattr(environment, "_violations", lambda model: calls.append(1) or original(model))
+        code = main(argv[:1] + ["--model", str(MODELS_DIR / "k3_mixed.yaml")] + argv[1:])
+        capsys.readouterr()
+        assert code in (0, 1)
+        assert len(calls) == 1
+
+    @VERB_ARGVS
+    def test_each_verb_builds_the_statics_once(self, argv, monkeypatch, capsys):
+        # every chain_statics call enters the series for pi once, so this
+        # counts the statics a verb builds
+        calls = []
+        original = environment._stationary_series
+        monkeypatch.setattr(
+            environment, "_stationary_series", lambda *args: calls.append(1) or original(*args)
+        )
         code = main(argv[:1] + ["--model", str(MODELS_DIR / "k3_mixed.yaml")] + argv[1:])
         capsys.readouterr()
         assert code in (0, 1)
@@ -785,7 +809,7 @@ class TestFixedCosts:
         monkeypatch.setattr(environment, "_violations", lambda model: calls.append(1) or original(model))
         compute_moment_table(k3_mixed_model, n_max=5)
         config = SimulationConfig(warmup=10.0, horizon=60.0, replications=4, master_seed=7)
-        estimate_factorial_moments(k3_mixed_model, config)
+        estimate_factorial_moments(k3_mixed_model, config, chain_statics(k3_mixed_model))
         assert calls == []
         # a changed copy is a new model, checked like any other
         dataclasses.replace(k3_mixed_model, mu=2.0)

@@ -14,7 +14,6 @@ from mminfenv import (
     chain_statics,
     default_warmup,
     estimate_factorial_moments,
-    mean_cycle_length,
     simulate_environment,
     simulate_queue,
     stationarity_check,
@@ -48,12 +47,30 @@ class TestConfig:
             small_config(sampling_interval=0.0)
 
     def test_default_interval_is_mean_cycle(self):
-        model = identical_state_model()
-        statics = chain_statics(model)
-        config = small_config()
-        assert config.resolved_interval(model, statics) == pytest.approx(
-            mean_cycle_length(model, statics)
-        )
+        statics = chain_statics(identical_state_model())
+        assert small_config().resolved_interval(statics) == statics.cycle_length
+        assert small_config(sampling_interval=2.5).resolved_interval(statics) == 2.5
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("master_seed", 7.9),
+            ("master_seed", True),
+            ("replications", 3.0),
+            ("replications", True),
+            ("n_est", 2.0),
+            ("n_est", True),
+            ("n_est", "2"),
+        ],
+    )
+    def test_integer_fields_reject_non_integers(self, name, value):
+        # a float is not truncated and a bool is not read as 0 or 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_config(**{name: value})
+
+    def test_integer_fields_are_stored_as_int(self):
+        config = small_config(replications=np.int64(4), master_seed=np.uint64(7), n_est=np.int32(2))
+        assert [type(config.replications), type(config.master_seed), type(config.n_est)] == [int, int, int]
 
     def test_default_warmup_rule(self):
         model = identical_state_model()  # speeds 0.8, mu 1.25
@@ -69,7 +86,7 @@ class TestEnvironmentPaths:
             mu=1.0,
             routing=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
         )
-        path = simulate_environment(model, 50.0, np.random.default_rng(0))
+        path = simulate_environment(model, 50.0, np.random.default_rng(0), chain_statics(model))
         states = path.states
         # after the initial residual segment the cycle repeats exactly
         for i in range(1, len(states) - 3):
@@ -106,13 +123,13 @@ class TestEnvironmentPaths:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        path = simulate_environment(model, 2000.0, np.random.default_rng(5))
+        path = simulate_environment(model, 2000.0, np.random.default_rng(5), chain_statics(model))
         occupancy = path.occupancy(2, 0.0, 2000.0)
         assert occupancy[0] > 0.99
 
     def test_path_covers_horizon(self):
         model = identical_state_model()
-        path = simulate_environment(model, 123.0, np.random.default_rng(1))
+        path = simulate_environment(model, 123.0, np.random.default_rng(1), chain_statics(model))
         assert path.durations.sum() >= 123.0
 
     def test_path_stops_at_first_segment_reaching_horizon(self, k3_mixed_model):
@@ -152,7 +169,7 @@ class TestQueue:
             warmup=20.0, horizon=1520.0, replications=12, master_seed=11, n_est=2,
             sampling_interval=1.5,
         )
-        estimate = estimate_factorial_moments(model, config)
+        estimate = estimate_factorial_moments(model, config, chain_statics(model))
         # Poisson(1): mean 1 and second factorial moment 1 (so variance 1)
         for order in (1, 2):
             gap = abs(estimate.estimates[order] - 1.0)
@@ -293,8 +310,8 @@ class TestEstimates:
     def test_reproducibility_bitwise(self):
         model = identical_state_model()
         config = small_config()
-        first = estimate_factorial_moments(model, config)
-        second = estimate_factorial_moments(model, config)
+        first = estimate_factorial_moments(model, config, chain_statics(model))
+        second = estimate_factorial_moments(model, config, chain_statics(model))
         assert np.array_equal(first.estimates, second.estimates)
         assert np.array_equal(first.standard_errors, second.standard_errors)
         assert np.array_equal(first.occupancy, second.occupancy)
@@ -307,8 +324,8 @@ class TestEstimates:
         model = identical_state_model()
         config = small_config()
         statics = chain_statics(model)
-        grid = _sampling_grid(config, config.resolved_interval(model, statics))
-        sequential = estimate_factorial_moments(model, config)
+        grid = _sampling_grid(config, config.resolved_interval(statics))
+        sequential = estimate_factorial_moments(model, config, statics)
         shuffled_order = [2, 0, 3, 1]
         results = {}
         for rep in shuffled_order:
@@ -318,7 +335,7 @@ class TestEstimates:
 
     def test_estimate_invariants(self):
         model = identical_state_model()
-        estimate = estimate_factorial_moments(model, small_config())
+        estimate = estimate_factorial_moments(model, small_config(), chain_statics(model))
         assert estimate.estimates[0] == 1.0
         assert estimate.standard_errors[0] == 0.0
         assert np.all(np.isfinite(estimate.estimates))
@@ -329,7 +346,8 @@ class TestEstimates:
 
     def test_stationarity_check_passes_when_warmed(self):
         model = identical_state_model()
-        estimate = estimate_factorial_moments(model, small_config(replications=8, horizon=1220.0))
+        config = small_config(replications=8, horizon=1220.0)
+        estimate = estimate_factorial_moments(model, config, chain_statics(model))
         result = stationarity_check(estimate)
         assert result["consistent"]
         assert result["gap"] < 4.0 * result["combined_se"]
