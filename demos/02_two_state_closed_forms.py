@@ -19,10 +19,9 @@ from mminfenv import (
     Gamma,
     chain_statics,
     kummer_reference,
-    offered_loads,
     palm_moment_vectors,
 )
-from mminfenv.closedform import gamma_sojourn_reference, palm_moments, roles, shifted_palm_moments
+from mminfenv.closedform import gamma_sojourn_reference, palm_from_shifted, roles, shifted_palm_moments
 
 
 def two_state(arrival_rates, service_rates, sojourns):
@@ -42,7 +41,7 @@ def two_state(arrival_rates, service_rates, sojourns):
 # the rising-factorial ratios (1)_n / (3)_n: 1, 1/3, 1/6, ...
 
 model = two_state([0.0, 1.0], [1.0, 1.0], (Exponential(1.0), Exponential(1.0)))
-rho = offered_loads(model)
+rho = model.offered_loads
 shifted_1 = shifted_palm_moments(model, 6)[0]
 kummer = kummer_reference(a=1.0, b=1.0, rho_star=rho[1] - rho[0], n_max=6)
 print("shifted state-1 moments:", np.round(shifted_1, 10).tolist())
@@ -60,7 +59,7 @@ print("  product form :", np.round(product[:5], 8).tolist())
 print("  gamma formula:", np.round(direct[:5], 8).tolist())
 print("  max relative gap:", np.max(np.abs(direct / product - 1.0)))
 
-plain = palm_moments(model, 8)
+plain = palm_from_shifted(model, shifted_palm_moments(model, 8))
 recursion = np.array(palm_moment_vectors(model, chain_statics(model), n_max=8).vectors).T
 print("\nplain Palm moments, closed form vs matrix recursion:")
 print("  state 1 gap:", np.max(np.abs(recursion[0] / plain[0] - 1.0)))
@@ -69,13 +68,14 @@ print("  state 2 gap:", np.max(np.abs(recursion[1] / plain[1] - 1.0)))
 # Listing the exponential state first changes nothing but the row order.
 relisted = two_state([2.0, 0.5], [1.0, 0.8], (Exponential(1.0), Gamma(shape=2.0, rate=1.5)))
 print("  exponential state listed first: roles", roles(relisted),
-      "rows exchanged bit for bit:", np.array_equal(palm_moments(relisted, 8), plain[::-1]))
+      "rows exchanged bit for bit:",
+      np.array_equal(palm_from_shifted(relisted, shifted_palm_moments(relisted, 8)), plain[::-1]))
 
 ###############################################################################
 # The load difference may be negative; the formulas are signed.
 
 heavy_first = two_state([3.0, 0.5], [1.0, 1.0], (Exponential(1.0), Exponential(1.0)))
-rho = offered_loads(heavy_first)
+rho = heavy_first.offered_loads
 shifted = shifted_palm_moments(heavy_first, 4)[0]
 print(f"\nrho_star = {rho[1] - rho[0]} (negative):",
       "shifted moments alternate in sign:", np.round(shifted, 6).tolist())

@@ -23,7 +23,6 @@ from .moments import (
     PalmMoments,
     assemble_moment_table,
     compute_moment_table,
-    offered_loads,
     palm_moment_vectors,
     rate_conservation_residuals,
     raw_from_factorial,
@@ -37,7 +36,6 @@ from .sim import (
     estimate_factorial_moments,
     simulate_environment,
     simulate_queue,
-    stationarity_check,
 )
 
 __version__ = "0.1.0"
@@ -67,14 +65,12 @@ __all__ = [
     "kummer_reference",
     "load_model",
     "model_to_dict",
-    "offered_loads",
     "palm_moment_vectors",
     "parse_model",
     "rate_conservation_residuals",
     "raw_from_factorial",
     "simulate_environment",
     "simulate_queue",
-    "stationarity_check",
     "stationary_moment_vectors",
     "structural_checks",
     "__version__",

@@ -15,7 +15,6 @@ import numpy as np
 from . import closedform
 from .distributions import Exponential, Gamma
 from .errors import ModelError
-from .moments import offered_loads
 
 __all__ = ["DEFAULT_TOLERANCES", "CheckVerdict", "simulation_checks", "structural_checks"]
 
@@ -94,7 +93,7 @@ def structural_checks(model, table, tolerances=DEFAULT_TOLERANCES) -> list:
     sojourn_1 = model.sojourns[first]
     if isinstance(sojourn_1, Exponential):
         service = model.service_rates
-        rho = offered_loads(model)
+        rho = model.offered_loads
         kummer = closedform.kummer_reference(
             a=sojourn_1.rate / service[first],
             b=model.sojourns[second].rate / service[second],

@@ -22,12 +22,11 @@ import numpy as np
 
 from .distributions import Exponential, Gamma
 from .errors import ModelError, NumericError
-from .moments import _check_order, offered_loads
+from .moments import _check_order
 
 __all__ = [
     "roles",
     "shifted_palm_moments",
-    "palm_moments",
     "palm_from_shifted",
     "kummer_reference",
     "gamma_sojourn_reference",
@@ -60,7 +59,7 @@ def _paper_states(model):
     """``roles(model)``, then the service rates and offered loads of states 1 and 2 as floats."""
     first, second = roles(model)
     service = model.service_rates
-    rho = offered_loads(model)
+    rho = model.offered_loads
     return (
         (first, second),
         (float(service[first]), float(service[second])),
@@ -116,11 +115,6 @@ def shifted_palm_moments(model, n_max: int) -> np.ndarray:
     return out
 
 
-def palm_moments(model, n_max: int) -> np.ndarray:
-    """Plain Palm moments, as a (2, n_max + 1) array, via the binomial load shift."""
-    return palm_from_shifted(model, shifted_palm_moments(model, n_max))
-
-
 def palm_from_shifted(model, shifted) -> np.ndarray:
     """Undo the load shift of ``shifted_palm_moments`` output, row by row.
 
@@ -174,8 +168,11 @@ def gamma_sojourn_reference(model, n_max: int) -> np.ndarray:
         / prod_{j=1..n} ((g + j)^shape (h + j) - g^shape h)
 
     with g = rate / mu_1 and h the state-2 exit rate over mu_2; state 2
-    is that value times tau_1(n mu_1)^-1 = ((g + n) / g)^shape.  Kept
-    independent of shifted_palm_moments so the two can cross-check.
+    is that value times tau_1(n mu_1)^-1 = ((g + n) / g)^shape.  Each
+    factor is evaluated over g^shape, as (1 + (j - 1) / g)^shape over
+    (1 + j / g)^shape (h + j) - h, so that a large g^shape (a sharply
+    peaked sojourn) does not leave double precision.  Kept independent
+    of shifted_palm_moments so the two can cross-check.
     """
     (first, second), (mu_1, mu_2), (rho_1, rho_2) = _paper_states(model)
     sojourn_1 = model.sojourns[first]
@@ -191,14 +188,15 @@ def gamma_sojourn_reference(model, n_max: int) -> np.ndarray:
     out = np.ones((2, n_max + 1))
     try:
         for n in range(1, n_max + 1):
-            denominator = (g + n) ** shape * (h + n) - g ** shape * h
+            growth = (1.0 + n / g) ** shape
+            denominator = growth * (h + n) - h
             if denominator <= _DENOMINATOR_FLOOR:
                 raise ModelError(
                     f"degenerate two-state model: gamma-form denominator {denominator!r} "
                     f"at order {n} is not positive"
                 )
-            out[first, n] = out[first, n - 1] * n * (rho_2 - rho_1) * (g + n - 1.0) ** shape / denominator
-            out[second, n] = out[first, n] * ((g + n) / g) ** shape
+            out[first, n] = out[first, n - 1] * n * (rho_2 - rho_1) * (1.0 + (n - 1) / g) ** shape / denominator
+            out[second, n] = out[first, n] * growth
     except OverflowError as exc:
         raise NumericError("two-state gamma-form moments overflowed double precision") from exc
     return out

@@ -5,7 +5,10 @@ k for a random sojourn drawn from that state's law, then jumps according
 to a row-stochastic routing matrix with zero diagonal.  While in state k
 the queue sees Poisson arrivals at rate ``arrival_rates[k]`` and all
 servers run at speed ``speeds[k]`` relative to the base service rate
-``mu``.
+``mu``.  The model carries the two per-state quantities every layer
+reads, the service rates ``speeds * mu`` and the offered loads
+``arrival_rates / service_rates``, as fields computed once when it is
+built.
 
 ``chain_statics`` derives everything else the moments and the simulator
 read from the model: the embedded chain's stationary law and reversed
@@ -13,7 +16,7 @@ routing, the mean sojourns, the occupancy law and the mean cycle
 length.  Each verb calls it once and passes the result down.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +86,17 @@ class EnvironmentModel:
         Base service rate of the exponential service requirement.
     routing : array_like, shape (K, K)
         Row-stochastic jump matrix with zero diagonal.
+
+    Attributes
+    ----------
+    service_rates : ndarray, shape (K,)
+        Per-state service rate ``speeds[k] * mu``.
+    offered_loads : ndarray, shape (K,)
+        Per-state offered load rho_k = arrival_rates[k] / service_rates[k],
+        0 in a state without arrivals (its speed may then be 0).
+
+    Both are computed once at construction, read-only like the inputs,
+    and recomputed by ``dataclasses.replace``; they are not arguments.
     """
 
     arrival_rates: np.ndarray
@@ -90,6 +104,8 @@ class EnvironmentModel:
     sojourns: tuple
     mu: float
     routing: np.ndarray
+    service_rates: np.ndarray = field(init=False, repr=False)
+    offered_loads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = np.array(self.arrival_rates, dtype=float)
@@ -115,18 +131,23 @@ class EnvironmentModel:
         object.__setattr__(self, "sojourns", sojourns)
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "routing", routing)
+        # before the check, which reads it; rho only after, since a model
+        # with arrivals at zero service rate would divide by 0
+        service = beta * self.mu
+        service.flags.writeable = False
+        object.__setattr__(self, "service_rates", service)
         report = _violations(self)
         if report:
             raise ModelError("invalid model: " + "; ".join(report))
+        rho = np.zeros(lam.size)
+        active = lam > 0.0
+        rho[active] = lam[active] / self.service_rates[active]
+        rho.flags.writeable = False
+        object.__setattr__(self, "offered_loads", rho)
 
     @property
     def num_states(self) -> int:
         return self.arrival_rates.size
-
-    @property
-    def service_rates(self) -> np.ndarray:
-        """Per-state service rate: speed times the base rate."""
-        return self.speeds * self.mu
 
 
 @dataclass(frozen=True)

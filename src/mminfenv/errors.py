@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer-input rule, shared across the package."""
+
+import operator
 
 
 class ModelError(ValueError):
@@ -11,3 +13,13 @@ class NumericError(RuntimeError):
 
 class EstimationError(RuntimeError):
     """A simulation estimate cannot be produced from the given configuration."""
+
+
+def as_integer(value, name: str) -> int:
+    """An integer input as an int: anything ``operator.index`` takes but a bool, else ValueError naming it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")

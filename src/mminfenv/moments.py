@@ -64,7 +64,10 @@ Their raw moments follow by the second-kind Stirling transform, from
 one triangle at MAX_ORDER (see ``raw_from_factorial``).  Every function
 here reads the embedded chain's law, the reversed routing and the mean
 sojourns from the caller's ``ChainStatics``; only
-``compute_moment_table`` builds them when not handed them.
+``compute_moment_table`` builds them when not handed them.  The
+service rates mu_k and the offered loads rho_k = lambda_k / mu_k are
+read from the model's fields of those names, computed once when the
+model is built.
 
 One identity checks both families at every order, for every sojourn
 law: rate conservation for Lambda^n 1{state k}, which moves as
@@ -73,7 +76,6 @@ continuous at them (see ``rate_conservation_residuals``).
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,12 +83,11 @@ import numpy as np
 
 from .distributions import Deterministic, Exponential, Gamma, HyperExponential
 from .environment import _ROUNDOFF, ChainStatics, EnvironmentModel, _series_budget, chain_statics
-from .errors import NumericError
+from .errors import NumericError, as_integer
 
 __all__ = [
     "MAX_ORDER",
     "WEIGHTINGS",
-    "offered_loads",
     "PalmMoments",
     "palm_moment_vectors",
     "stationary_moment_vectors",
@@ -107,18 +108,8 @@ _NEGATIVITY_FLOOR = 1e-10
 WEIGHTINGS = ("embedded", "occupancy")
 
 
-def _integer(value, name: str) -> int:
-    """An integer input as an int: anything ``operator.index`` takes but a bool, else ValueError naming it."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_order(n_max: int) -> int:
-    n_max = _integer(n_max, "n_max")
+    n_max = as_integer(n_max, "n_max")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if n_max > MAX_ORDER:
@@ -127,19 +118,6 @@ def _check_order(n_max: int) -> int:
             "higher orders need extended precision"
         )
     return n_max
-
-
-def offered_loads(model: EnvironmentModel) -> np.ndarray:
-    """Per-state offered load rho_k = lambda_k / (beta_k mu).
-
-    States with zero arrivals get rho_k = 0 even when their speed is
-    zero (the model rejects positive arrivals at zero speed).
-    """
-    lam = model.arrival_rates
-    rho = np.zeros(model.num_states)
-    active = lam > 0.0
-    rho[active] = lam[active] / model.service_rates[active]
-    return rho
 
 
 def _gauss_beta(a, b, size: int):
@@ -567,7 +545,7 @@ def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: i
     routing = statics.reversed_routing
     k_count = model.num_states
     orders = np.arange(n_max + 1)
-    load_powers = offered_loads(model) ** orders[:, np.newaxis]
+    load_powers = model.offered_loads ** orders[:, np.newaxis]
     weights = _weights(model.sojourns, model.service_rates, n_max)
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = weights[orders, orders]
@@ -639,7 +617,7 @@ def stationary_moment_vectors(
     ]
     if not states:
         return tuple(vectors)
-    load_powers = offered_loads(model)[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
+    load_powers = model.offered_loads[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
     routed = np.array(palm.vectors) @ statics.reversed_routing[states].T
     weights = _weights([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
     for n in range(1, palm.n_max + 1):

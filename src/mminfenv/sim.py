@@ -38,8 +38,7 @@ import numpy as np
 
 from .distributions import _normalised_cdf
 from .environment import ChainStatics, EnvironmentModel
-from .errors import EstimationError
-from .moments import _integer
+from .errors import EstimationError, as_integer
 
 __all__ = [
     "SimulationConfig",
@@ -49,7 +48,6 @@ __all__ = [
     "simulate_environment",
     "simulate_queue",
     "estimate_factorial_moments",
-    "stationarity_check",
 ]
 
 MAX_ESTIMATED_ORDER = 6
@@ -74,7 +72,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("replications", "master_seed", "n_est"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if not (math.isfinite(self.warmup) and self.warmup >= 0.0):
             raise ValueError(f"warmup must be finite and nonnegative, got {self.warmup}")
         if not (math.isfinite(self.horizon) and self.horizon > self.warmup):
@@ -132,9 +130,7 @@ class SimulationEstimate:
     (order 0 is identically 1); n_est, the replications and the master
     seed are read from ``config``.  Standard errors are computed across
     replications only, never pooled within one, which sidesteps the
-    autocorrelation of consecutive samples.  ``half_means[r]`` holds
-    replication r's mean count over the first and the second half of its
-    sampling grid, for ``stationarity_check``.
+    autocorrelation of consecutive samples.
     """
 
     estimates: np.ndarray
@@ -142,7 +138,6 @@ class SimulationEstimate:
     samples_per_replication: int
     occupancy: np.ndarray
     config: SimulationConfig = field(repr=False)
-    half_means: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -286,16 +281,13 @@ def _replication_estimate(
     grid: np.ndarray,
     replication: int,
 ):
-    """One replication: (falling-factorial means, post-warmup occupancy,
-    mean counts over the first and second half of the grid)."""
+    """One replication: (falling-factorial means, post-warmup occupancy)."""
     rng = replication_rng(config.master_seed, replication)
     path = simulate_environment(model, config.horizon, rng, statics)
     counts = simulate_queue(model, path, grid, rng)
     moments = _falling_factorial_means(counts, config.n_est)
     occupancy = path.occupancy(model.num_states, start=config.warmup, stop=config.horizon)
-    half = grid.size // 2
-    halves = np.array([counts[:half].mean(), counts[half:].mean()])
-    return moments, occupancy, halves
+    return moments, occupancy
 
 
 def _sampling_grid(config: SimulationConfig, interval: float) -> np.ndarray:
@@ -322,10 +314,9 @@ def estimate_factorial_moments(
 
     per_rep = np.empty((config.replications, config.n_est + 1))
     occupancies = np.empty((config.replications, model.num_states))
-    half_means = np.empty((config.replications, 2))
     for replication in range(config.replications):
-        per_rep[replication], occupancies[replication], half_means[replication] = (
-            _replication_estimate(model, config, statics, grid, replication)
+        per_rep[replication], occupancies[replication] = _replication_estimate(
+            model, config, statics, grid, replication
         )
 
     estimates = per_rep.mean(axis=0)
@@ -339,26 +330,5 @@ def estimate_factorial_moments(
         samples_per_replication=int(grid.size),
         occupancy=occupancies.mean(axis=0),
         config=config,
-        half_means=half_means,
     )
 
-
-def stationarity_check(estimate: SimulationEstimate) -> dict:
-    """Compare the mean counts of the two halves of the post-warmup window.
-
-    Reduces the per-replication half-window means the estimate already
-    holds.  Returns the two mean estimates, their combined standard
-    error, and whether they agree within 4 combined standard errors;
-    disagreement signals insufficient warmup.
-    """
-    first, second = estimate.half_means.T
-    root = math.sqrt(estimate.config.replications)
-    combined = math.hypot(first.std(ddof=1) / root, second.std(ddof=1) / root)
-    gap = abs(first.mean() - second.mean())
-    return {
-        "first_half": float(first.mean()),
-        "second_half": float(second.mean()),
-        "combined_se": float(combined),
-        "gap": float(gap),
-        "consistent": bool(gap < 4.0 * combined) if combined > 0.0 else gap == 0.0,
-    }

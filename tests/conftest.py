@@ -13,7 +13,6 @@ from mminfenv import (
     Gamma,
     HyperExponential,
     load_model,
-    offered_loads,
 )
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -126,7 +125,7 @@ def kummer_parameters(model: EnvironmentModel) -> dict:
     rho_star = rho_2 - rho_1 the offered-load difference.
     """
     a, b = (law.rate / rate for law, rate in zip(model.sojourns, model.service_rates))
-    rho = offered_loads(model)
+    rho = model.offered_loads
     return {"a": a, "b": b, "rho_star": rho[1] - rho[0]}
 
 

@@ -18,7 +18,6 @@ from mminfenv import (
     estimate_factorial_moments,
     kummer_reference,
     load_model,
-    offered_loads,
 )
 from mminfenv.checks import _relative_gap as max_relative_gap, simulation_checks, structural_checks
 from mminfenv.closedform import gamma_sojourn_reference, shifted_palm_moments
@@ -137,7 +136,7 @@ def test_criterion_3_two_state_closed_form():
         # general recursion against the Kummer sequence, through the load shift
         kummer_shifted = kummer_reference(**kummer_parameters(model), n_max=8)
         computed_1 = np.array([v[0] for v in table.palm])
-        rho_1 = offered_loads(model)[0]
+        rho_1 = model.offered_loads[0]
         from_kummer = np.array(
             [
                 sum(

@@ -276,6 +276,27 @@ class TestValidate:
         assert code == 0, out
         assert "overall: PASS" in out
 
+    def test_sharply_peaked_gamma_sojourn_passes_at_order_20(self, capsys, tmp_path):
+        # Gamma(300, 300): g^shape = 300^300 is beyond double precision, and
+        # the gamma-form reference must not need it
+        document = {
+            "schema_version": 1,
+            "mu": 1.0,
+            "states": [
+                {"lambda": 0.5, "beta": 1.0,
+                 "sojourn": {"family": "gamma", "shape": 300.0, "rate": 300.0}},
+                {"lambda": 2.0, "beta": 1.0,
+                 "sojourn": {"family": "exponential", "rate": 1.0}},
+            ],
+            "routing": [[0.0, 1.0], [1.0, 0.0]],
+        }
+        path = tmp_path / "peaked.yaml"
+        path.write_text(yaml.safe_dump(document))
+        code, out, err = run(capsys, "validate", "--model", str(path), "--order", "20")
+        assert code == 0, out + err
+        assert "gamma-product-formula" in out
+        assert "overall: PASS" in out
+
     def test_applicable_checks_listed(self, capsys):
         # one identity check, on every model
         for model in SHIPPED:

@@ -14,13 +14,12 @@ from mminfenv import (
     chain_statics,
     compute_moment_table,
     kummer_reference,
-    offered_loads,
     palm_moment_vectors,
     structural_checks,
 )
 from mminfenv.closedform import (
     gamma_sojourn_reference,
-    palm_moments,
+    palm_from_shifted,
     roles,
     shifted_palm_moments,
 )
@@ -30,6 +29,11 @@ from conftest import kummer_parameters, random_two_state_model, two_state_model
 
 def example_two_state(arrivals=(0.0, 1.0), service=(1.0, 1.0), sojourns=(Exponential(1.0), Exponential(1.0))):
     return two_state_model(arrivals, service, sojourns)
+
+
+def closed_form_palm(model, n_max):
+    """Plain Palm moments of the closed form: the product, then the binomial load shift."""
+    return palm_from_shifted(model, shifted_palm_moments(model, n_max))
 
 
 def relabelled(model):
@@ -107,7 +111,7 @@ class TestShiftedMoments:
         for family in ("gamma", "deterministic", "hyperexponential", "exponential"):
             model = random_two_state_model(rng, family)
             mu_1, mu_2 = model.service_rates
-            rho_1, rho_2 = offered_loads(model)
+            rho_1, rho_2 = model.offered_loads
             rho_star = rho_2 - rho_1
             shifted_1 = shifted_palm_moments(model, 6)[0]
             for n in range(1, 7):
@@ -163,34 +167,34 @@ class TestShiftedMoments:
 class TestPalmMoments:
     def test_zero_state1_load_equals_shifted(self):
         model = example_two_state(arrivals=(0.0, 1.0))
-        assert palm_moments(model, 5) == pytest.approx(shifted_palm_moments(model, 5))
+        assert closed_form_palm(model, 5) == pytest.approx(shifted_palm_moments(model, 5))
 
     def test_overflow_raises_numeric_error(self):
         # equal loads: the shifted moments vanish, but rho_1^20 = 1e400
         model = example_two_state(arrivals=(1e20, 1e20))
         with pytest.raises(NumericError, match="overflowed"):
-            palm_moments(model, 20)
+            closed_form_palm(model, 20)
 
     def test_underflowed_transform_raises_numeric_error(self):
         # tau_1(3) = exp(-900) is 0 in double precision and has no reciprocal
         model = example_two_state(arrivals=(1.0, 1.0), sojourns=(Deterministic(300.0), Exponential(1.0)))
         with pytest.raises(NumericError, match="order 3"):
-            palm_moments(model, 3)
+            closed_form_palm(model, 3)
 
     def test_order_zero_is_one(self):
-        assert np.all(palm_moments(example_two_state(arrivals=(2.0, 1.0)), 0) == 1.0)
+        assert np.all(closed_form_palm(example_two_state(arrivals=(2.0, 1.0)), 0) == 1.0)
 
     @pytest.mark.parametrize("family", ["gamma", "deterministic", "hyperexponential", "exponential"])
     def test_matches_general_recursion(self, family):
         rng = np.random.default_rng(hash(family) % 2 ** 32)
         for _ in range(5):
             model = random_two_state_model(rng, family)
-            assert general_palm(model, 8) == pytest.approx(palm_moments(model, 8), rel=1e-8)
+            assert general_palm(model, 8) == pytest.approx(closed_form_palm(model, 8), rel=1e-8)
 
     def test_negative_rho_star_matches_general_recursion(self):
         # load of state 1 dominating pins the sign conventions
         model = example_two_state(arrivals=(3.0, 0.5))
-        assert general_palm(model, 6) == pytest.approx(palm_moments(model, 6), rel=1e-9)
+        assert general_palm(model, 6) == pytest.approx(closed_form_palm(model, 6), rel=1e-9)
 
     def test_swap_symmetry_both_exponential(self):
         # both exponential: the paper's state 1 is the model's first state
@@ -198,7 +202,7 @@ class TestPalmMoments:
         model = example_two_state(
             arrivals=(0.7, 1.9), service=(0.6, 0.9), sojourns=(Exponential(1.3), Exponential(0.8))
         )
-        assert palm_moments(relabelled(model), 6)[::-1] == pytest.approx(palm_moments(model, 6), rel=1e-12)
+        assert closed_form_palm(relabelled(model), 6)[::-1] == pytest.approx(closed_form_palm(model, 6), rel=1e-12)
 
     @pytest.mark.parametrize("family", ["gamma", "deterministic", "hyperexponential"])
     def test_labelling_invariance_with_one_exponential_state(self, family):
@@ -210,7 +214,7 @@ class TestPalmMoments:
             other = relabelled(model)
             assert roles(model) == (0, 1) and roles(other) == (1, 0)
             assert np.array_equal(shifted_palm_moments(other, 20), shifted_palm_moments(model, 20)[::-1])
-            assert np.array_equal(palm_moments(other, 20), palm_moments(model, 20)[::-1])
+            assert np.array_equal(closed_form_palm(other, 20), closed_form_palm(model, 20)[::-1])
             table = compute_moment_table(model, n_max=20)
             other_table = dataclasses.replace(table, palm=tuple(v[::-1] for v in table.palm))
             verdicts = [(v.name, v.residual) for v in structural_checks(model, table)]
@@ -264,7 +268,12 @@ class TestGammaReference:
             gamma_sojourn_reference(example_two_state(), 4)
 
     def test_overflow_raises_numeric_error(self):
-        # (g + n)^shape = 320^300 leaves double precision though the model is valid
-        model = example_two_state(arrivals=(1.0, 0.5), sojourns=(Gamma(300.0, 300.0), Exponential(1.0)))
+        # (1 + n / g)^shape = 1.5^2000 leaves double precision though the model is valid
+        model = example_two_state(arrivals=(1.0, 0.5), sojourns=(Gamma(2000.0, 2.0), Exponential(1.0)))
         with pytest.raises(NumericError, match="overflowed"):
             gamma_sojourn_reference(model, 20)
+
+    def test_sharply_peaked_sojourn_stays_in_range(self):
+        # g^shape = 300^300 is beyond double precision, but no factor over it is
+        model = example_two_state(arrivals=(0.5, 2.0), sojourns=(Gamma(300.0, 300.0), Exponential(1.0)))
+        assert gamma_sojourn_reference(model, 20) == pytest.approx(shifted_palm_moments(model, 20), rel=1e-10)

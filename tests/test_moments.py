@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from functools import partial
 
 import mpmath
@@ -20,7 +21,6 @@ from mminfenv import (
     compute_moment_table,
     estimate_factorial_moments,
     load_model,
-    offered_loads,
     palm_moment_vectors,
     rate_conservation_residuals,
     stationary_moment_vectors,
@@ -213,7 +213,7 @@ def long_double_palm(model, statics, n_max=20):
     ld = np.longdouble
     routing = statics.reversed_routing.astype(ld)
     weights = _weights(model.sojourns, model.service_rates, n_max).astype(ld)
-    rho = offered_loads(model).astype(ld)
+    rho = model.offered_loads.astype(ld)
     taus = np.diagonal(weights).T
     vectors, routed = [np.ones(model.num_states, dtype=ld)], [routing @ np.ones(model.num_states, dtype=ld)]
     for n in range(1, n_max + 1):
@@ -239,6 +239,15 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def rates_and_loads(model):
+    """The service rates speeds * mu and offered loads lambda_k / (beta_k mu), computed here."""
+    service = model.speeds * model.mu
+    rho = np.zeros(model.num_states)
+    active = model.arrival_rates > 0.0
+    rho[active] = model.arrival_rates[active] / service[active]
+    return service, rho
+
+
 class TestOfferedLoads:
     def test_definition(self):
         model = EnvironmentModel(
@@ -248,7 +257,7 @@ class TestOfferedLoads:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        assert offered_loads(model) == pytest.approx([2.0, 3.0])
+        assert model.offered_loads == pytest.approx([2.0, 3.0])
 
     def test_zero_arrival_state(self):
         model = EnvironmentModel(
@@ -258,7 +267,7 @@ class TestOfferedLoads:
             mu=2.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        assert offered_loads(model) == pytest.approx([2.0, 0.0])
+        assert model.offered_loads == pytest.approx([2.0, 0.0])
 
     def test_zero_speed_zero_arrivals_allowed(self):
         model = EnvironmentModel(
@@ -268,22 +277,48 @@ class TestOfferedLoads:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        assert offered_loads(model) == pytest.approx([1.0, 0.0])
+        assert model.offered_loads == pytest.approx([1.0, 0.0])
 
     def test_identical_states_scalar_load(self):
         model = identical_state_model(rho=2.0)
-        assert offered_loads(model) == pytest.approx([2.0, 2.0, 2.0])
+        assert model.offered_loads == pytest.approx([2.0, 2.0, 2.0])
 
     def test_divergent_load_rejected(self):
-        # no model with a divergent load can be built, so offered_loads never sees one
-        with pytest.raises(ModelError, match="state 1 has positive arrivals but zero speed"):
-            EnvironmentModel(
-                arrival_rates=[1.0, 1.0],
-                speeds=[1.0, 0.0],
-                sojourns=(Exponential(1.0), Exponential(1.0)),
-                mu=1.0,
-                routing=[[0.0, 1.0], [1.0, 0.0]],
-            )
+        # no model with a divergent load can be built, and building one
+        # divides by no zero service rate on the way to saying so
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="state 1 has positive arrivals but zero speed"):
+                EnvironmentModel(
+                    arrival_rates=[1.0, 1.0],
+                    speeds=[1.0, 0.0],
+                    sojourns=(Exponential(1.0), Exponential(1.0)),
+                    mu=1.0,
+                    routing=[[0.0, 1.0], [1.0, 0.0]],
+                )
+
+    def test_fields_are_read_only(self):
+        model = identical_state_model()
+        for values in (model.service_rates, model.offered_loads):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
+    def test_fields_are_bit_equal_to_their_definitions(self):
+        rng = np.random.default_rng(26)
+        models = [load_model(path) for path in sorted(MODELS_DIR.glob("*.yaml"))]
+        models += [random_mixed_model(int(rng.integers(2, 6)), rng) for _ in range(20)]
+        for model in models:
+            service, rho = rates_and_loads(model)
+            assert np.array_equal(model.service_rates, service)
+            assert np.array_equal(model.offered_loads, rho)
+
+    def test_replace_recomputes_the_fields(self):
+        model = identical_state_model(rho=2.0)
+        faster = dataclasses.replace(model, mu=2.0)
+        service, rho = rates_and_loads(faster)
+        assert np.array_equal(faster.service_rates, service)
+        assert np.array_equal(faster.offered_loads, rho)
+        assert faster.offered_loads == pytest.approx(model.offered_loads * model.mu / 2.0, rel=1e-15)
 
 
 def order_matrix(model, statics, order):
@@ -342,7 +377,7 @@ class TestPalmVectors:
     @pytest.mark.parametrize("name", ["k2_exponential", "k2_gamma_exp"])
     def test_two_state_closed_form_at_order_20(self, name):
         model = load_model(MODELS_DIR / f"{name}.yaml")
-        references = closedform.palm_moments(model, 20)
+        references = closedform.palm_from_shifted(model, closedform.shifted_palm_moments(model, 20))
         palm = palm_moment_vectors(model, chain_statics(model), n_max=20)
         computed = np.array(palm.vectors).T
         for k in range(2):
@@ -409,7 +444,7 @@ class TestSolverChoice:
         assert all(grants[1:])
         weights = _weights(model.sojourns, model.service_rates, 20)
         taus = np.diagonal(weights).T
-        rho = offered_loads(model)
+        rho = model.offered_loads
         routed = [routing @ vec for vec in palm.vectors]
         matrix = np.empty_like(routing)
         for n in range(1, 21):
@@ -605,7 +640,7 @@ class TestStationaryVectors:
         statics = chain_statics(model)
         palm = palm_moment_vectors(model, statics, n_max=1)
         stationary = stationary_moment_vectors(model, statics, palm)
-        rho = offered_loads(model)
+        rho = model.offered_loads
         ratio = np.array(
             [
                 d.residual_laplace(model.service_rates[k]) / d.laplace(model.service_rates[k])

@@ -16,7 +16,6 @@ from mminfenv import (
     estimate_factorial_moments,
     simulate_environment,
     simulate_queue,
-    stationarity_check,
 )
 from mminfenv.sim import replication_rng
 
@@ -343,11 +342,3 @@ class TestEstimates:
         payload = estimate.to_dict()
         assert payload["replications"] == 4
         assert payload["config"]["master_seed"] == 7
-
-    def test_stationarity_check_passes_when_warmed(self):
-        model = identical_state_model()
-        config = small_config(replications=8, horizon=1220.0)
-        estimate = estimate_factorial_moments(model, config, chain_statics(model))
-        result = stationarity_check(estimate)
-        assert result["consistent"]
-        assert result["gap"] < 4.0 * result["combined_se"]
