@@ -13,6 +13,10 @@ Four verbs over a shared model-file format:
 Exit codes are a stable contract: 0 success/pass, 1 check failure,
 2 input error, 3 numeric or estimation error.  Reports are deterministic
 given (model, flags, seed); ``--out`` writes the same content as JSON.
+The record states each setting once, in its top-level ``config``, with
+the value the run used (a defaulted warmup, horizon or sampling
+interval included); its ``table``, ``simulation`` and ``verdicts`` hold
+results only.
 """
 
 import argparse
@@ -76,14 +80,10 @@ def _jsonify(value):
     if isinstance(value, (np.floating, float)):
         value = float(value)
         return value if math.isfinite(value) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return value
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "-"
     value = float(value)
     if math.isnan(value):
         return "-"
@@ -119,7 +119,6 @@ def _tolerances_from_args(args) -> dict:
 
 def _table_dict(table) -> dict:
     return {
-        "n_max": table.n_max,
         "factorial": {w: table.aggregated[w] for w in table.aggregated},
         "raw": {w: table.raw[w] for w in table.raw},
         "palm_vectors": [v for v in table.palm],
@@ -152,8 +151,8 @@ def cmd_moments(args) -> tuple:
     return report, EXIT_OK
 
 
-def _run_simulation(args, model, statics) -> tuple:
-    """Resolve the simulation flags, run the estimate, and echo the resolved config."""
+def _run_simulation(args, model, statics):
+    """Fill in the default warmup and horizon, then run the estimate; its config is the resolved one."""
     warmup = args.warmup if args.warmup is not None else default_warmup(model)
     horizon = args.horizon if args.horizon is not None else warmup + 200.0 * statics.cycle_length
     config = SimulationConfig(
@@ -164,26 +163,30 @@ def _run_simulation(args, model, statics) -> tuple:
         sampling_interval=args.interval,
         n_est=args.order,
     )
-    estimate = estimate_factorial_moments(model, config, statics)
-    echo = {
-        "order": args.order,
-        "seed": args.seed,
-        "replications": args.reps,
+    return estimate_factorial_moments(model, config, statics)
+
+
+def _simulation_echo(config) -> dict:
+    """The report's ``config`` entries of a simulation, as the run used them."""
+    return {
+        "order": config.n_est,
+        "seed": config.master_seed,
+        "replications": config.replications,
         "warmup": config.warmup,
         "horizon": config.horizon,
-        "sampling_interval": config.resolved_interval(statics),
+        "sampling_interval": config.sampling_interval,
     }
-    return config, estimate, echo
 
 
 def cmd_simulate(args) -> tuple:
     _check_simulation_order(args)
     model = load_model(args.model)
-    config, estimate, echo = _run_simulation(args, model, chain_statics(model))
+    estimate = _run_simulation(args, model, chain_statics(model))
+    config = estimate.config
     report = RunReport(
         command="simulate",
         model=model_to_dict(model),
-        config=echo,
+        config=_simulation_echo(config),
         simulation=estimate.to_dict(),
     )
     report.lines.append(
@@ -232,7 +235,7 @@ def cmd_compare(args) -> tuple:
     tolerances = _tolerances_from_args(args)
     statics = chain_statics(model)
     table = compute_moment_table(model, n_max=args.order, statics=statics)
-    config, estimate, echo = _run_simulation(args, model, statics)
+    estimate = _run_simulation(args, model, statics)
 
     verdicts, z_scores = simulation_checks(table, estimate, tolerances)
     consistent = [w for w, v in zip(WEIGHTINGS, verdicts) if v.passed]
@@ -240,14 +243,14 @@ def cmd_compare(args) -> tuple:
     report = RunReport(
         command="compare",
         model=model_to_dict(model),
-        config={**echo, "z_max": tolerances["z_max"]},
+        config={**_simulation_echo(estimate.config), "z_max": tolerances["z_max"]},
         table=_table_dict(table),
         simulation=estimate.to_dict(),
         verdicts=verdicts,
     )
     report.lines.append(
         f"analytic vs simulated factorial moments (orders 1..{args.order}, "
-        f"{config.replications} replications)"
+        f"{estimate.config.replications} replications)"
     )
     rows = []
     for n in range(1, args.order + 1):

@@ -32,7 +32,7 @@ scheduled.
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,9 +57,10 @@ MAX_ESTIMATED_ORDER = 6
 class SimulationConfig:
     """Replication layout for a moment-estimation run.
 
-    ``sampling_interval = None`` resolves to the model's mean environment
-    cycle length, which keeps consecutive samples weakly correlated.  A
-    field out of range, or an integer field given anything but an integer
+    ``sampling_interval = None`` stands for the model's mean environment
+    cycle length, which keeps consecutive samples weakly correlated;
+    ``estimate_factorial_moments`` puts that value in its estimate's
+    config, so a config that ran holds no None.  A field out of range, or an integer field given anything but an integer
     (a bool or a float included), is an input error: ValueError.
     """
 
@@ -96,11 +97,6 @@ class SimulationConfig:
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master seed must fit in 64 bits, got {self.master_seed}")
 
-    def resolved_interval(self, statics: ChainStatics) -> float:
-        if self.sampling_interval is not None:
-            return float(self.sampling_interval)
-        return statics.cycle_length
-
 
 @dataclass(frozen=True)
 class EnvironmentPath:
@@ -127,10 +123,12 @@ class SimulationEstimate:
     """Falling-factorial moment estimates with across-replication errors.
 
     ``estimates[n]`` approximates E[N(N-1)...(N-n+1)] for n = 0..n_est
-    (order 0 is identically 1); n_est, the replications and the master
-    seed are read from ``config``.  Standard errors are computed across
-    replications only, never pooled within one, which sidesteps the
-    autocorrelation of consecutive samples.
+    (order 0 is identically 1).  ``config`` is the configuration the run
+    used, its sampling interval resolved: n_est, the replications, the
+    master seed and every other setting are read from it, and
+    ``to_dict`` holds the results alone.  Standard errors are computed
+    across replications only, never pooled within one, which sidesteps
+    the autocorrelation of consecutive samples.
     """
 
     estimates: np.ndarray
@@ -141,14 +139,10 @@ class SimulationEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "orders": list(range(self.config.n_est + 1)),
             "estimates": self.estimates.tolist(),
             "standard_errors": self.standard_errors.tolist(),
             "samples_per_replication": self.samples_per_replication,
-            "replications": self.config.replications,
-            "master_seed": self.config.master_seed,
             "occupancy": self.occupancy.tolist(),
-            "config": asdict(self.config),
         }
 
 
@@ -290,7 +284,9 @@ def _replication_estimate(
     return moments, occupancy
 
 
-def _sampling_grid(config: SimulationConfig, interval: float) -> np.ndarray:
+def _sampling_grid(config: SimulationConfig) -> np.ndarray:
+    """Sample times after the warmup, one resolved sampling interval apart."""
+    interval = config.sampling_interval
     grid = np.arange(config.warmup + interval, config.horizon, interval)
     if grid.size < 2:
         raise ValueError(
@@ -308,9 +304,13 @@ def estimate_factorial_moments(
     Runs ``config.replications`` independent replications on the model's
     ``statics``, averages the falling factorials of the sampled counts per
     replication, and reports the across-replication mean and standard
-    error per order.
+    error per order.  A sampling interval of None is resolved here, once,
+    to ``statics.cycle_length``, and the estimate carries the config with
+    that value.
     """
-    grid = _sampling_grid(config, config.resolved_interval(statics))
+    if config.sampling_interval is None:
+        config = replace(config, sampling_interval=statics.cycle_length)
+    grid = _sampling_grid(config)
 
     per_rep = np.empty((config.replications, config.n_est + 1))
     occupancies = np.empty((config.replications, model.num_states))

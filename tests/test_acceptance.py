@@ -282,10 +282,11 @@ def test_criterion_8_determinism(capsys, tmp_path):
     config = SimulationConfig(
         warmup=10.0, horizon=310.0, replications=4, master_seed=424242, n_est=3
     )
-    grid = _sampling_grid(config, config.resolved_interval(statics))
     sequential = estimate_factorial_moments(model, config, statics)
+    # the run's own config, its sampling interval resolved
+    grid = _sampling_grid(sequential.config)
     out_of_order = {
-        rep: _replication_estimate(model, config, statics, grid, rep)[0]
+        rep: _replication_estimate(model, sequential.config, statics, grid, rep)[0]
         for rep in (3, 1, 0, 2)
     }
     reduced = np.stack([out_of_order[rep] for rep in range(4)]).mean(axis=0)
@@ -297,7 +298,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
         and text_a == text_b
         and bytes_equal
         and schedule_free
-        and payload["simulation"]["master_seed"] == 424242
+        and payload["config"]["seed"] == 424242
     )
     report(
         "determinism",

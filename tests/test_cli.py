@@ -10,7 +10,7 @@ import yaml
 
 import mminfenv
 from mminfenv import chain_statics, closedform, compute_moment_table, load_model, model_to_dict
-from mminfenv.checks import structural_checks
+from mminfenv.checks import DEFAULT_TOLERANCES, structural_checks
 from mminfenv.cli import build_parser, main
 
 from conftest import MODELS_DIR, random_exponential_model, ring_model
@@ -433,10 +433,8 @@ class TestSimulate:
                          "--out", str(out_path))
         assert code == 0
         payload = json.loads(out_path.read_text())
-        record = payload["simulation"]
-        assert record["master_seed"] == 99
-        assert record["replications"] == 3
-        assert record["config"]["horizon"] == 160.0
+        config, record = payload["config"], payload["simulation"]
+        assert (config["seed"], config["replications"], config["horizon"]) == (99, 3, 160.0)
         assert len(record["estimates"]) == len(record["standard_errors"])
 
 
@@ -496,6 +494,51 @@ class TestOrderCap:
         assert code == 2
         assert out == ""
         assert err == f"input error: {verb} needs --order from 1 to at most 6 (simulation cap), got {order}\n"
+
+
+# every run setting a report may state, under each name it has carried
+SETTING_NAMES = {
+    "order", "n_max", "n_est", "orders", "weighting", "tolerances", "z_max", "seed", "master_seed",
+    "replications", "warmup", "horizon", "sampling_interval", "config", *DEFAULT_TOLERANCES,
+}
+SHORT_SIMULATION = ["--reps", "3", "--warmup", "5", "--horizon", "50"]
+
+
+def mapping_keys(value) -> set:
+    """Every key of every mapping nested in a JSON value."""
+    if isinstance(value, dict):
+        return set(value).union(*(mapping_keys(v) for v in value.values()))
+    if isinstance(value, list):
+        return set().union(*(mapping_keys(v) for v in value))
+    return set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--model", K3_MIXED],
+    ["validate", "--model", K2_GAMMA],
+    ["simulate", "--model", IDENTICAL, "--order", "1", *SHORT_SIMULATION],
+    ["compare", "--model", IDENTICAL, "--order", "1", *SHORT_SIMULATION],
+], ids=lambda argv: argv[0])
+def test_out_states_each_setting_once(capsys, tmp_path, argv):
+    # a setting lives in the top-level config alone, resolved: no None;
+    # a verdict's ``tolerance`` is the gate of that verdict, a result
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    config = payload.pop("config")
+    assert set(config) <= SETTING_NAMES
+    assert None not in config.values()
+    assert not mapping_keys(payload) & SETTING_NAMES
+
+
+@pytest.mark.parametrize("verb", ["simulate", "compare"])
+def test_out_states_the_sampling_interval_used(capsys, tmp_path, verb):
+    out_path = tmp_path / "report.json"
+    cycle = chain_statics(load_model(IDENTICAL)).cycle_length
+    for flags, interval in (([], cycle), (["--interval", "2.5"], 2.5)):
+        run(capsys, verb, "--model", IDENTICAL, "--order", "1", *SHORT_SIMULATION, *flags, "--out", str(out_path))
+        assert json.loads(out_path.read_text())["config"]["sampling_interval"] == interval
 
 
 def run_python(*args, check=True, cwd=None):

@@ -46,9 +46,14 @@ class TestConfig:
             small_config(sampling_interval=0.0)
 
     def test_default_interval_is_mean_cycle(self):
-        statics = chain_statics(identical_state_model())
-        assert small_config().resolved_interval(statics) == statics.cycle_length
-        assert small_config(sampling_interval=2.5).resolved_interval(statics) == 2.5
+        # the estimate carries the interval the run used, never None
+        model = identical_state_model()
+        statics = chain_statics(model)
+        defaulted = estimate_factorial_moments(model, small_config(), statics).config
+        assert defaulted.sampling_interval == statics.cycle_length
+        assert defaulted == small_config(sampling_interval=statics.cycle_length)
+        given = estimate_factorial_moments(model, small_config(sampling_interval=2.5), statics).config
+        assert given == small_config(sampling_interval=2.5)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -321,10 +326,10 @@ class TestEstimates:
         from mminfenv.sim import _replication_estimate, _sampling_grid
 
         model = identical_state_model()
-        config = small_config()
         statics = chain_statics(model)
-        grid = _sampling_grid(config, config.resolved_interval(statics))
-        sequential = estimate_factorial_moments(model, config, statics)
+        sequential = estimate_factorial_moments(model, small_config(), statics)
+        config = sequential.config
+        grid = _sampling_grid(config)
         shuffled_order = [2, 0, 3, 1]
         results = {}
         for rep in shuffled_order:
@@ -339,6 +344,8 @@ class TestEstimates:
         assert estimate.standard_errors[0] == 0.0
         assert np.all(np.isfinite(estimate.estimates))
         assert np.all(np.isfinite(estimate.standard_errors))
-        payload = estimate.to_dict()
-        assert payload["replications"] == 4
-        assert payload["config"]["master_seed"] == 7
+        # results only: the settings live on ``estimate.config``
+        assert sorted(estimate.to_dict()) == [
+            "estimates", "occupancy", "samples_per_replication", "standard_errors",
+        ]
+        assert (estimate.config.replications, estimate.config.master_seed) == (4, 7)
