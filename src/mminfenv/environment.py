@@ -131,19 +131,20 @@ class EnvironmentModel:
         object.__setattr__(self, "sojourns", sojourns)
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "routing", routing)
-        # before the check, which reads it; rho only after, since a model
-        # with arrivals at zero service rate would divide by 0
+        # both before the check, which reads them; a load that no double
+        # holds (a zero or subnormal service rate) is its violation, not a warning
         service = beta * self.mu
         service.flags.writeable = False
         object.__setattr__(self, "service_rates", service)
+        rho = np.zeros(lam.size)
+        active = lam > 0.0
+        with np.errstate(all="ignore"):
+            rho[active] = lam[active] / self.service_rates[active]
+        rho.flags.writeable = False
+        object.__setattr__(self, "offered_loads", rho)
         report = _violations(self)
         if report:
             raise ModelError("invalid model: " + "; ".join(report))
-        rho = np.zeros(lam.size)
-        active = lam > 0.0
-        rho[active] = lam[active] / self.service_rates[active]
-        rho.flags.writeable = False
-        object.__setattr__(self, "offered_loads", rho)
 
     @property
     def num_states(self) -> int:
@@ -221,10 +222,15 @@ def _violations(model: EnvironmentModel) -> list:
     if np.all(beta <= 0.0):
         report.append("at least one state must have a positive speed")
     # the service rate, not the speed: a tiny speed times a tiny mu may underflow to 0
-    bad = np.flatnonzero((lam > 0.0) & (model.service_rates == 0.0))
-    for k in bad:
+    service = model.service_rates
+    for k in np.flatnonzero((lam > 0.0) & (service == 0.0)):
         report.append(
             f"state {k} has positive arrivals but zero speed (offered load diverges)"
+        )
+    # or leave a positive rate so small that lambda / rate overflows
+    for k in np.flatnonzero(np.isfinite(lam) & (service > 0.0) & np.isinf(model.offered_loads)):
+        report.append(
+            f"state {k} has an offered load ({float(lam[k])!r} / {float(service[k])!r}) beyond double precision"
         )
 
     if not np.all(np.isfinite(routing)):

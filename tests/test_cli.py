@@ -10,7 +10,7 @@ import yaml
 
 import mminfenv
 from mminfenv import chain_statics, closedform, compute_moment_table, load_model, model_to_dict
-from mminfenv.checks import DEFAULT_TOLERANCES, structural_checks
+from mminfenv.checks import DEFAULT_TOLERANCES, CheckVerdict, structural_checks
 from mminfenv.cli import build_parser, main
 
 from conftest import MODELS_DIR, random_exponential_model, ring_model
@@ -160,6 +160,39 @@ class TestMoments:
         code, _, err = run(capsys, "moments", "--model", str(bad))
         assert code == 2
         assert "diagonal" in err
+
+    def test_overflowing_offered_load_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "subnormal.yaml"
+        path.write_text(
+            "schema_version: 1\nmu: 1.0\nstates:\n"
+            "  - {lambda: 1.0, beta: 1.0e-310, sojourn: {family: exponential, rate: 1.0}}\n"
+            "  - {lambda: 1.0, beta: 1.0, sojourn: {family: exponential, rate: 1.0}}\n"
+            "routing: [[0.0, 1.0], [1.0, 0.0]]\n"
+        )
+        code, out, err = run(capsys, "moments", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err == "input error: invalid model: state 0 has an offered load (1.0 / 1e-310) beyond double precision\n"
+
+    @pytest.mark.parametrize("verb", ["moments", "validate"])
+    @pytest.mark.parametrize("shape, rate, beta, gap", [(307.6, 272.1, 0.3035, "1.5e-03"), (80.3, 229.2, 0.2286, "2.4e-08")])
+    def test_unresolved_gamma_shape_exits_3(self, capsys, tmp_path, verb, shape, rate, beta, gap):
+        # the weight table of these shapes misses its closed-form diagonal:
+        # no moment is printed and validate stops before its verdicts
+        path = tmp_path / "gamma.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema_version": 1, "mu": 1.0,
+            "states": [
+                {"lambda": 1.0, "beta": beta, "sojourn": {"family": "gamma", "shape": shape, "rate": rate}},
+                {"lambda": 2.0, "beta": 1.0, "sojourn": {"family": "exponential", "rate": 1.0}},
+            ],
+            "routing": [[0.0, 1.0], [1.0, 0.0]],
+        }))
+        code, out, err = run(capsys, verb, "--model", str(path), "--order", "20")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"numeric error: order-20 diagonal weight of the Gamma({shape}, {rate}) sojourn at service rate {beta} "
+            f"is off its closed form by a relative {gap} (limit 1e-12); the gamma quadrature does not resolve this shape\n"
+        )
 
     def test_unknown_field_exits_2(self, capsys, tmp_path):
         document = yaml.safe_load(open(IDENTICAL))
@@ -372,6 +405,16 @@ class TestValidate:
         assert code == 1
         assert "FAIL" in out
 
+    def test_nan_residual_prints_a_dash_and_fails(self, capsys, monkeypatch, tmp_path):
+        # no check of a valid model reads NaN: stand in one that does
+        monkeypatch.setattr(mminfenv.cli, "structural_checks",
+                            lambda *args: [CheckVerdict("rate-conservation", float("nan"), 1e-9)])
+        out_path = tmp_path / "validate.json"
+        code, out, _ = run(capsys, "validate", "--model", K3_EXP, "--out", str(out_path))
+        assert code == 1
+        assert out.splitlines()[-2:] == ["rate-conservation  -         1e-09      FAIL", "overall: FAIL"]
+        assert json.loads(out_path.read_text())["verdicts"][0]["residual"] is None
+
 
 @pytest.mark.parametrize("verb, flag", [("validate", "--tol-solve"), ("compare", "--z-max")])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
@@ -425,6 +468,14 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "input error" in err and message in err
+
+    @pytest.mark.parametrize("verb", ["simulate", "compare"])
+    def test_non_finite_estimate_exits_3(self, capsys, monkeypatch, verb):
+        # falling factorials of counts stay finite: stand in replications that are not
+        monkeypatch.setattr(mminfenv.sim, "_falling_factorial_means", lambda counts, n_est: np.full(n_est + 1, np.nan))
+        code, out, err = run(capsys, verb, "--model", IDENTICAL, "--order", "1", *SHORT_SIMULATION)
+        assert (code, out) == (3, "")
+        assert err == "estimation error: estimates or standard errors are not finite\n"
 
     def test_record_contains_seeds_and_config(self, capsys, tmp_path):
         out_path = tmp_path / "sim.json"

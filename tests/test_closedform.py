@@ -158,6 +158,12 @@ class TestShiftedMoments:
         with pytest.raises(NumericError, match="overflowed"):
             shifted_palm_moments(model, 20)
 
+    def test_vanishing_denominator_raises_model_error(self):
+        # service rates of 1e-17 leave both transforms at 1.0 in double precision
+        model = example_two_state(arrivals=(1.0, 1.0), service=(1e-17, 1e-17))
+        with pytest.raises(ModelError, match=r"^degenerate two-state model: product denominator 0\.0 at order 1 "):
+            shifted_palm_moments(model, 1)
+
     def test_negative_rho_star_signs_alternate(self):
         shifted_1 = shifted_palm_moments(example_two_state(arrivals=(2.0, 0.0)), 4)[0]
         assert shifted_1[1] < 0.0 < shifted_1[2]
@@ -174,6 +180,12 @@ class TestPalmMoments:
         model = example_two_state(arrivals=(1e20, 1e20))
         with pytest.raises(NumericError, match="overflowed"):
             closed_form_palm(model, 20)
+
+    def test_non_finite_sum_raises_numeric_error(self):
+        # rho_1 = 2 is in range, but 2 * 1e308 + 1e308 is not
+        model = example_two_state(arrivals=(2.0, 1.0))
+        with pytest.raises(NumericError, match="^two-state Palm moments overflowed double precision$"):
+            palm_from_shifted(model, np.full((2, 2), 1e308))
 
     def test_underflowed_transform_raises_numeric_error(self):
         # tau_1(3) = exp(-900) is 0 in double precision and has no reciprocal
@@ -272,6 +284,14 @@ class TestGammaReference:
         model = example_two_state(arrivals=(1.0, 0.5), sojourns=(Gamma(2000.0, 2.0), Exponential(1.0)))
         with pytest.raises(NumericError, match="overflowed"):
             gamma_sojourn_reference(model, 20)
+
+    def test_vanishing_denominator_raises_model_error(self):
+        # g = 1e17 leaves (1 + 1 / g)^2 at 1.0, and h = 1e20 absorbs the + 1 of h + 1
+        model = example_two_state(
+            arrivals=(1.0, 1.0), service=(1e-17, 1e-17), sojourns=(Gamma(2.0, 1.0), Exponential(1e3))
+        )
+        with pytest.raises(ModelError, match=r"^degenerate two-state model: gamma-form denominator 0\.0 at order 1 "):
+            gamma_sojourn_reference(model, 1)
 
     def test_sharply_peaked_sojourn_stays_in_range(self):
         # g^shape = 300^300 is beyond double precision, but no factor over it is

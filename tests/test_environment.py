@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -71,6 +72,17 @@ class TestValidate:
         # a positive speed whose service rate underflows to 0 diverges too
         with pytest.raises(ModelError, match="state 0 has positive arrivals but zero speed"):
             two_state_model(speeds=[1e-200, 1.0], mu=1e-200)
+
+    @pytest.mark.parametrize("build", [
+        lambda: two_state_model(speeds=[1e-310, 0.5]),
+        lambda: dataclasses.replace(two_state_model(), speeds=[1e-310, 0.5]),
+    ], ids=["constructor", "replace"])
+    def test_overflowing_offered_load_flagged(self, build):
+        # a subnormal service rate: 1.0 / 1e-310 overflows.  It is reported
+        # like any violation, with no RuntimeWarning (an error under pytest)
+        with pytest.raises(ModelError, match=r"^invalid model: state 0 has an offered load \(1\.0 / 1e-310\) "
+                                             r"beyond double precision$"):
+            build()
 
     def test_bad_row_sum_flagged(self):
         with pytest.raises(ModelError, match="sums to"):
@@ -249,6 +261,23 @@ class TestChainStatics:
             ],
         )
         with pytest.raises(NumericError):
+            chain_statics(model)
+
+    def test_failed_lu_raises(self, monkeypatch):
+        # the M-matrix of a valid chain is never singular: stand in a failed factorisation
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericError, match=r"^embedded balance system is near-singular \(condition inf > 1e12\)$"):
+            chain_statics(two_state_model())
+
+    def test_balance_residual_raises(self, monkeypatch):
+        # no valid chain's certified pi misses its balance: stand in a uniform pi
+        # for a chain whose stationary law is not uniform
+        model = load_model(MODELS_DIR / "k3_mixed.yaml")
+        monkeypatch.setattr(environment, "_stationary_law", lambda routing: (np.full(3, 1.0 / 3.0), 0, 1.0))
+        with pytest.raises(NumericError, match=r"^stationary solve residual .* exceeds tolerance$"):
             chain_statics(model)
 
     def test_weakly_linked_blocks_raise(self):

@@ -406,6 +406,18 @@ class TestPalmVectors:
         with pytest.raises(ValueError, match="n_max must be an integer"):
             compute_moment_table(identical_state_model(), n_max=n_max)
 
+    def test_failed_lu_raises(self, monkeypatch, k3_mixed_model):
+        # an order matrix is a nonsingular M-matrix for every valid model:
+        # stand in a failed factorisation (K = 3 solves every order by LU)
+        statics = chain_statics(k3_mixed_model)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericError, match=r"^order-1 system is singular: Singular matrix$"):
+            palm_moment_vectors(k3_mixed_model, statics, n_max=2)
+
     def test_invalid_model_rejected(self):
         # an invalid model never reaches the recursion: construction refuses it
         with pytest.raises(ModelError, match=r"invalid model: routing diagonal entry p\[0,0\] = 0.2"):
@@ -1051,6 +1063,30 @@ class TestWeights:
                         terms = [(-1) ** i * mpmath.binomial(n - j, i) * transform[j + i] for i in range(n - j + 1)]
                         expected = mpmath.binomial(n, j) * mpmath.fsum(terms)
                         assert rows[n][0, j] == pytest.approx(float(expected), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("shape, rate, service, kind, gap", [
+        (307.6, 272.1, 0.3035, "weight", "1.5e-03"),
+        (307.6, 272.1, 0.3035, "residual weight", "2.2e-04"),
+        (80.3, 229.2, 0.2286, "weight", "2.4e-08"),
+    ])
+    def test_unresolved_gamma_shape_raises(self, shape, rate, service, kind, gap):
+        # the graded rule misses the closed-form diagonal of these shapes;
+        # the table is refused, not returned
+        message = (
+            rf"^order-20 diagonal {kind} of the Gamma\({shape}, {rate}\) sojourn at service rate {service} "
+            rf"is off its closed form by a relative {gap} \(limit 1e-12\); "
+            "the gamma quadrature does not resolve this shape$"
+        )
+        with pytest.raises(NumericError, match=message):
+            _weights([Exponential(1.0), Gamma(shape, rate)], [0.5, service], 20, residual=kind != "weight")
+
+    @pytest.mark.parametrize("shape", [0.3, 40.5, 300.0])
+    @pytest.mark.parametrize("ratio", [1e-4, 1.0, 1e8])
+    def test_resolved_gamma_shapes_pass_the_guard(self, shape, ratio):
+        # shapes up to 40.5 hold the closed form within 1e-14, and integer
+        # shapes are exact Erlang rows, which the guard does not check
+        for residual in (False, True):
+            _weights([Gamma(shape, WEIGHT_RATE / ratio)], [WEIGHT_RATE], 20, residual=residual)
 
     def test_exponential_residual_rows_equal_palm_rows(self):
         dist = WEIGHT_FAMILIES["exponential"]

@@ -7,6 +7,7 @@ from mminfenv import (
     Deterministic,
     EnvironmentModel,
     EnvironmentPath,
+    EstimationError,
     Exponential,
     Gamma,
     HyperExponential,
@@ -135,6 +136,11 @@ class TestEnvironmentPaths:
         model = identical_state_model()
         path = simulate_environment(model, 123.0, np.random.default_rng(1), chain_statics(model))
         assert path.durations.sum() >= 123.0
+
+    def test_empty_occupancy_window_raises(self):
+        path = EnvironmentPath(states=np.array([0, 1]), durations=np.array([1.0, 2.0]))
+        with pytest.raises(EstimationError, match="^empty occupancy window$"):
+            path.occupancy(2, start=1.5, stop=1.5)
 
     def test_path_stops_at_first_segment_reaching_horizon(self, k3_mixed_model):
         statics = chain_statics(k3_mixed_model)
