@@ -60,8 +60,9 @@ class SimulationConfig:
     ``sampling_interval = None`` stands for the model's mean environment
     cycle length, which keeps consecutive samples weakly correlated;
     ``estimate_factorial_moments`` puts that value in its estimate's
-    config, so a config that ran holds no None.  A field out of range, or an integer field given anything but an integer
-    (a bool or a float included), is an input error: ValueError.
+    config, so a config that ran holds no None.  A field out of range,
+    or an integer field given anything but an integer (a bool or a float
+    included), is an input error: ValueError.
     """
 
     warmup: float
