@@ -23,6 +23,8 @@ K3_MIXED = str(MODELS_DIR / "k3_mixed.yaml")
 K3_EXP = str(MODELS_DIR / "k3_exponential.yaml")
 K2_GAMMA = str(MODELS_DIR / "k2_gamma_exp.yaml")
 K2_EXP = str(MODELS_DIR / "k2_exponential.yaml")
+# a simulate or compare run of a fraction of a second
+SHORT_SIMULATION = ["--reps", "3", "--warmup", "5", "--horizon", "50"]
 
 
 # (place in the document, malformed value, field the error must name)
@@ -552,7 +554,6 @@ SETTING_NAMES = {
     "order", "n_max", "n_est", "orders", "weighting", "tolerances", "z_max", "seed", "master_seed",
     "replications", "warmup", "horizon", "sampling_interval", "config", *DEFAULT_TOLERANCES,
 }
-SHORT_SIMULATION = ["--reps", "3", "--warmup", "5", "--horizon", "50"]
 
 
 def mapping_keys(value) -> set:
