@@ -164,14 +164,16 @@ class HyperExponential(SojournDistribution):
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probs)
         rates = tuple(float(r) for r in self.rates)
-        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "rates", rates)
         if len(probs) != len(rates) or len(probs) == 0:
             raise ModelError("HyperExponential needs matching, nonempty probs and rates")
         if any(p < 0.0 or not math.isfinite(p) for p in probs):
             raise ModelError(f"HyperExponential branch probabilities must be nonnegative, got {probs}")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ModelError(f"HyperExponential branch probabilities must sum to 1, got {sum(probs)}")
+        total = sum(probs)
+        if abs(total - 1.0) > 1e-12:
+            raise ModelError(f"HyperExponential branch probabilities must sum to 1, got {total}")
+        # normalised once, so that every layer reads the same law
+        object.__setattr__(self, "probs", tuple(p / total for p in probs))
         if any(r <= 0.0 or not math.isfinite(r) for r in rates):
             raise ModelError(f"HyperExponential branch rates must be positive, got {rates}")
 

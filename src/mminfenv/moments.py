@@ -44,15 +44,13 @@ one dense LU (see ``_series_grants`` and ``_solve``).
 The stationary vectors are the same sums with the residual weights
 ``w*`` and need no solve.  No weight cancels, so the moments are
 accurate to roundoff at every order, and tau_k may underflow to 0 (row
-k of the matrix is then e_k).  The one exception is the quadrature of
-non-integer gamma sojourns of large shape, whose tables are refused
-where their diagonal misses its closed form (see ``_check_gamma_diagonal``).
+k of the matrix is then e_k).
 
 The weights of all orders form one table per call, order-major and
 lower-triangular in (n, j): ``table[n, j, k] = w_k[n, j]``, so order n
 reads row n of every state as one contiguous (n + 1) x K block.  Each
 law gives only its top row, at order MAX_ORDER: exponential,
-hyperexponential and gamma sojourns as mixtures of Erlang laws,
+hyperexponential and gamma sojourns as mixtures and sums of Erlang laws,
 deterministic sojourns as a binomial pmf, and zero speed (X = 1) as all
 its mass on j = MAX_ORDER.  These four families are the only laws a
 model admits.  Every lower row follows by Bernstein degree reduction,
@@ -100,9 +98,8 @@ __all__ = [
     "raw_from_factorial",
 ]
 
-# no check bounds the forward error of the higher orders yet (nor are the
-# gamma weights of large non-integer shapes resolved, see
-# _GAMMA_DIAGONAL_LIMIT); keep a hard cap until one does
+# no check bounds the forward error of the higher orders yet; keep a hard
+# cap until one does
 MAX_ORDER = 20
 
 SOLVE_RESIDUAL_LIMIT = 1e-8
@@ -163,16 +160,6 @@ def _gauss_beta(a, b, size: int):
 _PANEL_NODES = 16
 _LEGENDRE_NODES = 40
 
-# The graded rule loses accuracy as a non-integer gamma shape grows.  In
-# a sweep of 61 shapes from 0.3 to 400 against mu_k / rate from 1e-4 to
-# 1e8 (orders 1-20, both tables), the diagonal weights of shapes up to 46
-# held within 9.5e-14 of 60-digit values, and their gap from the closed
-# form in double precision was at most 1.33e-13, 7.5 times below this
-# limit.  From shape 52 most drift: 4e-12 at 52, 2.7e-7 at 84, 3e-2 at
-# 279.  Above the limit ``_weights`` raises.
-_GAMMA_DIAGONAL_LIMIT = 1e-12
-
-
 @lru_cache(maxsize=None)
 def _legendre_rule(size: int):
     """The ``size``-point Gauss-Legendre rule on [0, 1], built once and read-only."""
@@ -216,11 +203,13 @@ def _exponential_rows(sojourns, service, residual):
 
 
 def _gamma_scale_rules(a: list, b: list, c: list) -> list:
-    """Graded Gauss rules for B ~ Beta(a_i, b_i), b_i > 0, one (nodes, probabilities) per entry.
+    """Graded Gauss rules for B ~ Beta(a_i, b_i), one (nodes, probabilities) per entry.
 
-    The exponential rows are rational in B with poles at B = -1 / (i c),
-    i = 1..n, c = mu_k / rate, which crowd towards the end point 0 as c
-    grows.  So [0, 1] is cut at 4^-p < ... < 1/16 < 1/4, at least at
+    B is the time scale of a Gamma(f, r) sojourn, 0 < f < 1, or of its
+    residual, so a_i is f or f + 1 and b_i = 1 - f (see
+    ``_erlang_mixture_rows``).  The exponential rows are rational in B
+    with poles at B = -1 / (i c), i = 1..n, c = mu_k / rate, which crowd
+    towards the end point 0 as c grows.  So [0, 1] is cut at 4^-p < ... < 1/16 < 1/4, at least at
     1/4, with 4^-p <= 1 / (2 MAX_ORDER c): no pole and no end point
     singularity of the Beta density comes closer to a panel than a third
     of its width, and a fixed rule per panel converges at any c.  The
@@ -251,26 +240,35 @@ def _gamma_scale_rules(a: list, b: list, c: list) -> list:
 
 
 def _erlang_mixture_rows(sojourns, service, residual):
-    """Hyperexponential and gamma sojourns, as mixtures of Erlang laws.
+    """Hyperexponential and gamma sojourns, as mixtures and sums of Erlang laws.
 
     Each state lists branches (rate, probability, q), a sojourn that is
     Erlang(q, rate) with that probability:
 
     * HyperExponential has branches (r_i, p_i, 1); its residual reweights
       branch i by its mean p_i / r_i, as its sampler does.
-    * Gamma(s, r), with q = ceil(s), is B G for independent
-      B ~ Beta(s, q - s) and G ~ Gamma(q, r), so given B = u it is
-      Erlang(q, r / u): branches (r / u, P(u), q) over the graded rule for
-      B.  The residual is U Gamma(s + 1, r) = B' (U Gamma(q + 1, r)) with
-      B' ~ Beta(s + 1, q - s), and U Gamma(q + 1, r) is the residual of
-      Erlang(q, r): the equal mixture of Gamma(i, r), i = 1..q.  Integer
-      shapes take B = 1 and are exact.
+    * Gamma(s, r) of integer s is the one branch (r, 1, s), exact.
+    * Gamma(f, r), 0 < f < 1, is B E for independent B ~ Beta(f, 1 - f)
+      and E ~ Exponential(r), so given B = u it is Exponential(r / u):
+      branches (r / u, P(u), 1) over the graded rule for B.  The residual
+      is U Gamma(f + 1, r) = B' (U Gamma(2, r)) with B' ~ Beta(f + 1, 1 - f),
+      and U Gamma(2, r) is Exponential(r) again.
+
+    Any other Gamma(s, r) is the sum of independent Erlang(q, r) and
+    Gamma(f, r) sojourns, q = floor(s), f = s - q.  X of a sum is the
+    product of its terms' X, and binomial thinning,
+    Bin(n, X1 X2) = Bin(Bin(n, X1), X2), makes weight tables multiply:
+    the top row is w_f[N, :] @ W_q, W_q the Palm table of Erlang(q, r).
+    The residual lies in the Erlang term with probability q / s, and
+    otherwise past all of it, in the residual of the Gamma(f, r) term:
+    (f / s) w*_f[N, :] @ W_q + (q / s) w*_q[N, :].  Every term is
+    positive, and the graded rule only ever sees shapes below 1.
     """
-    # non-integer gamma shapes: the graded rules of all such states at once
+    # the graded rules of the fractional parts f = s - floor(s), all at once
     fractional = [
-        (k, dist.shape + residual, math.ceil(dist.shape) - dist.shape, a / dist.rate)
+        (k, dist.shape % 1.0 + residual, 1.0 - dist.shape % 1.0, a / dist.rate)
         for k, (dist, a) in enumerate(zip(sojourns, service.tolist()))
-        if isinstance(dist, Gamma) and dist.shape != math.ceil(dist.shape)
+        if isinstance(dist, Gamma) and dist.shape % 1.0
     ]
     rules = {}
     if fractional:
@@ -290,11 +288,22 @@ def _erlang_mixture_rows(sojourns, service, residual):
             nodes, weights = rules.get(k, (np.ones(1), np.ones(1)))
             rates.append(dist.rate / nodes)
             probs.append(weights)
-            powers.append(math.ceil(dist.shape))
+            powers.append(1 if k in rules else math.ceil(dist.shape))
     counts = [len(branch_rates) for branch_rates in rates]
     rows = _erlang_rows(np.concatenate(rates) / np.repeat(service, counts), np.repeat(powers, counts), residual)
     rows *= np.concatenate(probs)
-    return np.add.reduceat(rows, np.cumsum(counts) - counts, axis=1)
+    rows = np.add.reduceat(rows, np.cumsum(counts) - counts, axis=1)
+    composed = [k for k in rules if sojourns[k].shape > 1.0]
+    if composed:
+        erlangs = [Gamma(math.floor(sojourns[k].shape), sojourns[k].rate) for k in composed]
+        top = np.einsum("mk,mjk->jk", rows[:, composed], _weights(erlangs, service[composed], MAX_ORDER))
+        if residual:
+            s = np.array([sojourns[k].shape for k in composed])
+            q = np.array([dist.shape for dist in erlangs])
+            rho = np.array([dist.rate for dist in erlangs]) / service[composed]
+            top = (s - q) / s * top + q / s * _erlang_rows(rho, q, True)
+        rows[:, composed] = top
+    return rows
 
 
 def _integrated_power(c: np.ndarray) -> np.ndarray:
@@ -376,43 +385,7 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     # diagonal are never touched
     for n in range(2, n_max + 1):
         table[n, 1:n] *= binomials[n, 1:n]
-    table = np.ascontiguousarray(table[: n_max + 1, : n_max + 1])
-    _check_gamma_diagonal(table, sojourns, service, builders.get(_erlang_mixture_rows, []), residual)
-    return table
-
-
-def _check_gamma_diagonal(table: np.ndarray, sojourns, service: np.ndarray, states: list, residual: bool) -> None:
-    """Hold the diagonal weights of the non-integer gamma laws among ``states`` to their closed form.
-
-    For Gamma(s, r) at service rate c > 0, w[n, n] = E[X^n] is the
-    transform (1 + n c / r)^-s, and its residual counterpart is
-    (1 - (1 + n c / r)^-s) / (n c mean).  Where one of orders 1..n_max
-    is off by more than ``_GAMMA_DIAGONAL_LIMIT`` relative, NumericError
-    names the law: the graded rule does not resolve that shape.  Weights
-    whose closed form is below the smallest normal double are not held.
-    """
-    states = [k for k in states if isinstance(sojourns[k], Gamma) and sojourns[k].shape != math.ceil(sojourns[k].shape)]
-    if not states or len(table) < 2:
-        return
-    shape = np.array([sojourns[k].shape for k in states])
-    rate = np.array([sojourns[k].rate for k in states])
-    c = service[states]
-    orders = np.arange(1, len(table))
-    n = orders[:, np.newaxis]
-    log_transform = -shape * np.log1p(n * c / rate)
-    exact = -np.expm1(log_transform) / (n * c * shape / rate) if residual else np.exp(log_transform)
-    diagonal = table[orders, orders][:, states]
-    held = exact >= np.finfo(float).tiny
-    gap = np.where(held, np.abs(diagonal - exact) / np.where(held, exact, 1.0), 0.0)
-    worst = np.unravel_index(np.argmax(gap), gap.shape)
-    if not gap[worst] <= _GAMMA_DIAGONAL_LIMIT:
-        dist = sojourns[states[worst[1]]]
-        kind = "residual weight" if residual else "weight"
-        raise NumericError(
-            f"order-{worst[0] + 1} diagonal {kind} of the Gamma({dist.shape!r}, {dist.rate!r}) sojourn "
-            f"at service rate {float(c[worst[1]])!r} is off its closed form by a relative "
-            f"{gap[worst]:.1e} (limit {_GAMMA_DIAGONAL_LIMIT:g}); the gamma quadrature does not resolve this shape"
-        )
+    return np.ascontiguousarray(table[: n_max + 1, : n_max + 1])
 
 
 def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.ndarray:

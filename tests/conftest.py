@@ -118,6 +118,31 @@ def two_state_model(arrival_rates, service_rates, sojourns) -> EnvironmentModel:
     )
 
 
+def split_state(model: EnvironmentModel, k: int, first, second) -> EnvironmentModel:
+    """Split state k in series: it keeps law ``first`` and always jumps to a new state of law ``second``.
+
+    The new state, listed last, has state k's arrival rate and speed and
+    leaves as k did.  Where first * second is k's sojourn law, the
+    environment's occupancy process is unchanged, and with it the law of
+    the customer count.
+    """
+    k_count = model.num_states
+    routing = np.zeros((k_count + 1, k_count + 1))
+    routing[:k_count, :k_count] = model.routing
+    routing[k_count] = routing[k]
+    routing[k] = 0.0
+    routing[k, k_count] = 1.0
+    sojourns = list(model.sojourns) + [second]
+    sojourns[k] = first
+    return EnvironmentModel(
+        arrival_rates=np.append(model.arrival_rates, model.arrival_rates[k]),
+        speeds=np.append(model.speeds, model.speeds[k]),
+        sojourns=tuple(sojourns),
+        mu=model.mu,
+        routing=routing,
+    )
+
+
 def kummer_parameters(model: EnvironmentModel) -> dict:
     """Kummer's a, b and rho_star for a two-state model whose state 1 is listed first.
 
