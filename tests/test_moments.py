@@ -1074,6 +1074,22 @@ class TestWeights:
                 assert palm_rows[n][0, 0] == pytest.approx(float(palm(n)), rel=1e-12, abs=0.0)
                 assert residual_rows[n][0, 0] == pytest.approx(float(residual(n)), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("shape, rate, service, kind", [
+        (307.6, 272.1, 0.3035, "weight"),
+        (307.6, 272.1, 0.3035, "residual weight"),
+        (80.3, 229.2, 0.2286, "weight"),
+    ])
+    def test_large_gamma_diagonal(self, shape, rate, service, kind):
+        # these order-20 diagonals were off their closed forms by up to
+        # 1.5e-03 when the graded rule took the whole shape; the product
+        # build reads them within 1.4e-14 (measured at 307.6, "weight")
+        table = _weights([Exponential(1.0), Gamma(shape, rate)], [0.5, service], 20, residual=kind != "weight")
+        with mpmath.workdps(60):
+            s, c = mpmath.mpf(shape), mpmath.mpf(service) / mpmath.mpf(rate)
+            palm = (1 + 20 * c) ** -s
+            expected = float(palm if kind == "weight" else (1 - palm) / (20 * c * s))
+        assert table[20, 20, 1] == pytest.approx(expected, rel=5e-14, abs=0.0)
+
     @pytest.mark.parametrize(
         "shape, ratio",
         [(0.7, 1e3), (2.6, 1e4), (5.4, 1e3)]
