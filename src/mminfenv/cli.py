@@ -5,7 +5,8 @@ Four verbs over a shared model-file format:
 * ``moments``   - factorial and raw moments of the customer count.
 * ``simulate``  - replication estimates of the factorial moments.
 * ``validate``  - every structural identity check that applies to the model,
-  the verdicts of ``mminfenv.checks.structural_checks``.
+  the verdicts of ``mminfenv.checks.structural_checks`` against their
+  fixed gates.
 * ``compare``   - analytic moments against simulation, the verdicts of
   ``mminfenv.checks.simulation_checks``; it passes when the occupancy
   weighting, the law the simulation samples, is consistent.
@@ -14,9 +15,10 @@ Exit codes are a stable contract: 0 success/pass, 1 check failure,
 2 input error, 3 numeric or estimation error.  Reports are deterministic
 given (model, flags, seed); ``--out`` writes the same content as JSON.
 The record states each setting once, in its top-level ``config``, with
-the value the run used (a defaulted warmup, horizon or sampling
-interval included); its ``table``, ``simulation`` and ``verdicts`` hold
-results only.
+the value the run used (a defaulted warmup or horizon, the sampling
+interval, which is always the mean cycle, and the gates of ``validate``
+included); its ``table``, ``simulation`` and ``verdicts`` hold results
+only.
 """
 
 import argparse
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import DEFAULT_TOLERANCES, simulation_checks, structural_checks
+from .checks import TOLERANCES, Z_MAX, simulation_checks, structural_checks
 from .environment import chain_statics
 from .errors import EstimationError, NumericError
 from .modelfile import load_model, model_to_dict
@@ -107,16 +109,6 @@ def _check_simulation_order(args) -> None:
         )
 
 
-def _tolerances_from_args(args) -> dict:
-    """The tolerances the verb has flags for, the only ones it reads; each finite and >= 0."""
-    tolerances = {name: getattr(args, name) for name in DEFAULT_TOLERANCES if hasattr(args, name)}
-    for name, value in tolerances.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be finite and nonnegative, got {value}")
-    return tolerances
-
-
 def _table_dict(table) -> dict:
     return {
         "factorial": {w: table.aggregated[w] for w in table.aggregated},
@@ -160,13 +152,12 @@ def _run_simulation(args, model, statics):
         horizon=horizon,
         replications=args.reps,
         master_seed=args.seed,
-        sampling_interval=args.interval,
         n_est=args.order,
     )
     return estimate_factorial_moments(model, config, statics)
 
 
-def _simulation_echo(config) -> dict:
+def _simulation_echo(config, statics) -> dict:
     """The report's ``config`` entries of a simulation, as the run used them."""
     return {
         "order": config.n_est,
@@ -174,19 +165,20 @@ def _simulation_echo(config) -> dict:
         "replications": config.replications,
         "warmup": config.warmup,
         "horizon": config.horizon,
-        "sampling_interval": config.sampling_interval,
+        "sampling_interval": statics.cycle_length,
     }
 
 
 def cmd_simulate(args) -> tuple:
     _check_simulation_order(args)
     model = load_model(args.model)
-    estimate = _run_simulation(args, model, chain_statics(model))
+    statics = chain_statics(model)
+    estimate = _run_simulation(args, model, statics)
     config = estimate.config
     report = RunReport(
         command="simulate",
         model=model_to_dict(model),
-        config=_simulation_echo(config),
+        config=_simulation_echo(config, statics),
         simulation=estimate.to_dict(),
     )
     report.lines.append(
@@ -207,14 +199,13 @@ def cmd_simulate(args) -> tuple:
 
 def cmd_validate(args) -> tuple:
     model = load_model(args.model)
-    tolerances = _tolerances_from_args(args)
     table = compute_moment_table(model, n_max=args.order)
-    verdicts = structural_checks(model, table, tolerances)
+    verdicts = structural_checks(model, table)
 
     report = RunReport(
         command="validate",
         model=model_to_dict(model),
-        config={"order": args.order, "tolerances": tolerances},
+        config={"order": args.order, "tolerances": dict(TOLERANCES)},
         table=_table_dict(table),
         verdicts=verdicts,
     )
@@ -232,18 +223,19 @@ def cmd_validate(args) -> tuple:
 def cmd_compare(args) -> tuple:
     _check_simulation_order(args)
     model = load_model(args.model)
-    tolerances = _tolerances_from_args(args)
+    if not (math.isfinite(args.z_max) and args.z_max >= 0.0):
+        raise ValueError(f"--z-max must be finite and nonnegative, got {args.z_max}")
     statics = chain_statics(model)
     table = compute_moment_table(model, n_max=args.order, statics=statics)
     estimate = _run_simulation(args, model, statics)
 
-    verdicts, z_scores = simulation_checks(table, estimate, tolerances)
+    verdicts, z_scores = simulation_checks(table, estimate, args.z_max)
     consistent = [w for w, v in zip(WEIGHTINGS, verdicts) if v.passed]
 
     report = RunReport(
         command="compare",
         model=model_to_dict(model),
-        config={**_simulation_echo(estimate.config), "z_max": tolerances["z_max"]},
+        config={**_simulation_echo(estimate.config, statics), "z_max": args.z_max},
         table=_table_dict(table),
         simulation=estimate.to_dict(),
         verdicts=verdicts,
@@ -300,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--reps", type=int, default=8, help="number of replications")
         sub.add_argument("--horizon", type=float, default=None, help="per-replication horizon")
         sub.add_argument("--warmup", type=float, default=None, help="discarded warmup window")
-        sub.add_argument(
-            "--interval", type=float, default=None, help="sampling interval (default: mean cycle)"
-        )
 
     sub = commands.add_parser("moments", help="analytic factorial and raw moments")
     add_common(sub, order_default=5)
@@ -319,26 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("validate", help="run every applicable structural check")
     add_common(sub, order_default=6)
-    sub.add_argument("--tol-identity", dest="tol_identity", type=float,
-                     default=DEFAULT_TOLERANCES["tol_identity"],
-                     help="tolerance for the rate-conservation residuals")
-    sub.add_argument("--tol-closedform", dest="tol_closedform", type=float,
-                     default=DEFAULT_TOLERANCES["tol_closedform"],
-                     help="relative tolerance for the two-state closed form")
-    sub.add_argument("--tol-kummer", dest="tol_kummer", type=float,
-                     default=DEFAULT_TOLERANCES["tol_kummer"],
-                     help="relative tolerance for the Kummer coefficient sequence")
-    sub.add_argument("--tol-gamma", dest="tol_gamma", type=float,
-                     default=DEFAULT_TOLERANCES["tol_gamma"],
-                     help="relative tolerance for the gamma product formula")
-    sub.add_argument("--tol-solve", dest="tol_solve", type=float,
-                     default=DEFAULT_TOLERANCES["tol_solve"],
-                     help="tolerance for linear-solve back-substitution residuals")
 
     sub = commands.add_parser("compare", help="adjudicate the weighting against simulation")
     add_common(sub, order_default=3)
     add_sim_flags(sub)
-    sub.add_argument("--z-max", dest="z_max", type=float, default=DEFAULT_TOLERANCES["z_max"],
+    sub.add_argument("--z-max", dest="z_max", type=float, default=Z_MAX,
                      help="largest acceptable |analytic - estimate| / std.err")
 
     return parser
@@ -368,7 +342,7 @@ def main(argv=None) -> int:
         print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except ValueError as exc:
-        # ModelError, an order beyond the cap, or a simulation or tolerance flag out of range
+        # ModelError, an order beyond the cap, or a simulation flag or --z-max out of range
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

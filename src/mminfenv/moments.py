@@ -353,8 +353,12 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     (X = 1) gives e_N.  The rows below follow by Bernstein degree
     reduction (Farouki and Rajan, 1988): v[n, j] = w[n, j] / C(n, j) =
     E[(1 - X)^(n-j) X^j] satisfies v[n-1, j] = v[n, j] + v[n, j+1], a sum
-    of positive terms, elementwise in k.  Every table is built at N and
-    sliced, so no weight depends on ``n_max``.
+    of positive terms, elementwise in k.  The reduction runs on 2^64 v, a
+    scaling by a power of two and so exact, so that a v that is subnormal
+    in double precision still adds with its full 53 bits: the top row is
+    divided by C(N, j) / 2^64, and every row then multiplied by
+    C(n, j) / 2^64.  Every table is built at N and sliced, so no weight
+    depends on ``n_max``.
     """
     service = np.asarray(service, dtype=float)
     builders = {}
@@ -377,14 +381,13 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
             top[MAX_ORDER, index] = 1.0
         else:
             top[:, index] = builder([sojourns[k] for k in states], service[index], residual)
-    binomials = _binomials(MAX_ORDER)[:, :, np.newaxis]
-    top /= binomials[MAX_ORDER]
+    descale = _descaled_binomials()
+    top /= descale[MAX_ORDER]
     for n in range(MAX_ORDER, 0, -1):
         np.add(table[n, :n], table[n, 1 : n + 1], out=table[n - 1, :n])
-    # row by row (C(n, 0) = C(n, n) = 1), so that the zero pages above the
-    # diagonal are never touched
-    for n in range(2, n_max + 1):
-        table[n, 1:n] *= binomials[n, 1:n]
+    # row by row, so that the zero pages above the diagonal are never touched
+    for n in range(n_max + 1):
+        table[n, : n + 1] *= descale[n, : n + 1]
     return np.ascontiguousarray(table[: n_max + 1, : n_max + 1])
 
 
@@ -807,6 +810,14 @@ def raw_from_factorial(factorial_moments) -> np.ndarray:
     if size > MAX_ORDER + 1:
         raise ValueError(f"moment sequence of order {size - 1} exceeds the maximum order {MAX_ORDER}")
     return np.cumsum(_second_kind()[:size, :size] * values, axis=1).diagonal().copy()
+
+
+@lru_cache(maxsize=None)
+def _descaled_binomials() -> np.ndarray:
+    """C(n, j) / 2^64 at [n, j, 0] for n, j <= MAX_ORDER, exact; built once, read-only."""
+    table = _binomials(MAX_ORDER)[:, :, np.newaxis] / 2.0**64
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

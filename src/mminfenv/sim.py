@@ -20,9 +20,8 @@ so a warmup window is still discarded as defense in depth.  Sampling a
 one-sided forward window of this construction is taken as equivalent in
 law to sampling a two-sided stationary process at a fixed time.  The
 occupancy law and the mean cycle length, which sizes the path's chunks
-and the default sampling interval, come from the caller's
-``ChainStatics``: the verb builds them once and the simulator never
-rebuilds them.
+and spaces the sample times, come from the caller's ``ChainStatics``:
+the verb builds them once and the simulator never rebuilds them.
 
 Replications are independent: replication r uses a generator seeded by
 (master seed, spawn key r), and estimates are reduced in replication
@@ -32,7 +31,7 @@ scheduled.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,19 +56,17 @@ MAX_ESTIMATED_ORDER = 6
 class SimulationConfig:
     """Replication layout for a moment-estimation run.
 
-    ``sampling_interval = None`` stands for the model's mean environment
-    cycle length, which keeps consecutive samples weakly correlated;
-    ``estimate_factorial_moments`` puts that value in its estimate's
-    config, so a config that ran holds no None.  A field out of range,
-    or an integer field given anything but an integer (a bool or a float
-    included), is an input error: ValueError.
+    Samples are taken one mean environment cycle apart, which keeps
+    consecutive samples weakly correlated; the cycle is the model's, so
+    the config holds no interval.  A field out of range, or an integer
+    field given anything but an integer (a bool or a float included), is
+    an input error: ValueError.
     """
 
     warmup: float
     horizon: float
     replications: int
     master_seed: int
-    sampling_interval: float = None
     n_est: int = 3
 
     def __post_init__(self):
@@ -80,12 +77,6 @@ class SimulationConfig:
         if not (math.isfinite(self.horizon) and self.horizon > self.warmup):
             raise ValueError(
                 f"horizon ({self.horizon}) must be finite and exceed warmup ({self.warmup})"
-            )
-        if self.sampling_interval is not None and not (
-            math.isfinite(self.sampling_interval) and self.sampling_interval > 0.0
-        ):
-            raise ValueError(
-                f"sampling interval must be positive, got {self.sampling_interval}"
             )
         if self.replications < 2:
             raise ValueError(
@@ -125,11 +116,11 @@ class SimulationEstimate:
 
     ``estimates[n]`` approximates E[N(N-1)...(N-n+1)] for n = 0..n_est
     (order 0 is identically 1).  ``config`` is the configuration the run
-    used, its sampling interval resolved: n_est, the replications, the
-    master seed and every other setting are read from it, and
-    ``to_dict`` holds the results alone.  Standard errors are computed
-    across replications only, never pooled within one, which sidesteps
-    the autocorrelation of consecutive samples.
+    used: n_est, the replications, the master seed and every other
+    setting are read from it, and ``to_dict`` holds the results alone.
+    Standard errors are computed across replications only, never pooled
+    within one, which sidesteps the autocorrelation of consecutive
+    samples.
     """
 
     estimates: np.ndarray
@@ -285,14 +276,13 @@ def _replication_estimate(
     return moments, occupancy
 
 
-def _sampling_grid(config: SimulationConfig) -> np.ndarray:
-    """Sample times after the warmup, one resolved sampling interval apart."""
-    interval = config.sampling_interval
-    grid = np.arange(config.warmup + interval, config.horizon, interval)
+def _sampling_grid(config: SimulationConfig, cycle: float) -> np.ndarray:
+    """Sample times after the warmup, one mean cycle apart."""
+    grid = np.arange(config.warmup + cycle, config.horizon, cycle)
     if grid.size < 2:
         raise ValueError(
-            "fewer than 2 samples fit between warmup and horizon; "
-            "lengthen the horizon or shrink the sampling interval"
+            "fewer than 2 samples fit between warmup and horizon, one mean cycle apart; "
+            "lengthen the horizon"
         )
     return grid
 
@@ -305,13 +295,9 @@ def estimate_factorial_moments(
     Runs ``config.replications`` independent replications on the model's
     ``statics``, averages the falling factorials of the sampled counts per
     replication, and reports the across-replication mean and standard
-    error per order.  A sampling interval of None is resolved here, once,
-    to ``statics.cycle_length``, and the estimate carries the config with
-    that value.
+    error per order.  The samples are ``statics.cycle_length`` apart.
     """
-    if config.sampling_interval is None:
-        config = replace(config, sampling_interval=statics.cycle_length)
-    grid = _sampling_grid(config)
+    grid = _sampling_grid(config, statics.cycle_length)
 
     per_rep = np.empty((config.replications, config.n_est + 1))
     occupancies = np.empty((config.replications, model.num_states))

@@ -283,8 +283,8 @@ def test_criterion_8_determinism(capsys, tmp_path):
         warmup=10.0, horizon=310.0, replications=4, master_seed=424242, n_est=3
     )
     sequential = estimate_factorial_moments(model, config, statics)
-    # the run's own config, its sampling interval resolved
-    grid = _sampling_grid(sequential.config)
+    # the run's own config and grid, one mean cycle apart
+    grid = _sampling_grid(sequential.config, statics.cycle_length)
     out_of_order = {
         rep: _replication_estimate(model, sequential.config, statics, grid, rep)[0]
         for rep in (3, 1, 0, 2)

@@ -163,7 +163,7 @@ def test_verdicts_follow_the_table_weightings():
     # over the estimated orders, which may stop below the table's
     model = load_model(MODELS_DIR / "k3_mixed.yaml")
     table = compute_moment_table(model, n_max=6)
-    verdicts, z_scores = simulation_checks(table, short_estimate(model, 3), {"z_max": 1.5})
+    verdicts, z_scores = simulation_checks(table, short_estimate(model, 3), z_max=1.5)
     assert list(z_scores) == list(table.aggregated) == ["embedded", "occupancy"]
     assert [v.name for v in verdicts] == ["weighting-embedded-consistent", "weighting-occupancy-consistent"]
     for verdict, z in zip(verdicts, z_scores.values()):

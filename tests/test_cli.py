@@ -10,7 +10,7 @@ import yaml
 
 import mminfenv
 from mminfenv import chain_statics, closedform, compute_moment_table, load_model, model_to_dict
-from mminfenv.checks import DEFAULT_TOLERANCES, CheckVerdict, structural_checks
+from mminfenv.checks import TOLERANCES, CheckVerdict, structural_checks
 from mminfenv.cli import build_parser, main
 
 from conftest import MODELS_DIR, random_exponential_model, ring_model
@@ -367,13 +367,13 @@ class TestValidate:
         assert [v.to_dict() for v in structural_checks(environment, table)] == reported
 
     def test_out_reports_the_tolerances_the_verb_reads(self, capsys, tmp_path):
-        # validate reads the tol_* gates and compare only z_max; neither echoes the other's
+        # validate reads the fixed tol_* gates and compare only z_max; neither echoes the other's
         out_path = tmp_path / "validate.json"
-        run(capsys, "validate", "--model", K3_MIXED, "--tol-solve", "1e-11", "--out", str(out_path))
+        run(capsys, "validate", "--model", K3_MIXED, "--out", str(out_path))
         config = json.loads(out_path.read_text())["config"]
         assert config["tolerances"] == {
             "tol_identity": 1e-9, "tol_closedform": 1e-8, "tol_kummer": 1e-9,
-            "tol_gamma": 1e-10, "tol_solve": 1e-11,
+            "tol_gamma": 1e-10, "tol_solve": 1e-10,
         }
         out_path = tmp_path / "compare.json"
         run(capsys, "compare", "--model", IDENTICAL, "--order", "1", "--reps", "2",
@@ -392,18 +392,6 @@ class TestValidate:
             run(capsys, "validate", "--model", model, "--order", "20")
         assert len(calls) == 2
 
-    def test_removed_palm_match_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["validate", "--model", K3_EXP, "--tol-palm-match", "1e-12"])
-        assert exit_info.value.code == 2
-        assert "--tol-palm-match" in capsys.readouterr().err
-
-    def test_tolerance_flags_can_force_failure(self, capsys):
-        code, out, _ = run(capsys, "validate", "--model", K2_GAMMA,
-                           "--tol-closedform", "1e-30")
-        assert code == 1
-        assert "FAIL" in out
-
     def test_nan_residual_prints_a_dash_and_fails(self, capsys, monkeypatch, tmp_path):
         # no check of a valid model reads NaN: stand in one that does
         monkeypatch.setattr(mminfenv.cli, "structural_checks",
@@ -415,12 +403,12 @@ class TestValidate:
         assert json.loads(out_path.read_text())["verdicts"][0]["residual"] is None
 
 
-@pytest.mark.parametrize("verb, flag", [("validate", "--tol-solve"), ("compare", "--z-max")])
+@pytest.mark.parametrize("verb, flag", [("compare", "--z-max")])
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_tolerance_out_of_range_exits_2(capsys, verb, flag, value):
     # a compare that got past its flags would simulate: keep that run short
-    short = ["--reps", "2", "--warmup", "5", "--horizon", "50"] if verb == "compare" else []
-    code, out, err = run(capsys, verb, "--model", IDENTICAL, "--order", "2", *short, flag, value)
+    code, out, err = run(capsys, verb, "--model", IDENTICAL, "--order", "2",
+                         "--reps", "2", "--warmup", "5", "--horizon", "50", flag, value)
     assert code == 2
     assert out == ""
     assert err == f"input error: {flag} must be finite and nonnegative, got {float(value)}\n"
@@ -457,10 +445,11 @@ class TestSimulate:
     @pytest.mark.parametrize("flags, message", [
         (["--warmup", "-5"], "warmup"),
         (["--horizon", "10", "--warmup", "20"], "exceed warmup"),
-        (["--interval", "-1"], "sampling interval"),
+        (["--reps", "1"], "replication"),
         (["--seed", "-3"], "64 bits"),
         (["--seed", str(2**64)], "64 bits"),
-        (["--warmup", "5", "--horizon", "50", "--interval", "30"], "fewer than 2 samples"),
+        # the samples are one mean cycle (3.66) apart: one fits in (5, 10)
+        (["--warmup", "5", "--horizon", "10"], "fewer than 2 samples"),
     ])
     def test_flag_out_of_range_exits_2(self, capsys, verb, flags, message):
         code, out, err = run(capsys, verb, "--model", IDENTICAL, "--reps", "2", *flags)
@@ -549,7 +538,7 @@ class TestOrderCap:
 # every run setting a report may state, under each name it has carried
 SETTING_NAMES = {
     "order", "n_max", "n_est", "orders", "weighting", "tolerances", "z_max", "seed", "master_seed",
-    "replications", "warmup", "horizon", "sampling_interval", "config", *DEFAULT_TOLERANCES,
+    "replications", "warmup", "horizon", "sampling_interval", "config", *TOLERANCES,
 }
 
 
@@ -585,9 +574,25 @@ def test_out_states_each_setting_once(capsys, tmp_path, argv):
 def test_out_states_the_sampling_interval_used(capsys, tmp_path, verb):
     out_path = tmp_path / "report.json"
     cycle = chain_statics(load_model(IDENTICAL)).cycle_length
-    for flags, interval in (([], cycle), (["--interval", "2.5"], 2.5)):
-        run(capsys, verb, "--model", IDENTICAL, "--order", "1", *SHORT_SIMULATION, *flags, "--out", str(out_path))
-        assert json.loads(out_path.read_text())["config"]["sampling_interval"] == interval
+    run(capsys, verb, "--model", IDENTICAL, "--order", "1", *SHORT_SIMULATION, "--out", str(out_path))
+    assert json.loads(out_path.read_text())["config"]["sampling_interval"] == cycle
+
+
+# each flag dropped from the CLI, with the verbs that had it
+REMOVED_FLAGS = [
+    ("validate", "--tol-palm-match"),
+    *(("validate", f"--tol-{gate}") for gate in ("identity", "closedform", "kummer", "gamma", "solve")),
+    ("simulate", "--interval"),
+    ("compare", "--interval"),
+]
+
+
+@pytest.mark.parametrize("verb, flag", REMOVED_FLAGS)
+def test_removed_flag_exits_2(capsys, verb, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--model", IDENTICAL, flag, "1e-12"])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def run_python(*args, check=True, cwd=None):
@@ -645,10 +650,9 @@ def test_main_is_reentrant_with_its_shared_parser(capsys, tmp_path):
         main(["validate", "--model", K2_GAMMA, "--no-such-flag"])
     assert exit_info.value.code == 2
     capsys.readouterr()
-    strict = tmp_path / "a.json"
-    assert run(capsys, "validate", "--model", K2_GAMMA, "--tol-identity", "1e-3",
-               "--out", str(strict))[0] == 0
-    assert json.loads(strict.read_text())["config"]["tolerances"]["tol_identity"] == 1e-3
+    short = tmp_path / "a.json"
+    assert run(capsys, "validate", "--model", K2_GAMMA, "--order", "3", "--out", str(short))[0] == 0
+    assert json.loads(short.read_text())["config"]["order"] == 3
     in_process = tmp_path / "b.json"
     code, out, err = run(capsys, "validate", "--model", K2_GAMMA, "--out", str(in_process))
 

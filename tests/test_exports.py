@@ -1,5 +1,6 @@
-"""Every exported name resolves, and the package builds its verdicts and its chain statics each in one place."""
+"""Every exported name resolves, verdicts and chain statics are each built in one place, every CLI option has a caller."""
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -143,3 +144,51 @@ def test_every_package_function_has_a_caller_outside_the_tests():
                     if public and item.name not in referenced | ONLY_TESTED:
                         unused.append(f"{path.stem}.{node.name}.{item.name}")
     assert unused == []
+
+
+# every option of each verb, with its reason to exist: a required input, a
+# deployment setting, or the caller outside the tests (a benchmark workload
+# or a demo) that sets a value other than the default.  A new flag needs a
+# line here, and so a caller
+VERB_OPTIONS = {
+    "moments": {
+        "--model": "required input",
+        "--order": "perfbench shipped-moments sets 20",
+        "--out": "deployment setting: the path of the JSON report",
+        "--weighting": "perfbench shipped-moments passes it; it goes with a benchmark change (ROADMAP item 5)",
+    },
+    "simulate": {
+        "--model": "required input",
+        "--order": "shared with compare, which perfbench simulate runs at order 3",
+        "--out": "deployment setting: the path of the JSON report",
+        "--seed": "shared with compare, which perfbench simulate runs with a seed per call",
+        "--reps": "shared with compare, which perfbench simulate runs at 32 replications",
+        "--horizon": "shared with compare, which perfbench simulate runs over 2000 cycles",
+        "--warmup": "shared with compare, which perfbench simulate runs with warmup 80",
+    },
+    "validate": {
+        "--model": "required input",
+        "--order": "perfbench shipped-validate sets 20",
+        "--out": "deployment setting: the path of the JSON report",
+    },
+    "compare": {
+        "--model": "required input",
+        "--order": "perfbench simulate sets 3",
+        "--out": "perfbench simulate writes the report twice to check it repeats",
+        "--seed": "perfbench simulate sets a seed per call",
+        "--reps": "perfbench simulate sets 32",
+        "--horizon": "perfbench simulate sets 2000 cycles past the warmup",
+        "--warmup": "perfbench simulate sets 80",
+        "--z-max": "perfbench simulate sets 6",
+    },
+}
+
+
+def test_every_option_has_a_stated_caller():
+    parser = mminfenv.cli.build_parser()
+    (verbs,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        verb: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for verb, sub in verbs.choices.items()
+    }
+    assert options == {verb: set(reasons) for verb, reasons in VERB_OPTIONS.items()}

@@ -1095,7 +1095,8 @@ class TestWeights:
         [(0.7, 1e3), (2.6, 1e4), (5.4, 1e3)]
         + [(shape, ratio) for shape in (0.7, 2.6, 5.4) for ratio in (0.02, 0.005, 1e-4)]
         + [(shape, ratio) for shape in (0.3, 40.5) for ratio in (1e-4, 1.0, 1e8)]
-        + [(shape, ratio) for shape in (46.19, 80.3, 307.6) for ratio in (1e-4, 0.02, 1.0, 1e3, 1e8)],
+        + [(shape, ratio) for shape in (46.19, 80.3, 307.6) for ratio in (1e-4, 0.02, 1.0, 1e3, 1e8)]
+        + [(80.0, 1e3), (300.0, 1.0)],
     )
     def test_slow_gamma_rows_match_extended_precision(self, shape, ratio):
         # c = mu_k / rate large: the rows, rational in the gamma time scale,
@@ -1108,7 +1109,10 @@ class TestWeights:
         # suffice at c = 1e3).  Every shape above 1 is a Gamma(f) *
         # Erlang(floor(s)) product; from 46 on the rows read up to 2.0e-14
         # (at 307.6), as the exact Erlang(307) rows do alone (2.03e-14), and
-        # are held to 5e-14
+        # are held to 5e-14.  The exact Erlang(80) rows at c = 1e3 and
+        # Erlang(300) rows at c = 1 have entries of 1e-308 to 1e-306, whose
+        # w / C(n, j) is subnormal unless the reduction is scaled; they read
+        # 1.7e-14
         bound = 5e-14 if shape > 46 else 1e-14
         dist = Gamma(shape=shape, rate=WEIGHT_RATE / ratio)
         tiny = np.finfo(float).tiny

@@ -42,19 +42,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n_est=7)
 
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            small_config(sampling_interval=0.0)
+    def test_interval_is_not_a_field(self):
+        # the samples are one mean cycle apart: the config takes no interval
+        with pytest.raises(TypeError, match="sampling_interval"):
+            small_config(sampling_interval=2.5)
 
     def test_default_interval_is_mean_cycle(self):
-        # the estimate carries the interval the run used, never None
+        # the estimate carries the config it ran, and its samples sit one
+        # mean cycle apart after the warmup
         model = identical_state_model()
         statics = chain_statics(model)
-        defaulted = estimate_factorial_moments(model, small_config(), statics).config
-        assert defaulted.sampling_interval == statics.cycle_length
-        assert defaulted == small_config(sampling_interval=statics.cycle_length)
-        given = estimate_factorial_moments(model, small_config(sampling_interval=2.5), statics).config
-        assert given == small_config(sampling_interval=2.5)
+        config = small_config()
+        estimate = estimate_factorial_moments(model, config, statics)
+        assert estimate.config == config
+        assert estimate.samples_per_replication == int((420.0 - 20.0) / statics.cycle_length)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -175,10 +176,7 @@ class TestQueue:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        config = SimulationConfig(
-            warmup=20.0, horizon=1520.0, replications=12, master_seed=11, n_est=2,
-            sampling_interval=1.5,
-        )
+        config = SimulationConfig(warmup=20.0, horizon=1520.0, replications=12, master_seed=11, n_est=2)
         estimate = estimate_factorial_moments(model, config, chain_statics(model))
         # Poisson(1): mean 1 and second factorial moment 1 (so variance 1)
         for order in (1, 2):
@@ -335,7 +333,7 @@ class TestEstimates:
         statics = chain_statics(model)
         sequential = estimate_factorial_moments(model, small_config(), statics)
         config = sequential.config
-        grid = _sampling_grid(config)
+        grid = _sampling_grid(config, statics.cycle_length)
         shuffled_order = [2, 0, 3, 1]
         results = {}
         for rep in shuffled_order:
