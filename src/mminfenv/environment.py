@@ -335,11 +335,12 @@ def _stationary_law(routing: np.ndarray):
     k_count = len(routing)
     dropped = int(np.argmax(routing.sum(axis=0)))
     keep = np.flatnonzero(np.arange(k_count) != dropped)
-    # P_{-d,-d}, turned into I - P_{-d,-d} in place and solved transposed
+    # P_{-d,-d} (C-contiguous, so its diagonal is a strided view of its flat
+    # storage), turned into I - P_{-d,-d} in place and solved transposed
     system = routing[np.ix_(keep, keep)]
     norm = float(np.max(1.0 + system.sum(axis=0)))
     np.negative(system, out=system)
-    system.flat[::k_count] += 1.0
+    system.reshape(-1)[::k_count] += 1.0
     try:
         both = np.linalg.solve(system.T, np.column_stack((routing[dropped, keep], np.ones(k_count - 1))))
     except np.linalg.LinAlgError:

@@ -391,15 +391,26 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     return np.ascontiguousarray(table[: n_max + 1, : n_max + 1])
 
 
-def _order_matrix(routing: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n], built in ``out``.
+def _order_matrix(routing: np.ndarray, negated_tau: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The order-n system matrix I - diag(tau) Q, tau_k = w_k[n, n], built in ``out`` from the column -tau.
 
     tau_k may underflow to 0 (a long sojourn at a high order): row k is
-    then e_k, and the system stays a nonsingular M-matrix.
+    then e_k, and the system stays a nonsingular M-matrix.  ``out`` is
+    C-contiguous, so its diagonal is a strided view of its flat storage.
     """
-    matrix = np.multiply(routing, -tau[:, np.newaxis], out=out)
-    matrix.flat[:: len(tau) + 1] += 1.0
+    matrix = np.multiply(routing, negated_tau, out=out)
+    matrix.reshape(-1)[:: len(routing) + 1] += 1.0
     return matrix
+
+
+def _series_length(bound):
+    """The products a series bounded by ``bound`` >= q_n may need, and q_n clamped.
+
+    ceil(log(u (1 - q)) / log(q)) - 1, at least 1, which grows with q.  The
+    clamps keep the logarithms finite where q_n underflowed to 0 or reached 1.
+    """
+    q = np.clip(bound, np.finfo(float).tiny, 1.0 - _ROUNDOFF)
+    return np.maximum(np.ceil(np.log(_ROUNDOFF * (1.0 - q)) / np.log(q)) - 1.0, 1.0), q
 
 
 def _series_grants(taus: np.ndarray, routing: np.ndarray, pi: np.ndarray, buffer: np.ndarray):
@@ -415,27 +426,30 @@ def _series_grants(taus: np.ndarray, routing: np.ndarray, pi: np.ndarray, buffer
     computed term is at most q_n times the one before, and the tail rule
     of ``_solve``, ||t||_inf q_n / (1 - q_n) <= u ||first term||_inf, fires
     after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products (and at
-    least one).  Orders whose grant is within ``_series_budget``, below
-    the measured cost of one LU, get it; the others get 0, and so does
-    every order below K = 10.  Sparse routing, whose rows of |Q - 1 pi'|
-    sum to nearly 2, bounds the series loosely and takes the LU more
-    often.  The clamps keep the logarithms finite where q_n underflowed to
-    0 or reached 1.
+    least one; see ``_series_length``).  Orders whose grant is within
+    ``_series_budget``, below the measured cost of one LU, get it; the
+    others get 0, and so does every order below K = 10.  Sparse routing,
+    whose rows of |Q - 1 pi'| sum to nearly 2, bounds the series loosely
+    and takes the LU more often.
+
+    Row k of |Q - 1 pi'| holds |0 - pi_k| (Q has a zero diagonal) beside
+    nonnegative terms, so even its computed sum is at least pi_k, and
+    q_n >= max_k tau_k pi_k.  Where that lower bound already grants every
+    order more than the budget, every order takes the LU and the K^2 pass
+    is skipped (``buffer`` is then not written); q_n is then returned as 1.
     """
     k_count = len(routing)
     budget = _series_budget(k_count)
-    if budget < 1.0:
+    if budget < 1.0 or _series_length((taus * pi).max(axis=1).min())[0] > budget:
         return [0] * len(taus), np.ones(len(taus))
     np.abs(np.subtract(routing, pi, out=buffer), out=buffer)
-    bound = (taus * buffer.sum(axis=1)).max(axis=1) + 4.0 * k_count * _ROUNDOFF * taus.max(axis=1)
-    q = np.clip(bound, np.finfo(float).tiny, 1.0 - _ROUNDOFF)
-    grant = np.maximum(np.ceil(np.log(_ROUNDOFF * (1.0 - q)) / np.log(q)) - 1.0, 1.0)
+    grant, q = _series_length((taus * buffer.sum(axis=1)).max(axis=1) + 4.0 * k_count * _ROUNDOFF * taus.max(axis=1))
     steps = np.where(grant <= budget, grant, 0.0).astype(int)
     return steps.tolist(), q
 
 
-def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, pi: np.ndarray, bound: float,
-           steps: int, block: np.ndarray, matrix: np.ndarray):
+def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.ndarray, tau_max: float,
+           pi: np.ndarray, bound: float, steps: int, block: np.ndarray, matrix: np.ndarray):
     """Solve ``(I - diag(tau) Q) x = block[0]``; return x, its exact inf-norm condition number and the products taken.
 
     ``block`` holds the right-hand side in its first row and tau in its
@@ -464,16 +478,18 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, pi:
     signs, and the series stops once that is at most u times the inf-norm
     of the row's first term, in both rows; a series that runs out of its
     ``steps`` first has no tail bound and raises NumericError.  With
-    ``steps`` = 0 the matrix is built in ``matrix`` and [x, z] come from
-    one LU (``pi`` is not read).  ``tau_max`` is the largest entry of
-    ``tau``; ``order`` names the order in the errors.
+    ``steps`` = 0 the matrix is built in ``matrix`` from ``negated_tau``,
+    -tau as a K x 1 column, and [x, z] come from one LU (``pi`` is not
+    read); its x is returned as a row view of the solve's result, which
+    the caller copies into its own storage.  ``tau_max`` is the largest
+    entry of ``tau``; ``order`` names the order in the errors.
     """
     if not steps:
         try:
-            solution, z = np.linalg.solve(_order_matrix(routing, tau, out=matrix), block.T).T
+            solution, z = np.linalg.solve(_order_matrix(routing, negated_tau, out=matrix), block.T).T
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"order-{order} system is singular: {exc}") from exc
-        return solution.copy(), (1.0 + tau_max) * (1.0 + float(z.max())), 0
+        return solution, (1.0 + tau_max) * (1.0 + float(z.max())), 0
     total, term = block.copy(), block
     rhs_limit, tau_limit = (_ROUNDOFF * (1.0 - bound) * np.abs(block).max(axis=1)).tolist()
     routing_t = routing.T
@@ -502,20 +518,24 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, tau_max: float, pi:
     return solution, (1.0 + tau_max) * (1.0 + float(z.max()) / denominator), used
 
 
-def _require_nonnegative(vec: np.ndarray, context: str) -> None:
+def _require_nonnegative(rows: np.ndarray, context: str, first: int = 0) -> None:
     """Moments of nonnegative quantities must stay nonnegative.
 
-    Entries below the roundoff floor indicate numerical breakdown and
-    raise; values are never clamped.
+    ``rows`` is one vector, or a block of vectors, one per row: row i is
+    named by ``context.format(first + i)`` and the rows are checked in
+    order, so the first that fails raises.  Entries below the roundoff
+    floor indicate numerical breakdown and raise; values are never
+    clamped.
     """
-    low, high = float(vec.min()), float(vec.max())
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise NumericError(f"{context}: non-finite moment entries {vec!r}")
-    if low < -_NEGATIVITY_FLOOR * max(1.0, high, -low):
-        raise NumericError(
-            f"{context}: moment entries turned negative ({vec!r}); "
-            "this indicates numerical breakdown, not a valid result"
-        )
+    block = np.atleast_2d(rows)
+    for i, (low, high) in enumerate(zip(block.min(axis=1).tolist(), block.max(axis=1).tolist())):
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise NumericError(f"{context.format(first + i)}: non-finite moment entries {block[i]!r}")
+        if low < -_NEGATIVITY_FLOOR * max(1.0, high, -low):
+            raise NumericError(
+                f"{context.format(first + i)}: moment entries turned negative ({block[i]!r}); "
+                "this indicates numerical breakdown, not a valid result"
+            )
 
 
 @dataclass(frozen=True)
@@ -561,9 +581,18 @@ def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: i
     q_n >= ||diag(tau) E||_inf is within the measured cost of one LU
     (``environment._SERIES_SHARE``), stopped once q_n bounds its tail by the unit
     roundoff u.  Every other order takes one LU.  ``steps`` records the
-    products each order took (0 for an LU).  The backward residual of
-    every order is read off the product Q m0^(n) that the next order
-    needs anyway; residuals above 1e-8 raise NumericError carrying it.
+    products each order took (0 for an LU).
+
+    Every order's right-hand side, solution and product Q m0^(n) (which
+    the next orders need) is a row of one array per kind, so an order is
+    a sum, a solve and a product.  The orders are checked in one pass
+    after the loop, or after the order whose solve raised: the backward
+    residual of each, read off Q m0^(n), and the signs of its solution.
+    The earliest order that fails raises NumericError, its residual (above
+    1e-8) before its signs, so the error is the one a check after every
+    order would give.  Floating-point warnings of the loop are silenced,
+    as an order computed after a failing one may overflow; an order that
+    overflows is non-finite and fails its check.
     """
     n_max = _check_order(n_max)
     routing = statics.reversed_routing
@@ -573,44 +602,54 @@ def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: i
     weights = _weights(model.sojourns, model.service_rates, n_max)
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = weights[orders, orders]
+    negated_taus = -taus[:, :, np.newaxis]
     # the matrix of the LU orders, built in place (first the grants' workspace)
     matrix = np.empty_like(routing)
     grants, bounds = _series_grants(taus, routing, statics.pi, matrix)
     tau_max = taus.max(axis=1)
 
-    vectors = [np.ones(k_count)]
-    # Q m0^(j) of every order solved so far, one row per order
-    routed = np.empty((n_max + 1, k_count))
-    routed[0] = routing @ vectors[0]
+    # one row per order: m0^(n), Q m0^(n), and the right-hand side above
+    # the diagonal weights beside tau (the series multiplies the rows by
+    # Q', faster than Q by columns)
+    solutions = np.empty((n_max + 1, k_count))
+    routed = np.empty_like(solutions)
+    blocks = np.empty((n_max + 1, 2, k_count))
+    blocks[:, 1] = taus
+    solutions[0] = 1.0
+    np.matmul(routing, solutions[0], out=routed[0])
     condition = np.full(n_max + 1, np.nan)
     solve_residual = np.full(n_max + 1, np.nan)
     steps = np.zeros(n_max + 1, dtype=int)
 
-    # the right-hand side of each order above its diagonal weights, one row
-    # each: the series multiplies the rows by Q', faster than Q by columns
-    block = np.empty((2, k_count))
-    for n in range(1, n_max + 1):
-        rhs = (weights[n, :n] * load_powers[n:0:-1] * routed[:n]).sum(axis=0)
-        block[0] = rhs
-        block[1] = taus[n]
-        solution, cond, steps[n] = _solve(
-            n, routing, taus[n], tau_max[n], statics.pi, bounds[n], grants[n], block, matrix
-        )
-        routed[n] = routing @ solution
-        scale = max(float(np.abs(rhs).max()), 1e-300)
-        residual = float(np.abs(solution - taus[n] * routed[n] - rhs).max()) / scale
-        if residual > SOLVE_RESIDUAL_LIMIT:
+    n = 0
+    try:
+        with np.errstate(all="ignore"):
+            for n in range(1, n_max + 1):
+                np.sum(weights[n, :n] * load_powers[n:0:-1] * routed[:n], axis=0, out=blocks[n, 0])
+                solutions[n], condition[n], steps[n] = _solve(
+                    n, routing, taus[n], negated_taus[n], tau_max[n], statics.pi, bounds[n], grants[n],
+                    blocks[n], matrix,
+                )
+                np.matmul(routing, solutions[n], out=routed[n])
+            n = n_max + 1
+    finally:
+        # orders 1..n-1 are complete
+        rhs = blocks[1:n, 0]
+        with np.errstate(all="ignore"):
+            scale = np.maximum(np.abs(rhs).max(axis=1), 1e-300)
+            solve_residual[1:n] = np.abs(solutions[1:n] - taus[1:n] * routed[1:n] - rhs).max(axis=1) / scale
+            failed = np.flatnonzero(solve_residual[1:n] > SOLVE_RESIDUAL_LIMIT)
+        # the signs of every order below the first failing residual come first
+        upto = int(failed[0]) + 1 if failed.size else n
+        _require_nonnegative(solutions[1:upto], "palm moment vector at order {}", 1)
+        if failed.size:
             raise NumericError(
-                f"order-{n} solve is ill-conditioned: relative residual {residual:.3e} "
-                f"exceeds {SOLVE_RESIDUAL_LIMIT:g} (condition {cond:.3e})"
+                f"order-{upto} solve is ill-conditioned: relative residual {solve_residual[upto]:.3e} "
+                f"exceeds {SOLVE_RESIDUAL_LIMIT:g} (condition {condition[upto]:.3e})"
             )
-        _require_nonnegative(solution, f"palm moment vector at order {n}")
-        vectors.append(solution)
-        condition[n] = cond
-        solve_residual[n] = residual
 
     return PalmMoments(
-        vectors=tuple(vectors),
+        vectors=tuple(solutions),
         condition=condition,
         solve_residual=solve_residual,
         steps=steps,
@@ -631,10 +670,13 @@ def stationary_moment_vectors(
     over the products Q m0^(j) of the Palm vectors.  A memoryless state
     (exponential, or zero speed) has w* = w, and its entry is copied from
     the Palm vector, so all-exponential models give the two families bit
-    for bit equal.
+    for bit equal.  The sums run order by order; the signs of every order
+    are checked in one pass after them, earliest order first, with the
+    floating-point warnings of the sums silenced as in
+    ``palm_moment_vectors``.
     """
     service = model.service_rates
-    vectors = [vec.copy() for vec in palm.vectors]
+    vectors = np.array(palm.vectors)
     states = [
         k for k, dist in enumerate(model.sojourns)
         if service[k] > 0.0 and not isinstance(dist, Exponential)
@@ -642,11 +684,12 @@ def stationary_moment_vectors(
     if not states:
         return tuple(vectors)
     load_powers = model.offered_loads[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
-    routed = np.array(palm.vectors) @ statics.reversed_routing[states].T
+    routed = vectors @ statics.reversed_routing[states].T
     weights = _weights([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
-    for n in range(1, palm.n_max + 1):
-        vectors[n][states] = (weights[n, : n + 1] * load_powers[n::-1] * routed[: n + 1]).sum(axis=0)
-        _require_nonnegative(vectors[n], f"stationary moment vector at order {n}")
+    with np.errstate(all="ignore"):
+        for n in range(1, palm.n_max + 1):
+            vectors[n, states] = (weights[n, : n + 1] * load_powers[n::-1] * routed[: n + 1]).sum(axis=0)
+    _require_nonnegative(vectors[1:], "stationary moment vector at order {}", 1)
     return tuple(vectors)
 
 

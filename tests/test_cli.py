@@ -256,30 +256,43 @@ class TestMoments:
         assert code == 3
         assert "underflowed to 0 at order 2" in err
 
+    # a valid model served at speed 1e-15 in both states: every tau_k is
+    # within 1e-14 of 1, so the order-2 Palm matrix is singular to working
+    # precision and its back-substitution check fails
+    SLOW_SERVICE = {
+        "schema_version": 1,
+        "mu": 1.0,
+        "states": [
+            {"lambda": 1e-16, "beta": 1e-15, "sojourn": {"family": "gamma", "shape": 2.5, "rate": 1.0}},
+            {"lambda": 1.0, "beta": 1e-15, "sojourn": {"family": "exponential", "rate": 1.0}},
+        ],
+        "routing": [[0.0, 1.0], [1.0, 0.0]],
+    }
+    SLOW_SERVICE_ERROR = (
+        "numeric error: order-2 solve is ill-conditioned: relative residual 1.074e-02 "
+        "exceeds 1e-08 (condition 6.551e+14)\n"
+    )
+
     @pytest.mark.parametrize("verb", ["moments", "validate"])
     def test_ill_conditioned_solve_exits_3(self, capsys, tmp_path, verb):
-        # a valid model served at speed 1e-15 in both states: every tau_k is
-        # within 1e-14 of 1, so the order-2 Palm matrix is singular to
-        # working precision and its back-substitution check fails
-        document = {
-            "schema_version": 1,
-            "mu": 1.0,
-            "states": [
-                {"lambda": 1e-16, "beta": 1e-15, "sojourn": {"family": "gamma", "shape": 2.5, "rate": 1.0}},
-                {"lambda": 1.0, "beta": 1e-15, "sojourn": {"family": "exponential", "rate": 1.0}},
-            ],
-            "routing": [[0.0, 1.0], [1.0, 0.0]],
-        }
         path = tmp_path / "slow.yaml"
-        path.write_text(yaml.safe_dump(document))
+        path.write_text(yaml.safe_dump(self.SLOW_SERVICE))
         out_path = tmp_path / "report.json"
         code, out, err = run(capsys, verb, "--model", str(path), "--out", str(out_path))
         assert (code, out) == (3, "")
-        assert err == (
-            "numeric error: order-2 solve is ill-conditioned: relative residual 1.074e-02 "
-            "exceeds 1e-08 (condition 6.551e+14)\n"
-        )
+        assert err == self.SLOW_SERVICE_ERROR
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("verb", ["moments", "validate"])
+    def test_ill_conditioned_solve_prints_only_its_error(self, tmp_path, verb):
+        # every order is solved before any is checked, so orders 3-20 run on
+        # the garbage of order 2; pytest turns a RuntimeWarning into an
+        # error, so only a fresh interpreter shows one printed from them
+        path = tmp_path / "slow.yaml"
+        path.write_text(yaml.safe_dump(self.SLOW_SERVICE))
+        result = run_python("-m", "mminfenv.cli", verb, "--model", str(path), "--order", "20", check=False)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == self.SLOW_SERVICE_ERROR
 
 
 class TestValidate:

@@ -121,6 +121,25 @@ def test_offered_loads_are_computed_in_one_place():
     assert sites == {"environment.EnvironmentModel.__post_init__"}
 
 
+def test_sign_rule_is_applied_in_one_place():
+    # one home for the sign rule: the Palm and stationary checks and the
+    # scalar moments all call _require_nonnegative, and nothing else,
+    # in a function or at module level, reads its floor
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                # ast.walk goes outside in, so a nested function's name wins
+                scopes.update({id(node): function.name for node in ast.walk(function)})
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "_NEGATIVITY_FLOOR" and not isinstance(node.ctx, ast.Store):
+                readers.add(f"{path.stem}.{scopes.get(id(node), '<module>')}")
+    assert readers == {"moments._require_nonnegative"}
+
+
 def test_every_package_function_has_a_caller_outside_the_tests():
     # package code is code a verb, a demo or the benchmark runs: a function
     # or public method read only by tests is dead weight, or belongs in them

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import warnings
 from functools import partial
@@ -44,6 +45,14 @@ from conftest import (
 
 def seeded(build, k_count):
     return build(k_count, np.random.default_rng(k_count))
+
+
+def load_module(path):
+    """A Python file outside the package and the tests, such as a benchmark module, imported by path."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fast_service_model(k_count, rng):
@@ -431,6 +440,66 @@ class TestPalmVectors:
             )
 
 
+# a fault planted in order 2's solve: its right-hand side scaled before
+# the solve (the residual passes, the signs fail) or its solution scaled
+# after it (the residual fails), as (error, rhs factor, solution factor)
+PLANTS = {
+    "residual": (r"^order-2 solve is ill-conditioned: relative residual", 1.0, 1.001),
+    "negative": (r"^palm moment vector at order 2: moment entries turned negative", -1.0, 1.0),
+    "non-finite": (r"^palm moment vector at order 2: non-finite moment entries", np.inf, 1.0),
+    # within an order the residual is checked before the signs
+    "residual-and-negative": (r"^order-2 solve is ill-conditioned: relative residual", 1.0, -1.0),
+}
+
+
+class TestFailurePrecedence:
+    """Every order is checked after the loop, and the earliest failure raises, as a check after each order would."""
+
+    @staticmethod
+    def plant(monkeypatch, rhs_factor, solution_factor, raise_at):
+        # _solve as it is, but order 2 gets the fault and order ``raise_at`` raises
+        solve = moments._solve
+
+        def planted(n, *args):
+            if n == raise_at:
+                raise NumericError(f"stand-in failure at order {n}")
+            if n != 2:
+                return solve(n, *args)
+            block = args[-2]
+            block[0] *= rhs_factor
+            solution, condition, steps = solve(n, *args)
+            return solution * solution_factor, condition, steps
+
+        monkeypatch.setattr(moments, "_solve", planted)
+
+    @pytest.mark.parametrize("raise_at", [4, None])
+    @pytest.mark.parametrize("plant", PLANTS, ids=list(PLANTS))
+    def test_earliest_order_raises(self, monkeypatch, k3_mixed_model, plant, raise_at):
+        pattern, rhs_factor, solution_factor = PLANTS[plant]
+        statics = chain_statics(k3_mixed_model)
+        self.plant(monkeypatch, rhs_factor, solution_factor, raise_at)
+        with pytest.raises(NumericError, match=pattern) as failure:
+            palm_moment_vectors(k3_mixed_model, statics, n_max=6)
+        if raise_at is not None:
+            # the later solve did raise, and the check of the orders below it won
+            assert str(failure.value.__context__) == "stand-in failure at order 4"
+
+    def test_failing_solve_raises_when_the_orders_below_it_pass(self, monkeypatch, k3_mixed_model):
+        statics = chain_statics(k3_mixed_model)
+        self.plant(monkeypatch, 1.0, 1.0, 4)
+        with pytest.raises(NumericError, match="^stand-in failure at order 4$"):
+            palm_moment_vectors(k3_mixed_model, statics, n_max=6)
+
+    def test_stationary_earliest_order_raises(self, k3_mixed_model):
+        # Palm vectors turned negative at orders 3 and 5: the stationary
+        # vectors of both fail, and order 3 is named
+        statics = chain_statics(k3_mixed_model)
+        palm = palm_moment_vectors(k3_mixed_model, statics, n_max=6)
+        vectors = [-vec if n in (3, 5) else vec for n, vec in enumerate(palm.vectors)]
+        with pytest.raises(NumericError, match="^stationary moment vector at order 3: moment entries turned negative"):
+            stationary_moment_vectors(k3_mixed_model, statics, dataclasses.replace(palm, vectors=tuple(vectors)))
+
+
 class TestSolverChoice:
     """Per order, the deflated series where it is cheaper than one LU, the LU elsewhere."""
 
@@ -464,10 +533,11 @@ class TestSolverChoice:
             rhs = sum(weights[n, j] * rho ** (n - j) * routed[j] for j in range(n))
             block = np.vstack((rhs, taus[n]))
             tau_max = taus[n].max()
+            negated = -taus[n][:, np.newaxis]
             series, series_condition, used = moments._solve(
-                n, routing, taus[n], tau_max, statics.pi, bounds[n], grants[n], block, matrix
+                n, routing, taus[n], negated, tau_max, statics.pi, bounds[n], grants[n], block, matrix
             )
-            lu, lu_condition, _ = moments._solve(n, routing, taus[n], tau_max, None, 0.5, 0, block, matrix)
+            lu, lu_condition, _ = moments._solve(n, routing, taus[n], negated, tau_max, None, 0.5, 0, block, matrix)
             assert 1 <= used <= grants[n]
             assert np.abs(series - lu).max() <= 1e-14 * np.abs(lu).max()
             expected = np.linalg.cond(np.eye(k_count) - taus[n][:, np.newaxis] * routing, np.inf)
@@ -531,6 +601,51 @@ class TestSolverChoice:
         assert grants == [0, 54, 17, 6, 0, 1]
         assert bounds[1] == 0.5 + 8.0 * 2.0**-53 * 0.5
 
+    @staticmethod
+    def pass_grants(taus, routing, pi):
+        """Grants and q_n of every order from the K^2 pass over |Q - 1 pi'|, never skipped."""
+        k_count = len(routing)
+        bound = (taus * np.abs(routing - pi).sum(axis=1)).max(axis=1) + 4.0 * k_count * 2.0**-53 * taus.max(axis=1)
+        q = np.clip(bound, np.finfo(float).tiny, 1.0 - 2.0**-53)
+        grant = np.maximum(np.ceil(np.log(2.0**-53 * (1.0 - q)) / np.log(q)) - 1.0, 1.0)
+        return np.where(grant <= moments._series_budget(k_count), grant, 0.0).astype(int).tolist(), q
+
+    def test_skipped_pass_moves_no_grant(self):
+        # dense and sparse (ring) routings from K = 10 to 200, some with
+        # orders that take the series, and the benchmark's K = 50, 200 and
+        # 500 models: the grants are those of the full pass, and a call that
+        # skips the pass leaves its buffer unwritten
+        modelgen = load_module(MODELS_DIR.parent / "perfbench" / "modelgen.py")
+        models = [
+            build(k_count, np.random.default_rng(k_count + seed))
+            for k_count in (10, 16, 25, 40, 50, 64, 80, 100)
+            for seed, build in enumerate((random_exponential_model, random_mixed_model, ring_model))
+        ]
+        models += [
+            ring_model(k_count, np.random.default_rng(k_count), mu=mu)
+            for k_count in (12, 50, 64, 90)
+            for mu in (1.0, 800.0)
+        ]
+        # orders that take the series: fast service, and a zero-speed state on near-uniform routing
+        models += [seeded(fast_service_model, 64), seeded(fast_service_mixed_model, 64)]
+        models += [seeded(zero_speed_model, k_count) for k_count in (20, 100, 200)]
+        benchmark = [modelgen.build_model(modelgen.exponential_params(k_count)) for k_count in (50, 200, 500)]
+        skipped = []
+        for model in models + benchmark:
+            statics = chain_statics(model)
+            routing, taus = statics.reversed_routing, diagonal_weights(model)
+            buffer = np.full_like(routing, np.nan)
+            grants, bounds = moments._series_grants(taus, routing, statics.pi, buffer)
+            expected, q = self.pass_grants(taus, routing, statics.pi)
+            assert grants == expected
+            skipped.append(bool(np.isnan(buffer).all()))
+            if skipped[-1]:
+                assert not any(grants) and np.all(bounds == 1.0)
+            else:
+                assert np.array_equal(bounds, q)
+        assert skipped[-3:] == [True, False, False]
+        assert 0 < sum(skipped[:-3]) < len(models)
+
     @pytest.mark.parametrize("build", GRANT_MODELS)
     def test_grant_is_within_the_tau_max_length(self, build, monkeypatch):
         # on dense routing q_n <= tau_max (1 + 4Ku): deflation never
@@ -573,7 +688,8 @@ class TestSolverChoice:
         block = np.vstack((np.ones(64), 40.0 * tau / (statics.pi @ tau)))
         with pytest.raises(NumericError, match="order-1 deflated series lost the sign of its determinant"):
             moments._solve(
-                1, statics.reversed_routing, tau, tau.max(), statics.pi, bounds[1], grants[1], block, np.empty((64, 64))
+                1, statics.reversed_routing, tau, -tau[:, np.newaxis], tau.max(), statics.pi, bounds[1], grants[1],
+                block, np.empty((64, 64)),
             )
 
     def test_zero_speed_state_takes_the_lu(self, monkeypatch):
@@ -780,6 +896,18 @@ class TestNonnegativityGuard:
     def test_non_finite_entries_raise(self, bad):
         with pytest.raises(NumericError, match="non-finite"):
             _require_nonnegative(np.array([1.0, bad, 2.0]), "unit test")
+
+    def test_block_names_its_first_failing_row(self):
+        # row i is named by the context at first + i, with the row itself
+        rows = np.array([[1.0, 2.0], [1.0, -np.inf], [1.0, -0.5], [np.nan, 1.0]])
+        with pytest.raises(NumericError) as failure:
+            _require_nonnegative(rows, "order {}", 3)
+        assert str(failure.value) == f"order 4: non-finite moment entries {rows[1]!r}"
+        with pytest.raises(NumericError) as failure:
+            _require_nonnegative(rows[2:], "order {}", 1)
+        assert str(failure.value).startswith(f"order 1: moment entries turned negative ({rows[2]!r})")
+        _require_nonnegative(rows[:1], "order {}", 1)
+        _require_nonnegative(rows[:0], "order {}", 1)
 
     @staticmethod
     def former_verdict(vec):
