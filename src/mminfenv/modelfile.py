@@ -78,10 +78,29 @@ def _require_keys(mapping: dict, allowed: set, context: str) -> None:
         raise ModelError(f"{context} is missing field(s) {sorted(missing)}")
 
 
+def _exponent_hint(value) -> str:
+    """A hint for exponent notation that YAML 1.1 left a string, else ''.
+
+    PyYAML reads a float in exponent notation only with a decimal point
+    and a signed exponent: ``1.0e-3`` is a number, ``1e-3`` and ``1.0e18``
+    are strings.
+    """
+    if not (isinstance(value, str) and "e" in value.lower()):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    return (
+        " (YAML 1.1 reads exponent notation as a number only with a decimal point"
+        " and a signed exponent, such as 1.0e-3 or 1.0e+18)"
+    )
+
+
 def _number(value, context: str) -> float:
     """A numeric field as a float: any real number but a bool, else ModelError naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ModelError(f"{context} must be a number, got {value!r}")
+        raise ModelError(f"{context} must be a number, got {value!r}{_exponent_hint(value)}")
     try:
         return float(value)
     except OverflowError as exc:

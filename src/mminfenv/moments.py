@@ -590,15 +590,14 @@ def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: i
     residual of each, read off Q m0^(n), and the signs of its solution.
     The earliest order that fails raises NumericError, its residual (above
     1e-8) before its signs, so the error is the one a check after every
-    order would give.  Floating-point warnings of the loop are silenced,
-    as an order computed after a failing one may overflow; an order that
-    overflows is non-finite and fails its check.
+    order would give.  Floating-point warnings of the loop and of the load
+    powers are silenced, as an order computed after a failing one may
+    overflow; an order that overflows is non-finite and fails its check.
     """
     n_max = _check_order(n_max)
     routing = statics.reversed_routing
     k_count = model.num_states
     orders = np.arange(n_max + 1)
-    load_powers = model.offered_loads ** orders[:, np.newaxis]
     weights = _weights(model.sojourns, model.service_rates, n_max)
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = weights[orders, orders]
@@ -624,6 +623,8 @@ def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: i
     n = 0
     try:
         with np.errstate(all="ignore"):
+            # an infinite load power reaches order n_max, whose check fails
+            load_powers = model.offered_loads ** orders[:, np.newaxis]
             for n in range(1, n_max + 1):
                 np.sum(weights[n, :n] * load_powers[n:0:-1] * routed[:n], axis=0, out=blocks[n, 0])
                 solutions[n], condition[n], steps[n] = _solve(
@@ -672,7 +673,7 @@ def stationary_moment_vectors(
     the Palm vector, so all-exponential models give the two families bit
     for bit equal.  The sums run order by order; the signs of every order
     are checked in one pass after them, earliest order first, with the
-    floating-point warnings of the sums silenced as in
+    floating-point warnings of the sums and load powers silenced as in
     ``palm_moment_vectors``.
     """
     service = model.service_rates
@@ -683,10 +684,10 @@ def stationary_moment_vectors(
     ]
     if not states:
         return tuple(vectors)
-    load_powers = model.offered_loads[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
     routed = vectors @ statics.reversed_routing[states].T
     weights = _weights([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
     with np.errstate(all="ignore"):
+        load_powers = model.offered_loads[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
         for n in range(1, palm.n_max + 1):
             vectors[n, states] = (weights[n, : n + 1] * load_powers[n::-1] * routed[: n + 1]).sum(axis=0)
     _require_nonnegative(vectors[1:], "stationary moment vector at order {}", 1)

@@ -10,8 +10,11 @@ threshold still exceeds W(t).  Since every threshold exceeds the work
 level at its arrival, the count at t is the number of arrivals up to t
 minus the number of thresholds up to W(t): with arrivals and thresholds
 each sorted once, two binary searches per sample time and no per-customer
-Python code.  The environment path is drawn in vector calls too; only the
-jump chain's routing steps one segment at a time.
+Python code.  The per-customer arrays are repeats of per-segment ones,
+updated in place.  The environment path is drawn in vector calls too:
+for models of at most ``_SCAN_MAX_STATES`` states the jump chain is
+routed by a blocked scan over a symbol table, above that one segment at
+a time in Python; both give the same states from the same uniforms.
 
 The environment path starts in steady state: the initial state follows
 the time-stationary occupancy law and the first sojourn is drawn from
@@ -50,6 +53,15 @@ __all__ = [
 ]
 
 MAX_ESTIMATED_ORDER = 6
+
+# The blocked scan of the jump chain reads K table entries per segment
+# where the loop takes one Python step, and its table holds up to
+# K (K^2 + 1) entries, so it pays only for small K.  Routing 2200 K
+# uniforms (2-vCPU VM, numpy 2.4) ran 2.9x faster than the loop at K = 3
+# and 1.8x at K = 8, but only 1.35x at K = 15 and even near K = 30.
+# Blocks of 16 to 24 steps were fastest.
+_SCAN_MAX_STATES = 8
+_SCAN_BLOCK = 24
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,60 @@ def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
     )
 
 
+def _loop_router(routing_cdf: np.ndarray):
+    """Route the jump chain one segment at a time: ``bisect_right`` of each uniform."""
+    rows = routing_cdf.tolist()
+
+    def route(state: int, uniforms: np.ndarray) -> np.ndarray:
+        chunk = []
+        for u in uniforms.tolist():
+            state = bisect_right(rows[state], u)
+            chunk.append(state)
+        return np.array(chunk)
+
+    return route
+
+
+def _block_router(routing_cdf: np.ndarray):
+    """Route the jump chain by a blocked scan over a symbol table.
+
+    The distinct CDF breakpoints cut [0, 1) into intervals; every uniform
+    in interval j sends state s to ``table[j, s]``, which is exactly
+    ``bisect_right(routing_cdf[s], u)``.  Each block of ``_SCAN_BLOCK``
+    steps is run from all K entry states at once, the block exits are
+    chained from the known start state in one scalar pass, and the steps
+    are replayed from the chained entries.
+    """
+    k_count = routing_cdf.shape[0]
+    breakpoints = np.unique(routing_cdf)
+    table = np.zeros((breakpoints.size + 1, k_count), dtype=np.int64)
+    for state, row in enumerate(routing_cdf):
+        table[1:, state] = np.searchsorted(row, breakpoints, side="right")
+    table = table.ravel()  # entry (j, s) at j * K + s
+    every_state = np.arange(k_count)
+
+    def route(state: int, uniforms: np.ndarray) -> np.ndarray:
+        blocks = -(-uniforms.size // _SCAN_BLOCK)
+        # step t of every block is row t, with the symbols scaled to table rows
+        rows = np.zeros((_SCAN_BLOCK, blocks), dtype=np.int64)
+        rows.T.flat[: uniforms.size] = np.searchsorted(breakpoints, uniforms, side="right")
+        rows *= k_count
+        exits = np.broadcast_to(every_state, (blocks, k_count))
+        for row in rows:
+            exits = table[row[:, np.newaxis] + exits]
+        entries = []
+        for block_exits in exits.tolist():
+            entries.append(state)
+            state = block_exits[state]
+        states = np.empty_like(rows)
+        current = np.array(entries)
+        for t, row in enumerate(rows):
+            current = states[t] = table[row + current]
+        return states.T.ravel()[: uniforms.size]
+
+    return route
+
+
 def simulate_environment(
     model: EnvironmentModel,
     horizon: float,
@@ -165,8 +231,16 @@ def simulate_environment(
     uniform per segment routes the jump chain, then every sojourn of a
     state in the chunk is drawn in one call, states in index order.  The
     path ends with the first segment whose end reaches the horizon.
+
+    Up to ``_SCAN_MAX_STATES`` states the chain is routed by a blocked
+    scan (``_block_router``), above it one segment at a time; both give
+    the same states from the same uniforms.
     """
-    routing_cdf = _normalised_cdf(model.routing).tolist()
+    routing_cdf = _normalised_cdf(model.routing)
+    if model.num_states <= _SCAN_MAX_STATES:
+        route = _block_router(routing_cdf)
+    else:
+        route = _loop_router(routing_cdf)
     state = int(np.searchsorted(_normalised_cdf(statics.occupancy), rng.random(), side="right"))
     first = model.sojourns[state].sample_residual(rng)
     mean_segment = statics.cycle_length / model.num_states
@@ -176,11 +250,7 @@ def simulate_environment(
     elapsed = first
     while elapsed < horizon:
         size = int(1.1 * (horizon - elapsed) / mean_segment) + 16
-        chunk = []
-        for u in rng.random(size).tolist():
-            state = bisect_right(routing_cdf[state], u)
-            chunk.append(state)
-        chunk = np.array(chunk)
+        chunk = route(state, rng.random(size))
         chunk_durations = np.empty(size)
         for k, sojourn in enumerate(model.sojourns):
             visits = chunk == k
@@ -194,6 +264,7 @@ def simulate_environment(
         states.append(chunk[:keep])
         durations.append(chunk_durations[:keep])
         elapsed = ends[keep - 1]
+        state = int(chunk[keep - 1])
     return EnvironmentPath(
         states=np.concatenate(states).astype(np.int64), durations=np.concatenate(durations)
     )
@@ -211,7 +282,9 @@ def simulate_queue(
     uniformly in it; each customer leaves when the work level reaches
     its threshold W(arrival) + Exp(mu).  All counts come from one
     ``poisson`` call over the segments, then one ``random`` and one
-    ``exponential`` call over the customers.  Because a threshold
+    ``exponential`` call over the customers.  The customer arrays are
+    the segment durations, starts, speeds and work levels repeated by
+    the counts, scaled and shifted in place.  Because a threshold
     exceeds the work level at arrival, a customer with threshold at most
     W(t) has arrived by t, so the count at t is the number of arrivals
     at or before t minus the number of thresholds at or below W(t), two
@@ -230,14 +303,15 @@ def simulate_queue(
     work_starts = np.concatenate(([0.0], work_ends[:-1]))
 
     per_segment = rng.poisson(model.arrival_rates[path.states] * durations)
-    segment = np.repeat(np.arange(durations.size), per_segment)
-    offsets = durations[segment] * rng.random(segment.size)
-    arrivals = starts[segment] + offsets
-    thresholds = (
-        work_starts[segment]
-        + speeds[segment] * offsets
-        + rng.exponential(1.0 / model.mu, segment.size)
-    )
+    customers = int(per_segment.sum())
+    offsets = np.repeat(durations, per_segment)
+    offsets *= rng.random(customers)
+    arrivals = np.repeat(starts, per_segment)
+    arrivals += offsets
+    thresholds = np.repeat(speeds, per_segment)
+    thresholds *= offsets
+    thresholds += np.repeat(work_starts, per_segment)
+    thresholds += rng.exponential(1.0 / model.mu, customers)
     arrivals.sort()
     thresholds.sort()
 

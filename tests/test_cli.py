@@ -294,6 +294,21 @@ class TestMoments:
         assert (result.returncode, result.stdout) == (3, "")
         assert result.stderr == self.SLOW_SERVICE_ERROR
 
+    @pytest.mark.parametrize("verb", ["moments", "validate"])
+    def test_overflowing_load_power_prints_only_its_error(self, tmp_path, verb):
+        # lambda_1 = 1e18 is a valid model whose order-18 load power is
+        # infinite: the power itself must not warn before the check fails
+        document = model_to_dict(load_model(K3_MIXED))
+        document["states"][0]["lambda"] = 1.0e18
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(document))
+        result = run_python("-m", "mminfenv.cli", verb, "--model", str(path), "--order", "20", check=False)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == (
+            "numeric error: palm moment vector at order 18: non-finite moment entries "
+            "array([inf, inf, inf])\n"
+        )
+
 
 class TestValidate:
     @pytest.mark.parametrize("model", [K3_EXP, K2_GAMMA, K2_EXP, K3_MIXED, IDENTICAL])

@@ -272,6 +272,35 @@ class TestSchema:
         with pytest.raises(ModelError, match="mapping"):
             load_model(path)
 
+    EXPONENT_HINT = "with a decimal point and a signed exponent, such as 1.0e-3"
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", ["1e-3", "1e+18", "1.0e18", "2E5"])
+    def test_unsigned_exponent_is_a_string_with_a_hint(self, loader, text, tmp_path, monkeypatch, capsys):
+        # YAML 1.1 reads these as strings; the error says how to write them
+        monkeypatch.setattr(modelfile, "_YAML_LOADER", loader)
+        path = tmp_path / "exponent.yaml"
+        path.write_text(TWO_STATE_YAML.replace("lambda: 0.5", f"lambda: {text}"))
+        with pytest.raises(ModelError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"states[1].lambda must be a number, got '{text}' (YAML 1.1")
+        assert self.EXPONENT_HINT in str(info.value)
+        assert main(["moments", "--model", str(path)]) == 2
+        assert self.EXPONENT_HINT in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1.0e-3", "1.0e+18"])
+    def test_signed_exponent_with_a_point_is_a_number(self, text):
+        document = yaml.load(TWO_STATE_YAML.replace("lambda: 0.5", f"lambda: {text}"), Loader=LOADERS[0])
+        assert parse_model(document).arrival_rates[1] == float(text)
+
+    @pytest.mark.parametrize("value", ["fast", "0.8", "inf"])
+    def test_other_strings_get_no_hint(self, value):
+        document = minimal_document()
+        document["states"][0]["lambda"] = value
+        with pytest.raises(ModelError) as info:
+            parse_model(document)
+        assert str(info.value) == f"states[0].lambda must be a number, got {value!r}"
+
 
 def test_round_trip_preserves_model():
     model = parse_model(minimal_document())

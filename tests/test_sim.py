@@ -18,9 +18,11 @@ from mminfenv import (
     simulate_environment,
     simulate_queue,
 )
+from mminfenv import sim
+from mminfenv.distributions import _normalised_cdf
 from mminfenv.sim import replication_rng
 
-from conftest import identical_state_model
+from conftest import identical_state_model, random_mixed_model, ring_model
 
 
 def small_config(**overrides):
@@ -133,6 +135,27 @@ class TestEnvironmentPaths:
         occupancy = path.occupancy(2, 0.0, 2000.0)
         assert occupancy[0] > 0.99
 
+    def test_routing_continues_across_chunks(self):
+        # mostly very short sojourns with a rare long one make a chunk sized
+        # by the mean fall short of the horizon, so the path takes several;
+        # on a deterministic ring each chunk must go on from the last state
+        sojourn = HyperExponential(probs=(0.99, 0.01), rates=(100.0, 0.01))
+        model = EnvironmentModel(
+            arrival_rates=[1.0, 1.0, 1.0],
+            speeds=[1.0, 1.0, 1.0],
+            sojourns=(sojourn, sojourn, sojourn),
+            mu=1.0,
+            routing=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+        )
+        statics = chain_statics(model)
+        first_chunk = 1.1 * 200.0 / (statics.cycle_length / 3) + 17
+        lengths = []
+        for rep in range(8):
+            states = simulate_environment(model, 200.0, replication_rng(3, rep), statics).states
+            assert np.array_equal(states[1:], (states[:-1] + 1) % 3)
+            lengths.append(states.size)
+        assert max(lengths) > 2 * first_chunk
+
     def test_path_covers_horizon(self):
         model = identical_state_model()
         path = simulate_environment(model, 123.0, np.random.default_rng(1), chain_statics(model))
@@ -151,6 +174,69 @@ class TestEnvironmentPaths:
                 ends = np.cumsum(path.durations)
                 assert ends[-1] >= horizon
                 assert np.all(ends[:-1] < horizon)
+
+
+class TestRouting:
+    """The blocked scan routes the jump chain exactly as the loop does."""
+
+    CHUNKS = (1, sim._SCAN_BLOCK - 1, sim._SCAN_BLOCK, sim._SCAN_BLOCK + 1, 5 * sim._SCAN_BLOCK + 7)
+
+    @staticmethod
+    def _assert_routers_agree(routing, uniforms):
+        cdf = _normalised_cdf(np.asarray(routing, dtype=float))
+        loop, scan = sim._loop_router(cdf), sim._block_router(cdf)
+        for state in range(cdf.shape[0]):
+            expected = loop(state, uniforms)
+            routed = scan(state, uniforms)
+            assert routed.dtype == np.int64
+            assert np.array_equal(routed, expected)
+
+    @pytest.mark.parametrize("k_count", range(2, sim._SCAN_MAX_STATES + 3))
+    def test_scan_matches_loop(self, k_count):
+        rng = np.random.default_rng(400 + k_count)
+        models = [random_mixed_model(k_count, rng)]
+        if k_count >= 3:
+            models.append(ring_model(k_count, rng))
+        for model in models:
+            for size in self.CHUNKS:
+                self._assert_routers_agree(model.routing, rng.random(size))
+
+    def test_zero_probability_entries(self):
+        # zeros inside a row and trailing it: repeated breakpoints and a
+        # CDF that reaches 1 before its last entry
+        routing = [
+            [0.0, 0.0, 0.5, 0.0, 0.5],
+            [0.25, 0.0, 0.0, 0.75, 0.0],
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+        rng = np.random.default_rng(5)
+        for size in self.CHUNKS:
+            self._assert_routers_agree(routing, rng.random(size))
+
+    def test_uniforms_on_breakpoints(self, k3_mixed_model):
+        # k3_mixed's CDF rows break at 0.4, 0.5, 0.7 and 1: a uniform on a
+        # breakpoint goes past it, as bisect_right does
+        points = np.array([0.0, 0.4, 0.5, 0.7])
+        uniforms = np.concatenate([points, np.nextafter(points[1:], 0.0), np.nextafter(points, 1.0)])
+        uniforms = np.tile(uniforms, 4)
+        for size in (*self.CHUNKS[:4], uniforms.size):
+            self._assert_routers_agree(k3_mixed_model.routing, uniforms[:size])
+
+    @pytest.mark.parametrize("build", ["k3_mixed", "random_mixed_k5"])
+    def test_estimates_do_not_depend_on_the_router(self, k3_mixed_model, monkeypatch, build):
+        if build == "k3_mixed":
+            model = k3_mixed_model
+        else:
+            model = random_mixed_model(5, np.random.default_rng(77))
+        statics = chain_statics(model)
+        config = small_config(n_est=3, horizon=1200.0)
+        scanned = estimate_factorial_moments(model, config, statics)
+        monkeypatch.setattr(sim, "_SCAN_MAX_STATES", 0)
+        looped = estimate_factorial_moments(model, config, statics)
+        for field in ("estimates", "standard_errors", "occupancy"):
+            assert getattr(scanned, field).tobytes() == getattr(looped, field).tobytes()
 
 
 class TestQueue:
@@ -315,6 +401,24 @@ class TestQueue:
 
 
 class TestEstimates:
+    def test_draw_stream_is_pinned(self, k3_mixed_model):
+        # a change to any draw, its order or its arithmetic moves these
+        # bits; the values are those of the loop router and the gathered
+        # queue arrays the simulator had before the blocked scan
+        estimate = estimate_factorial_moments(
+            k3_mixed_model, small_config(n_est=3), chain_statics(k3_mixed_model)
+        )
+        assert [value.hex() for value in estimate.estimates.tolist()] == [
+            "0x1.0000000000000p+0", "0x1.48819ec8e9510p+1", "0x1.b440cf6474a88p+2", "0x1.27984dc5abbf3p+4",
+        ]
+        assert [value.hex() for value in estimate.standard_errors.tolist()] == [
+            "0x0.0p+0", "0x1.06c1164c54836p-3", "0x1.cf6d283b65519p-2", "0x1.c88ed2b422188p+0",
+        ]
+        assert [value.hex() for value in estimate.occupancy.tolist()] == [
+            "0x1.6d21d38ee9546p-1", "0x1.eb851eb851eb8p-3", "0x1.7fce4c30230b6p-5",
+        ]
+        assert estimate.samples_per_replication == 79
+
     def test_reproducibility_bitwise(self):
         model = identical_state_model()
         config = small_config()
