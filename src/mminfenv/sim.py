@@ -10,11 +10,15 @@ threshold still exceeds W(t).  Since every threshold exceeds the work
 level at its arrival, the count at t is the number of arrivals up to t
 minus the number of thresholds up to W(t): with arrivals and thresholds
 each sorted once, two binary searches per sample time and no per-customer
-Python code.  The per-customer arrays are repeats of per-segment ones,
-updated in place.  The environment path is drawn in vector calls too:
-for models of at most ``_SCAN_MAX_STATES`` states the jump chain is
-routed by a blocked scan over a symbol table, above that one segment at
-a time in Python; both give the same states from the same uniforms.
+Python code.  The per-customer arrays are drawn and gathered, through
+one segment index, into buffers of a per-estimate workspace, so a
+replication allocates no customer-sized float array.  The environment
+path is drawn in vector calls too: for models of at most
+``_SCAN_MAX_STATES`` states the jump chain is routed by a blocked scan
+over a symbol table, above that one segment at a time in Python; both
+give the same states from the same uniforms.  The workspace also holds
+the router and the occupancy CDF, built once per estimate and dropped
+when it returns.
 
 The environment path starts in steady state: the initial state follows
 the time-stationary occupancy law and the first sojourn is drawn from
@@ -198,8 +202,9 @@ def _block_router(routing_cdf: np.ndarray):
     def route(state: int, uniforms: np.ndarray) -> np.ndarray:
         blocks = -(-uniforms.size // _SCAN_BLOCK)
         # step t of every block is row t, with the symbols scaled to table rows
-        rows = np.zeros((_SCAN_BLOCK, blocks), dtype=np.int64)
-        rows.T.flat[: uniforms.size] = np.searchsorted(breakpoints, uniforms, side="right")
+        symbols = np.zeros(blocks * _SCAN_BLOCK, dtype=np.int64)
+        symbols[: uniforms.size] = np.searchsorted(breakpoints, uniforms, side="right")
+        rows = symbols.reshape(blocks, _SCAN_BLOCK).T.copy()
         rows *= k_count
         exits = np.broadcast_to(every_state, (blocks, k_count))
         for row in rows:
@@ -217,11 +222,40 @@ def _block_router(routing_cdf: np.ndarray):
     return route
 
 
+class _Workspace:
+    """What the replications of one estimate share.
+
+    The jump chain's router and the occupancy CDF depend on the model
+    alone.  The three float buffers hold the queue layer's customer
+    arrays; they grow to the largest replication seen, with at most 1/32
+    slack, and never shrink, and a replication uses only its leading
+    ``customers`` entries.
+    """
+
+    def __init__(self, model: EnvironmentModel, statics: ChainStatics):
+        routing_cdf = _normalised_cdf(model.routing)
+        if model.num_states <= _SCAN_MAX_STATES:
+            self.route = _block_router(routing_cdf)
+        else:
+            self.route = _loop_router(routing_cdf)
+        self.occupancy_cdf = _normalised_cdf(statics.occupancy)
+        self._buffers = np.empty((3, 0))
+
+    def customer_arrays(self, customers: int) -> np.ndarray:
+        """Three contiguous float rows of length ``customers``, contents undefined."""
+        if self._buffers.shape[1] < customers:
+            self._buffers = None  # holding the old block and the new one at once sets the peak RSS
+            self._buffers = np.empty((3, customers + customers // 32))
+        return self._buffers[:, :customers]
+
+
 def simulate_environment(
     model: EnvironmentModel,
     horizon: float,
     rng: np.random.Generator,
     statics: ChainStatics,
+    *,
+    workspace: _Workspace = None,
 ) -> EnvironmentPath:
     """Generate a stationary environment trajectory covering [0, horizon].
 
@@ -234,14 +268,13 @@ def simulate_environment(
 
     Up to ``_SCAN_MAX_STATES`` states the chain is routed by a blocked
     scan (``_block_router``), above it one segment at a time; both give
-    the same states from the same uniforms.
+    the same states from the same uniforms.  The router and the
+    occupancy CDF come from ``workspace``, built here when none is given.
     """
-    routing_cdf = _normalised_cdf(model.routing)
-    if model.num_states <= _SCAN_MAX_STATES:
-        route = _block_router(routing_cdf)
-    else:
-        route = _loop_router(routing_cdf)
-    state = int(np.searchsorted(_normalised_cdf(statics.occupancy), rng.random(), side="right"))
+    if workspace is None:
+        workspace = _Workspace(model, statics)
+    route = workspace.route
+    state = int(np.searchsorted(workspace.occupancy_cdf, rng.random(), side="right"))
     first = model.sojourns[state].sample_residual(rng)
     mean_segment = statics.cycle_length / model.num_states
 
@@ -275,6 +308,8 @@ def simulate_queue(
     path: EnvironmentPath,
     grid: np.ndarray,
     rng: np.random.Generator,
+    *,
+    workspace: _Workspace = None,
 ) -> np.ndarray:
     """Customer counts at the grid times, for one environment trajectory.
 
@@ -282,9 +317,11 @@ def simulate_queue(
     uniformly in it; each customer leaves when the work level reaches
     its threshold W(arrival) + Exp(mu).  All counts come from one
     ``poisson`` call over the segments, then one ``random`` and one
-    ``exponential`` call over the customers.  The customer arrays are
-    the segment durations, starts, speeds and work levels repeated by
-    the counts, scaled and shifted in place.  Because a threshold
+    standard-exponential call over the customers, scaled by 1/mu (the
+    same bits as ``exponential(1/mu)``).  The draws and the segment
+    durations, starts, speeds and work levels, gathered through one
+    segment index, go into three customer arrays, the buffers of
+    ``workspace`` or, without one, three fresh arrays.  Because a threshold
     exceeds the work level at arrival, a customer with threshold at most
     W(t) has arrived by t, so the count at t is the number of arrivals
     at or before t minus the number of thresholds at or below W(t), two
@@ -303,15 +340,22 @@ def simulate_queue(
     work_starts = np.concatenate(([0.0], work_ends[:-1]))
 
     per_segment = rng.poisson(model.arrival_rates[path.states] * durations)
-    customers = int(per_segment.sum())
-    offsets = np.repeat(durations, per_segment)
-    offsets *= rng.random(customers)
-    arrivals = np.repeat(starts, per_segment)
+    segment = np.repeat(np.arange(durations.size), per_segment)
+    if workspace is None:
+        offsets, arrivals, thresholds = np.empty((3, segment.size))
+    else:
+        offsets, arrivals, thresholds = workspace.customer_arrays(segment.size)
+    # mode="clip" gathers straight into ``out``; every index is in range
+    rng.random(out=offsets)
+    offsets *= np.take(durations, segment, out=arrivals, mode="clip")
+    np.take(starts, segment, out=arrivals, mode="clip")
     arrivals += offsets
-    thresholds = np.repeat(speeds, per_segment)
+    np.take(speeds, segment, out=thresholds, mode="clip")
     thresholds *= offsets
-    thresholds += np.repeat(work_starts, per_segment)
-    thresholds += rng.exponential(1.0 / model.mu, customers)
+    thresholds += np.take(work_starts, segment, out=offsets, mode="clip")
+    rng.standard_exponential(out=offsets)
+    offsets *= 1.0 / model.mu
+    thresholds += offsets
     arrivals.sort()
     thresholds.sort()
 
@@ -340,11 +384,12 @@ def _replication_estimate(
     statics: ChainStatics,
     grid: np.ndarray,
     replication: int,
+    workspace: _Workspace,
 ):
     """One replication: (falling-factorial means, post-warmup occupancy)."""
     rng = replication_rng(config.master_seed, replication)
-    path = simulate_environment(model, config.horizon, rng, statics)
-    counts = simulate_queue(model, path, grid, rng)
+    path = simulate_environment(model, config.horizon, rng, statics, workspace=workspace)
+    counts = simulate_queue(model, path, grid, rng, workspace=workspace)
     moments = _falling_factorial_means(counts, config.n_est)
     occupancy = path.occupancy(model.num_states, start=config.warmup, stop=config.horizon)
     return moments, occupancy
@@ -352,7 +397,13 @@ def _replication_estimate(
 
 def _sampling_grid(config: SimulationConfig, cycle: float) -> np.ndarray:
     """Sample times after the warmup, one mean cycle apart."""
-    grid = np.arange(config.warmup + cycle, config.horizon, cycle)
+    try:
+        grid = np.arange(config.warmup + cycle, config.horizon, cycle)
+    except MemoryError:
+        raise ValueError(
+            f"horizon {config.horizon} needs more sample times, one mean cycle ({cycle}) "
+            "apart, than memory can hold; shorten the horizon"
+        ) from None
     if grid.size < 2:
         raise ValueError(
             "fewer than 2 samples fit between warmup and horizon, one mean cycle apart; "
@@ -370,14 +421,16 @@ def estimate_factorial_moments(
     ``statics``, averages the falling factorials of the sampled counts per
     replication, and reports the across-replication mean and standard
     error per order.  The samples are ``statics.cycle_length`` apart.
+    The replications share one workspace, dropped when this returns.
     """
     grid = _sampling_grid(config, statics.cycle_length)
+    workspace = _Workspace(model, statics)
 
     per_rep = np.empty((config.replications, config.n_est + 1))
     occupancies = np.empty((config.replications, model.num_states))
     for replication in range(config.replications):
         per_rep[replication], occupancies[replication] = _replication_estimate(
-            model, config, statics, grid, replication
+            model, config, statics, grid, replication, workspace
         )
 
     estimates = per_rep.mean(axis=0)

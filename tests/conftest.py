@@ -13,7 +13,9 @@ from mminfenv import (
     Gamma,
     HyperExponential,
     load_model,
+    simulate_environment,
 )
+from mminfenv.sim import replication_rng
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -169,6 +171,24 @@ def identical_state_model(rho: float = 2.0) -> EnvironmentModel:
         mu=mu,
         routing=[[0.0, 0.7, 0.3], [0.4, 0.0, 0.6], [0.5, 0.5, 0.0]],
     )
+
+
+def shrinking_replication_order(model, config, statics) -> list:
+    """Replication indices by decreasing customer count, the largest first.
+
+    Run in this order through one workspace, every replication after the
+    first reads buffers that an earlier, larger one filled further, so
+    stale entries beyond its own customers would show.  Each count
+    replays the replication's stream up to its per-segment Poisson draws.
+    """
+    customers = []
+    for rep in range(config.replications):
+        rng = replication_rng(config.master_seed, rep)
+        path = simulate_environment(model, config.horizon, rng, statics)
+        customers.append(int(rng.poisson(model.arrival_rates[path.states] * path.durations).sum()))
+    order = sorted(range(config.replications), key=lambda rep: -customers[rep])
+    assert customers[order[0]] > customers[order[-1]], customers
+    return order
 
 
 def stirling_triangle(kind: int, n_max: int) -> list:

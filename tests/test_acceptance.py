@@ -23,7 +23,7 @@ from mminfenv.checks import _relative_gap as max_relative_gap, simulation_checks
 from mminfenv.closedform import gamma_sojourn_reference, shifted_palm_moments
 from mminfenv.cli import main
 from mminfenv.moments import _second_kind
-from mminfenv.sim import _replication_estimate, _sampling_grid
+from mminfenv.sim import _replication_estimate, _sampling_grid, _Workspace
 
 from conftest import (
     MODELS_DIR,
@@ -32,6 +32,7 @@ from conftest import (
     random_exponential_model,
     random_mixed_model,
     random_two_state_model,
+    shrinking_replication_order,
     stirling_sums,
     stirling_triangle,
     two_state_model,
@@ -285,9 +286,12 @@ def test_criterion_8_determinism(capsys, tmp_path):
     sequential = estimate_factorial_moments(model, config, statics)
     # the run's own config and grid, one mean cycle apart
     grid = _sampling_grid(sequential.config, statics.cycle_length)
+    # one shared workspace, a replication of more customers before one of fewer
+    order = shrinking_replication_order(model, sequential.config, statics)
+    workspace = _Workspace(model, statics)
     out_of_order = {
-        rep: _replication_estimate(model, sequential.config, statics, grid, rep)[0]
-        for rep in (3, 1, 0, 2)
+        rep: _replication_estimate(model, sequential.config, statics, grid, rep, workspace)[0]
+        for rep in order
     }
     reduced = np.stack([out_of_order[rep] for rep in range(4)]).mean(axis=0)
     schedule_free = bool(np.array_equal(reduced, sequential.estimates))

@@ -486,6 +486,15 @@ class TestSimulate:
         assert "input error" in err and message in err
 
     @pytest.mark.parametrize("verb", ["simulate", "compare"])
+    def test_horizon_beyond_memory_exits_2(self, capsys, verb):
+        # 2e14 sample times a mean cycle (5.06) apart: 1.4 PiB, more than the
+        # address space, so the request fails without touching memory
+        code, out, err = run(capsys, verb, "--model", K3_MIXED, "--horizon", "1e15", "--reps", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: horizon 1000000000000000.0 ")
+        assert err.count("\n") == 1 and err.endswith("shorten the horizon\n")
+
+    @pytest.mark.parametrize("verb", ["simulate", "compare"])
     def test_non_finite_estimate_exits_3(self, capsys, monkeypatch, verb):
         # falling factorials of counts stay finite: stand in replications that are not
         monkeypatch.setattr(mminfenv.sim, "_falling_factorial_means", lambda counts, n_est: np.full(n_est + 1, np.nan))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mminfenv import sim
 from mminfenv.distributions import _normalised_cdf
 from mminfenv.sim import replication_rng
 
-from conftest import identical_state_model, random_mixed_model, ring_model
+from conftest import identical_state_model, random_mixed_model, ring_model, shrinking_replication_order
 
 
 def small_config(**overrides):
@@ -400,6 +401,95 @@ class TestQueue:
         assert np.array_equal(counts, brute)
 
 
+class TestWorkspace:
+    """One estimate's replications share a router and grown customer buffers."""
+
+    @staticmethod
+    def _busy(model):
+        # the same layout with 100 times the arrivals
+        return EnvironmentModel(
+            arrival_rates=100.0 * model.arrival_rates,
+            speeds=model.speeds,
+            sojourns=model.sojourns,
+            mu=model.mu,
+            routing=model.routing,
+        )
+
+    def test_warm_queue_call_allocates_one_index(self, k3_mixed_model):
+        # through a warm workspace the customer arrays reuse its buffers,
+        # so the traced peak is the one integer segment index (8 bytes per
+        # customer) and the small per-segment arrays; three fresh float
+        # arrays and a temporary read 4x
+        model = self._busy(k3_mixed_model)
+        statics = chain_statics(model)
+        path = simulate_environment(model, 400.0, replication_rng(3, 0), statics)
+        grid = np.arange(10.0, 400.0, statics.cycle_length)
+        customers = int(replication_rng(5, 0).poisson(model.arrival_rates[path.states] * path.durations).sum())
+        workspace = sim._Workspace(model, statics)
+        warm = simulate_queue(model, path, grid, replication_rng(5, 0), workspace=workspace)
+        rng = replication_rng(5, 0)
+        tracemalloc.start()
+        try:
+            counts = simulate_queue(model, path, grid, rng, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert customers > 50_000
+        assert peak < 1.5 * 8 * customers
+        assert np.array_equal(counts, warm)
+
+    def test_grown_workspace_counts_as_a_fresh_one(self, k3_mixed_model):
+        # a short path, a long one that grows the buffers, then the short
+        # one again over the long one's stale entries: each reads the
+        # counts of a call without a workspace
+        model = k3_mixed_model
+        statics = chain_statics(model)
+        workspace = sim._Workspace(model, statics)
+        for rep, horizon in enumerate((150.0, 2400.0, 150.0, 600.0)):
+            path = simulate_environment(model, horizon, replication_rng(9, rep % 2), statics)
+            grid = np.arange(5.0, horizon, statics.cycle_length)
+            shared = simulate_queue(model, path, grid, replication_rng(13, rep), workspace=workspace)
+            fresh = simulate_queue(model, path, grid, replication_rng(13, rep))
+            assert shared.dtype == fresh.dtype == np.int64
+            assert np.array_equal(shared, fresh)
+
+    def test_zero_customers_through_a_filled_workspace(self):
+        model = EnvironmentModel(
+            arrival_rates=[0.0, 1.0],
+            speeds=[1.0, 0.5],
+            sojourns=(Exponential(1.0), Exponential(1.0)),
+            mu=1.0,
+            routing=[[0.0, 1.0], [1.0, 0.0]],
+        )
+        workspace = sim._Workspace(model, chain_statics(model))
+        grid = np.linspace(1.0, 14.0, 20)
+        busy = EnvironmentPath(states=np.array([1, 1, 1]), durations=np.array([5.0, 5.0, 5.0]))
+        idle = EnvironmentPath(states=np.array([0, 0, 0]), durations=np.array([5.0, 5.0, 5.0]))
+        assert simulate_queue(model, busy, grid, np.random.default_rng(2), workspace=workspace).sum() > 0
+        counts = simulate_queue(model, idle, grid, np.random.default_rng(2), workspace=workspace)
+        assert np.all(counts == 0)
+
+    def test_each_layer_runs_once_per_replication(self, k3_mixed_model, monkeypatch):
+        # the estimate reaches both layers through the module's names, once
+        # each per replication, so a wrapper put there sees every call
+        results = {"simulate_environment": [], "simulate_queue": []}
+
+        def counting(original, seen):
+            def wrapper(*args, **kwargs):
+                seen.append(original(*args, **kwargs))
+                return seen[-1]
+
+            return wrapper
+
+        for name, seen in results.items():
+            monkeypatch.setattr(sim, name, counting(getattr(sim, name), seen))
+        config = small_config(replications=5)
+        estimate_factorial_moments(k3_mixed_model, config, chain_statics(k3_mixed_model))
+        assert len(results["simulate_environment"]) == config.replications
+        assert len(results["simulate_queue"]) == config.replications
+        assert all(isinstance(path, EnvironmentPath) for path in results["simulate_environment"])
+
+
 class TestEstimates:
     def test_draw_stream_is_pinned(self, k3_mixed_model):
         # a change to any draw, its order or its arithmetic moves these
@@ -429,19 +519,22 @@ class TestEstimates:
         assert np.array_equal(first.occupancy, second.occupancy)
 
     def test_schedule_independent_reduction(self):
-        # computing replications in any order and reducing by index gives
-        # the same estimate as the sequential run
-        from mminfenv.sim import _replication_estimate, _sampling_grid
+        # computing replications in any order through one workspace, a
+        # replication of more customers before one of fewer, and reducing
+        # by index gives the same estimate as the sequential run
+        from mminfenv.sim import _replication_estimate, _sampling_grid, _Workspace
 
         model = identical_state_model()
         statics = chain_statics(model)
         sequential = estimate_factorial_moments(model, small_config(), statics)
         config = sequential.config
         grid = _sampling_grid(config, statics.cycle_length)
-        shuffled_order = [2, 0, 3, 1]
+        shuffled_order = shrinking_replication_order(model, config, statics)
+        assert shuffled_order != sorted(shuffled_order)
+        workspace = _Workspace(model, statics)
         results = {}
         for rep in shuffled_order:
-            results[rep] = _replication_estimate(model, config, statics, grid, rep)[0]
+            results[rep] = _replication_estimate(model, config, statics, grid, rep, workspace)[0]
         stacked = np.stack([results[rep] for rep in range(config.replications)])
         assert np.array_equal(stacked.mean(axis=0), sequential.estimates)
 
