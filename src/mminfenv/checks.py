@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform
 from .distributions import Exponential, Gamma
 from .errors import ModelError
 
@@ -72,6 +71,9 @@ def structural_checks(model, table) -> list:
     The two-state closed forms are checked up to order 8 when the model
     is in their scope.  Each verdict's gate is its entry of ``TOLERANCES``.
     """
+    # imported here, so that a verb that runs no check does not load it
+    from . import closedform
+
     verdicts = []
     solve_gap = float(np.nanmax(table.solve_residual)) if table.n_max >= 1 else 0.0
     if table.n_max >= 1 and not np.all(np.isfinite(table.bn_condition[1:])):

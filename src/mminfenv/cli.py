@@ -18,11 +18,11 @@ The record states each setting once, in its top-level ``config``, with
 the value the run used (a defaulted warmup or horizon, the sampling
 interval, which is always the mean cycle, and the gates of ``validate``
 included); its ``table``, ``simulation`` and ``verdicts`` hold results
-only.
+only.  Only ``simulate`` and ``compare`` import the simulator, and only
+``--out`` the ``json`` module, so a ``moments`` run loads neither.
 """
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -35,7 +35,6 @@ from .environment import chain_statics
 from .errors import EstimationError, NumericError
 from .modelfile import load_model, model_to_dict
 from .moments import WEIGHTINGS, compute_moment_table
-from .sim import MAX_ESTIMATED_ORDER, SimulationConfig, default_warmup, estimate_factorial_moments
 
 __all__ = ["main", "entry_point", "RunReport"]
 
@@ -102,6 +101,8 @@ def _format_table(headers, rows) -> list:
 
 
 def _check_simulation_order(args) -> None:
+    from .sim import MAX_ESTIMATED_ORDER
+
     if not 1 <= args.order <= MAX_ESTIMATED_ORDER:
         raise ValueError(
             f"{args.command} needs --order from 1 to at most {MAX_ESTIMATED_ORDER} "
@@ -145,6 +146,8 @@ def cmd_moments(args) -> tuple:
 
 def _run_simulation(args, model, statics):
     """Fill in the default warmup and horizon, then run the estimate; its config is the resolved one."""
+    from .sim import SimulationConfig, default_warmup, estimate_factorial_moments
+
     warmup = args.warmup if args.warmup is not None else default_warmup(model)
     horizon = args.horizon if args.horizon is not None else warmup + 200.0 * statics.cycle_length
     config = SimulationConfig(
@@ -347,6 +350,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
     if args.out:
+        import json
+
         payload = report.to_dict()
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

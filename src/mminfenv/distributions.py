@@ -53,11 +53,11 @@ class SojournDistribution:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int = None):
+    def sample(self, rng: "np.random.Generator", size: int = None):
         """Draw one full sojourn, or an array of ``size`` independent ones."""
         raise NotImplementedError
 
-    def sample_residual(self, rng: np.random.Generator) -> float:
+    def sample_residual(self, rng: "np.random.Generator") -> float:
         """Draw from the equilibrium (integrated-tail) law of the sojourn."""
         raise NotImplementedError
 

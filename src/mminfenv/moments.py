@@ -274,7 +274,7 @@ def _erlang_mixture_rows(sojourns, service, residual):
     if fractional:
         states, *shapes = zip(*fractional)
         rules = dict(zip(states, _gamma_scale_rules(*map(list, shapes))))
-    rates, probs, powers = [], [], []
+    rates, probs, powers, atoms = [], [], [], []
     for k, dist in enumerate(sojourns):
         if isinstance(dist, HyperExponential):
             branch_probs = np.array(dist.probs)
@@ -286,6 +286,12 @@ def _erlang_mixture_rows(sojourns, service, residual):
             powers.append(1)
         else:
             nodes, weights = rules.get(k, (np.ones(1), np.ones(1)))
+            if nodes[0] <= 0.0:
+                # nodes come smallest first, and those of a tiny f round to 0
+                # or below: each is the limit B = 0, a sojourn T = 0, so X = 1
+                # and its probability goes to j = N
+                atoms.append((k, weights[nodes <= 0.0].sum()))
+                nodes, weights = nodes[nodes > 0.0], weights[nodes > 0.0]
             rates.append(dist.rate / nodes)
             probs.append(weights)
             powers.append(1 if k in rules else math.ceil(dist.shape))
@@ -293,6 +299,8 @@ def _erlang_mixture_rows(sojourns, service, residual):
     rows = _erlang_rows(np.concatenate(rates) / np.repeat(service, counts), np.repeat(powers, counts), residual)
     rows *= np.concatenate(probs)
     rows = np.add.reduceat(rows, np.cumsum(counts) - counts, axis=1)
+    for k, mass in atoms:
+        rows[MAX_ORDER, k] += mass
     composed = [k for k in rules if sojourns[k].shape > 1.0]
     if composed:
         erlangs = [Gamma(math.floor(sojourns[k].shape), sojourns[k].rate) for k in composed]

@@ -160,7 +160,7 @@ def default_warmup(model: EnvironmentModel) -> float:
     return 20.0 / (model.mu * float(positive.min()))
 
 
-def replication_rng(master_seed: int, replication: int) -> np.random.Generator:
+def replication_rng(master_seed: int, replication: int) -> "np.random.Generator":
     """Isolated stream for one replication; independent of scheduling order."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(replication),))
@@ -252,7 +252,7 @@ class _Workspace:
 def simulate_environment(
     model: EnvironmentModel,
     horizon: float,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     statics: ChainStatics,
     *,
     workspace: _Workspace = None,
@@ -307,7 +307,7 @@ def simulate_queue(
     model: EnvironmentModel,
     path: EnvironmentPath,
     grid: np.ndarray,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     *,
     workspace: _Workspace = None,
 ) -> np.ndarray:
@@ -399,7 +399,8 @@ def _sampling_grid(config: SimulationConfig, cycle: float) -> np.ndarray:
     """Sample times after the warmup, one mean cycle apart."""
     try:
         grid = np.arange(config.warmup + cycle, config.horizon, cycle)
-    except MemoryError:
+    except (MemoryError, ValueError):
+        # ValueError: a length numpy cannot represent, past the address space
         raise ValueError(
             f"horizon {config.horizon} needs more sample times, one mean cycle ({cycle}) "
             "apart, than memory can hold; shorten the horizon"

@@ -488,11 +488,13 @@ class TestSimulate:
     @pytest.mark.parametrize("verb", ["simulate", "compare"])
     def test_horizon_beyond_memory_exits_2(self, capsys, verb):
         # 2e14 sample times a mean cycle (5.06) apart: 1.4 PiB, more than the
-        # address space, so the request fails without touching memory
-        code, out, err = run(capsys, verb, "--model", K3_MIXED, "--horizon", "1e15", "--reps", "2")
-        assert (code, out) == (2, "")
-        assert err.startswith("input error: horizon 1000000000000000.0 ")
-        assert err.count("\n") == 1 and err.endswith("shorten the horizon\n")
+        # address space, so the request fails without touching memory; from
+        # 1e19 on numpy cannot even represent the array's length
+        for horizon in ["1e15", "1e19", "1e300"]:
+            code, out, err = run(capsys, verb, "--model", K3_MIXED, "--horizon", horizon, "--reps", "2")
+            assert (code, out) == (2, ""), horizon
+            assert err.startswith(f"input error: horizon {float(horizon)} ")
+            assert err.count("\n") == 1 and err.endswith("shorten the horizon\n")
 
     @pytest.mark.parametrize("verb", ["simulate", "compare"])
     def test_non_finite_estimate_exits_3(self, capsys, monkeypatch, verb):
@@ -653,6 +655,47 @@ def test_cli_import_loads_no_scipy(package):
     # for them at startup
     code = f"import sys, mminfenv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     assert run_python("-c", code).stdout.strip() == "[]"
+
+
+# modules that cost start-up time and that only some verbs run
+LAZY_MODULES = ["json", "mminfenv.closedform", "mminfenv.sim", "numpy.random"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(["moments"], [], id="moments"),
+        pytest.param(["validate"], ["mminfenv.closedform"], id="validate"),
+        pytest.param(["simulate", "--order", "1", *SHORT_SIMULATION], ["mminfenv.sim", "numpy.random"], id="simulate"),
+    ],
+)
+def test_a_verb_imports_only_the_code_it_runs(argv, loaded):
+    # a fresh interpreter, so that nothing the suite imported counts
+    code = (
+        "import sys, mminfenv.cli\n"
+        f"code = mminfenv.cli.main({[*argv, '--model', K3_MIXED]!r})\n"
+        f"print(code, [m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    )
+    assert run_python("-c", code).stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_lazy_names_resolve_in_a_fresh_interpreter():
+    # every exported name and every submodule but the CLI is an attribute
+    # of the package, the lazy ones included, and a star import binds them
+    code = (
+        "import pkgutil, mminfenv\n"
+        "modules = [info.name for info in pkgutil.iter_modules(mminfenv.__path__) if info.name != 'cli']\n"
+        "print([name for name in mminfenv.__all__ + modules if not hasattr(mminfenv, name)],"
+        " hasattr(mminfenv, 'no_such_name'))"
+    )
+    assert run_python("-c", code).stdout.strip() == "[] False"
+    code = (
+        "from mminfenv import *\n"
+        "import mminfenv\n"
+        "print([name for name in mminfenv.__all__ if name not in globals()],"
+        " kummer_reference.__module__, simulate_queue.__module__)"
+    )
+    assert run_python("-c", code).stdout.strip() == "[] mminfenv.closedform mminfenv.sim"
 
 
 def test_library_checks_load_no_cli():

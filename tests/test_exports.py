@@ -63,6 +63,10 @@ ONLY_TESTED = {
     "residual_laplace",
 }
 
+# module-level functions that the interpreter calls by protocol, never by
+# name: a module's __getattr__ and __dir__ (PEP 562)
+PROTOCOL_FUNCTIONS = {"__getattr__", "__dir__"}
+
 
 def _mentions(node, names) -> bool:
     return any(
@@ -155,7 +159,7 @@ def test_every_package_function_has_a_caller_outside_the_tests():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
-                if node.name not in referenced:
+                if node.name not in referenced | PROTOCOL_FUNCTIONS:
                     unused.append(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:

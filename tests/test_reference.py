@@ -173,3 +173,19 @@ def test_underflowed_transform_matches_extended_precision():
     )
     table = assert_matches_reference(model, digits=3000)
     assert np.max(table.conservation_residuals) <= 1e-12
+
+
+@pytest.mark.parametrize("rate", [0.5, 2.0])
+@pytest.mark.parametrize("shape", [1e-20, 1e-16, 1e-14, 1e-10, 1.000000000000001])
+def test_near_zero_gamma_fraction_matches_extended_precision(shape, rate):
+    # a fractional part f = s - floor(s) near 1e-15 or below puts nodes of
+    # the first graded Beta(f, 1) panel at 0 or just below it: each is the
+    # limit B = 0 of the sojourn's time scale, a sojourn of length 0
+    model = EnvironmentModel(
+        arrival_rates=[2.0, 1.0],
+        speeds=[1.0, 0.5],
+        sojourns=(Gamma(shape=shape, rate=rate), Exponential(1.0)),
+        mu=1.0,
+        routing=[[0.0, 1.0], [1.0, 0.0]],
+    )
+    assert_matches_reference(model)
