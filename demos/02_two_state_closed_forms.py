@@ -17,7 +17,6 @@ from mminfenv import (
     EnvironmentModel,
     Exponential,
     Gamma,
-    chain_statics,
     kummer_reference,
     palm_moment_vectors,
 )
@@ -60,7 +59,7 @@ print("  gamma formula:", np.round(direct[:5], 8).tolist())
 print("  max relative gap:", np.max(np.abs(direct / product - 1.0)))
 
 plain = palm_from_shifted(model, shifted_palm_moments(model, 8))
-recursion = np.array(palm_moment_vectors(model, chain_statics(model), n_max=8).vectors).T
+recursion = np.array(palm_moment_vectors(model, n_max=8).vectors).T
 print("\nplain Palm moments, closed form vs matrix recursion:")
 print("  state 1 gap:", np.max(np.abs(recursion[0] / plain[0] - 1.0)))
 print("  state 2 gap:", np.max(np.abs(recursion[1] / plain[1] - 1.0)))

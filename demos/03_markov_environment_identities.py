@@ -19,7 +19,6 @@ residuals on two model files.
 import numpy as np
 
 from mminfenv import (
-    chain_statics,
     load_model,
     palm_moment_vectors,
     rate_conservation_residuals,
@@ -28,18 +27,17 @@ from mminfenv import (
 
 
 def vectors(model, n_max):
-    statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, n_max=n_max)
-    return statics, palm, stationary_moment_vectors(model, statics, palm)
+    palm = palm_moment_vectors(model, n_max=n_max)
+    return palm, stationary_moment_vectors(model, palm)
 
 
 ###############################################################################
 # The all-exponential three-state model shipped with the repo.
 
 model = load_model("models/k3_exponential.yaml")
-statics, palm, stationary = vectors(model, 6)
-print("embedded stationary vector:", np.round(statics.pi, 6).tolist())
-print("occupancy law:             ", np.round(statics.occupancy, 6).tolist())
+palm, stationary = vectors(model, 6)
+print("embedded stationary vector:", np.round(model.statics.pi, 6).tolist())
+print("occupancy law:             ", np.round(model.statics.occupancy, 6).tolist())
 
 ###############################################################################
 # Palm vs stationary: a residual sojourn of an exponential law is the
@@ -52,7 +50,7 @@ print(f"\nmax |palm - stationary| over orders 0..6: {gap}")
 # Rate conservation ties order n to order n-1; order 0 is the
 # stationarity of the embedded vector.
 
-residuals = rate_conservation_residuals(model, statics, palm, stationary)
+residuals = rate_conservation_residuals(model, palm, stationary)
 print("rate-conservation residuals by order:", ["%.2e" % r for r in residuals])
 
 ###############################################################################
@@ -60,8 +58,8 @@ print("rate-conservation residuals by order:", ["%.2e" % r for r in residuals])
 # stationary vectors differ.
 
 mixed = load_model("models/k3_mixed.yaml")
-mixed_statics, mixed_palm, mixed_stationary = vectors(mixed, 6)
+mixed_palm, mixed_stationary = vectors(mixed, 6)
 gap = max(float(np.max(np.abs(a / b - 1.0))) for a, b in zip(mixed_palm.vectors, mixed_stationary))
 print(f"\nmixed-family model, max |palm / stationary - 1|: {gap:.3f}")
-mixed_residuals = rate_conservation_residuals(mixed, mixed_statics, mixed_palm, mixed_stationary)
+mixed_residuals = rate_conservation_residuals(mixed, mixed_palm, mixed_stationary)
 print("rate-conservation residuals there:   ", ["%.2e" % r for r in mixed_residuals])

@@ -16,7 +16,6 @@ import numpy as np
 
 from mminfenv import (
     SimulationConfig,
-    chain_statics,
     compute_moment_table,
     estimate_factorial_moments,
     load_model,
@@ -28,21 +27,20 @@ from mminfenv.checks import simulation_checks
 # deterministic state, and a short light exponential state.
 
 model = load_model("models/k3_mixed.yaml")
-statics = chain_statics(model)
-print("embedded weights: ", np.round(statics.pi, 4).tolist())
-print("occupancy weights:", np.round(statics.occupancy, 4).tolist())
+print("embedded weights: ", np.round(model.statics.pi, 4).tolist())
+print("occupancy weights:", np.round(model.statics.occupancy, 4).tolist())
 
-table = compute_moment_table(model, n_max=3, statics=statics)
+table = compute_moment_table(model, n_max=3)
 print("\nanalytic factorial moments:")
 print("  embedded :", np.round(table.aggregated['embedded'], 5).tolist())
 print("  occupancy:", np.round(table.aggregated['occupancy'], 5).tolist())
 
 ###############################################################################
-# Simulate on the same statics, whose mean cycle length sizes the run.
+# Simulate the same model, whose mean cycle length sizes the run.
 # Sixteen replications over several hundred environment cycles keep this
 # demo quick; the acceptance suite runs the full-size experiment.
 
-cycle = statics.cycle_length
+cycle = model.statics.cycle_length
 config = SimulationConfig(
     warmup=80.0,
     horizon=80.0 + 500.0 * cycle,
@@ -50,7 +48,7 @@ config = SimulationConfig(
     master_seed=31415,
     n_est=3,
 )
-estimate = estimate_factorial_moments(model, config, statics)
+estimate = estimate_factorial_moments(model, config)
 print(f"\nsimulated ({config.replications} replications, "
       f"{estimate.samples_per_replication} samples each):")
 print("  estimates:", np.round(estimate.estimates, 5).tolist())

@@ -11,8 +11,11 @@ Four verbs over a shared model-file format:
   ``mminfenv.checks.simulation_checks``; it passes when the occupancy
   weighting, the law the simulation samples, is consistent.
 
+Each verb loads its model once, and the model carries the chain statics
+every layer reads, so ``compare``'s table and simulation share them.
 Exit codes are a stable contract: 0 success/pass, 1 check failure,
-2 input error, 3 numeric or estimation error.  Reports are deterministic
+2 input error, 3 numeric or estimation error, which includes a model
+whose embedded stationary law cannot be certified.  Reports are deterministic
 given (model, flags, seed); ``--out`` writes the same content as JSON.
 The record states each setting once, in its top-level ``config``, with
 the value the run used (a defaulted warmup or horizon, the sampling
@@ -31,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from .checks import TOLERANCES, Z_MAX, simulation_checks, structural_checks
-from .environment import chain_statics
 from .errors import EstimationError, NumericError
 from .modelfile import load_model, model_to_dict
 from .moments import WEIGHTINGS, compute_moment_table
@@ -144,12 +146,12 @@ def cmd_moments(args) -> tuple:
     return report, EXIT_OK
 
 
-def _run_simulation(args, model, statics):
+def _run_simulation(args, model):
     """Fill in the default warmup and horizon, then run the estimate; its config is the resolved one."""
     from .sim import SimulationConfig, default_warmup, estimate_factorial_moments
 
     warmup = args.warmup if args.warmup is not None else default_warmup(model)
-    horizon = args.horizon if args.horizon is not None else warmup + 200.0 * statics.cycle_length
+    horizon = args.horizon if args.horizon is not None else warmup + 200.0 * model.statics.cycle_length
     config = SimulationConfig(
         warmup=warmup,
         horizon=horizon,
@@ -157,10 +159,10 @@ def _run_simulation(args, model, statics):
         master_seed=args.seed,
         n_est=args.order,
     )
-    return estimate_factorial_moments(model, config, statics)
+    return estimate_factorial_moments(model, config)
 
 
-def _simulation_echo(config, statics) -> dict:
+def _simulation_echo(config, model) -> dict:
     """The report's ``config`` entries of a simulation, as the run used them."""
     return {
         "order": config.n_est,
@@ -168,20 +170,19 @@ def _simulation_echo(config, statics) -> dict:
         "replications": config.replications,
         "warmup": config.warmup,
         "horizon": config.horizon,
-        "sampling_interval": statics.cycle_length,
+        "sampling_interval": model.statics.cycle_length,
     }
 
 
 def cmd_simulate(args) -> tuple:
     _check_simulation_order(args)
     model = load_model(args.model)
-    statics = chain_statics(model)
-    estimate = _run_simulation(args, model, statics)
+    estimate = _run_simulation(args, model)
     config = estimate.config
     report = RunReport(
         command="simulate",
         model=model_to_dict(model),
-        config=_simulation_echo(config, statics),
+        config=_simulation_echo(config, model),
         simulation=estimate.to_dict(),
     )
     report.lines.append(
@@ -228,9 +229,8 @@ def cmd_compare(args) -> tuple:
     model = load_model(args.model)
     if not (math.isfinite(args.z_max) and args.z_max >= 0.0):
         raise ValueError(f"--z-max must be finite and nonnegative, got {args.z_max}")
-    statics = chain_statics(model)
-    table = compute_moment_table(model, n_max=args.order, statics=statics)
-    estimate = _run_simulation(args, model, statics)
+    table = compute_moment_table(model, n_max=args.order)
+    estimate = _run_simulation(args, model)
 
     verdicts, z_scores = simulation_checks(table, estimate, args.z_max)
     consistent = [w for w, v in zip(WEIGHTINGS, verdicts) if v.passed]
@@ -238,7 +238,7 @@ def cmd_compare(args) -> tuple:
     report = RunReport(
         command="compare",
         model=model_to_dict(model),
-        config={**_simulation_echo(estimate.config, statics), "z_max": args.z_max},
+        config={**_simulation_echo(estimate.config, model), "z_max": args.z_max},
         table=_table_dict(table),
         simulation=estimate.to_dict(),
         verdicts=verdicts,

@@ -5,15 +5,15 @@ k for a random sojourn drawn from that state's law, then jumps according
 to a row-stochastic routing matrix with zero diagonal.  While in state k
 the queue sees Poisson arrivals at rate ``arrival_rates[k]`` and all
 servers run at speed ``speeds[k]`` relative to the base service rate
-``mu``.  The model carries the two per-state quantities every layer
-reads, the service rates ``speeds * mu`` and the offered loads
-``arrival_rates / service_rates``, as fields computed once when it is
-built.
+``mu``.  The model carries what every layer reads of it as fields
+computed once when it is built: the service rates ``speeds * mu``, the
+offered loads ``arrival_rates / service_rates`` and its ``statics``.
 
-``chain_statics`` derives everything else the moments and the simulator
-read from the model: the embedded chain's stationary law and reversed
-routing, the mean sojourns, the occupancy law and the mean cycle
-length.  Each verb calls it once and passes the result down.
+``chain_statics`` derives the statics, everything else the moments and
+the simulator read from the model: the embedded chain's stationary law
+and reversed routing, the mean sojourns, the occupancy law and the mean
+cycle length.  The model's construction is its one caller, so building
+a model whose stationary law cannot be certified raises NumericError.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +62,34 @@ SOJOURN_FAMILIES = {
 
 
 @dataclass(frozen=True)
+class ChainStatics:
+    """Quantities derived from the routing matrix and the sojourn means.
+
+    ``pi`` is the stationary law of the embedded jump chain,
+    ``reversed_routing`` the time-reversed jump matrix
+    diag(pi)^-1 P^T diag(pi), ``mean_sojourns`` the mean sojourn of each
+    state, and ``occupancy`` the time-stationary state law, proportional
+    to pi weighted by mean sojourns.  ``cycle_length`` is the expected
+    time of one sweep of the environment, K mean segments of
+    pi-weighted mean sojourn (for cyclic routing the exact period of one
+    tour through the states).  ``steps`` is the number of products the
+    series for pi took, or 0 where pi came from the LU (see
+    ``chain_statics``).
+    """
+
+    pi: np.ndarray
+    reversed_routing: np.ndarray
+    mean_sojourns: np.ndarray
+    occupancy: np.ndarray
+    cycle_length: float
+    steps: int
+
+    def __post_init__(self):
+        for arr in (self.pi, self.reversed_routing, self.mean_sojourns, self.occupancy):
+            arr.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class EnvironmentModel:
     """Full specification of the modulated infinite-server queue.
 
@@ -69,8 +97,10 @@ class EnvironmentModel:
     states, positive mu, finite nonnegative rates, speeds in [0, 1], no
     divergent load, an irreducible row-stochastic routing matrix with
     zero diagonal) and raises one ModelError listing every violation.
-    The model is frozen and its arrays are read-only, so a model that
-    exists is valid and nothing downstream checks it again.
+    A valid model whose embedded stationary law cannot be certified
+    raises NumericError (see ``chain_statics``).  The model is frozen and
+    its arrays are read-only, so a model that exists is valid and
+    nothing downstream checks it again.
 
     Parameters
     ----------
@@ -94,9 +124,13 @@ class EnvironmentModel:
     offered_loads : ndarray, shape (K,)
         Per-state offered load rho_k = arrival_rates[k] / service_rates[k],
         0 in a state without arrivals (its speed may then be 0).
+    statics : ChainStatics
+        The embedded chain's stationary law, reversed routing, mean
+        sojourns, occupancy law and mean cycle length (``chain_statics``).
 
-    Both are computed once at construction, read-only like the inputs,
-    and recomputed by ``dataclasses.replace``; they are not arguments.
+    All three are computed once at construction, read-only like the
+    inputs, and recomputed by ``dataclasses.replace``; they are not
+    arguments.
     """
 
     arrival_rates: np.ndarray
@@ -106,6 +140,7 @@ class EnvironmentModel:
     routing: np.ndarray
     service_rates: np.ndarray = field(init=False, repr=False)
     offered_loads: np.ndarray = field(init=False, repr=False)
+    statics: ChainStatics = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.array(self.arrival_rates, dtype=float)
@@ -145,38 +180,11 @@ class EnvironmentModel:
         report = _violations(self)
         if report:
             raise ModelError("invalid model: " + "; ".join(report))
+        object.__setattr__(self, "statics", chain_statics(self))
 
     @property
     def num_states(self) -> int:
         return self.arrival_rates.size
-
-
-@dataclass(frozen=True)
-class ChainStatics:
-    """Quantities derived from the routing matrix and the sojourn means.
-
-    ``pi`` is the stationary law of the embedded jump chain,
-    ``reversed_routing`` the time-reversed jump matrix
-    diag(pi)^-1 P^T diag(pi), ``mean_sojourns`` the mean sojourn of each
-    state, and ``occupancy`` the time-stationary state law, proportional
-    to pi weighted by mean sojourns.  ``cycle_length`` is the expected
-    time of one sweep of the environment, K mean segments of
-    pi-weighted mean sojourn (for cyclic routing the exact period of one
-    tour through the states).  ``steps`` is the number of products the
-    series for pi took, or 0 where pi came from the LU (see
-    ``chain_statics``).
-    """
-
-    pi: np.ndarray
-    reversed_routing: np.ndarray
-    mean_sojourns: np.ndarray
-    occupancy: np.ndarray
-    cycle_length: float
-    steps: int
-
-    def __post_init__(self):
-        for arr in (self.pi, self.reversed_routing, self.mean_sojourns, self.occupancy):
-            arr.flags.writeable = False
 
 
 def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
@@ -353,8 +361,9 @@ def _stationary_law(routing: np.ndarray):
 def chain_statics(model: EnvironmentModel) -> ChainStatics:
     """Solve for the embedded stationary vector and derive the rest of ``ChainStatics``.
 
-    The one place the chain's derived quantities are computed: each verb
-    builds them once and hands them to every layer that reads them.
+    The one place the chain's derived quantities are computed:
+    ``EnvironmentModel`` builds them once, as its ``statics``, and every
+    layer reads them there.
 
     pi is first sought as the deflated Neumann series of
     ``_stationary_series``, within ``_series_budget`` products; it is

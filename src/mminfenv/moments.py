@@ -63,11 +63,9 @@ compared (simulation adjudicates; see ``checks.simulation_checks``).
 Their raw moments follow by the second-kind Stirling transform, from
 one triangle at MAX_ORDER (see ``raw_from_factorial``).  Every function
 here reads the embedded chain's law, the reversed routing and the mean
-sojourns from the caller's ``ChainStatics``; only
-``compute_moment_table`` builds them when not handed them.  The
-service rates mu_k and the offered loads rho_k = lambda_k / mu_k are
-read from the model's fields of those names, computed once when the
-model is built.
+sojourns from the model's ``statics``, and the service rates mu_k and
+the offered loads rho_k = lambda_k / mu_k from its fields of those
+names, all computed once when the model is built.
 
 One identity checks both families at every order, for every sojourn
 law: rate conservation for Lambda^n 1{state k}, which moves as
@@ -82,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import Deterministic, Exponential, Gamma, HyperExponential
-from .environment import _ROUNDOFF, ChainStatics, EnvironmentModel, _series_budget, chain_statics
+from .environment import _ROUNDOFF, EnvironmentModel, _series_budget
 from .errors import NumericError, as_integer
 
 __all__ = [
@@ -570,7 +568,7 @@ class PalmMoments:
         return len(self.vectors) - 1
 
 
-def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: int = 10) -> PalmMoments:
+def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments:
     """Moment vectors of the discounted arrival mass seen from a transition instant.
 
     Order 0 is the all-ones vector.  Each subsequent order n solves,
@@ -603,6 +601,7 @@ def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: i
     overflow; an order that overflows is non-finite and fails its check.
     """
     n_max = _check_order(n_max)
+    statics = model.statics
     routing = statics.reversed_routing
     k_count = model.num_states
     orders = np.arange(n_max + 1)
@@ -665,9 +664,7 @@ def palm_moment_vectors(model: EnvironmentModel, statics: ChainStatics, n_max: i
     )
 
 
-def stationary_moment_vectors(
-    model: EnvironmentModel, statics: ChainStatics, palm: PalmMoments
-) -> tuple:
+def stationary_moment_vectors(model: EnvironmentModel, palm: PalmMoments) -> tuple:
     """Moment vectors seen from a stationary instant, one per order.
 
     The stationary look-back differs from the Palm one only through the
@@ -692,7 +689,7 @@ def stationary_moment_vectors(
     ]
     if not states:
         return tuple(vectors)
-    routed = vectors @ statics.reversed_routing[states].T
+    routed = vectors @ model.statics.reversed_routing[states].T
     weights = _weights([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
     with np.errstate(all="ignore"):
         load_powers = model.offered_loads[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
@@ -740,12 +737,7 @@ class MomentTable:
         return self.raw[weighting]
 
 
-def assemble_moment_table(
-    model: EnvironmentModel,
-    statics: ChainStatics,
-    palm: PalmMoments,
-    stationary: tuple,
-) -> MomentTable:
+def assemble_moment_table(model: EnvironmentModel, palm: PalmMoments, stationary: tuple) -> MomentTable:
     """Contract the stationary vectors into scalar moments of N.
 
     Both weightings (embedded-chain vector and time-stationary
@@ -753,6 +745,7 @@ def assemble_moment_table(
     are evaluated and recorded as diagnostics (see ``mminfenv.checks``).
     """
     n_max = palm.n_max
+    statics = model.statics
     weights = {"embedded": statics.pi, "occupancy": statics.occupancy}
     aggregated = {}
     raw = {}
@@ -772,30 +765,18 @@ def assemble_moment_table(
         solve_residual=palm.solve_residual,
         palm_steps=palm.steps,
         statics_steps=statics.steps,
-        conservation_residuals=rate_conservation_residuals(model, statics, palm, stationary),
+        conservation_residuals=rate_conservation_residuals(model, palm, stationary),
     )
 
 
-def compute_moment_table(
-    model: EnvironmentModel,
-    n_max: int = 10,
-    statics: ChainStatics = None,
-) -> MomentTable:
-    """Convenience pipeline: statics, Palm solve, stationary update, assembly.
-
-    The only function that builds the statics itself, when it is not
-    handed them (``compare`` hands it the ones its simulation reads).
-    """
-    if statics is None:
-        statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, n_max)
-    stationary = stationary_moment_vectors(model, statics, palm)
-    return assemble_moment_table(model, statics, palm, stationary)
+def compute_moment_table(model: EnvironmentModel, n_max: int = 10) -> MomentTable:
+    """Convenience pipeline: Palm solve, stationary update, assembly."""
+    palm = palm_moment_vectors(model, n_max)
+    stationary = stationary_moment_vectors(model, palm)
+    return assemble_moment_table(model, palm, stationary)
 
 
-def rate_conservation_residuals(
-    model: EnvironmentModel, statics: ChainStatics, palm: PalmMoments, stationary: tuple
-) -> np.ndarray:
+def rate_conservation_residuals(model: EnvironmentModel, palm: PalmMoments, stationary: tuple) -> np.ndarray:
     """Residuals of rate conservation for Lambda^n 1{state k}, one per order.
 
     Between environment jumps the mixing mass moves as
@@ -819,6 +800,7 @@ def rate_conservation_residuals(
     its four terms, not by the realised sums, and the scaled max-norm
     residual is returned per order.
     """
+    statics = model.statics
     exit_rates = 1.0 / statics.mean_sojourns
     palm_rows = np.array(palm.vectors) * statics.pi
     rows = np.array(stationary) * statics.pi

@@ -27,8 +27,8 @@ so a warmup window is still discarded as defense in depth.  Sampling a
 one-sided forward window of this construction is taken as equivalent in
 law to sampling a two-sided stationary process at a fixed time.  The
 occupancy law and the mean cycle length, which sizes the path's chunks
-and spaces the sample times, come from the caller's ``ChainStatics``:
-the verb builds them once and the simulator never rebuilds them.
+and spaces the sample times, come from the model's ``statics``, built
+once with the model.
 
 Replications are independent: replication r uses a generator seeded by
 (master seed, spawn key r), and estimates are reduced in replication
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import _normalised_cdf
-from .environment import ChainStatics, EnvironmentModel
+from .environment import EnvironmentModel
 from .errors import EstimationError, as_integer
 
 __all__ = [
@@ -232,13 +232,13 @@ class _Workspace:
     ``customers`` entries.
     """
 
-    def __init__(self, model: EnvironmentModel, statics: ChainStatics):
+    def __init__(self, model: EnvironmentModel):
         routing_cdf = _normalised_cdf(model.routing)
         if model.num_states <= _SCAN_MAX_STATES:
             self.route = _block_router(routing_cdf)
         else:
             self.route = _loop_router(routing_cdf)
-        self.occupancy_cdf = _normalised_cdf(statics.occupancy)
+        self.occupancy_cdf = _normalised_cdf(model.statics.occupancy)
         self._buffers = np.empty((3, 0))
 
     def customer_arrays(self, customers: int) -> np.ndarray:
@@ -253,7 +253,6 @@ def simulate_environment(
     model: EnvironmentModel,
     horizon: float,
     rng: "np.random.Generator",
-    statics: ChainStatics,
     *,
     workspace: _Workspace = None,
 ) -> EnvironmentPath:
@@ -261,7 +260,8 @@ def simulate_environment(
 
     The initial state is drawn from the occupancy law and its sojourn
     from the equilibrium residual law.  Later segments come in chunks
-    sized from the remaining time over the mean segment length: one
+    sized from the remaining time over the mean segment length, the
+    model's ``statics.cycle_length`` over its K states: one
     uniform per segment routes the jump chain, then every sojourn of a
     state in the chunk is drawn in one call, states in index order.  The
     path ends with the first segment whose end reaches the horizon.
@@ -272,11 +272,11 @@ def simulate_environment(
     occupancy CDF come from ``workspace``, built here when none is given.
     """
     if workspace is None:
-        workspace = _Workspace(model, statics)
+        workspace = _Workspace(model)
     route = workspace.route
     state = int(np.searchsorted(workspace.occupancy_cdf, rng.random(), side="right"))
     first = model.sojourns[state].sample_residual(rng)
-    mean_segment = statics.cycle_length / model.num_states
+    mean_segment = model.statics.cycle_length / model.num_states
 
     states = [np.array([state])]
     durations = [np.array([first])]
@@ -381,14 +381,13 @@ def _falling_factorial_means(counts: np.ndarray, n_est: int) -> np.ndarray:
 def _replication_estimate(
     model: EnvironmentModel,
     config: SimulationConfig,
-    statics: ChainStatics,
     grid: np.ndarray,
     replication: int,
     workspace: _Workspace,
 ):
     """One replication: (falling-factorial means, post-warmup occupancy)."""
     rng = replication_rng(config.master_seed, replication)
-    path = simulate_environment(model, config.horizon, rng, statics, workspace=workspace)
+    path = simulate_environment(model, config.horizon, rng, workspace=workspace)
     counts = simulate_queue(model, path, grid, rng, workspace=workspace)
     moments = _falling_factorial_means(counts, config.n_est)
     occupancy = path.occupancy(model.num_states, start=config.warmup, stop=config.horizon)
@@ -413,25 +412,23 @@ def _sampling_grid(config: SimulationConfig, cycle: float) -> np.ndarray:
     return grid
 
 
-def estimate_factorial_moments(
-    model: EnvironmentModel, config: SimulationConfig, statics: ChainStatics
-) -> SimulationEstimate:
+def estimate_factorial_moments(model: EnvironmentModel, config: SimulationConfig) -> SimulationEstimate:
     """Estimate the factorial moments of the customer count by replication.
 
-    Runs ``config.replications`` independent replications on the model's
-    ``statics``, averages the falling factorials of the sampled counts per
-    replication, and reports the across-replication mean and standard
-    error per order.  The samples are ``statics.cycle_length`` apart.
-    The replications share one workspace, dropped when this returns.
+    Runs ``config.replications`` independent replications, averages the
+    falling factorials of the sampled counts per replication, and reports
+    the across-replication mean and standard error per order.  The
+    samples are the model's ``statics.cycle_length`` apart.  The
+    replications share one workspace, dropped when this returns.
     """
-    grid = _sampling_grid(config, statics.cycle_length)
-    workspace = _Workspace(model, statics)
+    grid = _sampling_grid(config, model.statics.cycle_length)
+    workspace = _Workspace(model)
 
     per_rep = np.empty((config.replications, config.n_est + 1))
     occupancies = np.empty((config.replications, model.num_states))
     for replication in range(config.replications):
         per_rep[replication], occupancies[replication] = _replication_estimate(
-            model, config, statics, grid, replication, workspace
+            model, config, grid, replication, workspace
         )
 
     estimates = per_rep.mean(axis=0)

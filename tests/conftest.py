@@ -173,7 +173,7 @@ def identical_state_model(rho: float = 2.0) -> EnvironmentModel:
     )
 
 
-def shrinking_replication_order(model, config, statics) -> list:
+def shrinking_replication_order(model, config) -> list:
     """Replication indices by decreasing customer count, the largest first.
 
     Run in this order through one workspace, every replication after the
@@ -184,7 +184,7 @@ def shrinking_replication_order(model, config, statics) -> list:
     customers = []
     for rep in range(config.replications):
         rng = replication_rng(config.master_seed, rep)
-        path = simulate_environment(model, config.horizon, rng, statics)
+        path = simulate_environment(model, config.horizon, rng)
         customers.append(int(rng.poisson(model.arrival_rates[path.states] * path.durations).sum()))
     order = sorted(range(config.replications), key=lambda rep: -customers[rep])
     assert customers[order[0]] > customers[order[-1]], customers

@@ -13,7 +13,6 @@ import numpy as np
 from mminfenv import (
     Gamma,
     SimulationConfig,
-    chain_statics,
     compute_moment_table,
     estimate_factorial_moments,
     kummer_reference,
@@ -185,7 +184,7 @@ def test_criterion_4_gamma_reference():
 def test_criterion_5_simulation_adjudication(k3_mixed_model):
     start = time.perf_counter()
     model = k3_mixed_model
-    statics = chain_statics(model)
+    statics = model.statics
     cycle = statics.cycle_length
     warmup = 80.0
     config = SimulationConfig(
@@ -196,8 +195,8 @@ def test_criterion_5_simulation_adjudication(k3_mixed_model):
         n_est=3,
     )
     assert config.horizon - config.warmup >= 2000.0 * cycle
-    table = compute_moment_table(model, n_max=3, statics=statics)
-    estimate = estimate_factorial_moments(model, config, statics)
+    table = compute_moment_table(model, n_max=3)
+    estimate = estimate_factorial_moments(model, config)
     verdicts = {v.name: v for v in simulation_checks(table, estimate)[0]}
     embedded = verdicts["weighting-embedded-consistent"]
     occupancy = verdicts["weighting-occupancy-consistent"]
@@ -279,18 +278,18 @@ def test_criterion_8_determinism(capsys, tmp_path):
     # schedule independence: replications computed out of order reduce to
     # the same estimate as the sequential run
     model = load_model(model_path)
-    statics = chain_statics(model)
+    statics = model.statics
     config = SimulationConfig(
         warmup=10.0, horizon=310.0, replications=4, master_seed=424242, n_est=3
     )
-    sequential = estimate_factorial_moments(model, config, statics)
+    sequential = estimate_factorial_moments(model, config)
     # the run's own config and grid, one mean cycle apart
     grid = _sampling_grid(sequential.config, statics.cycle_length)
     # one shared workspace, a replication of more customers before one of fewer
-    order = shrinking_replication_order(model, sequential.config, statics)
-    workspace = _Workspace(model, statics)
+    order = shrinking_replication_order(model, sequential.config)
+    workspace = _Workspace(model)
     out_of_order = {
-        rep: _replication_estimate(model, sequential.config, statics, grid, rep, workspace)[0]
+        rep: _replication_estimate(model, sequential.config, grid, rep, workspace)[0]
         for rep in order
     }
     reduced = np.stack([out_of_order[rep] for rep in range(4)]).mean(axis=0)

@@ -11,7 +11,6 @@ from mminfenv import (
     Gamma,
     SimulationConfig,
     assemble_moment_table,
-    chain_statics,
     compute_moment_table,
     estimate_factorial_moments,
     load_model,
@@ -32,10 +31,10 @@ SHIPPED = sorted(MODELS_DIR.glob("*.yaml"))
 READS_VECTORS = {"rate-conservation", "two-state-closed-form"}
 
 
-def verdicts_of(model, statics, palm):
+def verdicts_of(model, palm):
     """The verdicts of the table that the pipeline builds from these Palm vectors."""
-    stationary = stationary_moment_vectors(model, statics, palm)
-    table = assemble_moment_table(model, statics, palm, stationary)
+    stationary = stationary_moment_vectors(model, palm)
+    table = assemble_moment_table(model, palm, stationary)
     return {v.name: v for v in structural_checks(model, table)}
 
 
@@ -44,12 +43,11 @@ def perturbed_verdicts(model, order):
 
     The error is carried into the stationary vectors; the table has order 20.
     """
-    statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, 20)
-    assert all(v.passed for v in verdicts_of(model, statics, palm).values())
+    palm = palm_moment_vectors(model, 20)
+    assert all(v.passed for v in verdicts_of(model, palm).values())
     vectors = list(palm.vectors)
     vectors[order] = vectors[order] * (1.0 + 1e-6)
-    return verdicts_of(model, statics, dataclasses.replace(palm, vectors=tuple(vectors)))
+    return verdicts_of(model, dataclasses.replace(palm, vectors=tuple(vectors)))
 
 
 def light_two_state_model(lam):
@@ -101,13 +99,12 @@ def test_stationary_update_with_palm_weights_fails_rate_conservation(name, monke
     # every table of weights that sums to one gives the exact rho^n, so
     # that fault changes no number there.)
     model = load_model(MODELS_DIR / f"{name}.yaml")
-    statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, 20)
+    palm = palm_moment_vectors(model, 20)
     original = moments._weights
     monkeypatch.setattr(
         moments, "_weights", lambda sojourns, service, n_max, residual=False: original(sojourns, service, n_max)
     )
-    verdicts = verdicts_of(model, statics, palm)
+    verdicts = verdicts_of(model, palm)
     assert not verdicts["rate-conservation"].passed, verdicts["rate-conservation"].residual
     assert verdicts["solve-backsubstitution"].passed
 
@@ -118,7 +115,7 @@ SHORT_FLAGS = ["--warmup", "5", "--horizon", "55", "--reps", "2", "--seed", "7"]
 
 
 def short_estimate(model, n_est):
-    return estimate_factorial_moments(model, SimulationConfig(**SHORT_RUN, n_est=n_est), chain_statics(model))
+    return estimate_factorial_moments(model, SimulationConfig(**SHORT_RUN, n_est=n_est))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

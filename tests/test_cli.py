@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import mminfenv
-from mminfenv import chain_statics, closedform, compute_moment_table, load_model, model_to_dict
+from mminfenv import closedform, compute_moment_table, load_model, model_to_dict
 from mminfenv.checks import TOLERANCES, CheckVerdict, structural_checks
 from mminfenv.cli import build_parser, main
 
@@ -130,7 +130,7 @@ class TestMoments:
             reported = table["palm_steps"]
             assert reported == list(steps)
             assert all(isinstance(count, int) for count in reported)
-            assert table["statics_steps"] == chain_statics(load_model(model)).steps == 0
+            assert table["statics_steps"] == load_model(model).statics.steps == 0
         assert reported == [0] * 21
         assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [0, 5, 5, 5, 4]
 
@@ -143,7 +143,7 @@ class TestMoments:
         code, _, _ = run(capsys, "moments", "--model", str(model_path), "--order", "2", "--out", str(out_path))
         assert code == 0
         steps = json.loads(out_path.read_text())["table"]["statics_steps"]
-        assert steps == chain_statics(load_model(model_path)).steps > 0
+        assert steps == load_model(model_path).statics.steps > 0
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
@@ -174,6 +174,26 @@ class TestMoments:
         code, out, err = run(capsys, "moments", "--model", str(path))
         assert (code, out) == (2, "")
         assert err == "input error: invalid model: state 0 has an offered load (1.0 / 1e-310) beyond double precision\n"
+
+    @pytest.mark.parametrize("verb", ["moments", "validate", "simulate", "compare"])
+    def test_near_singular_chain_exits_3(self, capsys, tmp_path, verb):
+        # two 2-state blocks joined by 1e-13 links: loading the model fails
+        # to certify its stationary law, before any verb runs
+        eps = 1e-13
+        path = tmp_path / "weak.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema_version": 1, "mu": 1.0,
+            "states": [{"lambda": 1.0, "beta": 1.0, "sojourn": {"family": "exponential", "rate": 1.0}} for _ in range(4)],
+            "routing": [
+                [0.0, 1.0 - eps, eps, 0.0],
+                [1.0 - eps, 0.0, 0.0, eps],
+                [eps, 0.0, 0.0, 1.0 - eps],
+                [0.0, eps, 1.0 - eps, 0.0],
+            ],
+        }))
+        code, out, err = run(capsys, verb, "--model", str(path))
+        assert (code, out) == (3, "")
+        assert err == "numeric error: embedded balance system is near-singular (condition 1.999e+13 > 1e12)\n"
 
     @pytest.mark.parametrize("verb", ["moments", "validate"])
     @pytest.mark.parametrize("shape, rate, beta", [(307.6, 272.1, 0.3035), (80.3, 229.2, 0.2286), (46.19, 1.0, 0.01)])
@@ -612,7 +632,7 @@ def test_out_states_each_setting_once(capsys, tmp_path, argv):
 @pytest.mark.parametrize("verb", ["simulate", "compare"])
 def test_out_states_the_sampling_interval_used(capsys, tmp_path, verb):
     out_path = tmp_path / "report.json"
-    cycle = chain_statics(load_model(IDENTICAL)).cycle_length
+    cycle = load_model(IDENTICAL).statics.cycle_length
     run(capsys, verb, "--model", IDENTICAL, "--order", "1", *SHORT_SIMULATION, "--out", str(out_path))
     assert json.loads(out_path.read_text())["config"]["sampling_interval"] == cycle
 

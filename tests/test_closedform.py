@@ -11,7 +11,6 @@ from mminfenv import (
     Gamma,
     ModelError,
     NumericError,
-    chain_statics,
     compute_moment_table,
     kummer_reference,
     palm_moment_vectors,
@@ -45,7 +44,7 @@ def relabelled(model):
 
 def general_palm(model, n_max):
     """The engine's Palm moments as a (2, n_max + 1) array, one row per state."""
-    return np.array(palm_moment_vectors(model, chain_statics(model), n_max=n_max).vectors).T
+    return np.array(palm_moment_vectors(model, n_max=n_max).vectors).T
 
 
 class TestConstruction:

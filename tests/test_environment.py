@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from mminfenv import (
+    ChainStatics,
     Deterministic,
     EnvironmentModel,
     Exponential,
@@ -23,6 +25,7 @@ from mminfenv.environment import _stationary_law
 from conftest import MODELS_DIR, random_exponential_model, random_mixed_model, random_routing
 
 SHIPPED = sorted(MODELS_DIR.glob("*.yaml"))
+PERFBENCH_MODELGEN = MODELS_DIR.parent / "perfbench" / "modelgen.py"
 
 
 def two_state_model(**overrides):
@@ -248,20 +251,19 @@ class TestChainStatics:
 
     def test_near_singular_balance_raises(self):
         eps = 1e-15
-        model = EnvironmentModel(
-            arrival_rates=[1.0, 1.0, 1.0, 1.0],
-            speeds=[1.0, 1.0, 1.0, 1.0],
-            sojourns=tuple(Exponential(1.0) for _ in range(4)),
-            mu=1.0,
-            routing=[
-                [0.0, 1.0 - eps, eps / 2, eps / 2],
-                [1.0 - eps, 0.0, eps / 2, eps / 2],
-                [eps / 2, eps / 2, 0.0, 1.0 - eps],
-                [eps / 2, eps / 2, 1.0 - eps, 0.0],
-            ],
-        )
         with pytest.raises(NumericError):
-            chain_statics(model)
+            EnvironmentModel(
+                arrival_rates=[1.0, 1.0, 1.0, 1.0],
+                speeds=[1.0, 1.0, 1.0, 1.0],
+                sojourns=tuple(Exponential(1.0) for _ in range(4)),
+                mu=1.0,
+                routing=[
+                    [0.0, 1.0 - eps, eps / 2, eps / 2],
+                    [1.0 - eps, 0.0, eps / 2, eps / 2],
+                    [eps / 2, eps / 2, 0.0, 1.0 - eps],
+                    [eps / 2, eps / 2, 1.0 - eps, 0.0],
+                ],
+            )
 
     def test_failed_lu_raises(self, monkeypatch):
         # the M-matrix of a valid chain is never singular: stand in a failed factorisation
@@ -290,10 +292,9 @@ class TestChainStatics:
             [eps, 0.0, 0.0, 1.0 - eps],
             [0.0, eps, 1.0 - eps, 0.0],
         ]
-        model = model_with_routing(routing)
-        assert _stationary_law(model.routing)[2] > 1e12
+        assert _stationary_law(np.array(routing))[2] > 1e12
         with pytest.raises(NumericError, match="near-singular"):
-            chain_statics(model)
+            model_with_routing(routing)
 
     def test_rarely_entered_state_is_well_conditioned(self):
         # a tiny stationary mass is no near-singularity: dropping the most
@@ -310,11 +311,31 @@ class TestChainStatics:
         model = two_state_model()
         with pytest.raises(ValueError):
             model.routing[0, 1] = 0.5
-        statics = chain_statics(model)
-        with pytest.raises(ValueError):
-            statics.pi[0] = 1.0
-        with pytest.raises(ValueError):
-            statics.mean_sojourns[0] = 1.0
+        statics = model.statics
+        for array in (statics.pi, statics.reversed_routing, statics.mean_sojourns, statics.occupancy):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.statics = chain_statics(model)
+
+    @pytest.mark.parametrize(
+        "source", [*(path.stem for path in SHIPPED), 50, 200, 500], ids=lambda source: f"{source}"
+    )
+    def test_model_carries_its_chain_statics(self, source):
+        # the statics built with the model are those chain_statics gives, bit for bit
+        model = load_model(MODELS_DIR / f"{source}.yaml") if isinstance(source, str) else perfbench_model(source)
+        rebuilt = chain_statics(model)
+        for field in dataclasses.fields(ChainStatics):
+            carried, expected = np.asarray(getattr(model.statics, field.name)), np.asarray(getattr(rebuilt, field.name))
+            assert (carried.dtype, carried.shape) == (expected.dtype, expected.shape)
+            assert carried.tobytes() == expected.tobytes(), field.name
+
+    def test_replace_rebuilds_the_statics(self):
+        model = load_model(MODELS_DIR / "k3_mixed.yaml")
+        changed = dataclasses.replace(model, routing=[[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        assert changed.statics.pi == pytest.approx([1.0 / 3.0] * 3, rel=1e-15)
+        assert changed.statics.pi.tobytes() == chain_statics(changed).pi.tobytes()
+        assert not np.allclose(changed.statics.pi, model.statics.pi)
 
 
 class TestStationaryLaw:
@@ -414,10 +435,17 @@ class TestStationarySeries:
         routing *= 1.0 - eps
         states = np.arange(k_count)
         routing[states, (states + half) % k_count] = eps
-        model = model_with_routing(routing)
-        assert environment._stationary_series(model.routing, np.empty((k_count, k_count)))[0] is None
+        assert environment._stationary_series(routing, np.empty((k_count, k_count)))[0] is None
         with pytest.raises(NumericError, match="near-singular"):
-            chain_statics(model)
+            model_with_routing(routing)
+
+
+def perfbench_model(k_count):
+    """The benchmark's all-exponential K-state model, built by ``perfbench/modelgen.py``."""
+    spec = importlib.util.spec_from_file_location("modelgen", PERFBENCH_MODELGEN)
+    modelgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(modelgen)
+    return modelgen.build_model(modelgen.exponential_params(k_count))
 
 
 def long_double_stationary_law(routing):

@@ -34,9 +34,9 @@ def test_verdicts_are_built_only_in_checks():
     assert modules == {"checks.py"}
 
 
-def test_statics_are_built_only_by_the_table_pipeline_and_the_verbs():
-    # one place computes the chain's derived quantities, and each verb
-    # hands them down: no library function rebuilds them for itself
+def test_statics_are_built_only_by_the_model():
+    # one place computes the chain's derived quantities, the model's
+    # construction, and every layer reads them there: nothing rebuilds them
     callers = set()
     for path in sorted(Path(mminfenv.__file__).parent.glob("*.py")):
         for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -47,9 +47,7 @@ def test_statics_are_built_only_by_the_table_pipeline_and_the_verbs():
                         getattr(node.func, "attr", None),
                     ):
                         callers.add(f"{path.stem}.{function.name}")
-    verbs = {f"cli.{command.__name__}" for command in mminfenv.cli.COMMANDS.values()}
-    assert "moments.compute_moment_table" in callers
-    assert callers - verbs == {"moments.compute_moment_table"}
+    assert callers == {"environment.__post_init__"}
 
 
 PACKAGE = Path(mminfenv.__file__).parent

@@ -139,9 +139,8 @@ def long_deterministic_model(value, arrival_rates=(1.0, 1.0)):
 
 def conservation_residuals(model, n_max):
     """``rate_conservation_residuals`` of the model's Palm and stationary vectors."""
-    statics = chain_statics(model)
-    palm = palm_moment_vectors(model, statics, n_max)
-    return rate_conservation_residuals(model, statics, palm, stationary_moment_vectors(model, statics, palm))
+    palm = palm_moment_vectors(model, n_max)
+    return rate_conservation_residuals(model, palm, stationary_moment_vectors(model, palm))
 
 
 CONDITION_MODELS = [
@@ -204,15 +203,15 @@ def diagonal_weights(model, n_max=20):
     return np.diagonal(_weights(model.sojourns, model.service_rates, n_max)).T
 
 
-def series_grants(model, statics, budget=None, monkeypatch=None):
+def series_grants(model, budget=None, monkeypatch=None):
     """``_series_grants`` of a model, under the given budget of products if one is given."""
     if budget is not None:
         monkeypatch.setattr(moments, "_series_budget", lambda k_count: budget)
-    routing = statics.reversed_routing
-    return moments._series_grants(diagonal_weights(model), routing, statics.pi, np.empty_like(routing))
+    routing = model.statics.reversed_routing
+    return moments._series_grants(diagonal_weights(model), routing, model.statics.pi, np.empty_like(routing))
 
 
-def long_double_palm(model, statics, n_max=20):
+def long_double_palm(model, n_max=20):
     """Palm vectors from the same weights in x87 long double (64-bit significand).
 
     Each order's system is solved by an LU in double precision refined
@@ -221,14 +220,14 @@ def long_double_palm(model, statics, n_max=20):
     is far below 1e16.
     """
     ld = np.longdouble
-    routing = statics.reversed_routing.astype(ld)
+    routing = model.statics.reversed_routing.astype(ld)
     weights = _weights(model.sojourns, model.service_rates, n_max).astype(ld)
     rho = model.offered_loads.astype(ld)
     taus = np.diagonal(weights).T
     vectors, routed = [np.ones(model.num_states, dtype=ld)], [routing @ np.ones(model.num_states, dtype=ld)]
     for n in range(1, n_max + 1):
         rhs = sum(weights[n, j] * rho ** (n - j) * routed[j] for j in range(n))
-        matrix = np.eye(model.num_states) - taus[n].astype(float)[:, np.newaxis] * statics.reversed_routing
+        matrix = np.eye(model.num_states) - taus[n].astype(float)[:, np.newaxis] * model.statics.reversed_routing
         x = np.linalg.solve(matrix, rhs.astype(float)).astype(ld)
         for _ in range(10):
             residual = rhs - (x - taus[n] * (routing @ x))
@@ -331,10 +330,10 @@ class TestOfferedLoads:
         assert faster.offered_loads == pytest.approx(model.offered_loads * model.mu / 2.0, rel=1e-15)
 
 
-def order_matrix(model, statics, order):
+def order_matrix(model, order):
     """I - diag(tau) Q of the order-n Palm solve, tau_k = w_k[n, n], built here from the weights."""
     tau = _weights(model.sojourns, model.service_rates, order)[order, order]
-    return np.eye(len(tau)) - tau[:, np.newaxis] * statics.reversed_routing
+    return np.eye(len(tau)) - tau[:, np.newaxis] * model.statics.reversed_routing
 
 
 class TestRecursionMatrix:
@@ -349,27 +348,24 @@ class TestRecursionMatrix:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        statics = chain_statics(model)
         # tau = 1 / (1 + 1) in both states: I - diag(tau) Q
-        assert order_matrix(model, statics, 1) == pytest.approx(np.array([[1.0, -0.5], [-0.5, 1.0]]))
-        assert palm_moment_vectors(model, statics, 1).condition[1] == pytest.approx(3.0)
+        assert order_matrix(model, 1) == pytest.approx(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        assert palm_moment_vectors(model, 1).condition[1] == pytest.approx(3.0)
 
     @pytest.mark.parametrize("build", CONDITION_MODELS)
     def test_condition_is_exact(self, build):
         # the value from the ones column of the solve must match the
         # explicit-inverse inf-norm condition number
         model = build()
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, 20)
+        palm = palm_moment_vectors(model, 20)
         for order in range(1, 21):
-            expected = np.linalg.cond(order_matrix(model, statics, order), np.inf)
+            expected = np.linalg.cond(order_matrix(model, order), np.inf)
             assert palm.condition[order] == pytest.approx(expected, rel=1e-12)
 
     def test_series_model_never_factorises(self, monkeypatch):
         model = seeded(fast_service_model, 64)
-        statics = chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
-        palm = palm_moment_vectors(model, statics, 20)
+        palm = palm_moment_vectors(model, 20)
         assert solves == []
         assert np.all(np.isfinite(palm.condition[1:]))
         assert np.nanmax(palm.solve_residual) < 1e-14
@@ -380,7 +376,7 @@ class TestPalmVectors:
         # constant arrival rates and speeds make the discounted mass
         # deterministic, so every Palm vector is the load power times ones
         model = identical_state_model(rho=2.0)
-        palm = palm_moment_vectors(model, chain_statics(model), n_max=20)
+        palm = palm_moment_vectors(model, n_max=20)
         for n, vector in enumerate(palm.vectors):
             assert vector == pytest.approx(np.full(3, 2.0 ** n), rel=1e-14)
 
@@ -388,19 +384,19 @@ class TestPalmVectors:
     def test_two_state_closed_form_at_order_20(self, name):
         model = load_model(MODELS_DIR / f"{name}.yaml")
         references = closedform.palm_from_shifted(model, closedform.shifted_palm_moments(model, 20))
-        palm = palm_moment_vectors(model, chain_statics(model), n_max=20)
+        palm = palm_moment_vectors(model, n_max=20)
         computed = np.array(palm.vectors).T
         for k in range(2):
             assert computed[k] == pytest.approx(references[k], rel=1e-12, abs=0.0)
 
     def test_order_zero_only(self):
         model = identical_state_model()
-        palm = palm_moment_vectors(model, chain_statics(model), n_max=0)
+        palm = palm_moment_vectors(model, n_max=0)
         assert len(palm.vectors) == 1
         assert palm.vectors[0] == pytest.approx(np.ones(3))
 
     def test_solve_diagnostics_recorded(self, k3_mixed_model):
-        palm = palm_moment_vectors(k3_mixed_model, chain_statics(k3_mixed_model), n_max=10)
+        palm = palm_moment_vectors(k3_mixed_model, n_max=10)
         assert np.all(np.isfinite(palm.condition[1:]))
         assert np.nanmax(palm.solve_residual) < 1e-10
         assert np.isnan(palm.condition[0])
@@ -408,7 +404,7 @@ class TestPalmVectors:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             model = identical_state_model()
-            palm_moment_vectors(model, chain_statics(model), n_max=21)
+            palm_moment_vectors(model, n_max=21)
 
     @pytest.mark.parametrize("n_max", [2.7, 2.0, True, "3"])
     def test_order_must_be_an_integer(self, n_max):
@@ -419,14 +415,13 @@ class TestPalmVectors:
     def test_failed_lu_raises(self, monkeypatch, k3_mixed_model):
         # an order matrix is a nonsingular M-matrix for every valid model:
         # stand in a failed factorisation (K = 3 solves every order by LU)
-        statics = chain_statics(k3_mixed_model)
 
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(NumericError, match=r"^order-1 system is singular: Singular matrix$"):
-            palm_moment_vectors(k3_mixed_model, statics, n_max=2)
+            palm_moment_vectors(k3_mixed_model, n_max=2)
 
     def test_invalid_model_rejected(self):
         # an invalid model never reaches the recursion: construction refuses it
@@ -476,28 +471,25 @@ class TestFailurePrecedence:
     @pytest.mark.parametrize("plant", PLANTS, ids=list(PLANTS))
     def test_earliest_order_raises(self, monkeypatch, k3_mixed_model, plant, raise_at):
         pattern, rhs_factor, solution_factor = PLANTS[plant]
-        statics = chain_statics(k3_mixed_model)
         self.plant(monkeypatch, rhs_factor, solution_factor, raise_at)
         with pytest.raises(NumericError, match=pattern) as failure:
-            palm_moment_vectors(k3_mixed_model, statics, n_max=6)
+            palm_moment_vectors(k3_mixed_model, n_max=6)
         if raise_at is not None:
             # the later solve did raise, and the check of the orders below it won
             assert str(failure.value.__context__) == "stand-in failure at order 4"
 
     def test_failing_solve_raises_when_the_orders_below_it_pass(self, monkeypatch, k3_mixed_model):
-        statics = chain_statics(k3_mixed_model)
         self.plant(monkeypatch, 1.0, 1.0, 4)
         with pytest.raises(NumericError, match="^stand-in failure at order 4$"):
-            palm_moment_vectors(k3_mixed_model, statics, n_max=6)
+            palm_moment_vectors(k3_mixed_model, n_max=6)
 
     def test_stationary_earliest_order_raises(self, k3_mixed_model):
         # Palm vectors turned negative at orders 3 and 5: the stationary
         # vectors of both fail, and order 3 is named
-        statics = chain_statics(k3_mixed_model)
-        palm = palm_moment_vectors(k3_mixed_model, statics, n_max=6)
+        palm = palm_moment_vectors(k3_mixed_model, n_max=6)
         vectors = [-vec if n in (3, 5) else vec for n, vec in enumerate(palm.vectors)]
         with pytest.raises(NumericError, match="^stationary moment vector at order 3: moment entries turned negative"):
-            stationary_moment_vectors(k3_mixed_model, statics, dataclasses.replace(palm, vectors=tuple(vectors)))
+            stationary_moment_vectors(k3_mixed_model, dataclasses.replace(palm, vectors=tuple(vectors)))
 
 
 class TestSolverChoice:
@@ -519,10 +511,10 @@ class TestSolverChoice:
         # every order is granted its series here (a budget of 200 products)
         # and solved both ways; the budgeted call must agree with both
         model = seeded(build, k_count)
-        statics = chain_statics(model)
+        statics = model.statics
         routing = statics.reversed_routing
-        palm = palm_moment_vectors(model, statics, 20)
-        grants, bounds = series_grants(model, statics, 200.0, monkeypatch)
+        palm = palm_moment_vectors(model, 20)
+        grants, bounds = series_grants(model, 200.0, monkeypatch)
         assert all(grants[1:])
         weights = _weights(model.sojourns, model.service_rates, 20)
         taus = np.diagonal(weights).T
@@ -556,10 +548,9 @@ class TestSolverChoice:
     ])
     def test_palm_vectors_match_a_long_double_solve(self, build):
         model = build()
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, 20)
+        palm = palm_moment_vectors(model, 20)
         assert palm.steps[1:].any()
-        for computed, reference in zip(palm.vectors[1:], long_double_palm(model, statics)[1:]):
+        for computed, reference in zip(palm.vectors[1:], long_double_palm(model)[1:]):
             error = np.abs(computed - reference).max() / np.abs(reference).max()
             assert float(error) <= 1e-14
 
@@ -579,7 +570,7 @@ class TestSolverChoice:
         taus = np.array([[1.0], [0.0], [2.0 / 402.0], [2.0 / 402.0], [0.5]])
         for k_count, expected in ((64, [0, 1, 6, 6, 0]), (55, [0, 1, 0, 0, 0])):
             routing = random_routing(k_count, np.random.default_rng(k_count))
-            pi = chain_statics(dataclasses.replace(seeded(random_exponential_model, k_count), routing=routing)).pi
+            pi = dataclasses.replace(seeded(random_exponential_model, k_count), routing=routing).statics.pi
             grants, _ = moments._series_grants(np.repeat(taus, k_count, axis=1), routing, pi, np.empty_like(routing))
             assert grants == expected
 
@@ -632,7 +623,7 @@ class TestSolverChoice:
         benchmark = [modelgen.build_model(modelgen.exponential_params(k_count)) for k_count in (50, 200, 500)]
         skipped = []
         for model in models + benchmark:
-            statics = chain_statics(model)
+            statics = model.statics
             routing, taus = statics.reversed_routing, diagonal_weights(model)
             buffer = np.full_like(routing, np.nan)
             grants, bounds = moments._series_grants(taus, routing, statics.pi, buffer)
@@ -653,14 +644,13 @@ class TestSolverChoice:
         # an order from the series to the LU (sparse routing, like the
         # ring's, can: there q_n ~ 2 tau_max)
         model = build()
-        statics = chain_statics(model)
         budget = moments._series_budget(model.num_states)
-        grants, _ = series_grants(model, statics)
+        grants, _ = series_grants(model)
         for grant, length in zip(grants, tau_max_lengths(diagonal_weights(model))):
             assert grant <= length
             assert grant > 0 or length > budget
         # and with any budget, no grant exceeds the plain one
-        grants, _ = series_grants(model, statics, 1e6, monkeypatch)
+        grants, _ = series_grants(model, 1e6, monkeypatch)
         for grant, length in zip(grants, tau_max_lengths(diagonal_weights(model))):
             assert grant <= length
 
@@ -669,21 +659,21 @@ class TestSolverChoice:
         # granted products, and the order-4 rule fires on the last product
         # granted (5)
         model = ring_model(64, np.random.default_rng(64), mu=800.0)
-        assert palm_moment_vectors(model, chain_statics(model), n_max=4).steps.tolist() == [0, 0, 5, 5, 5]
+        assert palm_moment_vectors(model, n_max=4).steps.tolist() == [0, 0, 5, 5, 5]
         grant = moments._series_grants
         monkeypatch.setattr(
             moments, "_series_grants",
             lambda *args: ([max(s - 1, 0) for s in grant(*args)[0]], *grant(*args)[1:]),
         )
         with pytest.raises(NumericError, match="order-4 Neumann series did not reach its tail bound within 4"):
-            palm_moment_vectors(model, chain_statics(model), n_max=20)
+            palm_moment_vectors(model, n_max=20)
 
     def test_broken_determinant_sign_raises(self):
         # 1 - p.z > 0 holds for any p by the determinant lemma; a second row
         # that is not tau (here 40 tau) breaks it, and the solve refuses
         model = seeded(fast_service_model, 64)
-        statics = chain_statics(model)
-        grants, bounds = series_grants(model, statics)
+        statics = model.statics
+        grants, bounds = series_grants(model)
         tau = diagonal_weights(model)[1]
         block = np.vstack((np.ones(64), 40.0 * tau / (statics.pi @ tau)))
         with pytest.raises(NumericError, match="order-1 deflated series lost the sign of its determinant"):
@@ -705,35 +695,32 @@ class TestSolverChoice:
             )
             for speed in (1e-9, 0.0)
         )
-        slow_statics, statics = chain_statics(slow), chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
-        assert not palm_moment_vectors(slow, slow_statics, 20).steps.any()
+        assert not palm_moment_vectors(slow, 20).steps.any()
         assert len(solves) == 20
-        palm = palm_moment_vectors(model, statics, 20)
+        palm = palm_moment_vectors(model, 20)
         assert not palm.steps.any()
         assert len(solves) == 40
-        expected = np.linalg.cond(order_matrix(model, statics, 20), np.inf)
+        expected = np.linalg.cond(order_matrix(model, 20), np.inf)
         assert palm.condition[20] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_speed_state_deflates(self, monkeypatch):
         # near-uniform routing: row 0 of |Q - 1 pi'| sums to about 0.05, and
         # every order sums the series though tau_max = 1
         model = seeded(zero_speed_model, 200)
-        statics = chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
-        palm = palm_moment_vectors(model, statics, 20)
+        palm = palm_moment_vectors(model, 20)
         assert solves == []
         assert palm.steps[1:].all()
-        assert series_grants(model, statics)[1][1:].max() < 0.05
+        assert series_grants(model)[1][1:].max() < 0.05
 
     @pytest.mark.parametrize("build", LU_MODELS)
     def test_small_models_take_one_lu_per_order(self, build, monkeypatch):
         # the solver of every order is picked once per call, before the loop
         model = build()
-        statics = chain_statics(model)
         solves = counting(monkeypatch, np.linalg, "solve")
         choices = counting(monkeypatch, moments, "_series_grants")
-        palm = palm_moment_vectors(model, statics, 20)
+        palm = palm_moment_vectors(model, 20)
         assert len(solves) == 20
         assert len(choices) == 1
         assert not palm.steps.any()
@@ -744,16 +731,14 @@ class TestStationaryVectors:
         rng = np.random.default_rng(21)
         for k_count in (2, 3, 5):
             model = random_exponential_model(k_count, rng)
-            statics = chain_statics(model)
-            palm = palm_moment_vectors(model, statics, n_max=6)
-            stationary = stationary_moment_vectors(model, statics, palm)
+            palm = palm_moment_vectors(model, n_max=6)
+            stationary = stationary_moment_vectors(model, palm)
             for palm_vec, stat_vec in zip(palm.vectors, stationary):
                 assert np.max(np.abs(palm_vec - stat_vec)) == 0.0
 
     def test_order_zero_is_ones(self, k3_mixed_model):
-        statics = chain_statics(k3_mixed_model)
-        palm = palm_moment_vectors(k3_mixed_model, statics, n_max=3)
-        stationary = stationary_moment_vectors(k3_mixed_model, statics, palm)
+        palm = palm_moment_vectors(k3_mixed_model, n_max=3)
+        stationary = stationary_moment_vectors(k3_mixed_model, palm)
         assert stationary[0] == pytest.approx(np.ones(3))
 
     def test_first_order_direct_evaluation(self):
@@ -766,9 +751,8 @@ class TestStationaryVectors:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        statics = chain_statics(model)
-        palm = palm_moment_vectors(model, statics, n_max=1)
-        stationary = stationary_moment_vectors(model, statics, palm)
+        palm = palm_moment_vectors(model, n_max=1)
+        stationary = stationary_moment_vectors(model, palm)
         rho = model.offered_loads
         ratio = np.array(
             [
@@ -866,8 +850,8 @@ class TestMomentTable:
             mu=1.1,
             routing=[[0.0, 0.6, 0.4], [0.3, 0.0, 0.7], [0.5, 0.5, 0.0]],
         )
-        statics = chain_statics(model)
-        table = compute_moment_table(model, n_max=1, statics=statics)
+        statics = model.statics
+        table = compute_moment_table(model, n_max=1)
         expected = float(statics.occupancy @ model.arrival_rates) / (0.7 * 1.1)
         assert table.aggregated["occupancy"][1] == pytest.approx(expected, rel=1e-12)
 
@@ -985,7 +969,7 @@ class TestFixedCosts:
         monkeypatch.setattr(environment, "_violations", lambda model: calls.append(1) or original(model))
         compute_moment_table(k3_mixed_model, n_max=5)
         config = SimulationConfig(warmup=10.0, horizon=60.0, replications=4, master_seed=7)
-        estimate_factorial_moments(k3_mixed_model, config, chain_statics(k3_mixed_model))
+        estimate_factorial_moments(k3_mixed_model, config)
         assert calls == []
         # a changed copy is a new model, checked like any other
         dataclasses.replace(k3_mixed_model, mu=2.0)
@@ -1128,6 +1112,12 @@ class TestStateSplit:
 
 
 WEIGHT_RATE = 0.8
+# gamma shapes far below 1, whose residual rows hold 1e-14 against the
+# extended-precision reference but whose Palm rows do not (up to 1.2e-4 at
+# shape 1e-12): the first panel's Beta(f, 1) Gauss-Jacobi nodes and weights
+# come from a symmetric eigensolve, accurate only in absolute terms.  A
+# residual rule built by size-biasing the Palm rule would inherit that error.
+RESIDUAL_ONLY_SHAPES = (1e-12, 1e-6, 1e-3)
 WEIGHT_FAMILIES = {
     "exponential": Exponential(1.3),
     "hyperexponential": HyperExponential(probs=(0.4, 0.0, 0.6), rates=(0.5, 1.0, 2.0)),
@@ -1224,7 +1214,8 @@ class TestWeights:
         + [(shape, ratio) for shape in (0.7, 2.6, 5.4) for ratio in (0.02, 0.005, 1e-4)]
         + [(shape, ratio) for shape in (0.3, 40.5) for ratio in (1e-4, 1.0, 1e8)]
         + [(shape, ratio) for shape in (46.19, 80.3, 307.6) for ratio in (1e-4, 0.02, 1.0, 1e3, 1e8)]
-        + [(80.0, 1e3), (300.0, 1.0)],
+        + [(80.0, 1e3), (300.0, 1.0)]
+        + [(shape, ratio) for shape in RESIDUAL_ONLY_SHAPES for ratio in (1e-4, 1.0, 1e3)],
     )
     def test_slow_gamma_rows_match_extended_precision(self, shape, ratio):
         # c = mu_k / rate large: the rows, rational in the gamma time scale,
@@ -1248,7 +1239,8 @@ class TestWeights:
             s, c = mpmath.mpf(shape), mpmath.mpf(WEIGHT_RATE) / mpmath.mpf(dist.rate)
             palm = [(1 + p * c) ** -s for p in range(21)]
             residual = [mpmath.mpf(1)] + [(1 - palm[p]) / (p * c * s) for p in range(1, 21)]
-            for is_residual, transform in ((False, palm), (True, residual)):
+            checked = ((True, residual),) if shape in RESIDUAL_ONLY_SHAPES else ((False, palm), (True, residual))
+            for is_residual, transform in checked:
                 rows = self.rows(dist, WEIGHT_RATE, is_residual)
                 for n in (1, 5, 20):
                     for j in range(n + 1):
@@ -1305,6 +1297,6 @@ def test_zero_speed_state_supported():
     # a state may have zero speed when it also has zero arrivals; the
     # order-n diagonal entry there is 1 and the system stays invertible
     model = zero_speed_state_model()
-    palm = palm_moment_vectors(model, chain_statics(model), n_max=5)
+    palm = palm_moment_vectors(model, n_max=5)
     assert np.nanmax(palm.solve_residual) < 1e-10
     assert np.max(conservation_residuals(model, 5)) < 1e-9

@@ -13,7 +13,6 @@ from mminfenv import (
     Gamma,
     HyperExponential,
     SimulationConfig,
-    chain_statics,
     default_warmup,
     estimate_factorial_moments,
     simulate_environment,
@@ -54,9 +53,9 @@ class TestConfig:
         # the estimate carries the config it ran, and its samples sit one
         # mean cycle apart after the warmup
         model = identical_state_model()
-        statics = chain_statics(model)
+        statics = model.statics
         config = small_config()
-        estimate = estimate_factorial_moments(model, config, statics)
+        estimate = estimate_factorial_moments(model, config)
         assert estimate.config == config
         assert estimate.samples_per_replication == int((420.0 - 20.0) / statics.cycle_length)
 
@@ -95,7 +94,7 @@ class TestEnvironmentPaths:
             mu=1.0,
             routing=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
         )
-        path = simulate_environment(model, 50.0, np.random.default_rng(0), chain_statics(model))
+        path = simulate_environment(model, 50.0, np.random.default_rng(0))
         states = path.states
         # after the initial residual segment the cycle repeats exactly
         for i in range(1, len(states) - 3):
@@ -113,11 +112,11 @@ class TestEnvironmentPaths:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        statics = chain_statics(model)
+        statics = model.statics
         # pi = (1/2, 1/2); means (2, 1/2) -> occupancy (4/5, 1/5)
         occupancies = []
         for rep in range(16):
-            path = simulate_environment(model, 500.0, replication_rng(99, rep), statics)
+            path = simulate_environment(model, 500.0, replication_rng(99, rep))
             occupancies.append(path.occupancy(2, 0.0, 500.0))
         occupancies = np.array(occupancies)
         se = occupancies.std(axis=0, ddof=1) / math.sqrt(16)
@@ -132,7 +131,7 @@ class TestEnvironmentPaths:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        path = simulate_environment(model, 2000.0, np.random.default_rng(5), chain_statics(model))
+        path = simulate_environment(model, 2000.0, np.random.default_rng(5))
         occupancy = path.occupancy(2, 0.0, 2000.0)
         assert occupancy[0] > 0.99
 
@@ -148,18 +147,18 @@ class TestEnvironmentPaths:
             mu=1.0,
             routing=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
         )
-        statics = chain_statics(model)
+        statics = model.statics
         first_chunk = 1.1 * 200.0 / (statics.cycle_length / 3) + 17
         lengths = []
         for rep in range(8):
-            states = simulate_environment(model, 200.0, replication_rng(3, rep), statics).states
+            states = simulate_environment(model, 200.0, replication_rng(3, rep)).states
             assert np.array_equal(states[1:], (states[:-1] + 1) % 3)
             lengths.append(states.size)
         assert max(lengths) > 2 * first_chunk
 
     def test_path_covers_horizon(self):
         model = identical_state_model()
-        path = simulate_environment(model, 123.0, np.random.default_rng(1), chain_statics(model))
+        path = simulate_environment(model, 123.0, np.random.default_rng(1))
         assert path.durations.sum() >= 123.0
 
     def test_empty_occupancy_window_raises(self):
@@ -168,10 +167,9 @@ class TestEnvironmentPaths:
             path.occupancy(2, start=1.5, stop=1.5)
 
     def test_path_stops_at_first_segment_reaching_horizon(self, k3_mixed_model):
-        statics = chain_statics(k3_mixed_model)
         for horizon in (0.5, 37.0, 900.0):
             for rep in range(4):
-                path = simulate_environment(k3_mixed_model, horizon, replication_rng(13, rep), statics)
+                path = simulate_environment(k3_mixed_model, horizon, replication_rng(13, rep))
                 ends = np.cumsum(path.durations)
                 assert ends[-1] >= horizon
                 assert np.all(ends[:-1] < horizon)
@@ -231,11 +229,10 @@ class TestRouting:
             model = k3_mixed_model
         else:
             model = random_mixed_model(5, np.random.default_rng(77))
-        statics = chain_statics(model)
         config = small_config(n_est=3, horizon=1200.0)
-        scanned = estimate_factorial_moments(model, config, statics)
+        scanned = estimate_factorial_moments(model, config)
         monkeypatch.setattr(sim, "_SCAN_MAX_STATES", 0)
-        looped = estimate_factorial_moments(model, config, statics)
+        looped = estimate_factorial_moments(model, config)
         for field in ("estimates", "standard_errors", "occupancy"):
             assert getattr(scanned, field).tobytes() == getattr(looped, field).tobytes()
 
@@ -264,7 +261,7 @@ class TestQueue:
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
         config = SimulationConfig(warmup=20.0, horizon=1520.0, replications=12, master_seed=11, n_est=2)
-        estimate = estimate_factorial_moments(model, config, chain_statics(model))
+        estimate = estimate_factorial_moments(model, config)
         # Poisson(1): mean 1 and second factorial moment 1 (so variance 1)
         for order in (1, 2):
             gap = abs(estimate.estimates[order] - 1.0)
@@ -360,10 +357,9 @@ class TestQueue:
         )
 
     def _assert_matches_bruteforce(self, model, seed):
-        statics = chain_statics(model)
         grid = np.arange(2.0, 150.0, 1.7)
         for rep in range(3):
-            path = simulate_environment(model, 150.0, replication_rng(31, rep), statics)
+            path = simulate_environment(model, 150.0, replication_rng(31, rep))
             # two generators in identical states: one drives the
             # implementation, the other the naive recount of its draws
             counts = simulate_queue(model, path, grid, replication_rng(seed, rep))
@@ -421,11 +417,11 @@ class TestWorkspace:
         # customer) and the small per-segment arrays; three fresh float
         # arrays and a temporary read 4x
         model = self._busy(k3_mixed_model)
-        statics = chain_statics(model)
-        path = simulate_environment(model, 400.0, replication_rng(3, 0), statics)
+        statics = model.statics
+        path = simulate_environment(model, 400.0, replication_rng(3, 0))
         grid = np.arange(10.0, 400.0, statics.cycle_length)
         customers = int(replication_rng(5, 0).poisson(model.arrival_rates[path.states] * path.durations).sum())
-        workspace = sim._Workspace(model, statics)
+        workspace = sim._Workspace(model)
         warm = simulate_queue(model, path, grid, replication_rng(5, 0), workspace=workspace)
         rng = replication_rng(5, 0)
         tracemalloc.start()
@@ -443,10 +439,10 @@ class TestWorkspace:
         # one again over the long one's stale entries: each reads the
         # counts of a call without a workspace
         model = k3_mixed_model
-        statics = chain_statics(model)
-        workspace = sim._Workspace(model, statics)
+        statics = model.statics
+        workspace = sim._Workspace(model)
         for rep, horizon in enumerate((150.0, 2400.0, 150.0, 600.0)):
-            path = simulate_environment(model, horizon, replication_rng(9, rep % 2), statics)
+            path = simulate_environment(model, horizon, replication_rng(9, rep % 2))
             grid = np.arange(5.0, horizon, statics.cycle_length)
             shared = simulate_queue(model, path, grid, replication_rng(13, rep), workspace=workspace)
             fresh = simulate_queue(model, path, grid, replication_rng(13, rep))
@@ -461,7 +457,7 @@ class TestWorkspace:
             mu=1.0,
             routing=[[0.0, 1.0], [1.0, 0.0]],
         )
-        workspace = sim._Workspace(model, chain_statics(model))
+        workspace = sim._Workspace(model)
         grid = np.linspace(1.0, 14.0, 20)
         busy = EnvironmentPath(states=np.array([1, 1, 1]), durations=np.array([5.0, 5.0, 5.0]))
         idle = EnvironmentPath(states=np.array([0, 0, 0]), durations=np.array([5.0, 5.0, 5.0]))
@@ -484,7 +480,7 @@ class TestWorkspace:
         for name, seen in results.items():
             monkeypatch.setattr(sim, name, counting(getattr(sim, name), seen))
         config = small_config(replications=5)
-        estimate_factorial_moments(k3_mixed_model, config, chain_statics(k3_mixed_model))
+        estimate_factorial_moments(k3_mixed_model, config)
         assert len(results["simulate_environment"]) == config.replications
         assert len(results["simulate_queue"]) == config.replications
         assert all(isinstance(path, EnvironmentPath) for path in results["simulate_environment"])
@@ -495,9 +491,7 @@ class TestEstimates:
         # a change to any draw, its order or its arithmetic moves these
         # bits; the values are those of the loop router and the gathered
         # queue arrays the simulator had before the blocked scan
-        estimate = estimate_factorial_moments(
-            k3_mixed_model, small_config(n_est=3), chain_statics(k3_mixed_model)
-        )
+        estimate = estimate_factorial_moments(k3_mixed_model, small_config(n_est=3))
         assert [value.hex() for value in estimate.estimates.tolist()] == [
             "0x1.0000000000000p+0", "0x1.48819ec8e9510p+1", "0x1.b440cf6474a88p+2", "0x1.27984dc5abbf3p+4",
         ]
@@ -512,8 +506,8 @@ class TestEstimates:
     def test_reproducibility_bitwise(self):
         model = identical_state_model()
         config = small_config()
-        first = estimate_factorial_moments(model, config, chain_statics(model))
-        second = estimate_factorial_moments(model, config, chain_statics(model))
+        first = estimate_factorial_moments(model, config)
+        second = estimate_factorial_moments(model, config)
         assert np.array_equal(first.estimates, second.estimates)
         assert np.array_equal(first.standard_errors, second.standard_errors)
         assert np.array_equal(first.occupancy, second.occupancy)
@@ -525,22 +519,22 @@ class TestEstimates:
         from mminfenv.sim import _replication_estimate, _sampling_grid, _Workspace
 
         model = identical_state_model()
-        statics = chain_statics(model)
-        sequential = estimate_factorial_moments(model, small_config(), statics)
+        statics = model.statics
+        sequential = estimate_factorial_moments(model, small_config())
         config = sequential.config
         grid = _sampling_grid(config, statics.cycle_length)
-        shuffled_order = shrinking_replication_order(model, config, statics)
+        shuffled_order = shrinking_replication_order(model, config)
         assert shuffled_order != sorted(shuffled_order)
-        workspace = _Workspace(model, statics)
+        workspace = _Workspace(model)
         results = {}
         for rep in shuffled_order:
-            results[rep] = _replication_estimate(model, config, statics, grid, rep, workspace)[0]
+            results[rep] = _replication_estimate(model, config, grid, rep, workspace)[0]
         stacked = np.stack([results[rep] for rep in range(config.replications)])
         assert np.array_equal(stacked.mean(axis=0), sequential.estimates)
 
     def test_estimate_invariants(self):
         model = identical_state_model()
-        estimate = estimate_factorial_moments(model, small_config(), chain_statics(model))
+        estimate = estimate_factorial_moments(model, small_config())
         assert estimate.estimates[0] == 1.0
         assert estimate.standard_errors[0] == 0.0
         assert np.all(np.isfinite(estimate.estimates))
