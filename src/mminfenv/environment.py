@@ -43,10 +43,13 @@ _ROUNDOFF = 2.0**-53
 #   K      50   64  100  150  200  300  400  500  600  700  800  1000
 #   ratio 5.3  6.9 11.8 23.1 37.1 74.2 97.9 87.5 75.9 39.7 42.5  54.1
 #   rule  5.0  6.4 10.0 20.0 30.0 40.0 40.0 40.0 40.0 40.0 40.0  40.0
-# so the rule stays within 1% of the break-even at every K measured (the
-# Palm grant itself runs 2-5 times the products taken); below K = 10 it is
-# under one product and every solve takes the LU.  The series for pi
-# (one 1 x K product per step against an LU of the same size) shares it.
+# so the rule stays within 1% of the break-even at every K measured; below
+# K = 10 it is under one product and every solve takes the LU.  The Palm
+# grant runs 2-5 times the products taken, so a Palm order whose grant is
+# at most twice the budget tries the series within the budget before its
+# LU; a trial that runs out ends the trials of its call, which so wastes
+# at most one budget of products, about one LU.  The series for pi (one
+# 1 x K product per step against an LU of the same size) shares it.
 _SERIES_SHARE = 1.0 / 10.0
 _SERIES_CAP = 40.0
 

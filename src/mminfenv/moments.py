@@ -39,8 +39,13 @@ tail of the series after a term t is at most ||t||_inf q_n / (1 - q_n)
 for any sign pattern, which gives both the a-priori length
 ceil(log(u (1 - q_n)) / log(q_n)) - 1 and the stopping rule (the tail
 at most the unit roundoff u, normwise).  An order whose length is within
-the measured cost of one LU sums the series; every other order takes
-one dense LU (see ``_series_grants`` and ``_solve``).
+the measured cost of one LU sums the series.  The bound over-predicts
+(the terms shrink faster than q_n), so an order whose length is at most
+twice that cost tries the series within it first, and takes one dense
+LU only if the trial runs out.  After one such failure the later orders
+of the call try no more, so a call wastes at most one LU's cost of
+products.  Every other order takes one dense LU (see ``_series_grants``
+and ``_solve``).
 The stationary vectors are the same sums with the residual weights
 ``w*`` and need no solve.  No weight cancels, so the moments are
 accurate to roundoff at every order, and tau_k may underflow to 0 (row
@@ -434,9 +439,11 @@ def _series_grants(taus: np.ndarray, routing: np.ndarray, pi: np.ndarray, buffer
     after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products (and at
     least one; see ``_series_length``).  Orders whose grant is within
     ``_series_budget``, below the measured cost of one LU, get it; the
-    others get 0, and so does every order below K = 10.  Sparse routing,
-    whose rows of |Q - 1 pi'| sum to nearly 2, bounds the series loosely
-    and takes the LU more often.
+    others get 0, and so does every order below K = 10.  An order granted
+    0 whose length from q_n is at most twice the budget may still try
+    the series within the budget (see ``palm_moment_vectors``).  Sparse
+    routing, whose rows of |Q - 1 pi'| sum to nearly 2, bounds the series
+    loosely and takes the LU more often.
 
     Row k of |Q - 1 pi'| holds |0 - pi_k| (Q has a zero diagonal) beside
     nonnegative terms, so even its computed sum is at least pi_k, and
@@ -483,12 +490,15 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.nda
     tail after a term t is at most ||t||_inf q_n / (1 - q_n) whatever its
     signs, and the series stops once that is at most u times the inf-norm
     of the row's first term, in both rows; a series that runs out of its
-    ``steps`` first has no tail bound and raises NumericError.  With
-    ``steps`` = 0 the matrix is built in ``matrix`` from ``negated_tau``,
-    -tau as a K x 1 column, and [x, z] come from one LU (``pi`` is not
-    read); its x is returned as a row view of the solve's result, which
-    the caller copies into its own storage.  ``tau_max`` is the largest
-    entry of ``tau``; ``order`` names the order in the errors.
+    ``steps`` first has no tail bound and raises NumericError.  Negative
+    ``steps`` is a trial of -steps products: the same series, rule and
+    checks, except that a trial that runs out takes the LU instead and
+    reports 0 products.  With ``steps`` = 0 the matrix is built in
+    ``matrix`` from ``negated_tau``, -tau as a K x 1 column, and [x, z]
+    come from one LU (``pi`` is not read); its x is returned as a row view
+    of the solve's result, which the caller copies into its own storage.
+    ``tau_max`` is the largest entry of ``tau``; ``order`` names the order
+    in the errors.
     """
     if not steps:
         try:
@@ -499,7 +509,7 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.nda
     total, term = block.copy(), block
     rhs_limit, tau_limit = (_ROUNDOFF * (1.0 - bound) * np.abs(block).max(axis=1)).tolist()
     routing_t = routing.T
-    for used in range(1, steps + 1):
+    for used in range(1, abs(steps) + 1):
         # (diag(tau) E t)' = (t' Q' - (t' pi) 1') diag(tau), both rows at once
         shift = term @ pi
         term = term @ routing_t
@@ -510,6 +520,8 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.nda
         if rhs_top * bound <= rhs_limit and tau_top * bound <= tau_limit:
             break
     else:
+        if steps < 0:
+            return _solve(order, routing, tau, negated_tau, tau_max, pi, bound, 0, block, matrix)
         raise NumericError(
             f"order-{order} Neumann series did not reach its tail bound within {steps} products"
         )
@@ -578,16 +590,23 @@ def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments
 
     with R the diagonal matrix of offered loads, beside a second
     right-hand side, tau = w[n, n] itself, that gives the exact condition
-    number.  The solver of each order is picked before the loop from tau
-    (see ``_series_grants`` and ``_solve``).  With E = Q - 1 pi', which
+    number.  Each order's grant is set before the loop from tau (see
+    ``_series_grants`` and ``_solve``).  With E = Q - 1 pi', which
     deflates the Perron mode, the matrix splits as
     (I - diag(tau) E) - tau pi', so by Sherman-Morrison the order is the
     series sum_i (diag(tau) E)^i on both right-hand sides plus a rank-one
     correction.  An order sums the series where its a-priori length from
-    q_n >= ||diag(tau) E||_inf is within the measured cost of one LU
-    (``environment._SERIES_SHARE``), stopped once q_n bounds its tail by the unit
-    roundoff u.  Every other order takes one LU.  ``steps`` records the
-    products each order took (0 for an LU).
+    q_n >= ||diag(tau) E||_inf is within the budget, the measured cost
+    of one LU (``environment._SERIES_SHARE``), stopped once q_n bounds
+    its tail by the unit roundoff u.  That length runs 2-5 times the
+    products taken, so an order whose length is at most twice the budget
+    tries the series first, capped at the budget, under the same tail
+    rule and checks: a trial that stops is certified as a granted series
+    is.  A trial that runs out takes one LU, and every later order that
+    is not granted the series then takes the LU too, so a call wastes at
+    most one budget of products, about one LU.  Every other order takes
+    one LU.  ``steps`` records the products each order took (0 for an
+    LU).
 
     Every order's right-hand side, solution and product Q m0^(n) (which
     the next orders need) is a row of one array per kind, so an order is
@@ -612,6 +631,17 @@ def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments
     # the matrix of the LU orders, built in place (first the grants' workspace)
     matrix = np.empty_like(routing)
     grants, bounds = _series_grants(taus, routing, statics.pi, matrix)
+    # an order granted nothing whose a-priori length is at most twice the
+    # budget (q_n >= 1 has no finite one) first tries the series within the
+    # budget (negative steps, see _solve), until one such trial runs out;
+    # where the K^2 pass was skipped (every q_n returned as 1), none tries
+    plan = grants
+    if bounds.min() < 1.0:
+        budget = _series_budget(k_count)
+        plan = [
+            grant or (-int(budget) if length <= 2.0 * budget else 0)
+            for grant, length in zip(grants, _series_length(bounds)[0].tolist())
+        ]
     tau_max = taus.max(axis=1)
 
     # one row per order: m0^(n), Q m0^(n), and the right-hand side above
@@ -635,9 +665,12 @@ def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments
             for n in range(1, n_max + 1):
                 np.sum(weights[n, :n] * load_powers[n:0:-1] * routed[:n], axis=0, out=blocks[n, 0])
                 solutions[n], condition[n], steps[n] = _solve(
-                    n, routing, taus[n], negated_taus[n], tau_max[n], statics.pi, bounds[n], grants[n],
+                    n, routing, taus[n], negated_taus[n], tau_max[n], statics.pi, bounds[n], plan[n],
                     blocks[n], matrix,
                 )
+                if plan[n] < 0 and not steps[n]:
+                    # the trial ran out and took the LU: so does every later trial
+                    plan = [max(planned, 0) for planned in plan]
                 np.matmul(routing, solutions[n], out=routed[n])
             n = n_max + 1
     finally:

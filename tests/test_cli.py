@@ -132,7 +132,7 @@ class TestMoments:
             assert all(isinstance(count, int) for count in reported)
             assert table["statics_steps"] == load_model(model).statics.steps == 0
         assert reported == [0] * 21
-        assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [0, 5, 5, 5, 4]
+        assert json.loads((tmp_path / "moments.json").read_text())["table"]["palm_steps"][1:6] == [6, 5, 5, 5, 4]
 
     def test_out_reports_the_series_steps_of_pi(self, capsys, tmp_path):
         # a dense K = 120 chain takes the series for pi (a JSON file is YAML)

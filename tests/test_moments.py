@@ -541,15 +541,21 @@ class TestSolverChoice:
             assert np.any(rho == 0.0)
             assert taus[14, 0] > 0.0 and taus[15, 0] == 0.0
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(partial(seeded, random_exponential_model, 200), id="random_exponential_model-k200"),
-        pytest.param(partial(seeded, random_exponential_model, 500), id="random_exponential_model-k500"),
-        pytest.param(partial(seeded, fast_service_mixed_model, 500), id="fast_service_mixed_model-k500"),
+    @pytest.mark.parametrize("build, tried", [
+        pytest.param(partial(seeded, random_exponential_model, 200), 2, id="random_exponential_model-k200"),
+        pytest.param(partial(seeded, random_exponential_model, 500), 0, id="random_exponential_model-k500"),
+        pytest.param(partial(seeded, fast_service_mixed_model, 500), 0, id="fast_service_mixed_model-k500"),
+        # orders 4-20 of K = 120 (budget 14) and 1-6 of K = 150 (budget 20)
+        # are granted nothing but certify their trials
+        pytest.param(partial(seeded, random_exponential_model, 120), 17, id="random_exponential_model-k120"),
+        pytest.param(partial(seeded, random_mixed_model, 150), 6, id="random_mixed_model-k150"),
     ])
-    def test_palm_vectors_match_a_long_double_solve(self, build):
+    def test_palm_vectors_match_a_long_double_solve(self, build, tried):
+        # ``tried``: the orders that take the series though granted nothing
         model = build()
         palm = palm_moment_vectors(model, 20)
         assert palm.steps[1:].any()
+        assert sum(1 for grant, used in zip(series_grants(model)[0], palm.steps) if used and not grant) == tried
         for computed, reference in zip(palm.vectors[1:], long_double_palm(model)[1:]):
             error = np.abs(computed - reference).max() / np.abs(reference).max()
             assert float(error) <= 1e-14
@@ -573,6 +579,54 @@ class TestSolverChoice:
             pi = dataclasses.replace(seeded(random_exponential_model, k_count), routing=routing).statics.pi
             grants, _ = moments._series_grants(np.repeat(taus, k_count, axis=1), routing, pi, np.empty_like(routing))
             assert grants == expected
+
+    def test_trial_gate_is_twice_the_budget(self, monkeypatch):
+        # uniform tau (identical states): an order granted nothing whose
+        # a-priori length is exactly twice the budget tries the series and
+        # certifies it within the budget; one product more takes the LU
+        k_count = 64
+        rng = np.random.default_rng(k_count)
+        model = EnvironmentModel(
+            arrival_rates=rng.uniform(0.2, 3.0, k_count),
+            speeds=np.ones(k_count),
+            sojourns=(Exponential(1.0),) * k_count,
+            mu=1.0,
+            routing=random_routing(k_count, rng),
+        )
+        length = int(moments._series_length(series_grants(model, 1e6, monkeypatch)[1][1])[0])
+        for budget, tries in ((length / 2.0, True), ((length - 1) / 2.0, False)):
+            assert series_grants(model, budget, monkeypatch)[0][1] == 0
+            solves = counting(monkeypatch, np.linalg, "solve")
+            steps = palm_moment_vectors(model, 1).steps[1]
+            assert (0 < steps <= budget) if tries else steps == 0
+            assert len(solves) == (not tries)
+
+    def test_trial_that_runs_out_takes_one_lu(self, monkeypatch):
+        # the ring at K = 200 under a budget of 14.5: orders 1-15 are
+        # longer than 29 products, so order 16 (29) tries first, runs out
+        # of its 14 products (it needs 15) and takes one LU.  Orders 17-20
+        # are within the gate too, and 19 and 20 would certify in 14, but
+        # no order tries after a failed trial
+        model = ring_model(200, np.random.default_rng(200))
+        monkeypatch.setattr(moments, "_series_budget", lambda k_count: 14.5)
+        solve = moments._solve
+        calls = []
+
+        def recorded(n, *args):
+            # (order, products allowed, products reported), the trial's own LU first
+            result = solve(n, *args)
+            calls.append((n, args[6], result[2]))
+            return result
+
+        monkeypatch.setattr(moments, "_solve", recorded)
+        solves = counting(monkeypatch, np.linalg, "solve")
+        palm = palm_moment_vectors(model, 20)
+        assert not any(series_grants(model)[0])
+        assert calls[15:] == [(16, 0, 0), (16, -14, 0), (17, 0, 0), (18, 0, 0), (19, 0, 0), (20, 0, 0)]
+        assert all(steps == 0 for _, steps, _ in calls[:15])
+        assert len(solves) == 20 and not palm.steps.any()
+        for computed, reference in zip(palm.vectors[1:], long_double_palm(model)[1:]):
+            assert float(np.abs(computed - reference).max() / np.abs(reference).max()) <= 1e-14
 
     def test_two_state_cyclic_grant(self, monkeypatch):
         # Q swaps the states and pi = (1/2, 1/2): each row of |Q - 1 pi'|
@@ -655,11 +709,12 @@ class TestSolverChoice:
             assert grant <= length
 
     def test_short_grant_raises(self, monkeypatch):
-        # the ring's order 1 takes the LU, orders 2 and 3 take 5 of their 6
+        # the ring's order 1 is granted nothing but certifies its trial in
+        # the 6 products of the budget, orders 2 and 3 take 5 of their 6
         # granted products, and the order-4 rule fires on the last product
         # granted (5)
         model = ring_model(64, np.random.default_rng(64), mu=800.0)
-        assert palm_moment_vectors(model, n_max=4).steps.tolist() == [0, 0, 5, 5, 5]
+        assert palm_moment_vectors(model, n_max=4).steps.tolist() == [0, 6, 5, 5, 5]
         grant = moments._series_grants
         monkeypatch.setattr(
             moments, "_series_grants",
@@ -682,10 +737,12 @@ class TestSolverChoice:
                 block, np.empty((64, 64)),
             )
 
-    def test_zero_speed_state_takes_the_lu(self, monkeypatch):
+    def test_zero_speed_state_certifies_its_trials(self, monkeypatch):
         # speed 0 gives tau_0 = 1: with dense random routing the bound, row 0
         # of |Q - 1 pi'| (about 0.45), grants more than K/5 - 10 = 30
-        # products at K = 200.  Speed 0 and speed 1e-9 take the LU alike
+        # products at K = 200 but at most twice that, so every order tries
+        # the series and certifies it.  Speed 0 and speed 1e-9 take the same
+        # solver per order
         base = seeded(fast_service_model, 200)
         slow, model = (
             dataclasses.replace(
@@ -695,12 +752,12 @@ class TestSolverChoice:
             )
             for speed in (1e-9, 0.0)
         )
+        assert not any(series_grants(model)[0])
         solves = counting(monkeypatch, np.linalg, "solve")
-        assert not palm_moment_vectors(slow, 20).steps.any()
-        assert len(solves) == 20
+        slow_steps = palm_moment_vectors(slow, 20).steps
         palm = palm_moment_vectors(model, 20)
-        assert not palm.steps.any()
-        assert len(solves) == 40
+        assert solves == []
+        assert palm.steps[1:].all() and slow_steps[1:].all()
         expected = np.linalg.cond(order_matrix(model, 20), np.inf)
         assert palm.condition[20] == pytest.approx(expected, rel=1e-12)
 

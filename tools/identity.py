@@ -16,12 +16,18 @@ copy, with the copy's ``src`` on ``PYTHONPATH``:
   certified: the error path;
 * the four demos;
 * ``compute_moment_table(model, n_max=20)`` on the benchmark's K = 50,
-  200 and 500 models (``perfbench/modelgen.py``, read, not changed): the
-  sha256 of every array on stdout, the arrays themselves as its ``--out``.
+  200 and 500 models (``perfbench/modelgen.py``, read, not changed), and
+  on ``random_exponential_model(120)``, ``random_mixed_model(150)`` and
+  ``ring_model(200)`` of ``tests/conftest.py``, each drawn from
+  ``numpy.random.default_rng(K)`` as the tests draw them, where the Palm
+  solver of some orders sits near its budget: the sha256 of every array
+  on stdout, the arrays themselves as its ``--out``.
 
 A case moves when its stdout, stderr, exit code or ``--out`` bytes
 differ.  Where the ``--out`` JSON differs, the key paths that differ are
-listed with the largest relative gap among their numbers.  ``--expect``
+counted, with the largest relative gap among their numbers, and so is
+each array or key among them (its key path without list indices), so
+that a moved step count does not hide the gap of the moments.  ``--expect``
 names the cases a change is meant to move (shell-style patterns).  The
 exit code is 0 when exactly the expected cases move, 1 when a case
 moves that was not expected or an expected one does not move, and 2
@@ -33,6 +39,7 @@ import fnmatch
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -49,9 +56,16 @@ DEMOS = (
     "03_markov_environment_identities",
     "04_simulation_adjudication",
 )
-TABLE_SIZES = (50, 200, 500)
+# the table cases: the benchmark's models by K, then test-suite draws
+TABLE_MODELS = (
+    ("perfbench", 50),
+    ("perfbench", 200),
+    ("perfbench", 500),
+    ("random_exponential_model", 120),
+    ("random_mixed_model", 150),
+    ("ring_model", 200),
+)
 NEAR_SINGULAR = "identity-near-singular.yaml"
-SHOWN_PATHS = 8
 
 # the weakly linked chain of the error-path cases, written into each copy
 _EPS = 1e-13
@@ -67,17 +81,22 @@ NEAR_SINGULAR_MODEL = {
     ],
 }
 
-# one process per K: the table's arrays, hashed on stdout and in full in
-# the --out file (JSON keeps every float exactly, NaN included)
+# one process per model: the table's arrays, hashed on stdout and in full
+# in the --out file (JSON keeps every float exactly, NaN included)
 TABLE_SCRIPT = """
 import dataclasses, hashlib, json, sys
 import numpy as np
-sys.path.insert(0, "perfbench")
-import modelgen
+sys.path[:0] = ["perfbench", "tests"]
 from mminfenv import compute_moment_table
 
-k_count, out = int(sys.argv[1]), sys.argv[2]
-table = compute_moment_table(modelgen.build_model(modelgen.exponential_params(k_count)), n_max=20)
+build, k_count, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+if build == "perfbench":
+    import modelgen
+    model = modelgen.build_model(modelgen.exponential_params(k_count))
+else:
+    import conftest
+    model = getattr(conftest, build)(k_count, np.random.default_rng(k_count))
+table = compute_moment_table(model, n_max=20)
 arrays = {}
 for field in dataclasses.fields(table):
     value = getattr(table, field.name)
@@ -115,9 +134,10 @@ def cases():
     matrix.append(("compare-z-nan/near-singular", cli + ["compare", "--model", NEAR_SINGULAR, "--z-max", "nan"], None))
     for demo in DEMOS:
         matrix.append((f"demo/{demo}", [sys.executable, f"demos/{demo}.py"], None))
-    for k_count in TABLE_SIZES:
-        out = f"table-k{k_count}.json"
-        matrix.append((f"table/k{k_count}", [sys.executable, "-c", TABLE_SCRIPT, str(k_count), out], out))
+    for build, k_count in TABLE_MODELS:
+        label = f"k{k_count}" if build == "perfbench" else f"{build}-k{k_count}"
+        out = f"table-{label}.json"
+        matrix.append((f"table/{label}", [sys.executable, "-c", TABLE_SCRIPT, build, str(k_count), out], out))
     return matrix
 
 
@@ -188,13 +208,18 @@ def describe(base, change) -> list:
             lines.append(f"--out: {'missing' if base[3] is None else 'written'} -> {'missing' if change[3] is None else 'written'}")
         else:
             gaps = json_gaps(json.loads(base[3]), json.loads(change[3]))
-            numeric = [gap for _, gap in gaps if gap is not None]
-            largest = f", largest relative gap {max(numeric):.3e}" if numeric else ""
-            lines.append(f"--out: {len(gaps)} key paths differ{largest}")
-            lines += [f"  {path}" + (f"  {gap:.3e}" if gap is not None else "") for path, gap in gaps[:SHOWN_PATHS]]
-            if len(gaps) > SHOWN_PATHS:
-                lines.append(f"  ... and {len(gaps) - SHOWN_PATHS} more")
+            arrays = {}
+            for path, gap in gaps:
+                arrays.setdefault(re.sub(r"\[\d+\]", "", path), []).append(gap)
+            lines.append(f"--out: {_gap_summary([gap for _, gap in gaps])}")
+            lines += [f"  {name}: {_gap_summary(found)}" for name, found in arrays.items()]
     return lines
+
+
+def _gap_summary(gaps: list) -> str:
+    """How many key paths differ, and the largest relative gap among those that are numbers."""
+    numeric = [gap for gap in gaps if gap is not None]
+    return f"{len(gaps)} key paths differ" + (f", largest relative gap {max(numeric):.3e}" if numeric else "")
 
 
 def _first_difference(base: bytes, change: bytes) -> tuple:
