@@ -11,9 +11,11 @@ offered loads ``arrival_rates / service_rates`` and its ``statics``.
 
 ``chain_statics`` derives the statics, everything else the moments and
 the simulator read from the model: the embedded chain's stationary law
-and reversed routing, the mean sojourns, the occupancy law and the mean
-cycle length.  The model's construction is its one caller, so building
-a model whose stationary law cannot be certified raises NumericError.
+and reversed routing, the reversed routing with its Perron mode deflated
+and that matrix's absolute row sums, the mean sojourns, the occupancy
+law and the mean cycle length.  The model's construction is its one
+caller, so building a model whose stationary law cannot be certified
+raises NumericError.
 """
 
 from dataclasses import dataclass, field
@@ -35,21 +37,22 @@ CONDITION_LIMIT = 1e12
 # unit roundoff of binary64, the tail the Neumann series are summed to
 _ROUNDOFF = 2.0**-53
 # products of a deflated Neumann series (for the Palm solve one 2 x K by
-# K x K product, its correction and the tail test) that may stand in for
-# one LU with its matrix build: K/10 up to K = 100 and K/5 - 10 beyond (an
-# LU grows as K^3, a product as K^2 over a fixed interpreter cost), at
-# most 40.  LU time over step time on a 2-core Xeon VM (OpenBLAS 0.3.31,
-# one thread, median of 7):
+# K x K product with the statics' E, its scaling by tau and the tail test)
+# that may stand in for one LU with its matrix build: K/10 up to K = 100
+# and K/5 - 10 beyond (an LU grows as K^3, a product as K^2 over a fixed
+# interpreter cost), at most 40.  LU time over step time on a 2-core Xeon
+# VM (OpenBLAS 0.3.31, one thread, perfbench models, median of 7):
 #   K      50   64  100  150  200  300  400  500  600  700  800  1000
-#   ratio 5.3  6.9 11.8 23.1 37.1 74.2 97.9 87.5 75.9 39.7 42.5  54.1
+#   ratio 6.3  8.5 15.5 27.1 48.8 59.6 73.1 63.8 49.1 27.8 28.1  31.1
 #   rule  5.0  6.4 10.0 20.0 30.0 40.0 40.0 40.0 40.0 40.0 40.0  40.0
-# so the rule stays within 1% of the break-even at every K measured; below
-# K = 10 it is under one product and every solve takes the LU.  The Palm
-# grant runs 2-5 times the products taken, so a Palm order whose grant is
-# at most twice the budget tries the series within the budget before its
-# LU; a trial that runs out ends the trials of its call, which so wastes
-# at most one budget of products, about one LU.  The series for pi (one
-# 1 x K product per step against an LU of the same size) shares it.
+# so the rule is below the break-even up to K = 600; from K = 700, where
+# the step time jumps (E leaves the cache), the cap grants up to 1.4 times
+# it.  Below K = 10 the budget is under one product and every solve takes
+# the LU.  The Palm grant runs 2-5 times the products taken, so a Palm order whose
+# grant is at most twice the budget tries the series within the budget
+# before its LU; a trial that runs out ends the trials of its call, which
+# so wastes at most one budget of products, about one LU.  The series for
+# pi (one 1 x K product per step against an LU of the same size) shares it.
 _SERIES_SHARE = 1.0 / 10.0
 _SERIES_CAP = 40.0
 
@@ -70,7 +73,10 @@ class ChainStatics:
 
     ``pi`` is the stationary law of the embedded jump chain,
     ``reversed_routing`` the time-reversed jump matrix
-    diag(pi)^-1 P^T diag(pi), ``mean_sojourns`` the mean sojourn of each
+    Q = diag(pi)^-1 P^T diag(pi), ``deflated_routing`` the matrix
+    E = Q - 1 pi' (Q with its Perron mode taken out), which the Palm
+    series multiplies by, ``deflated_row_sums`` the row sums of |E|,
+    which bound that series, ``mean_sojourns`` the mean sojourn of each
     state, and ``occupancy`` the time-stationary state law, proportional
     to pi weighted by mean sojourns.  ``cycle_length`` is the expected
     time of one sweep of the environment, K mean segments of
@@ -82,13 +88,19 @@ class ChainStatics:
 
     pi: np.ndarray
     reversed_routing: np.ndarray
+    deflated_routing: np.ndarray
+    deflated_row_sums: np.ndarray
     mean_sojourns: np.ndarray
     occupancy: np.ndarray
     cycle_length: float
     steps: int
 
     def __post_init__(self):
-        for arr in (self.pi, self.reversed_routing, self.mean_sojourns, self.occupancy):
+        arrays = (
+            self.pi, self.reversed_routing, self.deflated_routing, self.deflated_row_sums,
+            self.mean_sojourns, self.occupancy,
+        )
+        for arr in arrays:
             arr.flags.writeable = False
 
 
@@ -128,8 +140,9 @@ class EnvironmentModel:
         Per-state offered load rho_k = arrival_rates[k] / service_rates[k],
         0 in a state without arrivals (its speed may then be 0).
     statics : ChainStatics
-        The embedded chain's stationary law, reversed routing, mean
-        sojourns, occupancy law and mean cycle length (``chain_statics``).
+        The embedded chain's stationary law, reversed routing and its
+        deflated form, mean sojourns, occupancy law and mean cycle length
+        (``chain_statics``).
 
     All three are computed once at construction, read-only like the
     inputs, and recomputed by ``dataclasses.replace``; they are not
@@ -381,12 +394,18 @@ def chain_statics(model: EnvironmentModel) -> ChainStatics:
     On either path a balance residual pi P - pi above 1e-10 raises
     NumericError.  ``steps`` records the products of the series, 0 for
     the LU.
+
+    The reversed routing Q, E = Q - 1 pi' and the row sums of |E| are
+    built once here for the Palm solve of every call: its LU orders and
+    products read Q, its series multiplies by E, and the series' bound
+    reads the row sums.  |E| is summed in E's own storage, which then
+    takes E again, so no K x K temporary is made.
     """
     routing = model.routing
     k_count = model.num_states
     # the reversed routing's storage, first the series' workspace; C-order
-    # (routing.T alone would be F-contiguous): the Palm series multiplies
-    # it into K x 2 blocks, faster in this layout
+    # (routing.T alone would be F-contiguous), as is E, which the Palm
+    # series multiplies into K x 2 blocks, faster in this layout
     reversed_routing = np.empty((k_count, k_count))
     pi, steps = _stationary_series(routing, reversed_routing)
     if pi is None:
@@ -402,10 +421,14 @@ def chain_statics(model: EnvironmentModel) -> ChainStatics:
 
     np.multiply(routing.T, pi[np.newaxis, :], out=reversed_routing)
     reversed_routing /= pi[:, np.newaxis]
+    deflated = np.subtract(reversed_routing, pi, out=np.empty_like(reversed_routing))
+    row_sums = np.abs(deflated, out=deflated).sum(axis=1)
+    np.subtract(reversed_routing, pi, out=deflated)
     means = np.array([d.mean() for d in model.sojourns])
     occupancy = pi * means
     occupancy = occupancy / occupancy.sum()
     return ChainStatics(
-        pi=pi, reversed_routing=reversed_routing, mean_sojourns=means, occupancy=occupancy,
+        pi=pi, reversed_routing=reversed_routing, deflated_routing=deflated, deflated_row_sums=row_sums,
+        mean_sojourns=means, occupancy=occupancy,
         cycle_length=float(k_count * (pi @ means)), steps=steps,
     )

@@ -34,7 +34,9 @@ sum_i (diag(tau) E)^i applied to the right-hand side and to tau:
 
 where 1 - pi.z > 0 by the matrix determinant lemma.  E has the Perron
 mode of diag(tau) Q deflated, and
-q_n = max_k tau_k sum_j |Q_kj - pi_j| >= ||diag(tau) E||_inf.  The
+q_n = max_k tau_k sum_j |Q_kj - pi_j| >= ||diag(tau) E||_inf.  E and
+the row sums of |E| are built once with the model, so each term of the
+series is one product with E and q_n needs no pass over Q.  The
 tail of the series after a term t is at most ||t||_inf q_n / (1 - q_n)
 for any sign pattern, which gives both the a-priori length
 ceil(log(u (1 - q_n)) / log(q_n)) - 1 and the stopping rule (the tail
@@ -67,10 +69,10 @@ time-stationary occupancy weights are carried everywhere so they can be
 compared (simulation adjudicates; see ``checks.simulation_checks``).
 Their raw moments follow by the second-kind Stirling transform, from
 one triangle at MAX_ORDER (see ``raw_from_factorial``).  Every function
-here reads the embedded chain's law, the reversed routing and the mean
-sojourns from the model's ``statics``, and the service rates mu_k and
-the offered loads rho_k = lambda_k / mu_k from its fields of those
-names, all computed once when the model is built.
+here reads the embedded chain's law, the reversed routing, E, the row
+sums of |E| and the mean sojourns from the model's ``statics``, and the
+service rates mu_k and the offered loads rho_k = lambda_k / mu_k from
+its fields of those names, all computed once when the model is built.
 
 One identity checks both families at every order, for every sojourn
 law: rate conservation for Lambda^n 1{state k}, which moves as
@@ -85,7 +87,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import Deterministic, Exponential, Gamma, HyperExponential
-from .environment import _ROUNDOFF, EnvironmentModel, _series_budget
+from .environment import _ROUNDOFF, ChainStatics, EnvironmentModel, _series_budget
 from .errors import NumericError, as_integer
 
 __all__ = [
@@ -424,49 +426,54 @@ def _series_length(bound):
     return np.maximum(np.ceil(np.log(_ROUNDOFF * (1.0 - q)) / np.log(q)) - 1.0, 1.0), q
 
 
-def _series_grants(taus: np.ndarray, routing: np.ndarray, pi: np.ndarray, buffer: np.ndarray):
+def _series_grants(taus: np.ndarray, pi: np.ndarray, row_sums: np.ndarray):
     """Per order, the products its series may take (0: an LU is cheaper) and q_n.
 
     ``taus[n]`` holds the diagonal weights of order n.  E = Q - 1 pi'
     (pi Q = pi), Q with its Perron mode taken out, splits the order-n
     matrix exactly as I - diag(tau) Q = (I - diag(tau) E) - tau pi', and
-    ||diag(tau) E||_inf <= q_n = max_k tau_k sum_j |Q_kj - pi_j|.  The
-    row sums of |Q - 1 pi'| are one K^2 pass per call, made in ``buffer``
-    (the order-matrix buffer, overwritten).  q_n is raised by
-    4 K u tau_max, which bounds the rounding of one product, so every
-    computed term is at most q_n times the one before, and the tail rule
-    of ``_solve``, ||t||_inf q_n / (1 - q_n) <= u ||first term||_inf, fires
-    after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products (and at
-    least one; see ``_series_length``).  Orders whose grant is within
-    ``_series_budget``, below the measured cost of one LU, get it; the
-    others get 0, and so does every order below K = 10.  An order granted
-    0 whose length from q_n is at most twice the budget may still try
-    the series within the budget (see ``palm_moment_vectors``).  Sparse
-    routing, whose rows of |Q - 1 pi'| sum to nearly 2, bounds the series
-    loosely and takes the LU more often.
+    ||diag(tau) E||_inf <= q_n = max_k tau_k sum_j |Q_kj - pi_j|, read off
+    ``row_sums``, the row sums of |E| the model's statics carry
+    (``ChainStatics.deflated_row_sums``).  q_n is raised by
+    4 K u tau_max, which bounds the rounding of one term: the series
+    multiplies by the computed E, whose entries are within u |E| of the
+    exact ones, so a product errs by at most (K + 1) u |t| |E|' (K u from
+    the product, u from the entries) and the scaling by tau by u more;
+    as the rows of |E| sum to at most 2, that is at most
+    2 (K + 2) u tau_max ||t||_inf, within the margin from K = 2 on.  So
+    every computed term is at most q_n times the one before, and the tail
+    rule of ``_solve``, ||t||_inf q_n / (1 - q_n) <= u ||first term||_inf,
+    fires after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products
+    (and at least one; see ``_series_length``).  Orders whose grant is
+    within ``_series_budget``, below the measured cost of one LU, get it;
+    the others get 0, and so does every order below K = 10.  An order
+    granted 0 whose length from q_n is at most twice the budget may still
+    try the series within the budget (see ``palm_moment_vectors``).
+    Sparse routing, whose rows of |Q - 1 pi'| sum to nearly 2, bounds the
+    series loosely and takes the LU more often.
 
     Row k of |Q - 1 pi'| holds |0 - pi_k| (Q has a zero diagonal) beside
     nonnegative terms, so even its computed sum is at least pi_k, and
     q_n >= max_k tau_k pi_k.  Where that lower bound already grants every
-    order more than the budget, every order takes the LU and the K^2 pass
-    is skipped (``buffer`` is then not written); q_n is then returned as 1.
+    order more than the budget, every order takes the LU, and q_n is
+    returned as 1, which plans no trial.
     """
-    k_count = len(routing)
+    k_count = len(pi)
     budget = _series_budget(k_count)
     if budget < 1.0 or _series_length((taus * pi).max(axis=1).min())[0] > budget:
         return [0] * len(taus), np.ones(len(taus))
-    np.abs(np.subtract(routing, pi, out=buffer), out=buffer)
-    grant, q = _series_length((taus * buffer.sum(axis=1)).max(axis=1) + 4.0 * k_count * _ROUNDOFF * taus.max(axis=1))
+    grant, q = _series_length((taus * row_sums).max(axis=1) + 4.0 * k_count * _ROUNDOFF * taus.max(axis=1))
     steps = np.where(grant <= budget, grant, 0.0).astype(int)
     return steps.tolist(), q
 
 
-def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.ndarray, tau_max: float,
-           pi: np.ndarray, bound: float, steps: int, block: np.ndarray, matrix: np.ndarray):
+def _solve(order: int, statics: ChainStatics, tau: np.ndarray, negated_tau: np.ndarray, tau_max: float,
+           bound: float, steps: int, block: np.ndarray, matrix: np.ndarray):
     """Solve ``(I - diag(tau) Q) x = block[0]``; return x, its exact inf-norm condition number and the products taken.
 
     ``block`` holds the right-hand side in its first row and tau in its
-    second.  I - diag(tau) Q with Q = ``routing`` irreducible,
+    second, and ``statics`` the chain's Q, E = Q - 1 pi' and pi.
+    I - diag(tau) Q with Q = ``statics.reversed_routing`` irreducible,
     nonnegative, row-stochastic and zero on its diagonal, 0 <= tau <= 1,
     and tau < 1 in every state of positive speed, is an irreducibly
     diagonally dominant M-matrix: its inverse is nonnegative, so its
@@ -475,11 +482,11 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.nda
     is 1 plus its inverse times tau, which needs no third column.
 
     With ``steps`` > 0 (from ``_series_grants``, and ``bound`` >= q_n >=
-    ||diag(tau) E||_inf) the matrix is (I - diag(tau) E) - tau pi' with
-    E = Q - 1 pi', and [y, z], its first part's inverse applied to the
-    block, are the series sum_i (diag(tau) E)^i applied to both rows, each
-    product one 2 x K by K x K product corrected by pi.  Sherman-Morrison
-    gives
+    ||diag(tau) E||_inf) the matrix is (I - diag(tau) E) - tau pi', and
+    [y, z], its first part's inverse applied to the block, are the series
+    sum_i (diag(tau) E)^i applied to both rows, each term one 2 x K by
+    K x K product with ``statics.deflated_routing``, scaled by tau.
+    Sherman-Morrison gives
 
         x = y + z (pi.y) / (1 - pi.z),   inverse times 1 = 1 + z / (1 - pi.z).
 
@@ -494,26 +501,26 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.nda
     ``steps`` is a trial of -steps products: the same series, rule and
     checks, except that a trial that runs out takes the LU instead and
     reports 0 products.  With ``steps`` = 0 the matrix is built in
-    ``matrix`` from ``negated_tau``, -tau as a K x 1 column, and [x, z]
-    come from one LU (``pi`` is not read); its x is returned as a row view
-    of the solve's result, which the caller copies into its own storage.
+    ``matrix`` from Q and ``negated_tau``, -tau as a K x 1 column, and
+    [x, z] come from one LU; its x is returned as a row view of the
+    solve's result, which the caller copies into its own storage.
     ``tau_max`` is the largest entry of ``tau``; ``order`` names the order
     in the errors.
     """
     if not steps:
         try:
-            solution, z = np.linalg.solve(_order_matrix(routing, negated_tau, out=matrix), block.T).T
+            solution, z = np.linalg.solve(
+                _order_matrix(statics.reversed_routing, negated_tau, out=matrix), block.T
+            ).T
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"order-{order} system is singular: {exc}") from exc
         return solution, (1.0 + tau_max) * (1.0 + float(z.max())), 0
     total, term = block.copy(), block
     rhs_limit, tau_limit = (_ROUNDOFF * (1.0 - bound) * np.abs(block).max(axis=1)).tolist()
-    routing_t = routing.T
+    deflated_t = statics.deflated_routing.T
     for used in range(1, abs(steps) + 1):
-        # (diag(tau) E t)' = (t' Q' - (t' pi) 1') diag(tau), both rows at once
-        shift = term @ pi
-        term = term @ routing_t
-        term -= shift[:, np.newaxis]
+        # (diag(tau) E t)' = t' E' diag(tau), both rows at once
+        term = term @ deflated_t
         term *= tau
         total += term
         rhs_top, tau_top = np.abs(term).max(axis=1).tolist()
@@ -521,12 +528,12 @@ def _solve(order: int, routing: np.ndarray, tau: np.ndarray, negated_tau: np.nda
             break
     else:
         if steps < 0:
-            return _solve(order, routing, tau, negated_tau, tau_max, pi, bound, 0, block, matrix)
+            return _solve(order, statics, tau, negated_tau, tau_max, bound, 0, block, matrix)
         raise NumericError(
             f"order-{order} Neumann series did not reach its tail bound within {steps} products"
         )
     y, z = total
-    pi_y, pi_z = (total @ pi).tolist()
+    pi_y, pi_z = (total @ statics.pi).tolist()
     denominator = 1.0 - pi_z
     if not denominator > 0.0:
         raise NumericError(
@@ -628,13 +635,14 @@ def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = weights[orders, orders]
     negated_taus = -taus[:, :, np.newaxis]
-    # the matrix of the LU orders, built in place (first the grants' workspace)
+    # the matrix of the LU orders, built in place
     matrix = np.empty_like(routing)
-    grants, bounds = _series_grants(taus, routing, statics.pi, matrix)
+    grants, bounds = _series_grants(taus, statics.pi, statics.deflated_row_sums)
     # an order granted nothing whose a-priori length is at most twice the
     # budget (q_n >= 1 has no finite one) first tries the series within the
     # budget (negative steps, see _solve), until one such trial runs out;
-    # where the K^2 pass was skipped (every q_n returned as 1), none tries
+    # where the lower bound ruled the series out (every q_n returned as 1),
+    # none tries
     plan = grants
     if bounds.min() < 1.0:
         budget = _series_budget(k_count)
@@ -665,8 +673,7 @@ def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments
             for n in range(1, n_max + 1):
                 np.sum(weights[n, :n] * load_powers[n:0:-1] * routed[:n], axis=0, out=blocks[n, 0])
                 solutions[n], condition[n], steps[n] = _solve(
-                    n, routing, taus[n], negated_taus[n], tau_max[n], statics.pi, bounds[n], plan[n],
-                    blocks[n], matrix,
+                    n, statics, taus[n], negated_taus[n], tau_max[n], bounds[n], plan[n], blocks[n], matrix
                 )
                 if plan[n] < 0 and not steps[n]:
                     # the trial ran out and took the LU: so does every later trial

@@ -312,7 +312,11 @@ class TestChainStatics:
         with pytest.raises(ValueError):
             model.routing[0, 1] = 0.5
         statics = model.statics
-        for array in (statics.pi, statics.reversed_routing, statics.mean_sojourns, statics.occupancy):
+        arrays = (
+            statics.pi, statics.reversed_routing, statics.deflated_routing, statics.deflated_row_sums,
+            statics.mean_sojourns, statics.occupancy,
+        )
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -329,6 +333,14 @@ class TestChainStatics:
             carried, expected = np.asarray(getattr(model.statics, field.name)), np.asarray(getattr(rebuilt, field.name))
             assert (carried.dtype, carried.shape) == (expected.dtype, expected.shape)
             assert carried.tobytes() == expected.tobytes(), field.name
+        # E = Q - 1 pi' and the row sums of |E|, as a fresh pass gives them
+        statics = model.statics
+        deflated = statics.reversed_routing - statics.pi
+        pairs = ((statics.deflated_routing, deflated), (statics.deflated_row_sums, np.abs(deflated).sum(axis=1)))
+        for carried, expected in pairs:
+            assert (carried.dtype, carried.shape) == (expected.dtype, expected.shape)
+            assert carried.tobytes() == expected.tobytes()
+        assert statics.deflated_routing.flags.c_contiguous
 
     def test_replace_rebuilds_the_statics(self):
         model = load_model(MODELS_DIR / "k3_mixed.yaml")
@@ -336,6 +348,12 @@ class TestChainStatics:
         assert changed.statics.pi == pytest.approx([1.0 / 3.0] * 3, rel=1e-15)
         assert changed.statics.pi.tobytes() == chain_statics(changed).pi.tobytes()
         assert not np.allclose(changed.statics.pi, model.statics.pi)
+        # the deflated routing and its row sums follow the new chain
+        statics = changed.statics
+        deflated = statics.reversed_routing - statics.pi
+        assert statics.deflated_routing.tobytes() == deflated.tobytes()
+        assert statics.deflated_row_sums.tobytes() == np.abs(deflated).sum(axis=1).tobytes()
+        assert not np.allclose(statics.deflated_routing, model.statics.deflated_routing)
 
 
 class TestStationaryLaw:

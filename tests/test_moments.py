@@ -207,8 +207,8 @@ def series_grants(model, budget=None, monkeypatch=None):
     """``_series_grants`` of a model, under the given budget of products if one is given."""
     if budget is not None:
         monkeypatch.setattr(moments, "_series_budget", lambda k_count: budget)
-    routing = model.statics.reversed_routing
-    return moments._series_grants(diagonal_weights(model), routing, model.statics.pi, np.empty_like(routing))
+    statics = model.statics
+    return moments._series_grants(diagonal_weights(model), statics.pi, statics.deflated_row_sums)
 
 
 def long_double_palm(model, n_max=20):
@@ -527,9 +527,9 @@ class TestSolverChoice:
             tau_max = taus[n].max()
             negated = -taus[n][:, np.newaxis]
             series, series_condition, used = moments._solve(
-                n, routing, taus[n], negated, tau_max, statics.pi, bounds[n], grants[n], block, matrix
+                n, statics, taus[n], negated, tau_max, bounds[n], grants[n], block, matrix
             )
-            lu, lu_condition, _ = moments._solve(n, routing, taus[n], negated, tau_max, None, 0.5, 0, block, matrix)
+            lu, lu_condition, _ = moments._solve(n, statics, taus[n], negated, tau_max, 0.5, 0, block, matrix)
             assert 1 <= used <= grants[n]
             assert np.abs(series - lu).max() <= 1e-14 * np.abs(lu).max()
             expected = np.linalg.cond(np.eye(k_count) - taus[n][:, np.newaxis] * routing, np.inf)
@@ -549,6 +549,10 @@ class TestSolverChoice:
         # are granted nothing but certify their trials
         pytest.param(partial(seeded, random_exponential_model, 120), 17, id="random_exponential_model-k120"),
         pytest.param(partial(seeded, random_mixed_model, 150), 6, id="random_mixed_model-k150"),
+        # sparse routing: orders 8-14 of the ring at K = 200 certify their
+        # trials, 15-20 are granted, and the entries of an order spread by
+        # up to 1e11
+        pytest.param(partial(seeded, ring_model, 200), 7, id="ring_model-k200"),
     ])
     def test_palm_vectors_match_a_long_double_solve(self, build, tried):
         # ``tried``: the orders that take the series though granted nothing
@@ -577,7 +581,7 @@ class TestSolverChoice:
         for k_count, expected in ((64, [0, 1, 6, 6, 0]), (55, [0, 1, 0, 0, 0])):
             routing = random_routing(k_count, np.random.default_rng(k_count))
             pi = dataclasses.replace(seeded(random_exponential_model, k_count), routing=routing).statics.pi
-            grants, _ = moments._series_grants(np.repeat(taus, k_count, axis=1), routing, pi, np.empty_like(routing))
+            grants, _ = moments._series_grants(np.repeat(taus, k_count, axis=1), pi, np.abs(routing - pi).sum(axis=1))
             assert grants == expected
 
     def test_trial_gate_is_twice_the_budget(self, monkeypatch):
@@ -615,7 +619,7 @@ class TestSolverChoice:
         def recorded(n, *args):
             # (order, products allowed, products reported), the trial's own LU first
             result = solve(n, *args)
-            calls.append((n, args[6], result[2]))
+            calls.append((n, args[5], result[2]))
             return result
 
         monkeypatch.setattr(moments, "_solve", recorded)
@@ -636,19 +640,19 @@ class TestSolverChoice:
         # large the budget, and an underflowed tau takes one product
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
         pi = np.array([0.5, 0.5])
+        row_sums = np.abs(routing - pi).sum(axis=1)
         taus = np.array([[1.0, 1.0], [0.5, 0.02], [0.12, 0.1], [2.0 / 402.0] * 2, [1.0, 0.3], [0.0, 0.0]])
-        buffer = np.empty((2, 2))
-        assert moments._series_grants(taus, routing, pi, buffer)[0] == [0, 0, 0, 0, 0, 0]
+        assert moments._series_grants(taus, pi, row_sums)[0] == [0, 0, 0, 0, 0, 0]
         monkeypatch.setattr(moments, "_series_budget", lambda k_count: 20.0)
-        assert moments._series_grants(taus, routing, pi, buffer)[0] == [0, 0, 17, 6, 0, 1]
+        assert moments._series_grants(taus, pi, row_sums)[0] == [0, 0, 17, 6, 0, 1]
         monkeypatch.setattr(moments, "_series_budget", lambda k_count: 1e6)
-        grants, bounds = moments._series_grants(taus, routing, pi, buffer)
+        grants, bounds = moments._series_grants(taus, pi, row_sums)
         assert grants == [0, 54, 17, 6, 0, 1]
         assert bounds[1] == 0.5 + 8.0 * 2.0**-53 * 0.5
 
     @staticmethod
     def pass_grants(taus, routing, pi):
-        """Grants and q_n of every order from the K^2 pass over |Q - 1 pi'|, never skipped."""
+        """Grants and q_n of every order from a fresh pass over |Q - 1 pi'|, without the lower-bound shortcut."""
         k_count = len(routing)
         bound = (taus * np.abs(routing - pi).sum(axis=1)).max(axis=1) + 4.0 * k_count * 2.0**-53 * taus.max(axis=1)
         q = np.clip(bound, np.finfo(float).tiny, 1.0 - 2.0**-53)
@@ -658,8 +662,9 @@ class TestSolverChoice:
     def test_skipped_pass_moves_no_grant(self):
         # dense and sparse (ring) routings from K = 10 to 200, some with
         # orders that take the series, and the benchmark's K = 50, 200 and
-        # 500 models: the grants are those of the full pass, and a call that
-        # skips the pass leaves its buffer unwritten
+        # 500 models: the statics' row sums are those of a fresh pass over
+        # |Q - 1 pi'|, bit for bit, so are the grants and bounds read from
+        # them, and the lower-bound shortcut moves no grant
         modelgen = load_module(MODELS_DIR.parent / "perfbench" / "modelgen.py")
         models = [
             build(k_count, np.random.default_rng(k_count + seed))
@@ -679,13 +684,15 @@ class TestSolverChoice:
         for model in models + benchmark:
             statics = model.statics
             routing, taus = statics.reversed_routing, diagonal_weights(model)
-            buffer = np.full_like(routing, np.nan)
-            grants, bounds = moments._series_grants(taus, routing, statics.pi, buffer)
+            row_sums = np.abs(routing - statics.pi).sum(axis=1)
+            assert statics.deflated_row_sums.tobytes() == row_sums.tobytes()
+            grants, bounds = moments._series_grants(taus, statics.pi, statics.deflated_row_sums)
             expected, q = self.pass_grants(taus, routing, statics.pi)
             assert grants == expected
-            skipped.append(bool(np.isnan(buffer).all()))
+            # the shortcut returns every q_n as 1; a bound from the row sums is clamped below 1
+            skipped.append(bool(np.all(bounds == 1.0)))
             if skipped[-1]:
-                assert not any(grants) and np.all(bounds == 1.0)
+                assert not any(grants)
             else:
                 assert np.array_equal(bounds, q)
         assert skipped[-3:] == [True, False, False]
@@ -733,8 +740,7 @@ class TestSolverChoice:
         block = np.vstack((np.ones(64), 40.0 * tau / (statics.pi @ tau)))
         with pytest.raises(NumericError, match="order-1 deflated series lost the sign of its determinant"):
             moments._solve(
-                1, statics.reversed_routing, tau, -tau[:, np.newaxis], tau.max(), statics.pi, bounds[1], grants[1],
-                block, np.empty((64, 64)),
+                1, statics, tau, -tau[:, np.newaxis], tau.max(), bounds[1], grants[1], block, np.empty((64, 64))
             )
 
     def test_zero_speed_state_certifies_its_trials(self, monkeypatch):

@@ -16,12 +16,15 @@ copy, with the copy's ``src`` on ``PYTHONPATH``:
   certified: the error path;
 * the four demos;
 * ``compute_moment_table(model, n_max=20)`` on the benchmark's K = 50,
-  200 and 500 models (``perfbench/modelgen.py``, read, not changed), and
-  on ``random_exponential_model(120)``, ``random_mixed_model(150)`` and
-  ``ring_model(200)`` of ``tests/conftest.py``, each drawn from
-  ``numpy.random.default_rng(K)`` as the tests draw them, where the Palm
-  solver of some orders sits near its budget: the sha256 of every array
-  on stdout, the arrays themselves as its ``--out``.
+  200 and 500 models (``perfbench/modelgen.py``, read, not changed); on
+  ``random_exponential_model(120)``, ``random_mixed_model(150)`` and
+  ``ring_model(200)`` of ``tests/conftest.py``, where the Palm solver of
+  some orders sits near its budget; on ten ``random_mixed_model`` draws
+  at K = 2-11, whose orders all take the LU; and on 50 gamma states of
+  shapes U(40, 300) with mean sojourns U(0.5, 2), whose weights come from
+  long Erlang suffix sums.  Each model is drawn from
+  ``numpy.random.default_rng(K)``, as the tests draw theirs.  The sha256
+  of every array goes to stdout, the arrays themselves to ``--out``.
 
 A case moves when its stdout, stderr, exit code or ``--out`` bytes
 differ.  Where the ``--out`` JSON differs, the key paths that differ are
@@ -56,7 +59,8 @@ DEMOS = (
     "03_markov_environment_identities",
     "04_simulation_adjudication",
 )
-# the table cases: the benchmark's models by K, then test-suite draws
+# the table cases: the benchmark's models by K, test-suite draws, and the
+# large-shape gamma model
 TABLE_MODELS = (
     ("perfbench", 50),
     ("perfbench", 200),
@@ -64,6 +68,8 @@ TABLE_MODELS = (
     ("random_exponential_model", 120),
     ("random_mixed_model", 150),
     ("ring_model", 200),
+    *(("random_mixed_model", k_count) for k_count in range(2, 12)),
+    ("large_shape_gamma_model", 50),
 )
 NEAR_SINGULAR = "identity-near-singular.yaml"
 
@@ -93,6 +99,18 @@ build, k_count, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 if build == "perfbench":
     import modelgen
     model = modelgen.build_model(modelgen.exponential_params(k_count))
+elif build == "large_shape_gamma_model":
+    from mminfenv import EnvironmentModel, Gamma
+    from conftest import random_routing
+    rng = np.random.default_rng(k_count)
+    shapes, means = rng.uniform(40.0, 300.0, k_count), rng.uniform(0.5, 2.0, k_count)
+    model = EnvironmentModel(
+        arrival_rates=rng.uniform(0.2, 3.0, k_count),
+        speeds=rng.uniform(0.3, 1.0, k_count),
+        sojourns=tuple(Gamma(shape=float(s), rate=float(s / m)) for s, m in zip(shapes, means)),
+        mu=float(rng.uniform(0.8, 1.5)),
+        routing=random_routing(k_count, rng),
+    )
 else:
     import conftest
     model = getattr(conftest, build)(k_count, np.random.default_rng(k_count))
