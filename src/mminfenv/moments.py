@@ -49,19 +49,25 @@ of the call try no more, so a call wastes at most one LU's cost of
 products.  Every other order takes one dense LU (see ``_series_grants``
 and ``_solve``).
 The stationary vectors are the same sums with the residual weights
-``w*`` and need no solve.  No weight cancels, so the moments are
-accurate to roundoff at every order, and tau_k may underflow to 0 (row
-k of the matrix is then e_k).
+``w*`` and need no solve.  No weight cancels, so the scalar moments,
+and the Palm vectors of the orders that take the LU, are accurate to
+roundoff at every order.  The series stops on a normwise tail rule, so
+the Palm vectors of its orders are accurate to roundoff only normwise:
+where their entries spread widely, small entries lose relative digits
+(9.2e-10 at worst on the sparse ``ring_model(200)`` of the tests).
+tau_k may underflow to 0 (row k of the matrix is then e_k).
 
 The weights of all orders form one table per call, order-major and
 lower-triangular in (n, j): ``table[n, j, k] = w_k[n, j]``, so order n
-reads row n of every state as one contiguous (n + 1) x K block.  Each
-law gives only its top row, at order MAX_ORDER: exponential,
-hyperexponential and gamma sojourns as mixtures and sums of Erlang laws,
-deterministic sojourns as a binomial pmf, and zero speed (X = 1) as all
-its mass on j = MAX_ORDER.  These four families are the only laws a
-model admits.  Every lower row follows by Bernstein degree reduction,
-one add per weight with positive terms only (see ``_weights``).
+reads row n of every state as one contiguous (n + 1) x K block.  The
+table is built at the order asked for, N = n_max.  Each law gives only
+its top row, at order N: exponential, hyperexponential and gamma
+sojourns as mixtures and sums of Erlang laws, deterministic sojourns as
+a binomial pmf, and zero speed (X = 1) as all its mass on j = N.  These
+four families are the only laws a model admits.  Every lower row
+follows by Bernstein degree reduction, one add per weight with positive
+terms only (see ``_weights``).  No weight reads MAX_ORDER, the cap on
+the order a caller may ask for.
 
 The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
@@ -160,7 +166,9 @@ def _gauss_beta(a, b, size: int):
 # Gauss rule sizes: at order 20, 16 nodes per panel of the graded gamma
 # rule hold the weights within 5e-15 of an 80-digit evaluation for
 # service to sojourn rate ratios from 0.02 to 1e8 (12 nodes: 5e-12), and
-# within 6e-15 of a 250-digit one from 1e-4 to 0.02; the Legendre rule
+# within 6e-15 of a 250-digit one from 1e-4 to 0.02; tables built at
+# orders 1-10, whose cut follows their order, read within 2.7e-15 of
+# 250-digit values from 1e-4 to 1e8 (shapes up to 46).  The Legendre rule
 # integrates (1 - e^-t)^N over [0, 2 H_N] to a few ulps.
 _PANEL_NODES = 16
 _LEGENDRE_NODES = 40
@@ -173,8 +181,8 @@ def _legendre_rule(size: int):
     return nodes, probs
 
 
-def _erlang_rows(rho: np.ndarray, powers: np.ndarray, residual: bool) -> np.ndarray:
-    """Top rows w[N, j], N = MAX_ORDER, of Erlang(q) sojourns, one column per branch.
+def _erlang_rows(rho: np.ndarray, powers: np.ndarray, residual: bool, n_max: int) -> np.ndarray:
+    """Top rows w[N, j], N = ``n_max``, of Erlang(q) sojourns, one column per branch.
 
     ``rho`` is the branch rate over the service rate and ``powers`` its q.
     X of an exponential sojourn is Beta(rho, 1), so with
@@ -186,14 +194,14 @@ def _erlang_rows(rho: np.ndarray, powers: np.ndarray, residual: bool) -> np.ndar
     Erlang(q) is the equal mixture of Erlang(1..q): the mean of
     h_0..h_{q-1}.  Every term is positive.
     """
-    m = np.arange(MAX_ORDER + 1.0)[:, np.newaxis]
+    m = np.arange(n_max + 1.0)[:, np.newaxis]
     denominators = rho + m
     y = rho / denominators
     rows = y.copy()
     rows[:-1] *= np.cumprod((m[1:] / denominators[1:])[::-1], axis=0)[::-1]
     for q in set(powers.tolist()) - {1}:
         chosen = np.flatnonzero(powers == q)
-        power = total = np.ones((MAX_ORDER + 1, len(chosen)))
+        power = total = np.ones((n_max + 1, len(chosen)))
         for _ in range(q - 1):
             power = np.cumsum((y[:, chosen] * power)[::-1], axis=0)[::-1]
             total = total + power
@@ -201,21 +209,22 @@ def _erlang_rows(rho: np.ndarray, powers: np.ndarray, residual: bool) -> np.ndar
     return rows
 
 
-def _exponential_rows(sojourns, service, residual):
+def _exponential_rows(sojourns, service, residual, n_max):
     """Exponential sojourns: one Erlang(1) branch each, its own residual."""
     rho = np.array([dist.rate for dist in sojourns]) / service
-    return _erlang_rows(rho, np.ones(len(rho), dtype=int), residual)
+    return _erlang_rows(rho, np.ones(len(rho), dtype=int), residual, n_max)
 
 
-def _gamma_scale_rules(a: list, b: list, c: list) -> list:
+def _gamma_scale_rules(a: list, b: list, c: list, n_max: int) -> list:
     """Graded Gauss rules for B ~ Beta(a_i, b_i), one (nodes, probabilities) per entry.
 
     B is the time scale of a Gamma(f, r) sojourn, 0 < f < 1, or of its
     residual, so a_i is f or f + 1 and b_i = 1 - f (see
     ``_erlang_mixture_rows``).  The exponential rows are rational in B
-    with poles at B = -1 / (i c), i = 1..n, c = mu_k / rate, which crowd
-    towards the end point 0 as c grows.  So [0, 1] is cut at 4^-p < ... < 1/16 < 1/4, at least at
-    1/4, with 4^-p <= 1 / (2 MAX_ORDER c): no pole and no end point
+    with poles at B = -1 / (i c), i = 1..N, N = ``n_max``, c = mu_k / rate,
+    which crowd towards the end point 0 as c grows.  So [0, 1] is cut at
+    4^-p < ... < 1/16 < 1/4, at least at 1/4, with 4^-p <= 1 / (2 N c)
+    (only at 1/4 for N = 0, which has no pole): no pole and no end point
     singularity of the Beta density comes closer to a panel than a third
     of its width, and a fixed rule per panel converges at any c.  The
     first panel carries the B^(a-1) factor of the density in its Gauss
@@ -224,7 +233,7 @@ def _gamma_scale_rules(a: list, b: list, c: list) -> list:
     come from one stacked eigen-solve.
     """
     count = len(a)
-    panels = [max(1, math.ceil(math.log(2 * MAX_ORDER * ci, 4))) for ci in c]
+    panels = [max(1, math.ceil(math.log(max(2 * n_max * ci, 1.0), 4))) for ci in c]
     nodes, probs = _gauss_beta(a + [1.0] * count, [1.0] * count + b, _PANEL_NODES)
     legendre_nodes, legendre_probs = _legendre_rule(_PANEL_NODES)
     rules = []
@@ -244,7 +253,7 @@ def _gamma_scale_rules(a: list, b: list, c: list) -> list:
     return rules
 
 
-def _erlang_mixture_rows(sojourns, service, residual):
+def _erlang_mixture_rows(sojourns, service, residual, n_max):
     """Hyperexponential and gamma sojourns, as mixtures and sums of Erlang laws.
 
     Each state lists branches (rate, probability, q), a sojourn that is
@@ -278,7 +287,7 @@ def _erlang_mixture_rows(sojourns, service, residual):
     rules = {}
     if fractional:
         states, *shapes = zip(*fractional)
-        rules = dict(zip(states, _gamma_scale_rules(*map(list, shapes))))
+        rules = dict(zip(states, _gamma_scale_rules(*map(list, shapes), n_max)))
     rates, probs, powers, atoms = [], [], [], []
     for k, dist in enumerate(sojourns):
         if isinstance(dist, HyperExponential):
@@ -301,40 +310,41 @@ def _erlang_mixture_rows(sojourns, service, residual):
             probs.append(weights)
             powers.append(1 if k in rules else math.ceil(dist.shape))
     counts = [len(branch_rates) for branch_rates in rates]
-    rows = _erlang_rows(np.concatenate(rates) / np.repeat(service, counts), np.repeat(powers, counts), residual)
+    branch_rho = np.concatenate(rates) / np.repeat(service, counts)
+    rows = _erlang_rows(branch_rho, np.repeat(powers, counts), residual, n_max)
     rows *= np.concatenate(probs)
     rows = np.add.reduceat(rows, np.cumsum(counts) - counts, axis=1)
     for k, mass in atoms:
-        rows[MAX_ORDER, k] += mass
+        rows[n_max, k] += mass
     composed = [k for k in rules if sojourns[k].shape > 1.0]
     if composed:
         erlangs = [Gamma(math.floor(sojourns[k].shape), sojourns[k].rate) for k in composed]
-        top = np.einsum("mk,mjk->jk", rows[:, composed], _weights(erlangs, service[composed], MAX_ORDER))
+        top = np.einsum("mk,mjk->jk", rows[:, composed], _weights(erlangs, service[composed], n_max))
         if residual:
             s = np.array([sojourns[k].shape for k in composed])
             q = np.array([dist.shape for dist in erlangs])
             rho = np.array([dist.rate for dist in erlangs]) / service[composed]
-            top = (s - q) / s * top + q / s * _erlang_rows(rho, q, True)
+            top = (s - q) / s * top + q / s * _erlang_rows(rho, q, True, n_max)
         rows[:, composed] = top
     return rows
 
 
-def _integrated_power(c: np.ndarray) -> np.ndarray:
-    """I_N(c) = int_0^c (1 - e^-t)^N dt, N = MAX_ORDER, one entry per entry of c.
+def _integrated_power(c: np.ndarray, n_max: int) -> np.ndarray:
+    """I_N(c) = int_0^c (1 - e^-t)^N dt, N = ``n_max``, one entry per entry of c.
 
     Past c = 2 H_N it is c - sum_{i<=N} (1 - e^-c)^i / i, a difference
     that keeps more than half of c; below, a Gauss-Legendre rule on
     [0, c] (the integrand is entire and varies on a scale of one).
     """
-    i = np.arange(1, MAX_ORDER + 1)
+    i = np.arange(1, n_max + 1)
     y = -np.expm1(-c)[:, np.newaxis]
     closed = c - (y**i / i).sum(axis=1)
     nodes, probs = _legendre_rule(_LEGENDRE_NODES)
-    quadrature = c * ((-np.expm1(-np.multiply.outer(c, nodes))) ** MAX_ORDER * probs).sum(axis=1)
+    quadrature = c * ((-np.expm1(-np.multiply.outer(c, nodes))) ** n_max * probs).sum(axis=1)
     return np.where(c >= 2.0 * np.sum(1.0 / i), closed, quadrature)
 
 
-def _deterministic_rows(sojourns, service, residual):
+def _deterministic_rows(sojourns, service, residual, n_max):
     """Deterministic sojourns: the binomial pmf at x = exp(-c), c = mu_k d.
 
     The residual is uniform on [0, d]; for j >= 1 its weights are
@@ -342,13 +352,13 @@ def _deterministic_rows(sojourns, service, residual):
     w*[N, 0] = I_N(c) / c.
     """
     c = service * np.array([dist.value for dist in sojourns])
-    j = np.arange(MAX_ORDER + 1)[:, np.newaxis]
-    row = _binomials(MAX_ORDER)[-1][:, np.newaxis] * np.exp(-c) ** j
-    row *= (-np.expm1(-c)) ** (MAX_ORDER - j)
+    j = np.arange(n_max + 1)[:, np.newaxis]
+    row = _binomials(n_max)[-1][:, np.newaxis] * np.exp(-c) ** j
+    row *= (-np.expm1(-c)) ** (n_max - j)
     if not residual:
         return row
     out = np.empty_like(row)
-    out[0] = _integrated_power(c) / c
+    out[0] = _integrated_power(c, n_max) / c
     out[1:] = np.cumsum(row[:-1], axis=0) / (j[1:] * c)
     return out
 
@@ -362,7 +372,7 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     the one (n + 1) x K block ``table[n, : n + 1]``.  Every weight is
     nonnegative and every row sums to one.
 
-    Each family gives only its top row, n = N = MAX_ORDER; zero speed
+    Each family gives only its top row, n = N = ``n_max``; zero speed
     (X = 1) gives e_N.  The rows below follow by Bernstein degree
     reduction (Farouki and Rajan, 1988): v[n, j] = w[n, j] / C(n, j) =
     E[(1 - X)^(n-j) X^j] satisfies v[n-1, j] = v[n, j] + v[n, j+1], a sum
@@ -370,8 +380,7 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
     scaling by a power of two and so exact, so that a v that is subnormal
     in double precision still adds with its full 53 bits: the top row is
     divided by C(N, j) / 2^64, and every row then multiplied by
-    C(n, j) / 2^64.  Every table is built at N and sliced, so no weight
-    depends on ``n_max``.
+    C(n, j) / 2^64.
     """
     service = np.asarray(service, dtype=float)
     builders = {}
@@ -385,23 +394,23 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
         else:
             builder = _erlang_mixture_rows
         builders.setdefault(builder, []).append(k)
-    table = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1, len(sojourns)))
-    top = table[MAX_ORDER]
+    table = np.zeros((n_max + 1, n_max + 1, len(sojourns)))
+    top = table[n_max]
     for builder, states in builders.items():
         # a family that holds every state needs no gather or scatter
         index = states if len(states) < len(sojourns) else slice(None)
         if builder is None:
-            top[MAX_ORDER, index] = 1.0
+            top[n_max, index] = 1.0
         else:
-            top[:, index] = builder([sojourns[k] for k in states], service[index], residual)
-    descale = _descaled_binomials()
-    top /= descale[MAX_ORDER]
-    for n in range(MAX_ORDER, 0, -1):
+            top[:, index] = builder([sojourns[k] for k in states], service[index], residual, n_max)
+    descale = _binomials(n_max)[:, :, np.newaxis] / 2.0**64
+    top /= descale[n_max]
+    for n in range(n_max, 0, -1):
         np.add(table[n, :n], table[n, 1 : n + 1], out=table[n - 1, :n])
     # row by row, so that the zero pages above the diagonal are never touched
     for n in range(n_max + 1):
         table[n, : n + 1] *= descale[n, : n + 1]
-    return np.ascontiguousarray(table[: n_max + 1, : n_max + 1])
+    return table
 
 
 def _order_matrix(routing: np.ndarray, negated_tau: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -884,14 +893,6 @@ def raw_from_factorial(factorial_moments) -> np.ndarray:
     if size > MAX_ORDER + 1:
         raise ValueError(f"moment sequence of order {size - 1} exceeds the maximum order {MAX_ORDER}")
     return np.cumsum(_second_kind()[:size, :size] * values, axis=1).diagonal().copy()
-
-
-@lru_cache(maxsize=None)
-def _descaled_binomials() -> np.ndarray:
-    """C(n, j) / 2^64 at [n, j, 0] for n, j <= MAX_ORDER, exact; built once, read-only."""
-    table = _binomials(MAX_ORDER)[:, :, np.newaxis] / 2.0**64
-    table.flags.writeable = False
-    return table
 
 
 @lru_cache(maxsize=None)

@@ -292,6 +292,19 @@ class TestMoments:
         "numeric error: order-2 solve is ill-conditioned: relative residual 1.074e-02 "
         "exceeds 1e-08 (condition 6.551e+14)\n"
     )
+    # the order-2 solve is garbage whose digits follow the last bits of its
+    # weights, which depend on the order the table is built at: these are
+    # the verbs' default orders, 5 and 6 (SLOW_SERVICE_ERROR is order 20)
+    SLOW_SERVICE_DEFAULT_ORDER_ERRORS = {
+        "moments": (
+            "numeric error: order-2 solve is ill-conditioned: relative residual 3.906e-03 "
+            "exceeds 1e-08 (condition 5.811e+14)\n"
+        ),
+        "validate": (
+            "numeric error: order-2 solve is ill-conditioned: relative residual 8.789e-03 "
+            "exceeds 1e-08 (condition 5.906e+14)\n"
+        ),
+    }
 
     @pytest.mark.parametrize("verb", ["moments", "validate"])
     def test_ill_conditioned_solve_exits_3(self, capsys, tmp_path, verb):
@@ -300,7 +313,7 @@ class TestMoments:
         out_path = tmp_path / "report.json"
         code, out, err = run(capsys, verb, "--model", str(path), "--out", str(out_path))
         assert (code, out) == (3, "")
-        assert err == self.SLOW_SERVICE_ERROR
+        assert err == self.SLOW_SERVICE_DEFAULT_ORDER_ERRORS[verb]
         assert not out_path.exists()
 
     @pytest.mark.parametrize("verb", ["moments", "validate"])

@@ -1062,9 +1062,9 @@ class TestFixedCosts:
             assert np.array_equal(nodes[i], single[0]) and np.array_equal(probs[i], single[1])
         # and the graded rules of many gamma states at once, as one at a time
         c = 10.0 ** rng.uniform(-2.0, 8.0, 40)
-        together = moments._gamma_scale_rules(a[:40].tolist(), b[:40].tolist(), c.tolist())
+        together = moments._gamma_scale_rules(a[:40].tolist(), b[:40].tolist(), c.tolist(), 20)
         for i, (rule_nodes, rule_probs) in enumerate(together):
-            alone_nodes, alone_probs = moments._gamma_scale_rules([float(a[i])], [float(b[i])], [float(c[i])])[0]
+            alone_nodes, alone_probs = moments._gamma_scale_rules([float(a[i])], [float(b[i])], [float(c[i])], 20)[0]
             assert np.array_equal(rule_nodes, alone_nodes) and np.array_equal(rule_probs, alone_probs)
 
     def test_gamma_rules_take_one_eigen_solve_per_table(self, monkeypatch):
@@ -1203,9 +1203,9 @@ class TestWeights:
     """Rows of w[n, j] = E[P(Bin(n, X) = j)], X = exp(-mu_k T), per family."""
 
     @staticmethod
-    def rows(dist, rate, residual):
-        table = _weights([dist], [rate], 20, residual=residual)
-        return [table[n, : n + 1].T for n in range(21)]
+    def rows(dist, rate, residual, n_max=20):
+        table = _weights([dist], [rate], n_max, residual=residual)
+        return [table[n, : n + 1].T for n in range(n_max + 1)]
 
     @pytest.mark.parametrize("name", sorted(WEIGHT_FAMILIES))
     @pytest.mark.parametrize("residual", [False, True], ids=["palm", "residual"])
@@ -1231,10 +1231,10 @@ class TestWeights:
     @pytest.mark.parametrize("name", ["deterministic-short", "deterministic", "gamma-0.7", "gamma-2.6", "gamma-5.4"])
     def test_smallest_weights_match_extended_precision(self, name):
         # w[n, 0] = E[(1 - X)^n] is tiny when mu_k T is short; it must keep
-        # its relative accuracy (no complement 1 - sum_{j>=1} w[n, j])
+        # its relative accuracy (no complement 1 - sum_{j>=1} w[n, j]), in
+        # tables built at orders 1, 5 and 20, whose top rows come from the
+        # builders at that order
         dist = WEIGHT_FAMILIES[name]
-        palm_rows = self.rows(dist, WEIGHT_RATE, False)
-        residual_rows = self.rows(dist, WEIGHT_RATE, True)
         with mpmath.workdps(30):
             rate = mpmath.mpf(WEIGHT_RATE)
             if isinstance(dist, Deterministic):
@@ -1251,9 +1251,13 @@ class TestWeights:
                 points = [0, 1, 10, mpmath.inf]
                 palm = lambda n: mpmath.quad(lambda t: density(t) * (-mpmath.expm1(-rate * t)) ** n, points)
                 residual = lambda n: mpmath.quad(lambda t: tail(t) * (-mpmath.expm1(-rate * t)) ** n, points)
-            for n in (1, 20):
-                assert palm_rows[n][0, 0] == pytest.approx(float(palm(n)), rel=1e-12, abs=0.0)
-                assert residual_rows[n][0, 0] == pytest.approx(float(residual(n)), rel=1e-12, abs=0.0)
+            expected = {n: (float(palm(n)), float(residual(n))) for n in (1, 5, 20)}
+        for n_max in (1, 5, 20):
+            palm_rows = self.rows(dist, WEIGHT_RATE, False, n_max)
+            residual_rows = self.rows(dist, WEIGHT_RATE, True, n_max)
+            for n in [order for order in expected if order <= n_max]:
+                assert palm_rows[n][0, 0] == pytest.approx(expected[n][0], rel=1e-12, abs=0.0)
+                assert residual_rows[n][0, 0] == pytest.approx(expected[n][1], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("shape, rate, service, kind", [
         (307.6, 272.1, 0.3035, "weight"),
@@ -1285,7 +1289,9 @@ class TestWeights:
         # have poles crowding towards its end point 0; c small (at most
         # 1 / 40): the rule still cuts [0, 1] once, at 1/4.  Every weight of
         # the rows of orders 1, 5 and 20 must hold its relative accuracy,
-        # unless its value is below the smallest normal double.
+        # unless its value is below the smallest normal double, in tables
+        # built at orders 1, 5 and 20: the top row of each, and the rule's
+        # cut, follow the order it is built at.
         # Reference: the alternating binomial sum of transform values at
         # 250 digits, which its cancellation needs at c = 1e-4 (60 digits
         # suffice at c = 1e3).  Every shape above 1 is a Gamma(f) *
@@ -1304,15 +1310,23 @@ class TestWeights:
             residual = [mpmath.mpf(1)] + [(1 - palm[p]) / (p * c * s) for p in range(1, 21)]
             checked = ((True, residual),) if shape in RESIDUAL_ONLY_SHAPES else ((False, palm), (True, residual))
             for is_residual, transform in checked:
-                rows = self.rows(dist, WEIGHT_RATE, is_residual)
-                for n in (1, 5, 20):
-                    for j in range(n + 1):
-                        terms = [(-1) ** i * mpmath.binomial(n - j, i) * transform[j + i] for i in range(n - j + 1)]
-                        expected = float(mpmath.binomial(n, j) * mpmath.fsum(terms))
-                        if expected >= tiny:
-                            assert rows[n][0, j] == pytest.approx(expected, rel=bound, abs=0.0)
-                        else:
-                            assert rows[n][0, j] < tiny
+                expected = {
+                    n: [
+                        float(mpmath.binomial(n, j) * mpmath.fsum(
+                            (-1) ** i * mpmath.binomial(n - j, i) * transform[j + i] for i in range(n - j + 1)
+                        ))
+                        for j in range(n + 1)
+                    ]
+                    for n in (1, 5, 20)
+                }
+                for n_max in (1, 5, 20):
+                    rows = self.rows(dist, WEIGHT_RATE, is_residual, n_max)
+                    for n in [order for order in expected if order <= n_max]:
+                        for j, value in enumerate(expected[n]):
+                            if value >= tiny:
+                                assert rows[n][0, j] == pytest.approx(value, rel=bound, abs=0.0)
+                            else:
+                                assert rows[n][0, j] < tiny
 
     def test_exponential_residual_rows_equal_palm_rows(self):
         dist = WEIGHT_FAMILIES["exponential"]
@@ -1325,16 +1339,35 @@ class TestWeights:
             for n, row in enumerate(self.rows(WEIGHT_FAMILIES[name], 0.0, residual)):
                 assert np.array_equal(row[0], np.eye(n + 1)[n])
 
+    @pytest.mark.parametrize("shape", [1e-15, 2.000000000000001, 1e-300])
+    def test_vanishing_time_scale_puts_its_mass_on_the_diagonal(self, shape):
+        # the graded rule's nodes of these fractional shapes round to B = 0,
+        # a sojourn T = 0 with X = 1, whose probability goes to j = N of the
+        # table built at N: every diagonal keeps the transform
+        dist = Gamma(shape=shape, rate=1.0)
+        for n_max in (1, 5, 20):
+            table = _weights([dist], [WEIGHT_RATE], n_max)
+            for n in range(1, n_max + 1):
+                assert table[n, n, 0] == pytest.approx(dist.laplace(n * WEIGHT_RATE), rel=1e-13, abs=0.0)
+
     def test_rows_do_not_depend_on_the_order_cap(self):
+        # each table is built at the order asked for, so its rows agree with
+        # those of the order-20 table to roundoff, not bit for bit (at most
+        # 1.9e-15 measured), wherever they are normal doubles
         sojourns = list(WEIGHT_FAMILIES.values())
         rates = np.full(len(sojourns), WEIGHT_RATE)
+        tiny = np.finfo(float).tiny
         for residual in (False, True):
-            short = _weights(sojourns, rates, 6, residual=residual)
             full = _weights(sojourns, rates, 20, residual=residual)
-            assert np.array_equal(short, full[:7, :7])
-            # order-major and C-contiguous, from every builder: row n of
-            # every state is the one block table[n, : n + 1]
-            assert short.shape == (7, 7, len(sojourns)) and short.flags.c_contiguous
+            for n_max in range(20):
+                short = _weights(sojourns, rates, n_max, residual=residual)
+                block = full[: n_max + 1, : n_max + 1]
+                normal = block >= tiny
+                np.testing.assert_allclose(short[normal], block[normal], rtol=1e-14, atol=0.0)
+                assert np.all(short[~normal] < tiny)
+                # order-major and C-contiguous, from every builder: row n of
+                # every state is the one block table[n, : n + 1]
+                assert short.shape == (n_max + 1, n_max + 1, len(sojourns)) and short.flags.c_contiguous
             assert full.shape == (21, 21, len(sojourns)) and full.flags.c_contiguous
             for dist in sojourns:
                 for rate in (WEIGHT_RATE, 0.0):

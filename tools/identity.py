@@ -22,9 +22,14 @@ copy, with the copy's ``src`` on ``PYTHONPATH``:
   some orders sits near its budget; on ten ``random_mixed_model`` draws
   at K = 2-11, whose orders all take the LU; and on 50 gamma states of
   shapes U(40, 300) with mean sojourns U(0.5, 2), whose weights come from
-  long Erlang suffix sums.  Each model is drawn from
-  ``numpy.random.default_rng(K)``, as the tests draw theirs.  The sha256
-  of every array goes to stdout, the arrays themselves to ``--out``.
+  long Erlang suffix sums;
+* ``compute_moment_table(model, n_max=6)`` on the K = 50 benchmark
+  model, ``random_mixed_model(150)`` and the 50 gamma states, whose
+  weight tables are built at that order (cases named ``-n6``).
+
+Each table model is drawn from ``numpy.random.default_rng(K)``, as the
+tests draw theirs.  The sha256 of every array goes to stdout, the arrays
+themselves to ``--out``.
 
 A case moves when its stdout, stderr, exit code or ``--out`` bytes
 differ.  Where the ``--out`` JSON differs, the key paths that differ are
@@ -59,17 +64,21 @@ DEMOS = (
     "03_markov_environment_identities",
     "04_simulation_adjudication",
 )
-# the table cases: the benchmark's models by K, test-suite draws, and the
-# large-shape gamma model
+# the table cases (builder, K, order): the benchmark's models by K,
+# test-suite draws, and the large-shape gamma model, at order 20; then a
+# large, a mixed and a gamma model at an order below it
 TABLE_MODELS = (
-    ("perfbench", 50),
-    ("perfbench", 200),
-    ("perfbench", 500),
-    ("random_exponential_model", 120),
-    ("random_mixed_model", 150),
-    ("ring_model", 200),
-    *(("random_mixed_model", k_count) for k_count in range(2, 12)),
-    ("large_shape_gamma_model", 50),
+    ("perfbench", 50, 20),
+    ("perfbench", 200, 20),
+    ("perfbench", 500, 20),
+    ("random_exponential_model", 120, 20),
+    ("random_mixed_model", 150, 20),
+    ("ring_model", 200, 20),
+    *(("random_mixed_model", k_count, 20) for k_count in range(2, 12)),
+    ("large_shape_gamma_model", 50, 20),
+    ("perfbench", 50, 6),
+    ("random_mixed_model", 150, 6),
+    ("large_shape_gamma_model", 50, 6),
 )
 NEAR_SINGULAR = "identity-near-singular.yaml"
 
@@ -95,7 +104,7 @@ import numpy as np
 sys.path[:0] = ["perfbench", "tests"]
 from mminfenv import compute_moment_table
 
-build, k_count, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+build, k_count, n_max, out = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
 if build == "perfbench":
     import modelgen
     model = modelgen.build_model(modelgen.exponential_params(k_count))
@@ -114,7 +123,7 @@ elif build == "large_shape_gamma_model":
 else:
     import conftest
     model = getattr(conftest, build)(k_count, np.random.default_rng(k_count))
-table = compute_moment_table(model, n_max=20)
+table = compute_moment_table(model, n_max=n_max)
 arrays = {}
 for field in dataclasses.fields(table):
     value = getattr(table, field.name)
@@ -152,10 +161,12 @@ def cases():
     matrix.append(("compare-z-nan/near-singular", cli + ["compare", "--model", NEAR_SINGULAR, "--z-max", "nan"], None))
     for demo in DEMOS:
         matrix.append((f"demo/{demo}", [sys.executable, f"demos/{demo}.py"], None))
-    for build, k_count in TABLE_MODELS:
+    for build, k_count, n_max in TABLE_MODELS:
         label = f"k{k_count}" if build == "perfbench" else f"{build}-k{k_count}"
+        label += "" if n_max == 20 else f"-n{n_max}"
         out = f"table-{label}.json"
-        matrix.append((f"table/{label}", [sys.executable, "-c", TABLE_SCRIPT, build, str(k_count), out], out))
+        argv = [sys.executable, "-c", TABLE_SCRIPT, build, str(k_count), str(n_max), out]
+        matrix.append((f"table/{label}", argv, out))
     return matrix
 
 
