@@ -49,7 +49,8 @@ of the call try no more, so a call wastes at most one LU's cost of
 products.  Every other order takes one dense LU (see ``_series_grants``
 and ``_solve``).
 The stationary vectors are the same sums with the residual weights
-``w*`` and need no solve.  No weight cancels, so the scalar moments,
+``w*``, the weights of the length-biased residual sojourn, and need no
+solve.  No weight cancels, so the scalar moments,
 and the Palm vectors of the orders that take the LU, are accurate to
 roundoff at every order.  The series stops on a normwise tail rule, so
 the Palm vectors of its orders are accurate to roundoff only normwise:
@@ -57,17 +58,22 @@ where their entries spread widely, small entries lose relative digits
 (9.2e-10 at worst on the sparse ``ring_model(200)`` of the tests).
 tau_k may underflow to 0 (row k of the matrix is then e_k).
 
-The weights of all orders form one table per call, order-major and
-lower-triangular in (n, j): ``table[n, j, k] = w_k[n, j]``, so order n
-reads row n of every state as one contiguous (n + 1) x K block.  The
-table is built at the order asked for, N = n_max.  Each law gives only
-its top row, at order N: exponential, hyperexponential and gamma
-sojourns as mixtures and sums of Erlang laws, deterministic sojourns as
-a binomial pmf, and zero speed (X = 1) as all its mass on j = N.  These
-four families are the only laws a model admits.  Every lower row
-follows by Bernstein degree reduction, one add per weight with positive
-terms only (see ``_weights``).  No weight reads MAX_ORDER, the cap on
-the order a caller may ask for.
+The weights of all orders, Palm and residual, form one table per call,
+built once by the Palm step, which hands the residual part to the
+stationary one.  It is order-major and lower-triangular in (n, j):
+``table[n, j, k] = w_k[n, j]`` for the K states, then w*[n, j] for each
+state with memory (positive speed, not exponential; every other state
+has w* = w), so order n reads row n of every state as one (n + 1) x K
+block.  The table is built at the order asked for, N = n_max.  Each law
+gives only its two top rows, at order N and from one pass: exponential,
+hyperexponential and gamma sojourns as mixtures and sums of Erlang
+laws, a gamma of fractional shape through one graded Gauss rule for
+both rows, deterministic sojourns as a binomial pmf and its partial
+sums, and zero speed (X = 1) as all its mass on j = N.  These four
+families are the only laws a model admits.  Every lower row follows by
+Bernstein degree reduction, one add per weight with positive terms only
+(see ``_weights``).  No weight reads MAX_ORDER, the cap on the order a
+caller may ask for.
 
 The scalar moments of N are contractions of the stationary vectors with
 a state-weighting vector; both the embedded-chain weights and the
@@ -181,8 +187,8 @@ def _legendre_rule(size: int):
     return nodes, probs
 
 
-def _erlang_rows(rho: np.ndarray, powers: np.ndarray, residual: bool, n_max: int) -> np.ndarray:
-    """Top rows w[N, j], N = ``n_max``, of Erlang(q) sojourns, one column per branch.
+def _erlang_rows(rho: np.ndarray, powers: np.ndarray, n_max: int) -> tuple:
+    """Top rows w[N, j], N = ``n_max``, of Erlang(q) sojourns and of their residuals, one column per branch.
 
     ``rho`` is the branch rate over the service rate and ``powers`` its q.
     X of an exponential sojourn is Beta(rho, 1), so with
@@ -192,81 +198,107 @@ def _erlang_rows(rho: np.ndarray, powers: np.ndarray, residual: bool, n_max: int
     polynomial h_{q-1}(y_j, ..., y_N), formed as suffix sums
     h_i[j] = sum_{m>=j} y_m h_{i-1}[m] from h_0 = 1.  The residual of
     Erlang(q) is the equal mixture of Erlang(1..q): the mean of
-    h_0..h_{q-1}.  Every term is positive.
+    h_0..h_{q-1}, the running total of the same suffix sums.  Every term
+    is positive.  Where every q is 1 the two rows are one array.
     """
     m = np.arange(n_max + 1.0)[:, np.newaxis]
     denominators = rho + m
     y = rho / denominators
     rows = y.copy()
     rows[:-1] *= np.cumprod((m[1:] / denominators[1:])[::-1], axis=0)[::-1]
-    for q in set(powers.tolist()) - {1}:
+    erlang = set(powers.tolist()) - {1}
+    residual = rows.copy() if erlang else rows
+    for q in erlang:
         chosen = np.flatnonzero(powers == q)
         power = total = np.ones((n_max + 1, len(chosen)))
         for _ in range(q - 1):
             power = np.cumsum((y[:, chosen] * power)[::-1], axis=0)[::-1]
             total = total + power
-        rows[:, chosen] *= total / q if residual else power
-    return rows
+        rows[:, chosen] *= power
+        residual[:, chosen] *= total / q
+    return rows, residual
 
 
-def _exponential_rows(sojourns, service, residual, n_max):
+def _exponential_rows(sojourns, service, n_max):
     """Exponential sojourns: one Erlang(1) branch each, its own residual."""
     rho = np.array([dist.rate for dist in sojourns]) / service
-    return _erlang_rows(rho, np.ones(len(rho), dtype=int), residual, n_max)
+    return _erlang_rows(rho, np.ones(len(rho), dtype=int), n_max)[0]
 
 
-def _gamma_scale_rules(a: list, b: list, c: list, n_max: int) -> list:
-    """Graded Gauss rules for B ~ Beta(a_i, b_i), one (nodes, probabilities) per entry.
+def _gamma_scale_rules(f: list, c: list, n_max: int) -> list:
+    """One graded Gauss rule for the time scale B of each Gamma(f_i) state, 0 < f_i < 1.
 
-    B is the time scale of a Gamma(f, r) sojourn, 0 < f < 1, or of its
-    residual, so a_i is f or f + 1 and b_i = 1 - f (see
-    ``_erlang_mixture_rows``).  The exponential rows are rational in B
-    with poles at B = -1 / (i c), i = 1..N, N = ``n_max``, c = mu_k / rate,
-    which crowd towards the end point 0 as c grows.  So [0, 1] is cut at
-    4^-p < ... < 1/16 < 1/4, at least at 1/4, with 4^-p <= 1 / (2 N c)
-    (only at 1/4 for N = 0, which has no pole): no pole and no end point
-    singularity of the Beta density comes closer to a panel than a third
-    of its width, and a fixed rule per panel converges at any c.  The
-    first panel carries the B^(a-1) factor of the density in its Gauss
-    weight, the last one the (1 - B)^(b-1) factor; the others are
-    Gauss-Legendre.  The Beta(a, 1) and Beta(1, b) rules of every entry
-    come from one stacked eigen-solve.
+    B ~ Beta(f, 1 - f), of density proportional to B^(f-1) (1 - B)^(-f)
+    (see ``_erlang_mixture_rows``).  The exponential rows are rational in
+    B with poles at B = -1 / (i c), i = 1..N, N = ``n_max``,
+    c = mu_k / rate, which crowd towards the end point 0 as c grows.  So
+    [0, 1] is cut at 4^-p < ... < 1/16 < 1/4, at least at 1/4, with
+    4^-p <= 1 / (2 N c) (only at 1/4 for N = 0, which has no pole): no
+    pole and no end point singularity of the density comes closer to a
+    panel than a third of its width, and a fixed rule per panel converges
+    at any c.  The first panel [0, L], L = 4^-p, is the Beta(f + 1, 1)
+    rule, the middle ones Gauss-Legendre and the last one the
+    Beta(1, 1 - f) rule, which carries the (1 - B)^(-f) factor in its
+    Gauss weight.  The Beta(f + 1, 1) and Beta(1, 1 - f) rules of every
+    state come from one stacked eigen-solve.
+
+    Each rule is (nodes, probs, first, excess, atom), the first
+    ``_PANEL_NODES`` nodes on the first panel, and both tables read it.
+    ``probs`` are the Palm probabilities of the nodes, so that
+    sum_i probs_i g(B_i), g the exponential row at time scale B_i, is
+    the Palm row but for the first panel's j = N entries, and,
+    reweighted by the branch means B_i / rate, the residual row (the
+    residual time scale is Beta(f + 1, 1 - f), of density B times the
+    Palm one).  Near B = 0 the Palm integrand B^(f-1) phi(B),
+    phi = g h, h = (1 - B)^(-f), is singular, but phi(0) = e_N, so the
+    first panel is e_N L^f / f plus int_0^L [(phi - e_N) / B] B^f dB, and
+    the Beta(f + 1, 1) rule integrates the bracket: ``first`` weights it,
+    ``excess`` holds h - 1 at the first panel's nodes and ``atom`` is the
+    limit L^f / f.  The first panel's ``probs`` are ``first`` times h,
+    and every Palm weight is divided by the mass, the sum of the panels'
+    masses: L^f / f + sum first (h - 1), then the other ``probs``.
     """
-    count = len(a)
+    count = len(f)
     panels = [max(1, math.ceil(math.log(max(2 * n_max * ci, 1.0), 4))) for ci in c]
-    nodes, probs = _gauss_beta(a + [1.0] * count, [1.0] * count + b, _PANEL_NODES)
+    nodes, probs = _gauss_beta([fi + 1.0 for fi in f] + [1.0] * count, [1.0] * count + [1.0 - fi for fi in f],
+                               _PANEL_NODES)
     legendre_nodes, legendre_probs = _legendre_rule(_PANEL_NODES)
     rules = []
-    for z, p, z_last, p_last, ai, bi, m in zip(nodes, probs, nodes[count:], probs[count:], a, b, panels):
-        # probabilities of the unnormalised density B^(a-1) (1 - B)^(b-1)
+    for z, p, z_last, p_last, fi, m in zip(nodes, probs, nodes[count:], probs[count:], f, panels):
         low = 4.0**-m
-        rule_nodes, rule_probs = [low * z], [p * low**ai / ai * (1.0 - low * z) ** (bi - 1.0)]
+        excess = np.expm1(-fi * np.log1p(-low * z))
+        first = p * low**fi / (fi + 1.0) / z
         lo = 4.0 ** -np.arange(m, 1, -1.0)[:, np.newaxis]
         x = lo * (1.0 + 3.0 * legendre_nodes)
-        rule_nodes.append(x.ravel())
-        rule_probs.append((3.0 * lo * legendre_probs * x ** (ai - 1.0) * (1.0 - x) ** (bi - 1.0)).ravel())
-        x = 0.25 + 0.75 * z_last
-        rule_nodes.append(x)
-        rule_probs.append(p_last * 0.75**bi / bi * x ** (ai - 1.0))
-        rule_probs = np.concatenate(rule_probs)
-        rules.append((np.concatenate(rule_nodes), rule_probs / rule_probs.sum()))
+        middle = (3.0 * lo * legendre_probs * x ** (fi - 1.0) * (1.0 - x) ** -fi).ravel()
+        x_last = 0.25 + 0.75 * z_last
+        last = p_last * 0.75 ** (1.0 - fi) / (1.0 - fi) * x_last ** (fi - 1.0)
+        atom = low**fi / fi
+        mass = atom + (first * excess).sum() + middle.sum() + last.sum()
+        rule_probs = np.concatenate((first * (1.0 + excess), middle, last))
+        rule_nodes = np.concatenate((low * z, x.ravel(), x_last))
+        rules.append((rule_nodes, rule_probs / mass, first / mass, excess, atom / mass))
     return rules
 
 
-def _erlang_mixture_rows(sojourns, service, residual, n_max):
-    """Hyperexponential and gamma sojourns, as mixtures and sums of Erlang laws.
+def _erlang_mixture_rows(sojourns, service, n_max):
+    """Palm and residual top rows of hyperexponential and gamma sojourns, as mixtures and sums of Erlang laws.
 
     Each state lists branches (rate, probability, q), a sojourn that is
     Erlang(q, rate) with that probability:
 
-    * HyperExponential has branches (r_i, p_i, 1); its residual reweights
-      branch i by its mean p_i / r_i, as its sampler does.
+    * HyperExponential has branches (r_i, p_i, 1).
     * Gamma(s, r) of integer s is the one branch (r, 1, s), exact.
     * Gamma(f, r), 0 < f < 1, is B E for independent B ~ Beta(f, 1 - f)
       and E ~ Exponential(r), so given B = u it is Exponential(r / u):
-      branches (r / u, P(u), 1) over the graded rule for B.  The residual
-      is U Gamma(f + 1, r) = B' (U Gamma(2, r)) with B' ~ Beta(f + 1, 1 - f),
-      and U Gamma(2, r) is Exponential(r) again.
+      branches (r / u, P(u), 1) over the graded rule for B, whose first
+      panel takes its B = 0 limit exactly (see ``_gamma_scale_rules``).
+
+    The residual of a mixture of q = 1 branches is the same mixture with
+    branch i reweighted by its mean p_i / r_i (the length bias, as the
+    hyperexponential sampler draws it), and the residual of Erlang(q)
+    comes from ``_erlang_rows``; both come from the same branch rows as
+    the Palm row.
 
     Any other Gamma(s, r) is the sum of independent Erlang(q, r) and
     Gamma(f, r) sojourns, q = floor(s), f = s - q.  X of a sum is the
@@ -275,58 +307,54 @@ def _erlang_mixture_rows(sojourns, service, residual, n_max):
     the top row is w_f[N, :] @ W_q, W_q the Palm table of Erlang(q, r).
     The residual lies in the Erlang term with probability q / s, and
     otherwise past all of it, in the residual of the Gamma(f, r) term:
-    (f / s) w*_f[N, :] @ W_q + (q / s) w*_q[N, :].  Every term is
+    (f / s) w*_f[N, :] @ W_q + (q / s) w*_q[N, :].  W_q and w*_q come
+    from one ``_weights`` build of the Erlang(q) terms.  Every term is
     positive, and the graded rule only ever sees shapes below 1.
     """
     # the graded rules of the fractional parts f = s - floor(s), all at once
-    fractional = [
-        (k, dist.shape % 1.0 + residual, 1.0 - dist.shape % 1.0, a / dist.rate)
-        for k, (dist, a) in enumerate(zip(sojourns, service.tolist()))
-        if isinstance(dist, Gamma) and dist.shape % 1.0
-    ]
+    fractional = [k for k, dist in enumerate(sojourns) if isinstance(dist, Gamma) and dist.shape % 1.0]
     rules = {}
     if fractional:
-        states, *shapes = zip(*fractional)
-        rules = dict(zip(states, _gamma_scale_rules(*map(list, shapes), n_max)))
-    rates, probs, powers, atoms = [], [], [], []
+        shapes = [sojourns[k].shape % 1.0 for k in fractional]
+        scales = [service[k] / sojourns[k].rate for k in fractional]
+        rules = dict(zip(fractional, _gamma_scale_rules(shapes, scales, n_max)))
+    branches = []
     for k, dist in enumerate(sojourns):
         if isinstance(dist, HyperExponential):
-            branch_probs = np.array(dist.probs)
-            if residual:
-                means = branch_probs / dist.rates
-                branch_probs = means / means.sum()
-            rates.append(np.array(dist.rates))
-            probs.append(branch_probs)
-            powers.append(1)
+            branch_rates, branch_probs, power = np.array(dist.rates), np.array(dist.probs), 1
         else:
-            nodes, weights = rules.get(k, (np.ones(1), np.ones(1)))
-            if nodes[0] <= 0.0:
-                # nodes come smallest first, and those of a tiny f round to 0
-                # or below: each is the limit B = 0, a sojourn T = 0, so X = 1
-                # and its probability goes to j = N
-                atoms.append((k, weights[nodes <= 0.0].sum()))
-                nodes, weights = nodes[nodes > 0.0], weights[nodes > 0.0]
-            rates.append(dist.rate / nodes)
-            probs.append(weights)
-            powers.append(1 if k in rules else math.ceil(dist.shape))
+            nodes, branch_probs = rules[k][:2] if k in rules else (np.ones(1), np.ones(1))
+            branch_rates, power = dist.rate / nodes, 1 if k in rules else math.ceil(dist.shape)
+        # the residual reweights each branch by its mean
+        means = branch_probs / branch_rates
+        branches.append((branch_rates, branch_probs, means / means.sum(), power))
+    rates, probs, residual_probs, powers = zip(*branches)
     counts = [len(branch_rates) for branch_rates in rates]
+    starts = np.cumsum(counts) - counts
     branch_rho = np.concatenate(rates) / np.repeat(service, counts)
-    rows = _erlang_rows(branch_rho, np.repeat(powers, counts), residual, n_max)
-    rows *= np.concatenate(probs)
-    rows = np.add.reduceat(rows, np.cumsum(counts) - counts, axis=1)
-    for k, mass in atoms:
-        rows[n_max, k] += mass
+    rows, residual = _erlang_rows(branch_rho, np.repeat(powers, counts), n_max)
+    palm = rows * np.concatenate(probs)
+    if rules:
+        # the first panel of each rule weights phi - e_N, whose j = N entry
+        # is g_N (h - 1) - sum_{j<N} g_j, and the limit puts its atom at N
+        _, _, first, excess, atoms = zip(*rules.values())
+        index = (starts[list(rules)][:, np.newaxis] + np.arange(_PANEL_NODES)).ravel()
+        below = rows[:-1, index].sum(axis=0)
+        palm[n_max, index] = (rows[n_max, index] * np.concatenate(excess) - below) * np.concatenate(first)
+        palm[n_max, starts[list(rules)]] += atoms
+    palm = np.add.reduceat(palm, starts, axis=1)
+    residual = np.add.reduceat(residual * np.concatenate(residual_probs), starts, axis=1)
     composed = [k for k in rules if sojourns[k].shape > 1.0]
     if composed:
-        erlangs = [Gamma(math.floor(sojourns[k].shape), sojourns[k].rate) for k in composed]
-        top = np.einsum("mk,mjk->jk", rows[:, composed], _weights(erlangs, service[composed], n_max))
-        if residual:
-            s = np.array([sojourns[k].shape for k in composed])
-            q = np.array([dist.shape for dist in erlangs])
-            rho = np.array([dist.rate for dist in erlangs]) / service[composed]
-            top = (s - q) / s * top + q / s * _erlang_rows(rho, q, True, n_max)
-        rows[:, composed] = top
-    return rows
+        s = np.array([sojourns[k].shape for k in composed])
+        q = np.floor(s)
+        erlangs = [Gamma(qk, sojourns[k].rate) for qk, k in zip(q.tolist(), composed)]
+        table = _weights(erlangs, service[composed], n_max)
+        erlang, erlang_residual = table[:, :, : len(composed)], table[n_max, :, len(composed) :]
+        top = np.einsum("mk,mjk->jk", residual[:, composed], erlang)
+        palm[:, composed] = np.einsum("mk,mjk->jk", palm[:, composed], erlang)
+        residual[:, composed] = (s - q) / s * top + q / s * erlang_residual
+    return palm, residual
 
 
 def _integrated_power(c: np.ndarray, n_max: int) -> np.ndarray:
@@ -344,8 +372,8 @@ def _integrated_power(c: np.ndarray, n_max: int) -> np.ndarray:
     return np.where(c >= 2.0 * np.sum(1.0 / i), closed, quadrature)
 
 
-def _deterministic_rows(sojourns, service, residual, n_max):
-    """Deterministic sojourns: the binomial pmf at x = exp(-c), c = mu_k d.
+def _deterministic_rows(sojourns, service, n_max):
+    """Palm and residual top rows of deterministic sojourns: the binomial pmf at x = exp(-c), c = mu_k d.
 
     The residual is uniform on [0, d]; for j >= 1 its weights are
     P(Bin(N, x) < j) / (c j), partial sums of the Palm row, and
@@ -355,26 +383,29 @@ def _deterministic_rows(sojourns, service, residual, n_max):
     j = np.arange(n_max + 1)[:, np.newaxis]
     row = _binomials(n_max)[-1][:, np.newaxis] * np.exp(-c) ** j
     row *= (-np.expm1(-c)) ** (n_max - j)
-    if not residual:
-        return row
-    out = np.empty_like(row)
-    out[0] = _integrated_power(c, n_max) / c
-    out[1:] = np.cumsum(row[:-1], axis=0) / (j[1:] * c)
-    return out
+    residual = np.empty_like(row)
+    residual[0] = _integrated_power(c, n_max) / c
+    residual[1:] = np.cumsum(row[:-1], axis=0) / (j[1:] * c)
+    return row, residual
 
 
-def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarray:
-    """The (n_max + 1, n_max + 1, K) table of weights, lower-triangular in (n, j).
+def _weights(sojourns, service, n_max: int) -> np.ndarray:
+    """The (n_max + 1, n_max + 1, K + M) table of Palm and residual weights, lower-triangular in (n, j).
 
-    ``table[n, j, k]`` is w_k[n, j] = E[P(Bin(n, X) = j)], X = exp(-service[k] T)
-    and T the sojourn of state k, or its equilibrium residual when
-    ``residual``.  The table is C-contiguous, so row n of every state is
-    the one (n + 1) x K block ``table[n, : n + 1]``.  Every weight is
-    nonnegative and every row sums to one.
+    ``table[n, j, k]``, k < K, is w_k[n, j] = E[P(Bin(n, X) = j)],
+    X = exp(-service[k] T) and T the sojourn of state k.  The M states
+    with memory, those of positive speed whose sojourn is not exponential,
+    follow in state order: ``table[n, j, K + i]`` is w*[n, j] of the i-th
+    of them, with T its equilibrium residual.  Every other state has
+    w* = w and no residual column, so an all-exponential table is the K
+    Palm columns alone.  The table is C-contiguous, so row n of every
+    column is the one (n + 1) x (K + M) block ``table[n, : n + 1]``.
+    Every weight is nonnegative and every row sums to one.
 
-    Each family gives only its top row, n = N = ``n_max``; zero speed
-    (X = 1) gives e_N.  The rows below follow by Bernstein degree
-    reduction (Farouki and Rajan, 1988): v[n, j] = w[n, j] / C(n, j) =
+    Each family gives only its top rows, n = N = ``n_max``, its Palm and
+    residual rows from one pass; zero speed (X = 1) gives e_N.  The rows
+    below follow by Bernstein degree reduction, one pass for every
+    column (Farouki and Rajan, 1988): v[n, j] = w[n, j] / C(n, j) =
     E[(1 - X)^(n-j) X^j] satisfies v[n-1, j] = v[n, j] + v[n, j+1], a sum
     of positive terms, elementwise in k.  The reduction runs on 2^64 v, a
     scaling by a power of two and so exact, so that a v that is subnormal
@@ -394,15 +425,21 @@ def _weights(sojourns, service, n_max: int, residual: bool = False) -> np.ndarra
         else:
             builder = _erlang_mixture_rows
         builders.setdefault(builder, []).append(k)
-    table = np.zeros((n_max + 1, n_max + 1, len(sojourns)))
+    count = len(sojourns)
+    memory = sorted(builders.get(_deterministic_rows, []) + builders.get(_erlang_mixture_rows, []))
+    table = np.zeros((n_max + 1, n_max + 1, count + len(memory)))
     top = table[n_max]
     for builder, states in builders.items():
         # a family that holds every state needs no gather or scatter
-        index = states if len(states) < len(sojourns) else slice(None)
+        index = states if len(states) < count else slice(count)
         if builder is None:
             top[n_max, index] = 1.0
+        elif builder is _exponential_rows:
+            top[:, index] = builder([sojourns[k] for k in states], service[index], n_max)
         else:
-            top[:, index] = builder([sojourns[k] for k in states], service[index], residual, n_max)
+            top[:, index], top[:, count + np.searchsorted(memory, states)] = builder(
+                [sojourns[k] for k in states], service[index], n_max
+            )
     descale = _binomials(n_max)[:, :, np.newaxis] / 2.0**64
     top /= descale[n_max]
     for n in range(n_max, 0, -1):
@@ -436,7 +473,7 @@ def _series_length(bound):
 
 
 def _series_grants(taus: np.ndarray, pi: np.ndarray, row_sums: np.ndarray):
-    """Per order, the products its series may take (0: an LU is cheaper) and q_n.
+    """Per order, its plan (the products its series may take, -budget for a trial, 0 for an LU) and q_n.
 
     ``taus[n]`` holds the diagonal weights of order n.  E = Q - 1 pi'
     (pi Q = pi), Q with its Perron mode taken out, splits the order-n
@@ -454,26 +491,27 @@ def _series_grants(taus: np.ndarray, pi: np.ndarray, row_sums: np.ndarray):
     rule of ``_solve``, ||t||_inf q_n / (1 - q_n) <= u ||first term||_inf,
     fires after at most ceil(log(u (1 - q_n)) / log(q_n)) - 1 products
     (and at least one; see ``_series_length``).  Orders whose grant is
-    within ``_series_budget``, below the measured cost of one LU, get it;
-    the others get 0, and so does every order below K = 10.  An order
-    granted 0 whose length from q_n is at most twice the budget may still
-    try the series within the budget (see ``palm_moment_vectors``).
-    Sparse routing, whose rows of |Q - 1 pi'| sum to nearly 2, bounds the
-    series loosely and takes the LU more often.
+    within ``_series_budget``, below the measured cost of one LU, get it.
+    An order whose length from q_n is at most twice the budget gets
+    -int(budget) instead: it tries the series within the budget first
+    (see ``_solve`` and ``palm_moment_vectors``).  The others get 0, and
+    so does every order below K = 10.  Sparse routing, whose rows of
+    |Q - 1 pi'| sum to nearly 2, bounds the series loosely and takes the
+    LU more often.
 
     Row k of |Q - 1 pi'| holds |0 - pi_k| (Q has a zero diagonal) beside
     nonnegative terms, so even its computed sum is at least pi_k, and
     q_n >= max_k tau_k pi_k.  Where that lower bound already grants every
-    order more than the budget, every order takes the LU, and q_n is
-    returned as 1, which plans no trial.
+    order more than the budget, every order takes the LU and tries
+    nothing, and q_n is returned as 1.
     """
     k_count = len(pi)
     budget = _series_budget(k_count)
     if budget < 1.0 or _series_length((taus * pi).max(axis=1).min())[0] > budget:
         return [0] * len(taus), np.ones(len(taus))
     grant, q = _series_length((taus * row_sums).max(axis=1) + 4.0 * k_count * _ROUNDOFF * taus.max(axis=1))
-    steps = np.where(grant <= budget, grant, 0.0).astype(int)
-    return steps.tolist(), q
+    plan = np.where(grant <= budget, grant, -int(budget) * (grant <= 2.0 * budget)).astype(int)
+    return plan.tolist(), q
 
 
 def _solve(order: int, statics: ChainStatics, tau: np.ndarray, negated_tau: np.ndarray, tau_max: float,
@@ -583,13 +621,17 @@ class PalmMoments:
     solution x (index 0 is a placeholder; order 0 needs no solve).
     ``steps[n]`` is 0 where order n took the LU and otherwise the number
     of products its series took (``palm_moment_vectors`` says which
-    solver each order takes; ``steps[0]`` is 0).
+    solver each order takes; ``steps[0]`` is 0).  ``residual_weights``
+    is the residual part of the call's weight table (see ``_weights``),
+    ``residual_weights[n, j, i] = w*[n, j]`` of the i-th state with
+    memory, which ``stationary_moment_vectors`` reads.
     """
 
     vectors: tuple
     condition: np.ndarray
     solve_residual: np.ndarray
     steps: np.ndarray
+    residual_weights: np.ndarray
 
     @property
     def n_max(self) -> int:
@@ -640,25 +682,15 @@ def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments
     routing = statics.reversed_routing
     k_count = model.num_states
     orders = np.arange(n_max + 1)
-    weights = _weights(model.sojourns, model.service_rates, n_max)
+    # the Palm columns of the one weight table, and beside them the residual ones
+    table = _weights(model.sojourns, model.service_rates, n_max)
+    weights = table[:, :, :k_count]
     # tau of every order, taus[n, k] = w_k[n, n], and the solver of each order
     taus = weights[orders, orders]
     negated_taus = -taus[:, :, np.newaxis]
     # the matrix of the LU orders, built in place
     matrix = np.empty_like(routing)
-    grants, bounds = _series_grants(taus, statics.pi, statics.deflated_row_sums)
-    # an order granted nothing whose a-priori length is at most twice the
-    # budget (q_n >= 1 has no finite one) first tries the series within the
-    # budget (negative steps, see _solve), until one such trial runs out;
-    # where the lower bound ruled the series out (every q_n returned as 1),
-    # none tries
-    plan = grants
-    if bounds.min() < 1.0:
-        budget = _series_budget(k_count)
-        plan = [
-            grant or (-int(budget) if length <= 2.0 * budget else 0)
-            for grant, length in zip(grants, _series_length(bounds)[0].tolist())
-        ]
+    plan, bounds = _series_grants(taus, statics.pi, statics.deflated_row_sums)
     tau_max = taus.max(axis=1)
 
     # one row per order: m0^(n), Q m0^(n), and the right-hand side above
@@ -710,6 +742,8 @@ def palm_moment_vectors(model: EnvironmentModel, n_max: int = 10) -> PalmMoments
         condition=condition,
         solve_residual=solve_residual,
         steps=steps,
+        # a copy, so that the Palm columns are freed here
+        residual_weights=table[:, :, k_count:].copy(),
     )
 
 
@@ -722,12 +756,14 @@ def stationary_moment_vectors(model: EnvironmentModel, palm: PalmMoments) -> tup
 
         m^(n) = sum_{j<=n} w*[n, j] R^(n-j) Q m0^(j)
 
-    over the products Q m0^(j) of the Palm vectors.  A memoryless state
-    (exponential, or zero speed) has w* = w, and its entry is copied from
-    the Palm vector, so all-exponential models give the two families bit
-    for bit equal.  The sums run order by order; the signs of every order
-    are checked in one pass after them, earliest order first, with the
-    floating-point warnings of the sums and load powers silenced as in
+    over the products Q m0^(j) of the Palm vectors.  The weights are
+    ``palm.residual_weights``, built with the Palm ones; nothing is built
+    here.  A memoryless state (exponential, or zero speed) has w* = w and
+    no residual column, and its entry is copied from the Palm vector, so
+    all-exponential models give the two families bit for bit equal.  The
+    sums run order by order; the signs of every order are checked in one
+    pass after them, earliest order first, with the floating-point
+    warnings of the sums and load powers silenced as in
     ``palm_moment_vectors``.
     """
     service = model.service_rates
@@ -739,11 +775,10 @@ def stationary_moment_vectors(model: EnvironmentModel, palm: PalmMoments) -> tup
     if not states:
         return tuple(vectors)
     routed = vectors @ model.statics.reversed_routing[states].T
-    weights = _weights([model.sojourns[k] for k in states], service[states], palm.n_max, residual=True)
     with np.errstate(all="ignore"):
-        load_powers = model.offered_loads[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
+        powers = model.offered_loads[states] ** np.arange(palm.n_max + 1)[:, np.newaxis]
         for n in range(1, palm.n_max + 1):
-            vectors[n, states] = (weights[n, : n + 1] * load_powers[n::-1] * routed[: n + 1]).sum(axis=0)
+            vectors[n, states] = (palm.residual_weights[n, : n + 1] * powers[n::-1] * routed[: n + 1]).sum(axis=0)
     _require_nonnegative(vectors[1:], "stationary moment vector at order {}", 1)
     return tuple(vectors)
 

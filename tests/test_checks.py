@@ -92,19 +92,18 @@ def test_perturbed_high_order_fails_rate_conservation(path, order):
 
 
 @pytest.mark.parametrize("name", ["k2_gamma_exp", "k3_mixed"])
-def test_stationary_update_with_palm_weights_fails_rate_conservation(name, monkeypatch):
-    # the stationary update must read the residual weights: built with the
-    # Palm weights it is wrong wherever a sojourn is not exponential, and
-    # only rate conservation ties it to the Palm solve.  (On identical.yaml
-    # every table of weights that sums to one gives the exact rho^n, so
-    # that fault changes no number there.)
+def test_stationary_update_with_palm_weights_fails_rate_conservation(name):
+    # the stationary update must read the residual weights: given the Palm
+    # columns of the states with memory in their place it is wrong wherever
+    # a sojourn is not exponential, and only rate conservation ties it to
+    # the Palm solve.  (On identical.yaml every table of weights that sums
+    # to one gives the exact rho^n, so that fault changes no number there.)
     model = load_model(MODELS_DIR / f"{name}.yaml")
     palm = palm_moment_vectors(model, 20)
-    original = moments._weights
-    monkeypatch.setattr(
-        moments, "_weights", lambda sojourns, service, n_max, residual=False: original(sojourns, service, n_max)
-    )
-    verdicts = verdicts_of(model, palm)
+    memory = [k for k, dist in enumerate(model.sojourns) if not isinstance(dist, Exponential)]
+    assert np.all(model.service_rates > 0.0) and palm.residual_weights.shape[2] == len(memory) > 0
+    palm_columns = moments._weights(model.sojourns, model.service_rates, 20)[:, :, memory]
+    verdicts = verdicts_of(model, dataclasses.replace(palm, residual_weights=palm_columns))
     assert not verdicts["rate-conservation"].passed, verdicts["rate-conservation"].residual
     assert verdicts["solve-backsubstitution"].passed
 

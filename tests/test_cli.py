@@ -297,12 +297,12 @@ class TestMoments:
     # the verbs' default orders, 5 and 6 (SLOW_SERVICE_ERROR is order 20)
     SLOW_SERVICE_DEFAULT_ORDER_ERRORS = {
         "moments": (
-            "numeric error: order-2 solve is ill-conditioned: relative residual 3.906e-03 "
-            "exceeds 1e-08 (condition 5.811e+14)\n"
-        ),
-        "validate": (
             "numeric error: order-2 solve is ill-conditioned: relative residual 8.789e-03 "
             "exceeds 1e-08 (condition 5.906e+14)\n"
+        ),
+        "validate": (
+            "numeric error: order-2 solve is ill-conditioned: relative residual 1.172e-02 "
+            "exceeds 1e-08 (condition 6.005e+14)\n"
         ),
     }
 

@@ -20,11 +20,13 @@ copy, with the copy's ``src`` on ``PYTHONPATH``:
   ``random_exponential_model(120)``, ``random_mixed_model(150)`` and
   ``ring_model(200)`` of ``tests/conftest.py``, where the Palm solver of
   some orders sits near its budget; on ten ``random_mixed_model`` draws
-  at K = 2-11, whose orders all take the LU; and on 50 gamma states of
+  at K = 2-11, whose orders all take the LU; on 50 gamma states of
   shapes U(40, 300) with mean sojourns U(0.5, 2), whose weights come from
-  long Erlang suffix sums;
+  long Erlang suffix sums; and on 20 gamma states of shapes
+  10^U(-16, -1) with the same mean sojourns, whose Palm weights carry
+  most of their mass in the B = 0 limit of the gamma rule's first panel;
 * ``compute_moment_table(model, n_max=6)`` on the K = 50 benchmark
-  model, ``random_mixed_model(150)`` and the 50 gamma states, whose
+  model, ``random_mixed_model(150)`` and both gamma models, whose
   weight tables are built at that order (cases named ``-n6``).
 
 Each table model is drawn from ``numpy.random.default_rng(K)``, as the
@@ -65,8 +67,8 @@ DEMOS = (
     "04_simulation_adjudication",
 )
 # the table cases (builder, K, order): the benchmark's models by K,
-# test-suite draws, and the large-shape gamma model, at order 20; then a
-# large, a mixed and a gamma model at an order below it
+# test-suite draws, and the large- and small-shape gamma models, at order
+# 20; then a large, a mixed and both gamma models at an order below it
 TABLE_MODELS = (
     ("perfbench", 50, 20),
     ("perfbench", 200, 20),
@@ -76,9 +78,11 @@ TABLE_MODELS = (
     ("ring_model", 200, 20),
     *(("random_mixed_model", k_count, 20) for k_count in range(2, 12)),
     ("large_shape_gamma_model", 50, 20),
+    ("small_shape_gamma_model", 20, 20),
     ("perfbench", 50, 6),
     ("random_mixed_model", 150, 6),
     ("large_shape_gamma_model", 50, 6),
+    ("small_shape_gamma_model", 20, 6),
 )
 NEAR_SINGULAR = "identity-near-singular.yaml"
 
@@ -108,11 +112,15 @@ build, k_count, n_max, out = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sy
 if build == "perfbench":
     import modelgen
     model = modelgen.build_model(modelgen.exponential_params(k_count))
-elif build == "large_shape_gamma_model":
+elif build.endswith("_shape_gamma_model"):
     from mminfenv import EnvironmentModel, Gamma
     from conftest import random_routing
     rng = np.random.default_rng(k_count)
-    shapes, means = rng.uniform(40.0, 300.0, k_count), rng.uniform(0.5, 2.0, k_count)
+    if build == "large_shape_gamma_model":
+        shapes = rng.uniform(40.0, 300.0, k_count)
+    else:
+        shapes = 10.0 ** rng.uniform(-16.0, -1.0, k_count)
+    means = rng.uniform(0.5, 2.0, k_count)
     model = EnvironmentModel(
         arrival_rates=rng.uniform(0.2, 3.0, k_count),
         speeds=rng.uniform(0.3, 1.0, k_count),
